@@ -651,26 +651,8 @@ def type_network(gamma: Gamma, net: t.Network, declared: Optional[dict] = None,
 
 
 def _restricted_kind(nodes, name: str) -> str:
-    def proc_uses_shared(p) -> bool:
-        match p:
-            case t.Request(a, _, b) | t.Accept(a, _, b):
-                return a == name or proc_uses_shared(b)
-            case t.Send(_, _, b) | t.Select(_, _, b):
-                return proc_uses_shared(b)
-            case t.Recv(_, _, _, b):
-                return proc_uses_shared(b)
-            case t.Branch(_, arms, df):
-                return any(proc_uses_shared(ap) for _, ap in arms) or proc_uses_shared(df)
-            case t.Sum(l, r) | t.Recover(l, r) | t.Cond(_, l, r):
-                return proc_uses_shared(l) or proc_uses_shared(r)
-            case t.Defs(defs, b):
-                return any(proc_uses_shared(db) for _, _, db in defs) or proc_uses_shared(b)
-            case _:
-                return False
-
-    for node in nodes:
-        if proc_uses_shared(node.process):
-            return "shared"
+    if any(name in t.process_facts(node.process)[1] for node in nodes):
+        return "shared"
     return "session"
 
 

@@ -1,7 +1,9 @@
 """Command line interface: check, run, step, encode-recovery, replay.
 
 Exit code is 0 iff no error network was encountered and, when typing was
-requested, it succeeded.  ``UBSC_COLOR`` toggles ANSI colour.
+requested, it succeeded.  Malformed input (an unreadable or unparsable file,
+an out-of-range option) exits 2 with a one-line message.  ``UBSC_COLOR``
+toggles ANSI colour.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 
@@ -16,6 +19,7 @@ from . import checker as ck
 from . import engine as eng
 from . import safety as sf
 from . import terms as t
+from . import values as v
 from .render import render_network
 from .syntax import UBSCSyntaxError, _Parser, lex, parse, pretty_print
 
@@ -62,6 +66,11 @@ def _load(path: str):
         return parse(fh.read(), filename=path)
 
 
+def _fail(msg: str) -> int:
+    print(_color(msg, "31"))
+    return 2
+
+
 def _gamma(prog) -> ck.Gamma:
     return ck.Gamma(shared=prog.shared_types())
 
@@ -69,44 +78,21 @@ def _gamma(prog) -> ck.Gamma:
 def _lint_unit_sends(net: t.Network):
     """The recovery encoding assumes senders never send the unit value; warn
     when a payload is literally unit."""
-    from . import values as v
+    unit = v.Lit(v.UNIT)
     hits = []
 
     def walk_p(p):
-        match p:
-            case t.Send(ch, e, b):
-                if e == v.Lit(v.UNIT):
-                    hits.append(ch)
-                walk_p(b)
-            case t.Request(_, _, b) | t.Accept(_, _, b) | t.Select(_, _, b):
-                walk_p(b)
-            case t.Recv(_, _, _, b):
-                walk_p(b)
-            case t.Branch(_, arms, df):
-                for _, ap in arms:
-                    walk_p(ap)
-                walk_p(df)
-            case t.Sum(l, r) | t.Cond(_, l, r) | t.Recover(l, r):
-                walk_p(l)
-                walk_p(r)
-            case t.Defs(defs, b):
-                for _, _, db in defs:
-                    walk_p(db)
-                walk_p(b)
-            case _:
-                pass
+        if type(p) is t.Send and p.expr == unit:
+            hits.append(p.chan)
+        for _, k in t.layer(p)[2]:
+            walk_p(k)
 
     for nd in t.flatten_nodes(net)[1]:
         walk_p(nd.process)
     return hits
 
 
-def cmd_check(args) -> int:
-    try:
-        prog = _load(args.file)
-    except UBSCSyntaxError as e:
-        print(_color(str(e), "31"))
-        return 2
+def cmd_check(args, prog) -> int:
     declared = None
     if args.context:
         declared = parse_declared(args.context, prog.type_decls)
@@ -127,35 +113,33 @@ def cmd_check(args) -> int:
     return 1
 
 
-def cmd_encode_recovery(args) -> int:
-    try:
-        prog = _load(args.file)
-    except UBSCSyntaxError as e:
-        print(_color(str(e), "31"))
-        return 2
+def cmd_encode_recovery(args, prog) -> int:
     prog.network = eng.encode_network(prog.network)
     sys.stdout.write(pretty_print(prog))
     return 0
 
 
-def cmd_run(args) -> int:
-    try:
-        prog = _load(args.file)
-    except UBSCSyntaxError as e:
-        print(_color(str(e), "31"))
-        return 2
+def cmd_run(args, prog) -> int:
     seeds = [args.seed]
     if args.sweep:
-        lo, hi = args.sweep.split("..")
-        seeds = list(range(int(lo), int(hi) + 1))
+        m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", args.sweep)
+        if m is None:
+            return _fail(f"run: --sweep expects a seed range a..b, got {args.sweep!r}")
+        seeds = list(range(int(m[1]), int(m[2]) + 1))
+    try:
+        cfgs = [eng.SchedulerConfig(seed=seed, loss_rate=args.loss_rate,
+                                    recovery_bias=args.recovery_bias,
+                                    max_steps=args.max_steps) for seed in seeds]
+    except ValueError:
+        return _fail("run: --loss-rate and --recovery-bias must lie in [0, 1]")
     exit_code = 0
-    for seed in seeds:
-        code = _run_one(prog, args, seed, sweeping=len(seeds) > 1)
+    for cfg in cfgs:
+        code = _run_one(prog, args, cfg, sweeping=len(cfgs) > 1)
         exit_code = exit_code or code
     return exit_code
 
 
-def _run_one(prog, args, seed: int, sweeping: bool) -> int:
+def _run_one(prog, args, cfg: eng.SchedulerConfig, sweeping: bool) -> int:
     net = prog.network
     gamma = _gamma(prog)
     if args.check:
@@ -163,9 +147,6 @@ def _run_one(prog, args, seed: int, sweeping: bool) -> int:
         if not result.ok:
             print(_color(result.render(), "31"))
             return 1
-    cfg = eng.SchedulerConfig(seed=seed, loss_rate=args.loss_rate,
-                              recovery_bias=args.recovery_bias,
-                              max_steps=args.max_steps)
     safety_failures = []
 
     def on_step(state, step):
@@ -177,11 +158,11 @@ def _run_one(prog, args, seed: int, sweeping: bool) -> int:
     trace = eng.run_scheduler(net, cfg, on_step=on_step,
                               networks=args.trace_networks)
     if args.trace:
-        path = args.trace if not sweeping else f"{args.trace}.{seed}"
+        path = args.trace if not sweeping else f"{args.trace}.{cfg.seed}"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(trace.to_jsonl())
     hist = Counter(s.rule for s in trace.steps)
-    tag = f"[seed {seed}] " if sweeping else ""
+    tag = f"[seed {cfg.seed}] " if sweeping else ""
     print(f"{tag}steps: {len(trace.steps)}")
     print(f"{tag}rules: " + ", ".join(f"{k}={v}" for k, v in sorted(hist.items())))
     if args.safety:
@@ -198,18 +179,17 @@ def _run_one(prog, args, seed: int, sweeping: bool) -> int:
     return 0
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args, prog) -> int:
     try:
-        prog = _load(args.file)
-    except UBSCSyntaxError as e:
-        print(_color(str(e), "31"))
-        return 2
-    with open(args.script, "r", encoding="utf-8") as fh:
-        text = fh.read().strip()
+        with open(args.script, "r", encoding="utf-8") as fh:
+            text = fh.read().strip()
+        records = (json.loads(text) if text.startswith("[") else
+                   [json.loads(l) for l in text.splitlines() if l.strip()])
+    except (OSError, ValueError) as e:
+        return _fail(f"replay: cannot read {args.script}: {e}")
     if text.startswith("["):
-        steps = json.loads(text)
         try:
-            state, digests = eng.run_script(prog.network, steps)
+            state, digests = eng.run_script(prog.network, records)
         except eng.EngineError as e:
             print(_color(f"replay failed: {e}", "31"))
             return 1
@@ -219,13 +199,14 @@ def cmd_replay(args) -> int:
         print(render_network(eng.normalize(state.to_network())))
         return 0
     # trace file: re-run with the recorded config and compare digests
-    lines = [json.loads(l) for l in text.splitlines() if l.strip()]
-    header = lines[0]
+    if not records:
+        return _fail(f"replay: trace file {args.script} is empty")
+    header = records[0]
     cfg = eng.SchedulerConfig(seed=header["seed"], loss_rate=header["loss_rate"],
                               recovery_bias=header["recovery_bias"],
                               max_steps=header["max_steps"])
     trace = eng.run_scheduler(prog.network, cfg)
-    recorded = [l["digest"] for l in lines[1:]]
+    recorded = [l["digest"] for l in records[1:]]
     fresh = [s.digest for s in trace.steps]
     if recorded != fresh:
         for i, (a, b) in enumerate(zip(recorded, fresh)):
@@ -238,12 +219,7 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def cmd_step(args) -> int:
-    try:
-        prog = _load(args.file)
-    except UBSCSyntaxError as e:
-        print(_color(str(e), "31"))
-        return 2
+def cmd_step(args, prog) -> int:
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     history = []
     script = []
@@ -350,7 +326,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_replay)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        prog = _load(args.file)
+    except (OSError, UBSCSyntaxError, UnicodeDecodeError) as e:
+        return _fail(str(e))
+    try:
+        return args.func(args, prog)
+    except UBSCSyntaxError as e:  # a malformed --context
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

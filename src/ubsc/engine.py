@@ -54,74 +54,27 @@ def encode_recovery(p: t.Process, handler: Optional[t.Process] = None) -> t.Proc
     match p:
         case t.Recover(body, h):
             return encode_recovery(body, encode_recovery(h, handler))
-        case t.Inact() | t.Call():
-            return p
         case t.Recv(ch, x, d, body) if handler is not None:
             inner = encode_recovery(body, handler)
             guard = v.BinOp("!=", v.Var(x), v.Lit(v.UNIT))
             return t.Recv(ch, x, d, t.Cond(guard, inner, handler))
-        case t.Recv(ch, x, d, body):
-            return t.Recv(ch, x, d, encode_recovery(body, None))
-        case t.Branch(ch, arms, default_arm) if handler is not None:
+        case t.Branch(ch, arms, _) if handler is not None:
             return t.Branch(
                 ch,
                 tuple((l, encode_recovery(ap, handler)) for l, ap in arms),
                 handler,
             )
-        case t.Branch(ch, arms, default_arm):
-            return t.Branch(
-                ch,
-                tuple((l, encode_recovery(ap, None)) for l, ap in arms),
-                encode_recovery(default_arm, None),
-            )
-        case t.Request(a, x, body):
-            return t.Request(a, x, encode_recovery(body, handler))
-        case t.Accept(a, x, body):
-            return t.Accept(a, x, encode_recovery(body, handler))
-        case t.Send(ch, e, body):
-            return t.Send(ch, e, encode_recovery(body, handler))
-        case t.Select(ch, l, body):
-            return t.Select(ch, l, encode_recovery(body, handler))
-        case t.Sum(l, r):
-            return t.Sum(encode_recovery(l, handler), encode_recovery(r, handler))
-        case t.Cond(g, a, b):
-            return t.Cond(g, encode_recovery(a, handler), encode_recovery(b, handler))
-        case t.Defs(defs, body):
-            return t.Defs(
-                tuple((n, prms, encode_recovery(b, handler)) for n, prms, b in defs),
-                encode_recovery(body, handler),
-            )
-    raise TypeError(f"not a process: {p!r}")
+    chans, exprs, kids = t.layer(p)
+    return t.rebuild(p, chans, exprs, [encode_recovery(k, handler) for _, k in kids])
 
 
 def encode_network(n: t.Network) -> t.Network:
-    match n:
-        case t.NetworkNode(p, bufs):
-            return t.NetworkNode(encode_recovery(p), bufs, pos=n.pos)
-        case t.Par(l, r):
-            return t.Par(encode_network(l), encode_network(r))
-        case t.Restrict(name, b):
-            return t.Restrict(name, encode_network(b))
-    raise TypeError(f"not a network: {n!r}")
+    return t.map_nodes(n, lambda nd: t.NetworkNode(encode_recovery(nd.process),
+                                                   nd.buffers, pos=nd.pos))
 
 
 def has_recover(p: t.Process) -> bool:
-    match p:
-        case t.Recover():
-            return True
-        case t.Inact() | t.Call():
-            return False
-        case t.Request(_, _, b) | t.Accept(_, _, b) | t.Send(_, _, b) | t.Select(_, _, b):
-            return has_recover(b)
-        case t.Recv(_, _, _, b):
-            return has_recover(b)
-        case t.Branch(_, arms, df):
-            return any(has_recover(ap) for _, ap in arms) or has_recover(df)
-        case t.Sum(l, r) | t.Cond(_, l, r):
-            return has_recover(l) or has_recover(r)
-        case t.Defs(defs, b):
-            return any(has_recover(db) for _, _, db in defs) or has_recover(b)
-    raise TypeError(f"not a process: {p!r}")
+    return type(p) is t.Recover or any(has_recover(k) for _, k in t.layer(p)[2])
 
 
 # ------------------------------------------------------------- canonical form
@@ -249,8 +202,8 @@ def _canon_node(n: t.NetworkNode) -> t.NetworkNode:
 
 @lru_cache(maxsize=65536)
 def _node_names(node: t.NetworkNode) -> frozenset:
-    sessions, shared, _ = t.free_parts(node)
-    return frozenset(sessions | shared)
+    sessions, shared, _ = t.process_facts(node.process)
+    return sessions.union(shared, (b.ep.session for b in node.buffers))
 
 
 @lru_cache(maxsize=65536)
@@ -358,8 +311,6 @@ class RunState:
 
 _MAX_UNFOLD = 16
 
-_proc_sessions = lru_cache(maxsize=65536)(t.process_sessions)
-
 
 @lru_cache(maxsize=65536)
 def alternatives(p: t.Process) -> tuple:
@@ -385,22 +336,12 @@ def _alternatives(p: t.Process) -> list:
                     return _rebuild(t.Defs(_defs, nb))
 
                 go(body, env2, rb, depth)
-            case t.Call(name, args):
+            case t.Call():
                 if depth >= _MAX_UNFOLD:
                     return
-                binding = None
-                for frame in reversed(defs_env):
-                    for n, params, body in frame:
-                        if n == name:
-                            binding = (params, body)
-                            break
-                    if binding:
-                        break
-                if binding is None:
-                    return  # stuck call
-                params, body = binding
-                unfolded = t.subst_procvar(t.Call(name, args), name, params, body)
-                go(unfolded, defs_env, rebuild, depth + 1)
+                unfolded = t.unfold_call(p, defs_env)
+                if unfolded is not None:  # else a stuck call
+                    go(unfolded, defs_env, rebuild, depth + 1)
             case _:
                 out.append((p, rebuild))
 
@@ -503,7 +444,7 @@ def enabled_redexes(state: RunState) -> list:
                             out.append(Redex("Bra", s, i, (), ai, (q[0].label,)))
                         elif not q:
                             df = head.default_arm
-                            needed = _proc_sessions(df)
+                            needed = t.process_sessions(df)
                             have = {b.ep.session for b in nodes[i].buffers if b.ep != ep}
                             if needed <= have:
                                 out.append(Redex("BRec", s, i, (), ai))
@@ -513,7 +454,7 @@ def enabled_redexes(state: RunState) -> list:
                         rule = "True" if taken is tp else "False"
                     except v.EvalError:
                         continue
-                    needed = _proc_sessions(taken)
+                    needed = t.process_sessions(taken)
                     have = {b.ep.session for b in nodes[i].buffers}
                     if needed <= have:
                         out.append(Redex(rule, "-", i, (), ai))
@@ -691,7 +632,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
         assert isinstance(head, t.Branch)
         own = bufs[head.chan]
         body = rebuild(head.default_arm)
-        keep = _proc_sessions(body)
+        keep = t.process_sessions(body)
         new_node = _drop_buffers(
             t.NetworkNode(body, tuple(b for b in node.buffers if b.ep != own.ep),
                           pos=node.pos),
@@ -712,7 +653,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
         assert isinstance(head, t.Cond)
         taken = head.then_p if r.rule == "True" else head.else_p
         body = rebuild(taken)
-        keep = _proc_sessions(body)
+        keep = t.process_sessions(body)
         new_node = _drop_buffers(
             t.NetworkNode(body, node.buffers, pos=node.pos), keep
         )
@@ -842,13 +783,29 @@ def run_script(network: t.Network, steps: list, encode: bool = True) -> tuple:
     return state, digests
 
 
+def pick_redex(redexes: list, rng: random.Random, loss_rate: float,
+               recovery_bias: float) -> tuple:
+    """The scheduler's pick policy; returns (redex, chosen receivers).  The
+    enabled redexes are partitioned into recovery and communication
+    families; the family is picked by the recovery bias when both are
+    non-empty, the member uniformly, and each eligible broadcast receiver
+    joins independently with probability 1 - loss_rate."""
+    recov = [r for r in redexes if r.rule in RECOVERY_RULES]
+    other = [r for r in redexes if r.rule not in RECOVERY_RULES]
+    if recov and other:
+        pool = recov if rng.random() < recovery_bias else other
+    else:
+        pool = recov or other
+    r = pool[rng.randrange(len(pool))]
+    if r.rule in BROADCAST_RULES:
+        return r, tuple(j for j in r.receivers if rng.random() >= loss_rate)
+    return r, r.receivers
+
+
 def run_scheduler(network: t.Network, cfg: SchedulerConfig,
                   on_step: Optional[Callable] = None,
                   digests: bool = True, networks: bool = False) -> Trace:
-    """Deterministic seeded run.  The enabled redexes are partitioned into
-    recovery and communication families; the family is picked by the recovery
-    bias when both are non-empty, the member uniformly, and each eligible
-    broadcast receiver joins independently with probability 1 - loss_rate.
+    """Deterministic seeded run, each step drawn by :func:`pick_redex`.
     ``digests=False`` skips digest computation (the schedule is unaffected);
     used for fast seed sweeps."""
     state = RunState.from_network(encode_network(network))
@@ -858,17 +815,7 @@ def run_scheduler(network: t.Network, cfg: SchedulerConfig,
         redexes = enabled_redexes(state)
         if not redexes:
             break
-        recov = [r for r in redexes if r.rule in RECOVERY_RULES]
-        other = [r for r in redexes if r.rule not in RECOVERY_RULES]
-        if recov and other:
-            pool = recov if rng.random() < cfg.recovery_bias else other
-        else:
-            pool = recov or other
-        r = pool[rng.randrange(len(pool))]
-        if r.rule in BROADCAST_RULES:
-            chosen = tuple(j for j in r.receivers if rng.random() >= cfg.loss_rate)
-        else:
-            chosen = r.receivers
+        r, chosen = pick_redex(redexes, rng, cfg.loss_rate, cfg.recovery_bias)
         payload = redex_payload(state, r)
         state = apply_redex(state, r, chosen)
         step = TraceStep(i, r.rule, r.session, r.sender, chosen, payload,

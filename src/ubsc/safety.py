@@ -61,18 +61,11 @@ def _peel(p: t.Process, depth: int = 4):
             case t.Defs(defs, body):
                 env = env + (defs,)
                 p = body
-            case t.Call(name, args):
-                binding = None
-                for frame in reversed(env):
-                    for n, params, body in frame:
-                        if n == name:
-                            binding = (params, body)
-                            break
-                    if binding:
-                        break
-                if binding is None:
+            case t.Call():
+                unfolded = t.unfold_call(p, env)
+                if unfolded is None:
                     return p
-                p = t.subst_procvar(t.Call(name, args), name, binding[0], binding[1])
+                p = unfolded
             case _:
                 return p
     return p

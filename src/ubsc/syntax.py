@@ -557,29 +557,14 @@ def render_chanref(ch: t.Chan) -> str:
 # rewritten to channel references.
 
 def _collect_defs(p: t.Process, acc: dict):
-    match p:
-        case t.Defs(defs, body):
-            for n, params, b in defs:
-                acc[n] = (params, b)
-                _collect_defs(b, acc)
-            _collect_defs(body, acc)
-        case t.Request(_, _, b) | t.Accept(_, _, b) | t.Send(_, _, b) | \
-             t.Select(_, _, b):
+    if type(p) is t.Defs:
+        for n, params, b in p.defs:
+            acc[n] = (params, b)
             _collect_defs(b, acc)
-        case t.Recv(_, _, _, b):
-            _collect_defs(b, acc)
-        case t.Branch(_, arms, df):
-            for _, ap in arms:
-                _collect_defs(ap, acc)
-            _collect_defs(df, acc)
-        case t.Sum(l, r) | t.Recover(l, r):
-            _collect_defs(l, acc)
-            _collect_defs(r, acc)
-        case t.Cond(_, a, b):
-            _collect_defs(a, acc)
-            _collect_defs(b, acc)
-        case _:
-            pass
+        _collect_defs(p.body, acc)
+        return
+    for _, k in t.layer(p)[2]:
+        _collect_defs(k, acc)
 
 
 def _param_kinds(defs: dict) -> dict:
@@ -601,40 +586,22 @@ def _param_kinds(defs: dict) -> dict:
                 changed = True
 
         def walk(p):
-            nonlocal changed
-            match p:
-                case t.Send(ch, _, b) | t.Select(ch, _, b):
-                    if isinstance(ch, t.ChanVar) and ch.name in index:
-                        mark(index[ch.name], ch.aggr)
-                    walk(b)
-                case t.Recv(ch, _, _, b):
-                    if isinstance(ch, t.ChanVar) and ch.name in index:
-                        mark(index[ch.name], ch.aggr)
-                    walk(b)
-                case t.Branch(ch, arms, df):
-                    if isinstance(ch, t.ChanVar) and ch.name in index:
-                        mark(index[ch.name], ch.aggr)
-                    for _, ap in arms:
-                        walk(ap)
-                    walk(df)
-                case t.Call(n, args):
-                    if n in kinds:
-                        for i, a in enumerate(args):
-                            if i < len(kinds[n]) and kinds[n][i] and \
-                                    isinstance(a, v.Var) and a.name in index:
-                                mark(index[a.name], kinds[n][i][1])
-                case t.Request(_, _, b) | t.Accept(_, _, b):
-                    walk(b)
-                case t.Sum(l, r) | t.Recover(l, r):
-                    walk(l)
-                    walk(r)
-                case t.Cond(_, a, b):
-                    walk(a)
-                    walk(b)
-                case t.Defs(_, b):
-                    walk(b)
-                case _:
-                    pass
+            if type(p) is t.Call:
+                if p.name in kinds:
+                    for i, a in enumerate(p.args):
+                        if i < len(kinds[p.name]) and kinds[p.name][i] and \
+                                isinstance(a, v.Var) and a.name in index:
+                            mark(index[a.name], kinds[p.name][i][1])
+                return
+            if type(p) is t.Defs:  # nested definition bodies are scanned on their own
+                walk(p.body)
+                return
+            chans, _, kids = t.layer(p)
+            for ch in chans:
+                if isinstance(ch, t.ChanVar) and ch.name in index:
+                    mark(index[ch.name], ch.aggr)
+            for _, k in kids:
+                walk(k)
 
         walk(body)
         return changed
@@ -648,75 +615,40 @@ def _param_kinds(defs: dict) -> dict:
 def _resolve_call_args(net: t.Network) -> t.Network:
     defs: dict = {}
 
-    def walk_net(n):
-        match n:
-            case t.NetworkNode(p, _):
-                _collect_defs(p, defs)
-            case t.Par(l, r):
-                walk_net(l)
-                walk_net(r)
-            case t.Restrict(_, b):
-                walk_net(b)
+    def collect(node):
+        _collect_defs(node.process, defs)
+        return node
 
-    walk_net(net)
+    t.map_nodes(net, collect)
     if not defs:
         return net
     kinds = _param_kinds(defs)
 
     def fix_process(p, bound):
-        match p:
-            case t.Call(n, args):
-                if n not in kinds:
-                    return p
-                new_args = []
-                for i, a in enumerate(args):
-                    k = kinds[n][i] if i < len(kinds[n]) else None
-                    if k and isinstance(a, v.Var):
-                        if a.name in bound:
-                            new_args.append(t.ChanVar(a.name, k[1]))
-                        else:
-                            new_args.append(t.Endpoint(a.name, k[1]))
-                    else:
-                        new_args.append(a)
-                return t.Call(n, tuple(new_args))
-            case t.Inact():
+        if type(p) is t.Call:
+            if p.name not in kinds:
                 return p
-            case t.Request(a, x, b):
-                return t.Request(a, x, fix_process(b, bound | {x}))
-            case t.Accept(a, x, b):
-                return t.Accept(a, x, fix_process(b, bound | {x}))
-            case t.Send(ch, e, b):
-                return t.Send(ch, e, fix_process(b, bound))
-            case t.Recv(ch, x, d, b):
-                return t.Recv(ch, x, d, fix_process(b, bound | {x}))
-            case t.Select(ch, l, b):
-                return t.Select(ch, l, fix_process(b, bound))
-            case t.Branch(ch, arms, df):
-                return t.Branch(ch, tuple((l, fix_process(ap, bound)) for l, ap in arms),
-                                fix_process(df, bound))
-            case t.Sum(l, r):
-                return t.Sum(fix_process(l, bound), fix_process(r, bound))
-            case t.Cond(g, a, b):
-                return t.Cond(g, fix_process(a, bound), fix_process(b, bound))
-            case t.Defs(ds, b):
-                return t.Defs(
-                    tuple((n, prms, fix_process(db, bound | set(prms))) for n, prms, db in ds),
-                    fix_process(b, bound),
-                )
-            case t.Recover(b, h):
-                return t.Recover(fix_process(b, bound), fix_process(h, bound))
-        raise TypeError(f"not a process: {p!r}")
+            new_args = []
+            for i, a in enumerate(p.args):
+                k = kinds[p.name][i] if i < len(kinds[p.name]) else None
+                if k and isinstance(a, v.Var):
+                    if a.name in bound:
+                        new_args.append(t.ChanVar(a.name, k[1]))
+                    else:
+                        new_args.append(t.Endpoint(a.name, k[1]))
+                else:
+                    new_args.append(a)
+            return t.Call(p.name, tuple(new_args))
+        if type(p) is t.Defs:  # parameters are bound, definition names are not
+            return t.Defs(
+                tuple((n, prms, fix_process(db, bound | set(prms))) for n, prms, db in p.defs),
+                fix_process(p.body, bound),
+            )
+        chans, exprs, kids = t.layer(p)
+        return t.rebuild(p, chans, exprs, [fix_process(k, bound | set(b)) for b, k in kids])
 
-    def fix_net(n):
-        match n:
-            case t.NetworkNode(p, bufs):
-                return t.NetworkNode(fix_process(p, set()), bufs, pos=n.pos)
-            case t.Par(l, r):
-                return t.Par(fix_net(l), fix_net(r))
-            case t.Restrict(name, b):
-                return t.Restrict(name, fix_net(b))
-
-    return fix_net(net)
+    return t.map_nodes(net, lambda nd: t.NetworkNode(fix_process(nd.process, set()),
+                                                     nd.buffers, pos=nd.pos))
 
 
 # ------------------------------------------------------------------ entry points

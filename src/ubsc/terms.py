@@ -11,6 +11,8 @@ the engine module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import is_
 from typing import Optional, Union
 
 from .values import Expr, Lit, Value, Var, fv_expr, subst_expr_var
@@ -193,227 +195,190 @@ class Restrict:
 Network = Union[NetworkNode, Par, Restrict]
 
 
+# ---------------------------------------------------------------- one layer
+# ``layer`` is the one generic view of a process constructor and ``rebuild``
+# its inverse, in the style of Mitchell & Runciman, "Uniform Boilerplate and
+# List Processing" (Haskell 2007).  Every walk that is not about what one
+# constructor means goes through this pair.  A call's arguments split into
+# its channel and its expression fields and are put back by position.
+
+_CHAN_TYPES = (Endpoint, ChanVar)
+
+
+def _defs_layer(p: Defs) -> tuple:
+    names = tuple(n for n, _, _ in p.defs)
+    kids = tuple((names + params, body) for _, params, body in p.defs)
+    return (), (), kids + ((names, p.body),)
+
+
+def _call_layer(p: Call) -> tuple:
+    return (tuple(a for a in p.args if isinstance(a, _CHAN_TYPES)),
+            tuple(a for a in p.args if not isinstance(a, _CHAN_TYPES)), ())
+
+
+def _call_rebuild(p: Call, chans, exprs, kids) -> Call:
+    chans, exprs = iter(chans), iter(exprs)
+    args = tuple(next(chans) if isinstance(a, _CHAN_TYPES) else next(exprs) for a in p.args)
+    return p if all(map(is_, args, p.args)) else Call(p.name, args)
+
+
+def _branch_rebuild(p: Branch, chans, exprs, kids) -> Branch:
+    if (chans[0] is p.chan and kids[-1] is p.default_arm
+            and all(map(is_, kids, (q for _, q in p.arms)))):
+        return p
+    return Branch(chans[0], tuple((l, q) for (l, _), q in zip(p.arms, kids)), kids[-1])
+
+
+def _defs_rebuild(p: Defs, chans, exprs, kids) -> Defs:
+    if kids[-1] is p.body and all(map(is_, kids, (q for _, _, q in p.defs))):
+        return p
+    return Defs(tuple((n, params, q) for (n, params, _), q in zip(p.defs, kids)), kids[-1])
+
+
+_LAYER = {
+    Inact: lambda p: ((), (), ()),
+    Request: lambda p: ((), (), (((p.bind,), p.body),)),
+    Accept: lambda p: ((), (), (((p.bind,), p.body),)),
+    Send: lambda p: ((p.chan,), (p.expr,), (((), p.body),)),
+    Recv: lambda p: ((p.chan,), (p.default,), (((p.bind,), p.body),)),
+    Select: lambda p: ((p.chan,), (), (((), p.body),)),
+    Branch: lambda p: ((p.chan,), (),
+                       tuple(((), q) for _, q in p.arms) + (((), p.default_arm),)),
+    Sum: lambda p: ((), (), (((), p.left), ((), p.right))),
+    Cond: lambda p: ((), (p.guard,), (((), p.then_p), ((), p.else_p))),
+    Defs: _defs_layer,
+    Call: _call_layer,
+    Recover: lambda p: ((), (), (((), p.body), ((), p.handler))),
+}
+
+_REBUILD = {
+    Inact: lambda p, c, e, k: p,
+    Request: lambda p, c, e, k: p if k[0] is p.body else Request(p.shared, p.bind, k[0]),
+    Accept: lambda p, c, e, k: p if k[0] is p.body else Accept(p.shared, p.bind, k[0]),
+    Send: lambda p, c, e, k: (p if c[0] is p.chan and e[0] is p.expr and k[0] is p.body
+                              else Send(c[0], e[0], k[0])),
+    Recv: lambda p, c, e, k: (p if c[0] is p.chan and e[0] is p.default and k[0] is p.body
+                              else Recv(c[0], p.bind, e[0], k[0])),
+    Select: lambda p, c, e, k: (p if c[0] is p.chan and k[0] is p.body
+                                else Select(c[0], p.label, k[0])),
+    Branch: _branch_rebuild,
+    Sum: lambda p, c, e, k: p if k[0] is p.left and k[1] is p.right else Sum(k[0], k[1]),
+    Cond: lambda p, c, e, k: (p if e[0] is p.guard and k[0] is p.then_p and k[1] is p.else_p
+                              else Cond(e[0], k[0], k[1])),
+    Defs: _defs_rebuild,
+    Call: _call_rebuild,
+    Recover: lambda p, c, e, k: (p if k[0] is p.body and k[1] is p.handler
+                                 else Recover(k[0], k[1])),
+}
+
+
+def layer(p: Process) -> tuple:
+    """One constructor of ``p`` as (channel fields, expression fields,
+    ((names p binds for it, subprocess), ...))."""
+    try:
+        return _LAYER[type(p)](p)
+    except KeyError:
+        raise TypeError(f"not a process: {p!r}") from None
+
+
+def rebuild(p: Process, chans, exprs, kids) -> Process:
+    """``p``'s constructor applied to new fields given in ``layer`` order,
+    subprocesses without their bound names.  Returns ``p`` itself when every
+    field is the object ``p`` already holds, so unchanged subterms stay
+    shared."""
+    return _REBUILD[type(p)](p, chans, exprs, kids)
+
+
 # ---------------------------------------------------------------- free names
 
-def _chan_free(ch: Chan, sessions: set, varnames: set):
-    if isinstance(ch, Endpoint):
-        sessions.add(ch.session)
-    else:
-        varnames.add(ch.name)
+def free_chans(p: Process, shared: Optional[set] = None,
+               names: Optional[set] = None) -> set:
+    """Free channel references (endpoints and channel variables) of a process.
+    This is the ``fs`` function used by the drop side conditions.  When
+    given, ``shared`` and ``names`` collect the shared names and the free
+    expression and definition variables."""
+    chans: set = set()
+    stack = [(p, frozenset())]
+    while stack:
+        p, bound = stack.pop()
+        cs, es, kids = layer(p)
+        for ch in cs:
+            if type(ch) is Endpoint or ch.name not in bound:
+                chans.add(ch)
+        if names is not None:
+            for e in es:
+                names.update(fv_expr(e) - bound)
+            if type(p) is Request or type(p) is Accept:
+                shared.add(p.shared)
+            elif type(p) is Call and p.name not in bound:
+                names.add(p.name)
+        for b, k in kids:
+            stack.append((k, bound.union(b) if b else bound))
+    return chans
 
 
-def _free_process(p: Process, sessions: set, shared: set, varnames: set, bound: set):
-    """Accumulate free names of ``p``; ``bound`` holds variable and definition
-    names currently in scope."""
-
-    def expr_free(e: Expr):
-        for x in fv_expr(e):
-            if x not in bound:
-                varnames.add(x)
-
-    def chan_free(ch: Chan):
-        if isinstance(ch, Endpoint):
-            sessions.add(ch.session)
-        elif ch.name not in bound:
-            varnames.add(ch.name)
-
-    match p:
-        case Inact():
-            return
-        case Request(a, x, body) | Accept(a, x, body):
-            shared.add(a)
-            _free_process(body, sessions, shared, varnames, bound | {x})
-        case Send(ch, e, body):
-            chan_free(ch)
-            expr_free(e)
-            _free_process(body, sessions, shared, varnames, bound)
-        case Recv(ch, x, d, body):
-            chan_free(ch)
-            expr_free(d)
-            _free_process(body, sessions, shared, varnames, bound | {x})
-        case Select(ch, _, body):
-            chan_free(ch)
-            _free_process(body, sessions, shared, varnames, bound)
-        case Branch(ch, arms, default_arm):
-            chan_free(ch)
-            for _, ap in arms:
-                _free_process(ap, sessions, shared, varnames, bound)
-            _free_process(default_arm, sessions, shared, varnames, bound)
-        case Sum(l, r):
-            _free_process(l, sessions, shared, varnames, bound)
-            _free_process(r, sessions, shared, varnames, bound)
-        case Cond(g, t, e):
-            expr_free(g)
-            _free_process(t, sessions, shared, varnames, bound)
-            _free_process(e, sessions, shared, varnames, bound)
-        case Defs(defs, body):
-            names = {n for n, _, _ in defs}
-            for _, params, dbody in defs:
-                _free_process(dbody, sessions, shared, varnames, bound | names | set(params))
-            _free_process(body, sessions, shared, varnames, bound | names)
-        case Call(name, args):
-            if name not in bound:
-                varnames.add(name)
-            for a in args:
-                if isinstance(a, (Endpoint, ChanVar)):
-                    chan_free(a)
-                else:
-                    expr_free(a)
-        case Recover(body, handler):
-            _free_process(body, sessions, shared, varnames, bound)
-            _free_process(handler, sessions, shared, varnames, bound)
-        case _:
-            raise TypeError(f"not a process: {p!r}")
-
-
-def free_parts(term) -> tuple:
-    """Free (sessions, shared names, variables) of a process, buffer, node or
-    network.  Restriction binds both session and shared names."""
-    sessions: set = set()
+@lru_cache(maxsize=65536)
+def process_facts(p: Process) -> tuple:
+    """Free (sessions, shared names, variables) of a process, as frozensets.
+    Terms are immutable and cache their hashes, so this is worked out once
+    per process and then looked up."""
     shared: set = set()
-    varnames: set = set()
-
-    def go_net(n: Network, bound_names: frozenset):
-        match n:
-            case NetworkNode(p, buffers):
-                s2: set = set()
-                sh2: set = set()
-                v2: set = set()
-                _free_process(p, s2, sh2, v2, set())
-                for b in buffers:
-                    s2.add(b.ep.session)
-                sessions.update(s2 - bound_names)
-                shared.update(sh2 - bound_names)
-                varnames.update(v2)
-            case Par(l, r):
-                go_net(l, bound_names)
-                go_net(r, bound_names)
-            case Restrict(name, body):
-                go_net(body, bound_names | {name})
-            case _:
-                raise TypeError(f"not a network: {n!r}")
-
-    if isinstance(term, (NetworkNode, Par, Restrict)):
-        go_net(term, frozenset())
-    elif isinstance(term, Buffer):
-        sessions.add(term.ep.session)
-    else:
-        _free_process(term, sessions, shared, varnames, set())
-    return sessions, shared, varnames
+    names: set = set()
+    chans = free_chans(p, shared, names)
+    names.update(c.name for c in chans if type(c) is ChanVar)
+    return (frozenset(c.session for c in chans if type(c) is Endpoint),
+            frozenset(shared), frozenset(names))
 
 
 def free_names(term) -> set:
-    s, sh, v = free_parts(term)
-    return s | sh | v
-
-
-def free_sessions(term) -> set:
-    return free_parts(term)[0]
-
-
-def free_chans(p: Process) -> set:
-    """Free channel references (endpoints and channel variables) of a process.
-    This is the ``fs`` function used by the drop side conditions."""
+    """Free session, shared and variable names of a process, node or network.
+    Restriction binds both session and shared names."""
+    if not isinstance(term, (NetworkNode, Par, Restrict)):
+        return set().union(*process_facts(term))
     out: set = set()
-
-    def go(p: Process, bound: set):
-        def chan(ch: Chan):
-            if isinstance(ch, Endpoint) or ch.name not in bound:
-                out.add(ch)
-
-        match p:
-            case Inact():
-                pass
-            case Request(_, x, body) | Accept(_, x, body):
-                go(body, bound | {x})
-            case Send(ch, _, body) | Select(ch, _, body):
-                chan(ch)
-                go(body, bound)
-            case Recv(ch, x, _, body):
-                chan(ch)
-                go(body, bound | {x})
-            case Branch(ch, arms, default_arm):
-                chan(ch)
-                for _, ap in arms:
-                    go(ap, bound)
-                go(default_arm, bound)
-            case Sum(l, r):
-                go(l, bound)
-                go(r, bound)
-            case Cond(_, t, e):
-                go(t, bound)
-                go(e, bound)
-            case Defs(defs, body):
-                names = {n for n, _, _ in defs}
-                for _, params, dbody in defs:
-                    go(dbody, bound | names | set(params))
-                go(body, bound | names)
-            case Call(_, args):
-                for a in args:
-                    if isinstance(a, (Endpoint, ChanVar)):
-                        chan(a)
-            case Recover(body, handler):
-                go(body, bound)
-                go(handler, bound)
-
-    go(p, set())
+    stack = [(term, frozenset())]
+    while stack:
+        n, bound = stack.pop()
+        if type(n) is Par:
+            stack += [(n.right, bound), (n.left, bound)]
+        elif type(n) is Restrict:
+            stack.append((n.body, bound | {n.name}))
+        elif type(n) is NetworkNode:
+            sessions, shared, varnames = process_facts(n.process)
+            out.update(sessions.union(shared, (b.ep.session for b in n.buffers)) - bound,
+                       varnames)
+        else:
+            raise TypeError(f"not a network: {n!r}")
     return out
 
 
-def process_sessions(p: Process) -> set:
-    return {c.session for c in free_chans(p) if isinstance(c, Endpoint)}
+def process_sessions(p: Process) -> frozenset:
+    return process_facts(p)[0]
 
 
 # ---------------------------------------------------------------- substitution
 
-def _map_process(p: Process, on_chan, on_expr, bound: set):
+def map_process(p: Process, on_chan, on_expr, bound: frozenset = frozenset()) -> Process:
     """Capture-aware structural map over channel references and expressions.
-    ``on_chan``/``on_expr`` receive the current bound-variable set."""
-    match p:
-        case Inact():
-            return p
-        case Request(a, x, body):
-            return Request(a, x, _map_process(body, on_chan, on_expr, bound | {x}))
-        case Accept(a, x, body):
-            return Accept(a, x, _map_process(body, on_chan, on_expr, bound | {x}))
-        case Send(ch, e, body):
-            return Send(on_chan(ch, bound), on_expr(e, bound),
-                        _map_process(body, on_chan, on_expr, bound))
-        case Recv(ch, x, d, body):
-            return Recv(on_chan(ch, bound), x, on_expr(d, bound),
-                        _map_process(body, on_chan, on_expr, bound | {x}))
-        case Select(ch, l, body):
-            return Select(on_chan(ch, bound), l, _map_process(body, on_chan, on_expr, bound))
-        case Branch(ch, arms, default_arm):
-            return Branch(
-                on_chan(ch, bound),
-                tuple((l, _map_process(ap, on_chan, on_expr, bound)) for l, ap in arms),
-                _map_process(default_arm, on_chan, on_expr, bound),
-            )
-        case Sum(l, r):
-            return Sum(_map_process(l, on_chan, on_expr, bound),
-                       _map_process(r, on_chan, on_expr, bound))
-        case Cond(g, t, e):
-            return Cond(on_expr(g, bound),
-                        _map_process(t, on_chan, on_expr, bound),
-                        _map_process(e, on_chan, on_expr, bound))
-        case Defs(defs, body):
-            names = {n for n, _, _ in defs}
-            new_defs = tuple(
-                (n, params, _map_process(b, on_chan, on_expr, bound | names | set(params)))
-                for n, params, b in defs
-            )
-            return Defs(new_defs, _map_process(body, on_chan, on_expr, bound | names))
-        case Call(name, args):
-            new_args = tuple(
-                on_chan(a, bound) if isinstance(a, (Endpoint, ChanVar)) else on_expr(a, bound)
-                for a in args
-            )
-            return Call(name, new_args)
-        case Recover(body, handler):
-            return Recover(_map_process(body, on_chan, on_expr, bound),
-                           _map_process(handler, on_chan, on_expr, bound))
-    raise TypeError(f"not a process: {p!r}")
+    ``on_chan``/``on_expr`` receive the set of variables bound at the field."""
+    chans, exprs, kids = layer(p)
+    return rebuild(p, [on_chan(c, bound) for c in chans],
+                   [on_expr(e, bound) for e in exprs],
+                   [map_process(k, on_chan, on_expr, bound.union(b) if b else bound)
+                    for b, k in kids])
+
+
+def _subst_free(p: Process, name: str, chan_of, expr_of) -> Process:
+    """``p`` with ``chan_of(ch)`` for every free channel-variable occurrence
+    ``ch`` of ``name`` and ``expr_of(e)`` for every expression ``e`` in
+    which ``name`` is not bound."""
+
+    def on_chan(ch: Chan, bound) -> Chan:
+        if type(ch) is ChanVar and ch.name == name and name not in bound:
+            return chan_of(ch)
+        return ch
+
+    return map_process(p, on_chan, lambda e, bound: e if name in bound else expr_of(e))
 
 
 def subst_channel(p: Process, name: str, ep: Endpoint) -> Process:
@@ -421,38 +386,27 @@ def subst_channel(p: Process, name: str, ep: Endpoint) -> Process:
     of the session ``ep`` names.  The occurrence's polarity mark must match
     the endpoint's polarity."""
 
-    def on_chan(ch: Chan, bound: set) -> Chan:
-        if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
-            if ch.aggr != ep.aggr:
-                raise SubstError(
-                    f"polarity mismatch substituting {ep!r} for {ch!r}"
-                )
-            return ep
-        return ch
+    def chan_of(ch: ChanVar) -> Chan:
+        if ch.aggr != ep.aggr:
+            raise SubstError(f"polarity mismatch substituting {ep!r} for {ch!r}")
+        return ep
 
-    def on_expr(e: Expr, bound: set) -> Expr:
-        if name not in bound and name in fv_expr(e):
+    def expr_of(e: Expr) -> Expr:
+        if name in fv_expr(e):
             raise SubstError(f"channel variable {name} used as an expression")
         return e
 
-    return _map_process(p, on_chan, on_expr, set())
+    return _subst_free(p, name, chan_of, expr_of)
 
 
 def subst_value(p: Process, name: str, value: Value) -> Process:
     """Substitute a closed value for an expression variable."""
     repl = Lit(value)
 
-    def on_expr(e: Expr, bound: set) -> Expr:
-        if name in bound:
-            return e
-        return subst_expr_var(e, name, repl)
+    def chan_of(ch: ChanVar) -> Chan:
+        raise SubstError(f"value substituted for channel position {ch!r}")
 
-    def on_chan(ch: Chan, bound: set) -> Chan:
-        if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
-            raise SubstError(f"value substituted for channel position {ch!r}")
-        return ch
-
-    return _map_process(p, on_chan, on_expr, set())
+    return _subst_free(p, name, chan_of, lambda e: subst_expr_var(e, name, repl))
 
 
 def subst_ident(p: Process, name: str, arg) -> Process:
@@ -460,96 +414,71 @@ def subst_ident(p: Process, name: str, arg) -> Process:
     rename both worlds; endpoints go to channel positions (keeping each
     occurrence's polarity mark); other expressions go to expression
     positions."""
-    if isinstance(arg, ChanVar) or isinstance(arg, Var):
-        new = arg.name
-
-        def on_chan(ch: Chan, bound: set) -> Chan:
-            if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
-                return ChanVar(new, ch.aggr)
-            return ch
-
-        def on_expr(e: Expr, bound: set) -> Expr:
-            if name in bound:
-                return e
-            return subst_expr_var(e, name, Var(new))
-
-        return _map_process(p, on_chan, on_expr, set())
+    if isinstance(arg, (ChanVar, Var)):
+        return _subst_free(p, name, lambda ch: ChanVar(arg.name, ch.aggr),
+                           lambda e: subst_expr_var(e, name, Var(arg.name)))
     if isinstance(arg, Endpoint):
-        def on_chan(ch: Chan, bound: set) -> Chan:
-            if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
-                return Endpoint(arg.session, ch.aggr)
-            return ch
-
-        def on_expr(e: Expr, bound: set) -> Expr:
-            if name not in bound and name in fv_expr(e):
+        def expr_of(e: Expr) -> Expr:
+            if name in fv_expr(e):
                 raise SubstError(f"endpoint argument used in expression position: {name}")
             return e
 
-        return _map_process(p, on_chan, on_expr, set())
-    # plain expression argument
-    def on_chan(ch: Chan, bound: set) -> Chan:
-        if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
-            raise SubstError(f"expression argument used in channel position: {name}")
-        return ch
+        return _subst_free(p, name, lambda ch: Endpoint(arg.session, ch.aggr), expr_of)
 
-    def on_expr(e: Expr, bound: set) -> Expr:
-        if name in bound:
-            return e
-        return subst_expr_var(e, name, arg)
+    def chan_of(ch: ChanVar) -> Chan:
+        raise SubstError(f"expression argument used in channel position: {name}")
 
-    return _map_process(p, on_chan, on_expr, set())
+    return _subst_free(p, name, chan_of, lambda e: subst_expr_var(e, name, arg))
 
 
 def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Process:
     """Unfold one level of the named definition inside ``p``: every
     ``Call(name, args)`` becomes ``body`` with the arguments substituted for
-    the parameters.  Other calls are untouched."""
+    the parameters.  Other calls, and definitions that rebind ``name``, are
+    untouched."""
 
-    def go(p: Process, bound: set) -> Process:
-        match p:
-            case Call(n, args) if n == name and name not in bound:
-                if len(args) != len(params):
-                    raise SubstError(
-                        f"{name} expects {len(params)} arguments, got {len(args)}"
-                    )
-                out = body
-                for prm, a in zip(params, args):
-                    out = subst_ident(out, prm, a)
-                return out
-            case Inact() | Call():
-                return p
-            case Request(a, x, b):
-                return Request(a, x, go(b, bound))
-            case Accept(a, x, b):
-                return Accept(a, x, go(b, bound))
-            case Send(ch, e, b):
-                return Send(ch, e, go(b, bound))
-            case Recv(ch, x, d, b):
-                return Recv(ch, x, d, go(b, bound))
-            case Select(ch, l, b):
-                return Select(ch, l, go(b, bound))
-            case Branch(ch, arms, df):
-                return Branch(ch, tuple((l, go(ap, bound)) for l, ap in arms), go(df, bound))
-            case Sum(l, r):
-                return Sum(go(l, bound), go(r, bound))
-            case Cond(g, t, e):
-                return Cond(g, go(t, bound), go(e, bound))
-            case Defs(defs, b):
-                names = {n for n, _, _ in defs}
-                if name in names:
-                    return p  # rebound
-                return Defs(
-                    tuple((n, prms, go(db, bound | names)) for n, prms, db in defs),
-                    go(b, bound | names),
+    def go(p: Process) -> Process:
+        if type(p) is Call and p.name == name:
+            if len(p.args) != len(params):
+                raise SubstError(
+                    f"{name} expects {len(params)} arguments, got {len(p.args)}"
                 )
-            case Recover(b, h):
-                return Recover(go(b, bound), go(h, bound))
-        raise TypeError(f"not a process: {p!r}")
+            out = body
+            for prm, a in zip(params, p.args):
+                out = subst_ident(out, prm, a)
+            return out
+        if type(p) is Defs and name in p.names():
+            return p
+        chans, exprs, kids = layer(p)
+        return rebuild(p, chans, exprs, [go(k) for _, k in kids])
 
-    return go(p, set())
+    return go(p)
+
+
+def unfold_call(call: Call, frames) -> Optional[Process]:
+    """Unfold ``call`` by the innermost of the definition frames (tuples of
+    ``Defs.defs``, outermost first) that defines its name; None when none
+    does."""
+    for frame in reversed(frames):
+        for n, params, body in frame:
+            if n == call.name:
+                return subst_procvar(call, n, params, body)
+    return None
 
 
 # ---------------------------------------------------------------- networks utils
+
+def map_nodes(n: Network, f) -> Network:
+    """``n`` with ``f`` applied to every node; restrictions and parallel
+    composition keep their shape."""
+    if type(n) is NetworkNode:
+        return f(n)
+    if type(n) is Par:
+        return Par(map_nodes(n.left, f), map_nodes(n.right, f))
+    if type(n) is Restrict:
+        return Restrict(n.name, map_nodes(n.body, f))
+    raise TypeError(f"not a network: {n!r}")
+
 
 def flatten_nodes(n: Network) -> tuple:
     """Hoist restrictions and flatten parallel composition, renaming
@@ -570,8 +499,8 @@ def flatten_nodes(n: Network) -> tuple:
 
     def go(n: Network, ren: dict):
         match n:
-            case NetworkNode(p, buffers):
-                nodes.append(rename_node_sessions(NetworkNode(p, buffers, pos=n.pos), ren))
+            case NetworkNode():
+                nodes.append(rename_node_sessions(n, ren))
             case Par(l, r):
                 go(l, ren)
                 go(r, ren)
@@ -593,52 +522,25 @@ def flatten_nodes(n: Network) -> tuple:
 
 
 def rename_node_sessions(node: NetworkNode, ren: dict) -> NetworkNode:
+    """Rename session names (endpoints and buffers) and shared names of a
+    node by ``ren``."""
     if not ren:
         return node
 
-    def on_chan(ch: Chan, bound: set) -> Chan:
-        if isinstance(ch, Endpoint) and ch.session in ren:
-            return Endpoint(ren[ch.session], ch.aggr)
-        return ch
+    def go(p: Process) -> Process:
+        chans, exprs, kids = layer(p)
+        p = rebuild(p, [Endpoint(ren[c.session], c.aggr)
+                        if type(c) is Endpoint and c.session in ren else c
+                        for c in chans], exprs, [go(k) for _, k in kids])
+        if (type(p) is Request or type(p) is Accept) and p.shared in ren:
+            return type(p)(ren[p.shared], p.bind, p.body)
+        return p
 
-    def on_expr(e: Expr, bound: set) -> Expr:
-        return e
-
-    p = _rename_shared(_map_process(node.process, on_chan, on_expr, set()), ren)
     bufs = tuple(
         Buffer(Endpoint(ren.get(b.ep.session, b.ep.session), b.ep.aggr), b.state, b.queue)
         for b in node.buffers
     )
-    return NetworkNode(p, bufs, pos=node.pos)
-
-
-def _rename_shared(p: Process, ren: dict) -> Process:
-    match p:
-        case Request(a, x, b):
-            return Request(ren.get(a, a), x, _rename_shared(b, ren))
-        case Accept(a, x, b):
-            return Accept(ren.get(a, a), x, _rename_shared(b, ren))
-        case Inact() | Call():
-            return p
-        case Send(ch, e, b):
-            return Send(ch, e, _rename_shared(b, ren))
-        case Recv(ch, x, d, b):
-            return Recv(ch, x, d, _rename_shared(b, ren))
-        case Select(ch, l, b):
-            return Select(ch, l, _rename_shared(b, ren))
-        case Branch(ch, arms, df):
-            return Branch(ch, tuple((l, _rename_shared(ap, ren)) for l, ap in arms),
-                          _rename_shared(df, ren))
-        case Sum(l, r):
-            return Sum(_rename_shared(l, ren), _rename_shared(r, ren))
-        case Cond(g, t, e):
-            return Cond(g, _rename_shared(t, ren), _rename_shared(e, ren))
-        case Defs(defs, b):
-            return Defs(tuple((n, prms, _rename_shared(db, ren)) for n, prms, db in defs),
-                        _rename_shared(b, ren))
-        case Recover(b, h):
-            return Recover(_rename_shared(b, ren), _rename_shared(h, ren))
-    raise TypeError(f"not a process: {p!r}")
+    return NetworkNode(go(node.process), bufs, pos=node.pos)
 
 
 def par_all(nodes) -> Network:

@@ -10,6 +10,7 @@ integer-typed value ordered below every integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Union
 
 
@@ -293,19 +294,24 @@ def fv_expr(e: Expr) -> set:
 
 
 def subst_expr_var(e: Expr, name: str, repl: Expr) -> Expr:
+    """``e`` with ``repl`` for the variable ``name``; ``e`` itself when the
+    variable does not occur, so unchanged terms stay shared."""
     match e:
         case Lit():
             return e
         case Var(x):
             return repl if x == name else e
         case BinOp(op, l, r):
-            return BinOp(op, subst_expr_var(l, name, repl), subst_expr_var(r, name, repl))
+            l2, r2 = subst_expr_var(l, name, repl), subst_expr_var(r, name, repl)
+            return e if l2 is l and r2 is r else BinOp(op, l2, r2)
         case TupleE(a, b):
-            return TupleE(subst_expr_var(a, name, repl), subst_expr_var(b, name, repl))
-        case SetE(items):
-            return SetE(tuple(subst_expr_var(i, name, repl) for i in items))
-        case Builtin(f, args):
-            return Builtin(f, tuple(subst_expr_var(a, name, repl) for a in args))
+            a2, b2 = subst_expr_var(a, name, repl), subst_expr_var(b, name, repl)
+            return e if a2 is a and b2 is b else TupleE(a2, b2)
+        case SetE(items) | Builtin(_, items):
+            new = tuple(subst_expr_var(i, name, repl) for i in items)
+            if all(map(is_, new, items)):
+                return e
+            return SetE(new) if isinstance(e, SetE) else Builtin(e.name, new)
     raise EvalError(f"not an expression: {e!r}")
 
 

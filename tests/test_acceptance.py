@@ -165,17 +165,7 @@ def _run_preservation(prog_text, seeds, max_steps, loss, bias, protocol_of):
             redexes = eng.enabled_redexes(state)
             if not redexes:
                 break
-            recov = [r for r in redexes if r.rule in eng.RECOVERY_RULES]
-            other = [r for r in redexes if r.rule not in eng.RECOVERY_RULES]
-            if recov and other:
-                pool = recov if rng.random() < bias else other
-            else:
-                pool = recov or other
-            r = pool[rng.randrange(len(pool))]
-            if r.rule in eng.BROADCAST_RULES:
-                chosen = tuple(j for j in r.receivers if rng.random() >= loss)
-            else:
-                chosen = r.receivers
+            r, chosen = eng.pick_redex(redexes, rng, loss, bias)
             state = eng.apply_redex(state, r, chosen)
             total += 1
             cur = ck.type_network(g, state.to_network(),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 
 from ubsc.cli import main, parse_declared
 from ubsc.corpus import corpus_dir
@@ -146,3 +147,22 @@ def test_console_entry_point():
                           corpus("heartbeat_runtime1.ubsc")],
                          capture_output=True, text=True)
     assert out.returncode == 0
+
+
+@pytest.mark.parametrize("case", ["missing file", "empty trace", "sweep without range",
+                                  "sweep bound not a number", "loss rate above 1"])
+def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    prog = corpus("heartbeat_simple.ubsc")
+    argv = {
+        "missing file": ["check", str(tmp_path / "missing.ubsc")],
+        "empty trace": ["replay", prog, str(empty)],
+        "sweep without range": ["run", prog, "--sweep", "5"],
+        "sweep bound not a number": ["run", prog, "--sweep", "5..x"],
+        "loss rate above 1": ["run", prog, "--loss-rate", "2"],
+    }[case]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len((captured.out + captured.err).strip().splitlines()) == 1

@@ -1,9 +1,16 @@
+import copy
+import dataclasses
+import glob
+import os
+
 import pytest
 
+from conftest import generate_program
+from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import terms as t
 from ubsc import values as v
-from ubsc.syntax import parse_network, parse_process
+from ubsc.syntax import parse, parse_network, parse_process
 
 
 def test_free_names_request_binds():
@@ -113,3 +120,341 @@ def test_free_names_substitution_law():
         assert "x" in before
         after = t.free_names(t.subst_channel(p, "x", t.Endpoint("s", False)))
         assert after == (before - {"x"}) | {"s"}
+
+
+# ------------------------------------------------------------------ oracle
+# The hand-written walks that the generic layer/rebuild traversal replaced,
+# kept verbatim as the reference the new walks must agree with.
+
+from ubsc.terms import (Accept, Branch, Call, Chan, ChanVar, Cond, Defs, Endpoint,
+                        Inact, Process, Recover, Recv, Request, Select, Send, Sum)
+from ubsc.values import Expr, fv_expr
+
+
+def _free_process(p: Process, sessions: set, shared: set, varnames: set, bound: set):
+    """Accumulate free names of ``p``; ``bound`` holds variable and definition
+    names currently in scope."""
+
+    def expr_free(e: Expr):
+        for x in fv_expr(e):
+            if x not in bound:
+                varnames.add(x)
+
+    def chan_free(ch: Chan):
+        if isinstance(ch, Endpoint):
+            sessions.add(ch.session)
+        elif ch.name not in bound:
+            varnames.add(ch.name)
+
+    match p:
+        case Inact():
+            return
+        case Request(a, x, body) | Accept(a, x, body):
+            shared.add(a)
+            _free_process(body, sessions, shared, varnames, bound | {x})
+        case Send(ch, e, body):
+            chan_free(ch)
+            expr_free(e)
+            _free_process(body, sessions, shared, varnames, bound)
+        case Recv(ch, x, d, body):
+            chan_free(ch)
+            expr_free(d)
+            _free_process(body, sessions, shared, varnames, bound | {x})
+        case Select(ch, _, body):
+            chan_free(ch)
+            _free_process(body, sessions, shared, varnames, bound)
+        case Branch(ch, arms, default_arm):
+            chan_free(ch)
+            for _, ap in arms:
+                _free_process(ap, sessions, shared, varnames, bound)
+            _free_process(default_arm, sessions, shared, varnames, bound)
+        case Sum(l, r):
+            _free_process(l, sessions, shared, varnames, bound)
+            _free_process(r, sessions, shared, varnames, bound)
+        case Cond(g, t, e):
+            expr_free(g)
+            _free_process(t, sessions, shared, varnames, bound)
+            _free_process(e, sessions, shared, varnames, bound)
+        case Defs(defs, body):
+            names = {n for n, _, _ in defs}
+            for _, params, dbody in defs:
+                _free_process(dbody, sessions, shared, varnames, bound | names | set(params))
+            _free_process(body, sessions, shared, varnames, bound | names)
+        case Call(name, args):
+            if name not in bound:
+                varnames.add(name)
+            for a in args:
+                if isinstance(a, (Endpoint, ChanVar)):
+                    chan_free(a)
+                else:
+                    expr_free(a)
+        case Recover(body, handler):
+            _free_process(body, sessions, shared, varnames, bound)
+            _free_process(handler, sessions, shared, varnames, bound)
+        case _:
+            raise TypeError(f"not a process: {p!r}")
+
+
+def free_chans(p: Process) -> set:
+    """Free channel references (endpoints and channel variables) of a process.
+    This is the ``fs`` function used by the drop side conditions."""
+    out: set = set()
+
+    def go(p: Process, bound: set):
+        def chan(ch: Chan):
+            if isinstance(ch, Endpoint) or ch.name not in bound:
+                out.add(ch)
+
+        match p:
+            case Inact():
+                pass
+            case Request(_, x, body) | Accept(_, x, body):
+                go(body, bound | {x})
+            case Send(ch, _, body) | Select(ch, _, body):
+                chan(ch)
+                go(body, bound)
+            case Recv(ch, x, _, body):
+                chan(ch)
+                go(body, bound | {x})
+            case Branch(ch, arms, default_arm):
+                chan(ch)
+                for _, ap in arms:
+                    go(ap, bound)
+                go(default_arm, bound)
+            case Sum(l, r):
+                go(l, bound)
+                go(r, bound)
+            case Cond(_, t, e):
+                go(t, bound)
+                go(e, bound)
+            case Defs(defs, body):
+                names = {n for n, _, _ in defs}
+                for _, params, dbody in defs:
+                    go(dbody, bound | names | set(params))
+                go(body, bound | names)
+            case Call(_, args):
+                for a in args:
+                    if isinstance(a, (Endpoint, ChanVar)):
+                        chan(a)
+            case Recover(body, handler):
+                go(body, bound)
+                go(handler, bound)
+
+    go(p, set())
+    return out
+
+
+def _map_process(p: Process, on_chan, on_expr, bound: set):
+    """Capture-aware structural map over channel references and expressions.
+    ``on_chan``/``on_expr`` receive the current bound-variable set."""
+    match p:
+        case Inact():
+            return p
+        case Request(a, x, body):
+            return Request(a, x, _map_process(body, on_chan, on_expr, bound | {x}))
+        case Accept(a, x, body):
+            return Accept(a, x, _map_process(body, on_chan, on_expr, bound | {x}))
+        case Send(ch, e, body):
+            return Send(on_chan(ch, bound), on_expr(e, bound),
+                        _map_process(body, on_chan, on_expr, bound))
+        case Recv(ch, x, d, body):
+            return Recv(on_chan(ch, bound), x, on_expr(d, bound),
+                        _map_process(body, on_chan, on_expr, bound | {x}))
+        case Select(ch, l, body):
+            return Select(on_chan(ch, bound), l, _map_process(body, on_chan, on_expr, bound))
+        case Branch(ch, arms, default_arm):
+            return Branch(
+                on_chan(ch, bound),
+                tuple((l, _map_process(ap, on_chan, on_expr, bound)) for l, ap in arms),
+                _map_process(default_arm, on_chan, on_expr, bound),
+            )
+        case Sum(l, r):
+            return Sum(_map_process(l, on_chan, on_expr, bound),
+                       _map_process(r, on_chan, on_expr, bound))
+        case Cond(g, t, e):
+            return Cond(on_expr(g, bound),
+                        _map_process(t, on_chan, on_expr, bound),
+                        _map_process(e, on_chan, on_expr, bound))
+        case Defs(defs, body):
+            names = {n for n, _, _ in defs}
+            new_defs = tuple(
+                (n, params, _map_process(b, on_chan, on_expr, bound | names | set(params)))
+                for n, params, b in defs
+            )
+            return Defs(new_defs, _map_process(body, on_chan, on_expr, bound | names))
+        case Call(name, args):
+            new_args = tuple(
+                on_chan(a, bound) if isinstance(a, (Endpoint, ChanVar)) else on_expr(a, bound)
+                for a in args
+            )
+            return Call(name, new_args)
+        case Recover(body, handler):
+            return Recover(_map_process(body, on_chan, on_expr, bound),
+                           _map_process(handler, on_chan, on_expr, bound))
+    raise TypeError(f"not a process: {p!r}")
+
+
+def _rename_shared(p: Process, ren: dict) -> Process:
+    match p:
+        case Request(a, x, b):
+            return Request(ren.get(a, a), x, _rename_shared(b, ren))
+        case Accept(a, x, b):
+            return Accept(ren.get(a, a), x, _rename_shared(b, ren))
+        case Inact() | Call():
+            return p
+        case Send(ch, e, b):
+            return Send(ch, e, _rename_shared(b, ren))
+        case Recv(ch, x, d, b):
+            return Recv(ch, x, d, _rename_shared(b, ren))
+        case Select(ch, l, b):
+            return Select(ch, l, _rename_shared(b, ren))
+        case Branch(ch, arms, df):
+            return Branch(ch, tuple((l, _rename_shared(ap, ren)) for l, ap in arms),
+                          _rename_shared(df, ren))
+        case Sum(l, r):
+            return Sum(_rename_shared(l, ren), _rename_shared(r, ren))
+        case Cond(g, t, e):
+            return Cond(g, _rename_shared(t, ren), _rename_shared(e, ren))
+        case Defs(defs, b):
+            return Defs(tuple((n, prms, _rename_shared(db, ren)) for n, prms, db in defs),
+                        _rename_shared(b, ren))
+        case Recover(b, h):
+            return Recover(_rename_shared(b, ren), _rename_shared(h, ren))
+    raise TypeError(f"not a process: {p!r}")
+
+
+# The substitutions as they were written on the oracle map.
+
+def oracle_subst_channel(p, name, ep):
+    def on_chan(ch, bound):
+        if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
+            if ch.aggr != ep.aggr:
+                raise t.SubstError(f"polarity mismatch substituting {ep!r} for {ch!r}")
+            return ep
+        return ch
+
+    def on_expr(e, bound):
+        if name not in bound and name in fv_expr(e):
+            raise t.SubstError(f"channel variable {name} used as an expression")
+        return e
+
+    return _map_process(p, on_chan, on_expr, set())
+
+
+def oracle_subst_value(p, name, value):
+    repl = v.Lit(value)
+
+    def on_expr(e, bound):
+        return e if name in bound else v.subst_expr_var(e, name, repl)
+
+    def on_chan(ch, bound):
+        if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
+            raise t.SubstError(f"value substituted for channel position {ch!r}")
+        return ch
+
+    return _map_process(p, on_chan, on_expr, set())
+
+
+def oracle_rename_node_sessions(node, ren):
+    def on_chan(ch, bound):
+        if isinstance(ch, Endpoint) and ch.session in ren:
+            return Endpoint(ren[ch.session], ch.aggr)
+        return ch
+
+    p = _rename_shared(_map_process(node.process, on_chan, lambda e, b: e, set()), ren)
+    bufs = tuple(t.Buffer(Endpoint(ren.get(b.ep.session, b.ep.session), b.ep.aggr),
+                          b.state, b.queue) for b in node.buffers)
+    return t.NetworkNode(p, bufs, pos=node.pos)
+
+
+# ------------------------------------------------------------------ corpus
+
+PROCESS_TYPES = (Inact, Request, Accept, Send, Recv, Select, Branch, Sum, Cond,
+                 Defs, Call, Recover)
+
+
+def _subterms(x, out: set):
+    """Every process inside ``x``, found through dataclass fields and tuples
+    (independently of ``terms.layer``)."""
+    if isinstance(x, PROCESS_TYPES):
+        out.add(x)
+        for f in dataclasses.fields(x):
+            _subterms(getattr(x, f.name), out)
+    elif isinstance(x, tuple):
+        for y in x:
+            _subterms(y, out)
+
+
+@pytest.fixture(scope="module")
+def corpus_terms():
+    """(nodes, processes): the nodes of every corpus program, raw and
+    recovery-encoded, of 30 generated programs and of scheduler-reached
+    paxos3 states; the processes are all their subterms."""
+    networks = [cp.load_program(os.path.basename(f)).network
+                for f in sorted(glob.glob(os.path.join(cp.corpus_dir(), "*.ubsc")))]
+    networks += [parse(generate_program(seed)).network for seed in range(30)]
+    networks += [eng.encode_network(n) for n in networks]
+    nodes = [nd for n in networks for nd in t.flatten_nodes(n)[1]]
+    paxos3 = cp.load_program("paxos3.ubsc").network
+    for seed in range(3):
+        cfg = eng.SchedulerConfig(seed=seed, loss_rate=0.3, recovery_bias=0.2, max_steps=60)
+        eng.run_scheduler(paxos3, cfg, on_step=lambda state, _: nodes.extend(state.nodes),
+                          digests=False)
+    nodes = list(dict.fromkeys(nodes))
+    procs: set = set()
+    for nd in nodes:
+        _subterms(nd.process, procs)
+    return nodes, sorted(procs, key=repr)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except t.SubstError as e:
+        return ("SubstError", str(e))
+
+
+def test_free_names_match_oracle(corpus_terms):
+    _, procs = corpus_terms
+    assert len(procs) > 500
+    for p in procs:
+        sessions, shared, varnames = set(), set(), set()
+        _free_process(p, sessions, shared, varnames, set())
+        assert t.process_facts(p) == (sessions, shared, varnames), p
+        assert t.free_names(p) == sessions | shared | varnames, p
+        assert t.free_chans(p) == free_chans(p), p
+
+
+def test_substitutions_match_oracle(corpus_terms):
+    _, procs = corpus_terms
+    for p in procs:
+        sessions, shared, varnames = set(), set(), set()
+        _free_process(p, sessions, shared, varnames, set())
+        for ch in free_chans(p):
+            if isinstance(ch, ChanVar):
+                for ep in (Endpoint("fresh", ch.aggr), Endpoint("fresh", not ch.aggr)):
+                    assert _outcome(t.subst_channel, p, ch.name, ep) == \
+                        _outcome(oracle_subst_channel, p, ch.name, ep), (p, ch)
+        for x in varnames | {"unused"}:
+            assert _outcome(t.subst_value, p, x, v.IntV(7)) == \
+                _outcome(oracle_subst_value, p, x, v.IntV(7)), (p, x)
+
+
+def test_rename_node_sessions_matches_oracle(corpus_terms):
+    nodes, _ = corpus_terms
+    for nd in nodes:
+        sessions, shared, _ = t.process_facts(nd.process)
+        for ren in ({s: s + "'" for s in sessions | shared},
+                    {s: "r0" for s in sorted(sessions)[:1]}):
+            assert t.rename_node_sessions(nd, ren) == oracle_rename_node_sessions(nd, ren)
+
+
+def test_rebuild_from_own_layer(corpus_terms):
+    _, procs = corpus_terms
+    for p in procs:
+        chans, exprs, kids = t.layer(p)
+        assert t.rebuild(p, chans, exprs, [k for _, k in kids]) is p
+        fresh = t.rebuild(p, [copy.copy(c) for c in chans], [copy.copy(e) for e in exprs],
+                          [copy.copy(k) for _, k in kids])
+        assert fresh == p
+        assert fresh is not p or not (chans or exprs or kids)
