@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from . import terms as t
 from . import values as v
-from .render import render_msg, render_network, render_process, render_value
+from .render import (render_buffer, render_expr, render_msg, render_network,
+                     render_operand, render_value)
 
 
 class EngineError(Exception):
@@ -80,109 +83,188 @@ def has_recover(p: t.Process) -> bool:
 # ------------------------------------------------------------- canonical form
 
 _CANON_BASE = 10_000  # throwaway numbering base for order keys
+_HOLE = "\x00"  # delimits a name hole in a template: "\x00name\x00"
+_NO_BINDERS: dict = {}  # the binder map at the top of a process; never mutated
 
 
-def _canon_process(p: t.Process, env: dict, counter: list) -> t.Process:
-    """Rename binders to sequential canonical names; sort sum alternatives by
-    an alpha-invariant key."""
+class _NameOrder(Exception):
+    """A sum's alternative order depends on the names filling its holes."""
 
-    def bind(name: str, env: dict) -> tuple:
-        idx = counter[0]
-        counter[0] += 1
-        new = f"v{idx}"
-        env2 = dict(env)
-        env2[name] = new
-        return new, env2
 
-    def on_chan(ch: t.Chan, env: dict) -> t.Chan:
-        if isinstance(ch, t.ChanVar) and ch.name in env:
-            return t.ChanVar(env[ch.name], ch.aggr)
-        return ch
+class _Holes:
+    """The holes a canonicalisation into a template makes: their ``count``,
+    and the ``top`` binder map (a definitions block's) under which body
+    texts are memoised, see :func:`_canon_body`."""
 
-    def on_expr(e: v.Expr, env: dict) -> v.Expr:
-        match e:
-            case v.Var(x):
-                return v.Var(env.get(x, x))
-            case v.Lit():
-                return e
-            case v.BinOp(op, l, r):
-                return v.BinOp(op, on_expr(l, env), on_expr(r, env))
-            case v.TupleE(a, b):
-                return v.TupleE(on_expr(a, env), on_expr(b, env))
-            case v.SetE(items):
-                return v.SetE(tuple(on_expr(i, env) for i in items))
-            case v.Builtin(f, args):
-                return v.Builtin(f, tuple(on_expr(a, env) for a in args))
-        raise TypeError(f"not an expression: {e!r}")
+    __slots__ = ("count", "top")
 
+    def __init__(self, top: Optional[dict] = None):
+        self.count = 0
+        self.top = top
+
+
+def _fixed_order(a: str, b: str) -> bool:
+    """``a`` and ``b`` compare the same whatever names fill their holes:
+    they are equal, or differ before either reaches a hole."""
+    if a == b:
+        return True
+    i = len(os.path.commonprefix((a, b)))
+    return _HOLE not in a[:i + 1] and _HOLE not in b[:i + 1]
+
+
+def _chan_text(ch: t.Chan, env: dict, holes: Optional[_Holes]) -> str:
+    if type(ch) is t.ChanVar:
+        name = env.get(ch.name, ch.name)
+    else:
+        name = _hole(ch.session, holes)
+    return "*" + name if ch.aggr else name
+
+
+def _hole(name: str, holes: Optional[_Holes]) -> str:
+    """``name`` as a hole, counted in ``holes``; as is without ``holes``."""
+    if holes is None:
+        return name
+    holes.count += 1
+    return _HOLE + name + _HOLE
+
+
+def _canon_expr(e: v.Expr, env: dict) -> v.Expr:
+    if not env or env.keys().isdisjoint(v.fv_expr(e)):
+        return e  # closed under env: shared, not rebuilt
+    match e:
+        case v.Var(x):
+            return v.Var(env.get(x, x))
+        case v.BinOp(op, l, r):
+            return v.BinOp(op, _canon_expr(l, env), _canon_expr(r, env))
+        case v.TupleE(a, b):
+            return v.TupleE(_canon_expr(a, env), _canon_expr(b, env))
+        case v.SetE(items):
+            return v.SetE(tuple(_canon_expr(i, env) for i in items))
+        case v.Builtin(f, args):
+            return v.Builtin(f, tuple(_canon_expr(a, env) for a in args))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _bind(name: str, env: dict, counter: list) -> tuple:
+    new = f"v{counter[0]}"
+    counter[0] += 1
+    return new, {**env, name: new}
+
+
+def _canon_text(p: t.Process, env: dict, counter: list,
+                holes: Optional[_Holes] = None) -> str:
+    """``render_process`` of ``p`` canonicalised: binders renamed to
+    sequential canonical names, sum alternatives sorted by an alpha-invariant
+    key.  Built in one walk, without the canonical term.  With ``holes``
+    every endpoint session and shared name becomes a hole, and a sum whose
+    order would depend on how the holes are filled raises
+    :class:`_NameOrder`."""
     match p:
         case t.Inact():
-            return p
+            return "0"
         case t.Request(a, x, body):
-            nx, env2 = bind(x, env)
-            return t.Request(a, nx, _canon_process(body, env2, counter))
+            nx, env2 = _bind(x, env, counter)
+            return f"req {_hole(a, holes)}(*{nx}). {_canon_body(body, env2, counter, holes)}"
         case t.Accept(a, x, body):
-            nx, env2 = bind(x, env)
-            return t.Accept(a, nx, _canon_process(body, env2, counter))
+            nx, env2 = _bind(x, env, counter)
+            return f"acc {_hole(a, holes)}({nx}). {_canon_body(body, env2, counter, holes)}"
         case t.Send(ch, e, body):
-            return t.Send(on_chan(ch, env), on_expr(e, env),
-                          _canon_process(body, env, counter))
+            return (f"{_chan_text(ch, env, holes)}!<{render_operand(_canon_expr(e, env))}>. "
+                    f"{_canon_body(body, env, counter, holes)}")
         case t.Recv(ch, x, d, body):
-            d2 = on_expr(d, env)
-            nx, env2 = bind(x, env)
-            return t.Recv(on_chan(ch, env), nx, d2, _canon_process(body, env2, counter))
+            d2 = _canon_expr(d, env)
+            dflt = "" if d2 == v.Lit(v.UNIT) else f" def {render_operand(d2)}"
+            nx, env2 = _bind(x, env, counter)
+            return (f"{_chan_text(ch, env, holes)}?({nx}){dflt}. "
+                    f"{_canon_body(body, env2, counter, holes)}")
         case t.Select(ch, l, body):
-            return t.Select(on_chan(ch, env), l, _canon_process(body, env, counter))
+            return f"{_chan_text(ch, env, holes)}<<{l}. {_canon_body(body, env, counter, holes)}"
         case t.Branch(ch, arms, df):
-            return t.Branch(
-                on_chan(ch, env),
-                tuple((l, _canon_process(ap, env, counter)) for l, ap in arms),
-                _canon_process(df, env, counter),
-            )
+            chan = _chan_text(ch, env, holes)
+            inner = ", ".join(f"{l}: {_canon_text(ap, env, counter, holes)}" for l, ap in arms)
+            return f"{chan}>>{{{inner}, df: {_canon_text(df, env, counter, holes)}}}"
         case t.Sum():
-            alts = _flatten_sum(p)
-            keyed = []
-            for alt in alts:
-                key = render_process(_canon_process(alt, env, [_CANON_BASE]))
-                keyed.append((key, alt))
+            key_holes = None if holes is None else _Holes()  # keys are not part of the text
+            keyed = [(_canon_text(alt, env, [_CANON_BASE], key_holes), alt)
+                     for alt in _flatten_sum(p)]
             keyed.sort(key=lambda kv: kv[0])
-            out = [_canon_process(alt, env, counter) for _, alt in keyed]
-            res = out[-1]
-            for q in reversed(out[:-1]):
-                res = t.Sum(q, res)
+            if holes is not None and not all(_fixed_order(a, b) for (a, _), (b, _)
+                                             in zip(keyed, keyed[1:])):
+                raise _NameOrder
+            alts = [alt for _, alt in keyed]
+            texts = [_canon_text(alt, env, counter, holes) for alt in alts]
+            # right-nested as Sum(a1, Sum(a2, ...)), rendered as render_process does
+            res = f"({texts[-1]})" if type(alts[-1]) is t.Recover else texts[-1]
+            for i in range(len(alts) - 2, -1, -1):
+                left = f"({texts[i]})" if type(alts[i]) is t.Recover else texts[i]
+                res = f"{left} + {res if i == len(alts) - 2 else f'({res})'}"
             return res
         case t.Cond(g, a, b):
-            return t.Cond(on_expr(g, env), _canon_process(a, env, counter),
-                          _canon_process(b, env, counter))
+            guard = render_expr(_canon_expr(g, env))
+            then = _canon_body(a, env, counter, holes)
+            return f"if {guard} then {then} else {_canon_body(b, env, counter, holes)}"
         case t.Defs(defs, body):
-            env2 = dict(env)
-            names = []
-            for n, _, _ in defs:
-                idx = counter[0]
-                counter[0] += 1
-                env2[n] = f"d{idx}"
-                names.append(env2[n])
-            new_defs = []
-            for (n, params, dbody), nn in zip(defs, names):
-                env3 = dict(env2)
-                new_params = []
-                for prm in params:
-                    idx = counter[0]
-                    counter[0] += 1
-                    env3[prm] = f"v{idx}"
-                    new_params.append(env3[prm])
-                new_defs.append((nn, tuple(new_params), _canon_process(dbody, env3, counter)))
-            return t.Defs(tuple(new_defs), _canon_process(body, env2, counter))
+            head, env2 = _canon_defs(defs, env, counter, holes)
+            return head + _canon_body(body, env2, counter, holes)
         case t.Call(name, args):
-            new_args = tuple(
-                on_chan(a, env) if isinstance(a, (t.Endpoint, t.ChanVar)) else on_expr(a, env)
-                for a in args
-            )
-            return t.Call(env.get(name, name), new_args)
+            parts = (_chan_text(a, env, holes) if isinstance(a, (t.Endpoint, t.ChanVar))
+                     else render_expr(_canon_expr(a, env)) for a in args)
+            return f"{env.get(name, name)}(" + ", ".join(parts) + ")"
         case t.Recover(b, h):
-            return t.Recover(_canon_process(b, env, counter),
-                             _canon_process(h, env, counter))
+            bs = _canon_text(b, env, counter, holes)
+            hs = _canon_text(h, env, counter, holes)
+            bs = f"({bs})" if type(b) is t.Sum else bs
+            hs = f"({hs})" if type(h) in (t.Sum, t.Recover) else hs
+            return f"{bs} >r {hs}"
     raise TypeError(f"not a process: {p!r}")
+
+
+def _canon_body(p: t.Process, env: dict, counter: list, holes: Optional[_Holes]) -> str:
+    """:func:`_canon_text` in a prefix's body position, as ``render._body``.
+
+    Under the ``top`` binder map of ``holes`` the text is memoised on ``p``
+    with the counter it starts and ends at.  A continuation reached without
+    a binder (after a send, a select, or a branch of a binder-free test)
+    starts at the same counter when it becomes the body of the node's next
+    process, so its template is then read back, not made again."""
+    memo_here = holes is not None and env is holes.top
+    if memo_here:
+        memo = p.__dict__.get("_canon_memo")
+        if memo is not None and memo[0] is env and memo[1] == counter[0]:
+            counter[0] = memo[2]
+            holes.count += memo[3]
+            return memo[4]
+        start, made = counter[0], holes.count
+    s = _canon_text(p, env, counter, holes)
+    if type(p) is t.Sum or type(p) is t.Recover:
+        s = f"({s})"
+    if memo_here:
+        object.__setattr__(p, "_canon_memo", (env, start, counter[0], holes.count - made, s))
+    return s
+
+
+def _canon_defs(defs: tuple, env: dict, counter: list, holes: Optional[_Holes]) -> tuple:
+    """Canonical text ``def ... in `` of a ``Defs`` block's definitions, and
+    the binder map its body is canonicalised under."""
+    env2 = dict(env)
+    names = []
+    for n, _, _ in defs:
+        idx = counter[0]
+        counter[0] += 1
+        env2[n] = f"d{idx}"
+        names.append(env2[n])
+    texts = []
+    for (n, params, dbody), nn in zip(defs, names):
+        env3 = dict(env2)
+        new_params = []
+        for prm in params:
+            idx = counter[0]
+            counter[0] += 1
+            env3[prm] = f"v{idx}"
+            new_params.append(env3[prm])
+        texts.append(f"{nn}({', '.join(new_params)}) = "
+                     f"{_canon_text(dbody, env3, counter, holes)}")
+    return f"def {', '.join(texts)} in ", env2
 
 
 def _flatten_sum(p: t.Process) -> list:
@@ -191,30 +273,125 @@ def _flatten_sum(p: t.Process) -> list:
     return [p]
 
 
-def canon_process(p: t.Process) -> t.Process:
-    return _canon_process(p, {}, [0])
+def canon_process(p: t.Process) -> str:
+    """Canonical text of a process: equal exactly for alpha-equivalent
+    processes."""
+    return _canon_text(p, {}, [0])
 
 
-def _canon_node(n: t.NetworkNode) -> t.NetworkNode:
-    bufs = sorted(n.buffers, key=lambda b: (b.ep.session, b.ep.aggr))
-    return t.NetworkNode(canon_process(n.process), tuple(bufs))
+# A node's canonical rendering under a renaming of its session and shared
+# names is computed once, as a template: the canonical text with every name
+# ``n`` written as the hole ``\0n\0``.  Rendering under a renaming then fills
+# the holes and sorts the buffers by their renamed sessions.  Holes are keyed
+# by the name, so a process, a definitions block or a buffer keeps its
+# template across node versions.  The memo keys follow Maziarz et al.,
+# "Hashing Modulo Alpha-Equivalence" (PLDI 2021): a term's template depends
+# on its structure, and names enter only through the fill.
+
+def _checked(text: str, holes: _Holes) -> Optional[str]:
+    """``text`` when it holds exactly the hole marks its holes made; None
+    when it holds more (a string value holding one)."""
+    return text if text.count(_HOLE) == 2 * holes.count else None
+
+
+@lru_cache(maxsize=256)
+def _defs_block(defs: tuple) -> Optional[tuple]:
+    """Template of the canonical ``def ... in `` text of a top-level
+    definitions block, with the binder map and counter it hands to the body;
+    None when it has no exact template."""
+    holes, counter = _Holes(), [0]
+    try:
+        text, env = _canon_defs(defs, {}, counter, holes)
+    except _NameOrder:
+        return None
+    text = _checked(text, holes)
+    return None if text is None else (text, env, counter[0])
+
+
+@lru_cache(maxsize=2048)
+def _process_template(p: t.Process) -> Optional[tuple]:
+    """Template of the canonical rendering of ``p`` as two texts with holes:
+    the definitions block's, shared by every process under it, and the
+    rest's.  None when ``p`` has no exact template: a sum's order depends
+    on its names, or a string value holds a hole mark."""
+    if type(p) is t.Defs:
+        block = _defs_block(p.defs)
+        if block is None:
+            return None
+        head, env, n = block
+        canon, body = _canon_body, p.body
+    else:
+        head, env, n, canon, body = "", _NO_BINDERS, 0, _canon_text, p
+    holes = _Holes(env)
+    try:
+        text = _checked(canon(body, env, [n], holes), holes)
+    except _NameOrder:
+        return None
+    return None if text is None else (head, text)
+
+
+@v.memo_on_term
+def _buffer_tail(b: t.Buffer) -> str:
+    """A buffer's rendering after its channel name."""
+    return render_buffer(b)[b.ep.aggr + len(b.ep.session):]
+
+
+@lru_cache(maxsize=512)
+def _buffer_parts(node: t.NetworkNode) -> tuple:
+    """The node's buffers in node order as (sessions, polarity marks, texts
+    after the name)."""
+    bufs = node.buffers
+    return (tuple(b.ep.session for b in bufs), tuple("*" if b.ep.aggr else "" for b in bufs),
+            tuple(map(_buffer_tail, bufs)))
 
 
 @lru_cache(maxsize=65536)
 def _node_names(node: t.NetworkNode) -> frozenset:
-    sessions, shared, _ = t.process_facts(node.process)
-    return sessions.union(shared, (b.ep.session for b in node.buffers))
+    """Session and shared names of a node: its process's, read off the
+    process template's holes when there is one, and its buffers'."""
+    tpl = _process_template(node.process)
+    if tpl is None:
+        sessions, shared, _ = t.process_facts(node.process)
+        names = sessions | shared
+    else:
+        names = frozenset(tpl[0].split(_HOLE)[1::2]).union(tpl[1].split(_HOLE)[1::2])
+    return names.union(_buffer_parts(node)[0])
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=2048)
+def _name_orders(node: t.NetworkNode) -> tuple:
+    """The node's names sorted, and in the order the canonical assignment of
+    restricted names meets them: its buffers' sessions sorted, then the
+    rest sorted."""
+    names = sorted(_node_names(node))
+    return tuple(names), tuple(dict.fromkeys(sorted(set(_buffer_parts(node)[0])) + names))
+
+
+def _fill(text: str, ren: dict) -> str:
+    """A template text with each hole filled by its name renamed by
+    ``ren``."""
+    parts = text.split(_HOLE)  # names at the odd indices
+    parts[1::2] = [ren.get(n, n) for n in parts[1::2]]
+    return "".join(parts)
+
+
+@lru_cache(maxsize=4096)
 def _node_render(node: t.NetworkNode, ren_items: tuple) -> str:
-    nd = t.rename_node_sessions(node, dict(ren_items))
-    return render_network(_canon_node(nd))
-
-
-def _rel(node: t.NetworkNode, mapping: dict) -> tuple:
-    names = _node_names(node)
-    return tuple(sorted((k, v) for k, v in mapping.items() if k in names))
+    """Canonical rendering of ``node`` with its names renamed by
+    ``ren_items``: a fill of the process template, or the renamed node
+    canonicalised and rendered when the process has no template."""
+    tpl = _process_template(node.process)
+    ren = dict(ren_items)
+    if tpl is None:
+        proc = canon_process(t.rename_node_sessions(node, ren).process)
+    else:
+        proc = _fill(tpl[0], ren) + _fill(tpl[1], ren)
+    sessions, marks, tails = _buffer_parts(node)
+    names = [ren.get(s, s) for s in sessions] if ren else sessions
+    # by (renamed session, polarity); the index keeps ties in node order
+    bufs = sorted(zip(names, marks, range(len(names)), tails))
+    texts = [proc] + [m + s + tail for s, m, _, tail in bufs]
+    return "[ " + " | ".join(texts) + " ]"
 
 
 def normalize(n: t.Network) -> t.Network:
@@ -244,33 +421,36 @@ def canonical_text(restricted, nodes) -> str:
         kept = [t.NetworkNode(t.Inact(), ())]
     live = frozenset().union(*[_node_names(nd) for nd in kept])
     rset = frozenset(restricted) & live
-    mask = {s: "?" for s in rset}
-    order = sorted(kept, key=lambda nd: (_node_render(nd, _rel(nd, mask)),
-                                         _node_render(nd, ())))
+    # each node with its restricted names, sorted: what both renamings touch
+    named = [(nd, [s for s in _name_orders(nd)[0] if s in rset]) for nd in kept]
+    keys = [_node_render(nd, tuple(zip(rn, repeat("?")))) for nd, rn in named]
+    if len(set(keys)) < len(keys):  # ties under the mask fall to the plain text
+        keys = [(k, _node_render(nd, ())) for k, (nd, _) in zip(keys, named)]
+    order = [ndr for _, ndr in sorted(zip(keys, named), key=lambda kn: kn[0])]
     texts: list = []
-    assigned: dict = {}
     for _ in range(4):
-        assigned = {}
-        for nd in order:
-            for b in sorted(nd.buffers, key=lambda b: (b.ep.session, b.ep.aggr)):
-                if b.ep.session in rset and b.ep.session not in assigned:
-                    assigned[b.ep.session] = f"r{len(assigned)}"
-            for s in sorted(_node_names(nd)):
-                if s in rset and s not in assigned:
-                    assigned[s] = f"r{len(assigned)}"
-        texts = [_node_render(nd, _rel(nd, assigned)) for nd in order]
+        met = dict.fromkeys(chain.from_iterable(_name_orders(nd)[1] for nd, _ in order))
+        met = [s for s in met if s in rset]
+        rnames, binders = _r_names(len(met))
+        assigned = dict(zip(met, rnames))
+        texts = [_node_render(nd, tuple([(s, assigned[s]) for s in rn])) for nd, rn in order]
         perm = sorted(range(len(order)), key=lambda i: texts[i])
         if perm == list(range(len(order))):
             break
         order = [order[i] for i in perm]
     texts.sort()
     body = " || ".join(texts)
-    names = sorted(assigned.values(), key=lambda s: int(s[1:]))
-    if names and len(texts) > 1:
+    if binders and len(texts) > 1:
         body = f"({body})"
-    for nm in reversed(names):
-        body = f"new {nm}. {body}"
-    return body
+    return binders + body
+
+
+@lru_cache(maxsize=8)
+def _r_names(n: int) -> tuple:
+    """The canonical restricted names r0 ... r<n-1>, and their binders as
+    text.  Successive states mostly restrict as many names."""
+    names = tuple(f"r{i}" for i in range(n))
+    return names, "".join(f"new {nm}. " for nm in names)
 
 
 def canonical_render(n: t.Network) -> str:

@@ -42,6 +42,23 @@ def render_value(val: v.Value) -> str:
 
 
 def render_expr(e: v.Expr, level: int = _LVL_OR) -> str:
+    """``e`` as text, in parentheses when it binds more loosely than
+    ``level``."""
+    s = _expr_text(e)
+    if type(e) is v.BinOp and _OP_LEVEL[e.op] < level:
+        return f"({s})"
+    return s
+
+
+def render_operand(e: v.Expr) -> str:
+    """An expression where a send's payload or a receive's default sits."""
+    return render_expr(e, _LVL_ADD)
+
+
+@v.memo_on_term
+def _expr_text(e: v.Expr) -> str:
+    """``e`` as text without outer parentheses; memoised per term, for the
+    same reason as :func:`values.fv_expr`."""
     match e:
         case v.Lit(val):
             return render_value(val)
@@ -54,10 +71,9 @@ def render_expr(e: v.Expr, level: int = _LVL_OR) -> str:
         case v.Builtin(name, args):
             return f"{name}(" + ", ".join(render_expr(a) for a in args) + ")"
         case v.BinOp(op, l, r):
-            lvl = _OP_LEVEL[op]
             # left-associative: left operand may sit at the same level
-            s = f"{render_expr(l, lvl)} {op} {render_expr(r, lvl + 1)}"
-            return f"({s})" if lvl < level else s
+            lvl = _OP_LEVEL[op]
+            return f"{render_expr(l, lvl)} {op} {render_expr(r, lvl + 1)}"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -136,9 +152,9 @@ def render_process(p: t.Process) -> str:
         case t.Accept(a, x, body):
             return f"acc {a}({x}). {_body(body)}"
         case t.Send(ch, e, body):
-            return f"{render_chan(ch)}!<{render_expr(e, _LVL_ADD)}>. {_body(body)}"
+            return f"{render_chan(ch)}!<{render_operand(e)}>. {_body(body)}"
         case t.Recv(ch, x, d, body):
-            dflt = "" if d == v.Lit(v.UNIT) else f" def {render_expr(d, _LVL_ADD)}"
+            dflt = "" if d == v.Lit(v.UNIT) else f" def {render_operand(d)}"
             return f"{render_chan(ch)}?({x}){dflt}. {_body(body)}"
         case t.Select(ch, l, body):
             return f"{render_chan(ch)}<<{l}. {_body(body)}"

@@ -74,8 +74,12 @@ def _peel(p: t.Process, depth: int = 4):
 def classify_prefix(node: t.NetworkNode, session: str):
     """Match a node against the six session-prefix shapes; None otherwise.
     Broadcast, unicast-send and select shapes require an empty own queue."""
-    head = _peel(node.process)
-    bufs = {b.ep: b for b in node.buffers}
+    return _classify(_peel(node.process), {b.ep: b for b in node.buffers}, session)
+
+
+def _classify(head: t.Process, bufs: dict, session: str):
+    """:func:`classify_prefix` of a node with peeled head ``head`` and
+    buffers ``bufs`` (by endpoint)."""
     ag = t.Endpoint(session, True)
     pl = t.Endpoint(session, False)
     match head:
@@ -94,38 +98,42 @@ def classify_prefix(node: t.NetworkNode, session: str):
     return None
 
 
-def _send_queue_violation(node: t.NetworkNode, session: str):
-    head = _peel(node.process)
-    bufs = {b.ep: b for b in node.buffers}
+def _send_queue_violation(head: t.Process, bufs: dict) -> bool:
+    """The head sends or selects on an endpoint whose own queue is not
+    empty."""
     match head:
-        case t.Send(ch, _, _) | t.Select(ch, _, _) if isinstance(ch, t.Endpoint) \
-                and ch.session == session and ch in bufs and bufs[ch].queue:
+        case t.Send(ch, _, _) | t.Select(ch, _, _) if ch in bufs and bufs[ch].queue:
             return True
     return False
 
 
 def is_error_network(n: t.Network) -> SafetyReport:
-    """Search all node pairs per session for an invalid pair."""
+    """Search all node pairs per session for an invalid pair.  A node can
+    only take part on the session of its head's endpoint, so each node is
+    peeled once and visited under that session alone."""
     _, nodes = t.flatten_nodes(eng.normalize(n))
     sessions = set()
-    for nd in nodes:
+    acting: dict = {}  # session -> [(node index, head, buffers)], by index
+    for i, nd in enumerate(nodes):
         sessions |= {b.ep.session for b in nd.buffers}
+        head = _peel(nd.process)
+        ch = getattr(head, "chan", None)
+        if type(ch) is t.Endpoint:
+            acting.setdefault(ch.session, []).append((i, head, {b.ep: b for b in nd.buffers}))
     classification = {}
     violations = []
     witness = None
     for s in sorted(sessions):
         kinds = []
-        for i, nd in enumerate(nodes):
-            k = classify_prefix(nd, s)
+        for i, head, bufs in acting.get(s, ()):
+            k = _classify(head, bufs, s)
             if k:
                 classification[(i, s)] = k
-                own = {b.ep: b for b in nd.buffers}
                 pl = t.Endpoint(s, False)
-                waiting = pl not in own or not own[pl].queue
+                waiting = pl not in bufs or not bufs[pl].queue
                 kinds.append((i, k[0], k[1], waiting))
-            if _send_queue_violation(nd, s):
-                head = _peel(nd.process)
-                violations.append((i, s, {b.ep: b for b in nd.buffers}[head.chan].state))
+            if _send_queue_violation(head, bufs):
+                violations.append((i, s, bufs[head.chan].state))
         for a in range(len(kinds)):
             for b in range(a + 1, len(kinds)):
                 (i, ki, ci, wi), (j, kj, cj, wj) = kinds[a], kinds[b]

@@ -28,13 +28,32 @@ def install_cached_hash(*classes):
 
         def __hash__(self, _base=base):
             try:
-                return object.__getattribute__(self, "_hash")
+                return self._hash
             except AttributeError:
                 h = _base(self)
                 object.__setattr__(self, "_hash", h)
                 return h
 
         cls.__hash__ = __hash__
+
+
+def memo_on_term(fn):
+    """Memoise a function of one term on the term itself, as the cached hash
+    is.  The value lives exactly as long as the term, and a lookup never
+    compares terms: equal terms built apart (say, the same ballot in two
+    nodes) would make a dict lookup compare them field by field."""
+    attr = "_" + fn.__name__.lstrip("_")
+
+    def memo(term):
+        try:
+            return getattr(term, attr)
+        except AttributeError:
+            out = fn(term)
+            object.__setattr__(term, attr, out)
+            return out
+
+    memo.__name__, memo.__doc__, memo.__wrapped__ = fn.__name__, fn.__doc__, fn
+    return memo
 
 
 class AggregationError(EvalError):
@@ -270,32 +289,30 @@ BIN_OPS = {"+", "-", "*", ">", "<", ">=", "<=", "=", "!=", "and", "or", "union"}
 BUILTINS = {"chooseVal", "size", "fst", "snd"}
 
 
-def fv_expr(e: Expr) -> set:
+@memo_on_term
+def fv_expr(e: Expr) -> frozenset:
+    """Free variables of an expression.  Memoised per term: a run's
+    expressions grow by wrapping earlier ones (a ballot gains ``+ 1`` per
+    round), so a new term costs one step over its memoised parts."""
     match e:
         case Lit():
-            return set()
+            return frozenset()
         case Var(x):
-            return {x}
+            return frozenset((x,))
         case BinOp(_, l, r):
             return fv_expr(l) | fv_expr(r)
         case TupleE(a, b):
             return fv_expr(a) | fv_expr(b)
-        case SetE(items):
-            out = set()
-            for i in items:
-                out |= fv_expr(i)
-            return out
-        case Builtin(_, args):
-            out = set()
-            for a in args:
-                out |= fv_expr(a)
-            return out
+        case SetE(items) | Builtin(_, items):
+            return frozenset().union(*map(fv_expr, items))
     raise EvalError(f"not an expression: {e!r}")
 
 
 def subst_expr_var(e: Expr, name: str, repl: Expr) -> Expr:
     """``e`` with ``repl`` for the variable ``name``; ``e`` itself when the
     variable does not occur, so unchanged terms stay shared."""
+    if name not in fv_expr(e):
+        return e
     match e:
         case Lit():
             return e
@@ -418,6 +435,19 @@ def choose_val(s: Value, default: Value) -> Value:
 
 
 def eval_expr(e: Expr, env: dict) -> Value:
+    if not env:
+        return _closed_value(e)
+    return _eval(e, env)
+
+
+@memo_on_term
+def _closed_value(e: Expr) -> Value:
+    """Value of an expression under no bindings, memoised per term: a
+    ballot carried round after round is evaluated once per ``+ 1``."""
+    return _eval(e, {})
+
+
+def _eval(e: Expr, env: dict) -> Value:
     match e:
         case Lit(v):
             return v

@@ -1,0 +1,86 @@
+"""``is_error_network`` as it was before each node was peeled once per call,
+kept verbatim as a differential oracle: it peels every node once per
+session.  Only the imports are new; ``_peel``, the pair tables and
+``SafetyReport`` come from the package."""
+
+from __future__ import annotations
+
+from ubsc import engine as eng
+from ubsc import terms as t
+from ubsc.safety import (_AGGR_KINDS, _INVALID_ANY, _INVALID_SAME_STATE, SafetyReport,
+                         _peel)
+
+
+def classify_prefix(node: t.NetworkNode, session: str):
+    """Match a node against the six session-prefix shapes; None otherwise.
+    Broadcast, unicast-send and select shapes require an empty own queue."""
+    head = _peel(node.process)
+    bufs = {b.ep: b for b in node.buffers}
+    ag = t.Endpoint(session, True)
+    pl = t.Endpoint(session, False)
+    match head:
+        case t.Send(ch, _, _) if ch == ag and ag in bufs and not bufs[ag].queue:
+            return ("Brc", bufs[ag].state)
+        case t.Recv(ch, _, _, _) if ch == ag and ag in bufs:
+            return ("Gth", bufs[ag].state)
+        case t.Select(ch, _, _) if ch == ag and ag in bufs and not bufs[ag].queue:
+            return ("Sel", bufs[ag].state)
+        case t.Send(ch, _, _) if ch == pl and pl in bufs and not bufs[pl].queue:
+            return ("Uni", bufs[pl].state)
+        case t.Recv(ch, _, _, _) if ch == pl and pl in bufs:
+            return ("Rcv", bufs[pl].state)
+        case t.Branch(ch, _, _) if ch == pl and pl in bufs:
+            return ("Bra", bufs[pl].state)
+    return None
+
+
+def _send_queue_violation(node: t.NetworkNode, session: str):
+    head = _peel(node.process)
+    bufs = {b.ep: b for b in node.buffers}
+    match head:
+        case t.Send(ch, _, _) | t.Select(ch, _, _) if isinstance(ch, t.Endpoint) \
+                and ch.session == session and ch in bufs and bufs[ch].queue:
+            return True
+    return False
+
+
+def is_error_network(n: t.Network) -> SafetyReport:
+    """Search all node pairs per session for an invalid pair."""
+    _, nodes = t.flatten_nodes(eng.normalize(n))
+    sessions = set()
+    for nd in nodes:
+        sessions |= {b.ep.session for b in nd.buffers}
+    classification = {}
+    violations = []
+    witness = None
+    for s in sorted(sessions):
+        kinds = []
+        for i, nd in enumerate(nodes):
+            k = classify_prefix(nd, s)
+            if k:
+                classification[(i, s)] = k
+                own = {b.ep: b for b in nd.buffers}
+                pl = t.Endpoint(s, False)
+                waiting = pl not in own or not own[pl].queue
+                kinds.append((i, k[0], k[1], waiting))
+            if _send_queue_violation(nd, s):
+                head = _peel(nd.process)
+                violations.append((i, s, {b.ep: b for b in nd.buffers}[head.chan].state))
+        for a in range(len(kinds)):
+            for b in range(a + 1, len(kinds)):
+                (i, ki, ci, wi), (j, kj, cj, wj) = kinds[a], kinds[b]
+                pair = frozenset((ki, kj)) if ki != kj else frozenset((ki,))
+                bad = pair in _INVALID_ANY
+                if not bad and ci == cj and pair in _INVALID_SAME_STATE:
+                    # a buffered plain input can still serve itself; only a
+                    # waiting one forms an unservable pair
+                    plain_ok = all(w for (k, w) in ((ki, wi), (kj, wj))
+                                   if k in ("Rcv", "Bra"))
+                    bad = plain_ok
+                if ki == kj and ki in _AGGR_KINDS:
+                    bad = True
+                if bad and witness is None:
+                    witness = (s, (i, ki, ci), (j, kj, cj))
+    if witness:
+        return SafetyReport("error-network", witness, classification, violations)
+    return SafetyReport("ok", None, classification, violations)

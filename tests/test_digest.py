@@ -1,0 +1,168 @@
+"""The template digest against the canonicaliser it replaced.
+
+``canon_oracle`` holds the earlier ``canonical_text``, ``_canon_process``,
+``_node_render`` and ``normalize`` verbatim.  Every check here compares the
+engine with it on scheduler-reached states: the canonical text (so the
+SHA-256 digest), the congruence normal form including node order, and
+``networks_equivalent`` on alpha-renamed and on different states."""
+
+import functools
+import glob
+import os
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+import canon_oracle as oracle
+from conftest import generate_program
+from ubsc import corpus as cp
+from ubsc import engine as eng
+from ubsc import render, terms as t, values as v
+from ubsc.syntax import parse, parse_network
+
+CORPUS = sorted(os.path.basename(f) for f in glob.glob(os.path.join(cp.corpus_dir(), "*.ubsc")))
+GENERATED = [f"gen:{s}" for s in range(40)]
+
+
+@functools.lru_cache(maxsize=None)
+def _network(name: str) -> t.Network:
+    if name.startswith("gen:"):
+        return parse(generate_program(int(name[4:]))).network
+    return cp.load_program(name).network
+
+
+def _reached(name: str, seed: int, steps: int, loss: float = 0.3) -> list:
+    cfg = eng.SchedulerConfig(seed=seed, loss_rate=loss, recovery_bias=0.2, max_steps=steps)
+    states = []
+    eng.run_scheduler(_network(name), cfg, digests=False,
+                      on_step=lambda state, step: states.append(state))
+    return states
+
+
+def _alpha_variant(state: eng.RunState, rng: random.Random) -> t.Network:
+    """The state's network with its restricted names renamed to fresh ones
+    and its nodes in another order."""
+    ren = {s: f"k{rng.randrange(10**6)}_{i}" for i, s in enumerate(state.restricted)}
+    nodes = [t.rename_node_sessions(nd, ren) for nd in state.nodes]
+    rng.shuffle(nodes)
+    names = [ren[s] for s in state.restricted]
+    rng.shuffle(names)
+    return t.restrict_all(names, t.par_all(nodes))
+
+
+def _assert_matches_oracle(state: eng.RunState) -> None:
+    assert (eng.canonical_text(state.restricted, state.nodes)
+            == oracle.canonical_text(state.restricted, state.nodes))
+    net = state.to_network()
+    assert eng.normalize(net) == oracle.normalize(net)
+
+
+def test_corpus_covers_every_family():
+    assert "paxos_multi.ubsc" in CORPUS and "paxos5.ubsc" in CORPUS
+    assert len(CORPUS) >= 10
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_every_corpus_program_matches_oracle(name):
+    for seed in (0, 1):
+        for state in _reached(name, seed, 60):
+            _assert_matches_oracle(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=hs.sampled_from(CORPUS + GENERATED), seed=hs.integers(0, 2**16),
+       steps=hs.integers(1, 80), loss=hs.sampled_from([0.0, 0.3, 0.7]))
+def test_reached_states_match_oracle(name, seed, steps, loss):
+    states = _reached(name, seed, steps, loss)
+    for state in states[-10:]:
+        _assert_matches_oracle(state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=hs.sampled_from(CORPUS + GENERATED), seed=hs.integers(0, 2**16),
+       steps=hs.integers(1, 60), shuffle=hs.integers(0, 2**16))
+def test_networks_equivalent_matches_oracle(name, seed, steps, shuffle):
+    states = _reached(name, seed, steps)
+    if not states:
+        return
+    rng = random.Random(shuffle)
+    a = states[-1].to_network()
+    b = _alpha_variant(states[-1], rng)
+    c = states[rng.randrange(len(states))].to_network()
+    for x, y in ((a, b), (a, c), (b, c)):
+        want = oracle.canonical_render(x) == oracle.canonical_render(y)
+        assert eng.networks_equivalent(x, y) == want
+
+
+def test_long_paxos_run_matches_oracle():
+    """Late states carry long ballot expressions and dozens of buffers per
+    node; check a stretch of them state by state."""
+    states = _reached("paxos5.ubsc", 26508, 400)
+    for state in states[::7]:
+        _assert_matches_oracle(state)
+
+
+def _fresh_caches():
+    for fn in (eng._process_template, eng._defs_block, eng._node_render):
+        fn.cache_clear()
+
+
+def test_name_ordered_sum_falls_back():
+    """Alternatives that differ only in which session they use sort by the
+    names filling the holes: no template, but the same text as the oracle
+    under every naming."""
+    _fresh_caches()
+    node = parse_network("[ s!<1>. 0 + u!<1>. 0 | s~0:[] | u~0:[] ]")
+    assert eng._process_template(node.process) is None
+    for names in (("s", "u"), ("u", "s")):
+        nodes = (node,)
+        assert eng.canonical_text(names, nodes) == oracle.canonical_text(names, nodes)
+        for ren in ((("s", "z"),), (("u", "a"),), (("s", "?"), ("u", "?"))):
+            assert eng._node_render(node, ren) == oracle._node_render(node, ren)
+
+
+def test_sum_ordered_by_text_before_holes_keeps_template():
+    node = parse_network("[ def D(x) = 0, E(y) = 0 in (E(u) + D(s)) | s~0:[] | u~0:[] ]")
+    assert eng._process_template(node.process) is not None
+    for ren in ((), (("s", "z"),), (("s", "?"), ("u", "?")), (("s", "r1"), ("u", "r0"))):
+        assert eng._node_render(node, ren) == oracle._node_render(node, ren)
+
+
+def test_hole_mark_in_string_value_falls_back():
+    node = parse_network('[ s!<"a\x00s\x00b">. 0 | s~0:[] ]')
+    assert eng._process_template(node.process) is None
+    assert eng.canonical_text(("s",), (node,)) == oracle.canonical_text(("s",), (node,))
+    assert "\x00" in eng._node_render(node, (("s", "r0"),))
+
+
+def test_masked_buffer_ties_keep_node_order():
+    node = parse_network("[ 0 | u~1:[] | s~0:[] | *s~2:[] | *u~0:[] ]")
+    mask = (("s", "?"), ("u", "?"))
+    assert eng._node_render(node, mask) == oracle._node_render(node, mask)
+    assert eng._node_render(node, ()) == oracle._node_render(node, ())
+
+
+def test_definition_block_shared_across_processes():
+    """Nodes of one program share one cached definitions block."""
+    _fresh_caches()
+    states = _reached("paxos5.ubsc", 3, 120)
+    for state in states:
+        eng.canonical_text(state.restricted, state.nodes)
+    info = eng._defs_block.cache_info()
+    assert info.currsize <= 5 < info.hits
+
+
+def test_closed_expressions_are_not_rebuilt():
+    e = v.BinOp("+", v.BinOp("+", v.Lit(v.IntV(1)), v.Lit(v.IntV(1))), v.Lit(v.IntV(1)))
+    assert eng._canon_expr(e, {"x": "v0"}) is e
+    open_e = v.BinOp("+", e, v.Var("x"))
+    assert eng._canon_expr(open_e, {"x": "v0"}) == v.BinOp("+", e, v.Var("v0"))
+
+
+@pytest.mark.parametrize("module", [eng, v, render, t])
+def test_caches_are_bounded(module):
+    for obj in vars(module).values():
+        if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+            assert obj.cache_parameters()["maxsize"] is not None, obj

@@ -152,3 +152,54 @@ def test_progress_during_gather_chain():
             assert sf.session_recovery_search(state, sess, c) is not None
         r, chosen = eng.resolve_script_step(state, spec)
         state = eng.apply_redex(state, r, chosen)
+
+
+# ------------------------------------------------------------- one peel per node
+
+def _reached_networks(name, seed, steps):
+    cfg = eng.SchedulerConfig(seed=seed, loss_rate=0.3, recovery_bias=0.2, max_steps=steps)
+    out = []
+    eng.run_scheduler(load_program(name).network, cfg, digests=False,
+                      on_step=lambda state, step: out.append(state.to_network()))
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    "paxos3.ubsc", "paxos5.ubsc", "paxos_multi.ubsc", "paxos_recover.ubsc",
+    "heartbeat_gather.ubsc", "heartbeat_runtime.ubsc", "drop_connections.ubsc",
+    "error_brc_bra.ubsc", "error_brc_brc.ubsc", "ok_rcv_uni.ubsc",
+])
+def test_error_network_report_matches_oracle(name):
+    import safety_oracle
+    nets = [load_program(name).network]
+    for seed in (0, 1, 2):
+        nets += _reached_networks(name, seed, 80)
+    for net in nets:
+        assert sf.is_error_network(net) == safety_oracle.is_error_network(net)
+
+
+def test_error_network_report_matches_oracle_on_errors():
+    """States with a witness and with send-queue violations, built by hand."""
+    import safety_oracle
+    for text in (
+        "[ *s!<1>. 0 | *s~0:[] ] || [ s>>{l: 0, df: 0} | s~0:[] ]",
+        "[ *s!<1>. 0 | *s~0:[] ] || [ *s!<2>. 0 | *s~0:[] ]",
+        "[ *s!<1>. 0 | *s~0:[(0, 1)] ] || [ s!<1>. 0 | s~0:[2] ] || [ s?(x). 0 | s~0:[] ]",
+        "[ *u<<l. 0 | *u~1:[(1, 1)] | s~0:[] ] || [ s!<1>. 0 | s~0:[] | u~1:[] ]",
+    ):
+        net = parse_network(text)
+        assert sf.is_error_network(net) == safety_oracle.is_error_network(net)
+
+
+def test_is_error_network_peels_each_node_once(monkeypatch):
+    """On the paxos5 step-300 state (49 sessions) every node is peeled once,
+    not once per session."""
+    from ubsc import terms as t
+    net = _reached_networks("paxos5.ubsc", 26508, 300)[-1]
+    calls = []
+    peel = sf._peel
+    monkeypatch.setattr(sf, "_peel", lambda p, *a: calls.append(p) or peel(p, *a))
+    report = sf.is_error_network(net)
+    _, nodes = t.flatten_nodes(eng.normalize(net))
+    assert len(calls) == len(nodes) == 5
+    assert len({s for _, s in report.classification}) <= len(nodes)
