@@ -658,9 +658,50 @@ def _restricted_kind(nodes, name: str) -> str:
 
 def _type_node(gamma: Gamma, node: t.NetworkNode, idx: int, declared: dict,
                protocols: dict, derived: dict, trace: list) -> dict:
-    where = f"node#{idx}" + (f" (line {node.pos})" if node.pos else "")
+    """Type one node, appending its derivation to ``trace``, and return its
+    stated context.  The work is memoised by :func:`_node_typing` on the
+    slice of the inputs the node can read: a scheduler step changes a few
+    nodes, and the others are typed again under the same slice."""
+    sessions = dict.fromkeys(b.ep.session for b in node.buffers)
+    shared = t.process_facts(node.process)[1]
+    ok, payload = _node_typing(
+        node, node.pos, idx, tuple(gamma.vars.items()),
+        tuple((a, gamma.shared[a]) for a in sorted(shared) if a in gamma.shared),
+        tuple((s, protocols[s]) for s in sessions if s in protocols),
+        tuple((s, derived[s]) for s in sessions if s in derived),
+        tuple((b.ep, declared[b.ep]) for b in node.buffers if b.ep in declared))
+    if not ok:
+        raise TypeFail(payload.rule, payload.reason, payload.where)
+    ctx_items, segment = payload
+    trace.extend(segment)
+    return dict(ctx_items)
+
+
+@lru_cache(maxsize=128)
+def _node_typing(node: t.NetworkNode, pos, idx: int, vars_items: tuple,
+                 shared_items: tuple, protocols: tuple, derived: tuple,
+                 declared: tuple) -> tuple:
+    """(True, (context items, trace segment)) or (False, TypeFail) for one
+    node, from its arguments alone: the node, its line, its index, the
+    value variables, and the shared, protocol, derived and declared entries
+    of the names the node holds.  ``pos`` is a separate argument because a
+    node's line takes no part in its equality."""
+    gamma = Gamma(dict(vars_items), dict(shared_items))
+    where = f"node#{idx}" + (f" (line {pos})" if pos else "")
+    trace: list = []
+    try:
+        ctx = _type_node_body(gamma, node, idx, where, dict(declared),
+                              dict(protocols), dict(derived), trace)
+    except TypeFail as e:
+        return False, e
+    return True, (tuple(ctx.items()), tuple(trace))
+
+
+def _type_node_body(gamma: Gamma, node: t.NetworkNode, idx: int, where: str,
+                    declared: dict, protocols: dict, derived: dict,
+                    trace: list) -> dict:
     theta = _node_theta(gamma, node, idx)
-    fchans = t.free_chans(node.process)
+    fchans = _free_chans(node.process)
     for ch in fchans:
         if isinstance(ch, t.ChanVar):
             raise TypeFail("TNode", f"free channel variable {render_chan(ch)}",

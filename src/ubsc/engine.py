@@ -398,6 +398,13 @@ def normalize(n: t.Network) -> t.Network:
     """Congruence normal form: restrictions hoisted, parallel flattened and
     deterministically sorted, unit nodes and dead restrictions dropped,
     buffers and sums ordered."""
+    names, nodes = normal_parts(n)
+    return t.restrict_all(names, t.par_all(nodes))
+
+
+def normal_parts(n: t.Network) -> tuple:
+    """The live restricted names and the sorted nodes of ``normalize(n)``,
+    as ``flatten_nodes`` would read them back, without building it."""
     restricted, nodes = t.flatten_nodes(n)
     kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
     if not kept:
@@ -406,8 +413,7 @@ def normalize(n: t.Network) -> t.Network:
     live = set()
     for nd in keyed:
         live |= _node_names(nd)
-    names = [r for r in restricted if r in live]
-    return t.restrict_all(names, t.par_all(keyed))
+    return tuple(r for r in restricted if r in live), tuple(keyed)
 
 
 def canonical_text(restricted, nodes) -> str:

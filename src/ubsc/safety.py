@@ -111,7 +111,7 @@ def is_error_network(n: t.Network) -> SafetyReport:
     """Search all node pairs per session for an invalid pair.  A node can
     only take part on the session of its head's endpoint, so each node is
     peeled once and visited under that session alone."""
-    _, nodes = t.flatten_nodes(eng.normalize(n))
+    _, nodes = eng.normal_parts(n)
     sessions = set()
     acting: dict = {}  # session -> [(node index, head, buffers)], by index
     for i, nd in enumerate(nodes):
@@ -165,7 +165,7 @@ def is_deadlocked(n: t.Network) -> bool:
     """True iff the network is a parallel composition of nodes whose processes
     are sums of accept-prefixed processes only.  A terminal network (every
     process inactive) is not deadlocked."""
-    _, nodes = t.flatten_nodes(eng.normalize(n))
+    _, nodes = eng.normal_parts(n)
     if all(isinstance(nd.process, t.Inact) for nd in nodes):
         return False
     for nd in nodes:

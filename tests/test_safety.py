@@ -203,3 +203,25 @@ def test_is_error_network_peels_each_node_once(monkeypatch):
     _, nodes = t.flatten_nodes(eng.normalize(net))
     assert len(calls) == len(nodes) == 5
     assert len({s for _, s in report.classification}) <= len(nodes)
+
+
+@pytest.mark.parametrize("name", ["paxos5.ubsc", "drop_connections.ubsc", "error_brc_bra.ubsc"])
+def test_normal_parts_are_the_flattened_normal_form(name):
+    """The safety checks read ``normal_parts`` where they used to flatten
+    ``normalize``'s network again; both give the same names and nodes."""
+    from ubsc import terms as t
+    nets = [load_program(name).network] + _reached_networks(name, 1, 80)
+    nets.append(parse_network("new s. new u. ([ 0 ] || [ s!<1>. 0 | s~0:[] ])"))
+    for net in nets:
+        assert eng.normal_parts(net) == t.flatten_nodes(eng.normalize(net))
+
+
+def test_safety_checks_flatten_once(monkeypatch):
+    from ubsc import terms as t
+    net = _reached_networks("paxos3.ubsc", 0, 40)[-1]
+    calls = []
+    flatten = t.flatten_nodes
+    monkeypatch.setattr(t, "flatten_nodes", lambda n: calls.append(n) or flatten(n))
+    sf.is_error_network(net)
+    sf.is_deadlocked(net)
+    assert len(calls) == 2
