@@ -573,9 +573,9 @@ def type_network(gamma: Gamma, net: t.Network, declared: Optional[dict] = None,
         # classify restricted names; extend gamma for restricted shared names
         restricted_sessions = []
         g = gamma
+        shared_names = frozenset().union(*(t.process_facts(nd.process)[1] for nd in nodes))
         for name in restricted:
-            kind = _restricted_kind(nodes, name)
-            if kind == "shared":
+            if name in shared_names:
                 if name in protocols:
                     g = g.with_shared(name, protocols[name])
                     trace.append(RuleApp("TCRes", name))
@@ -648,12 +648,6 @@ def type_network(gamma: Gamma, net: t.Network, declared: Optional[dict] = None,
                             trace=trace)
     except TypeFail as e:
         return TypingResult(False, trace=trace, error=e)
-
-
-def _restricted_kind(nodes, name: str) -> str:
-    if any(name in t.process_facts(node.process)[1] for node in nodes):
-        return "shared"
-    return "session"
 
 
 def _type_node(gamma: Gamma, node: t.NetworkNode, idx: int, declared: dict,

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import terms as t
 from . import values as v
@@ -345,7 +345,7 @@ def _buffer_parts(node: t.NetworkNode) -> tuple:
             tuple(map(_buffer_tail, bufs)))
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=2048)  # with _node_render, bounds how long old nodes and their facts live
 def _node_names(node: t.NetworkNode) -> frozenset:
     """Session and shared names of a node: its process's, read off the
     process template's holes when there is one, and its buffers'."""
@@ -554,103 +554,113 @@ class Redex:
         return (self.rule, self.session, self.sender, self.alt, self.detail, self.receivers)
 
 
-def _buffer_map(node: t.NetworkNode) -> dict:
-    return {b.ep: b for b in node.buffers}
+class _NodeFacts(NamedTuple):
+    """What enumeration and application read from one node alone.
+
+    ``local`` holds the (rule, session, alt, detail) parts of the redexes
+    the node fires from its head and its own buffers.  ``heads`` holds the
+    heads that join other nodes' buffers, as (rule, session, alt, state,
+    endpoint looked up in the other nodes, detail); ``accepts`` maps a
+    shared name to the node's accept alternatives on it."""
+    alts: tuple
+    bufs: dict
+    local: tuple
+    heads: tuple
+    accepts: dict
+    at: dict  # node index -> the local redexes instantiated there
 
 
-def _node_alternatives(state: RunState, i: int) -> list:
-    return alternatives(state.nodes[i].process)
+@v.memo_on_term
+def _node_facts(node: t.NetworkNode) -> _NodeFacts:
+    """The node's facts, worked out once per node and kept on it: a step
+    makes one to five new nodes, and the others are read back.  No fact
+    depends on ``node.pos``.  Kept on the node, not in an lru: an lru
+    hashes every new node and holds the facts of old ones, and both made
+    runs slower."""
+    alts = alternatives(node.process)
+    bufs = {b.ep: b for b in node.buffers}
+    local: list = []
+    heads: list = []
+    accepts: dict = {}
+    for ai, (head, _) in enumerate(alts):
+        match head:
+            case t.Accept(a, _, _):
+                accepts.setdefault(a, []).append(ai)
+            case t.Request(a, _, _):
+                heads.append(("Conn", a, ai, 0, None, ()))
+            case t.Send(t.Endpoint(s, True) as ep, _, _):
+                if ep in bufs:
+                    heads.append(("Bcast", s, ai, bufs[ep].state, t.Endpoint(s, False), ()))
+            case t.Send(t.Endpoint(s, False) as ep, _, _):
+                if ep in bufs:
+                    heads.append(("Ucast", s, ai, bufs[ep].state, t.Endpoint(s, True), ()))
+                    local.append(("Loss", s, ai, ()))
+            case t.Recv(t.Endpoint(s, False) as ep, _, _, _):
+                if ep in bufs:
+                    q = bufs[ep].queue
+                    if q and isinstance(q[0], t.ValMsg):
+                        local.append(("Rcv", s, ai, ()))
+                    elif not q:
+                        local.append(("Rec", s, ai, ()))
+            case t.Recv(t.Endpoint(s, True) as ep, _, _, _):
+                if ep in bufs:
+                    local.append(("Gthr", s, ai, ()))
+            case t.Select(t.Endpoint(s, True) as ep, label, _):
+                if ep in bufs:
+                    heads.append(("Sel", s, ai, bufs[ep].state, t.Endpoint(s, False), (label,)))
+            case t.Branch(t.Endpoint(s, False) as ep, arms, _):
+                if ep in bufs:
+                    q = bufs[ep].queue
+                    if q and isinstance(q[0], t.LabMsg) and q[0].label in dict(arms):
+                        local.append(("Bra", s, ai, (q[0].label,)))
+                    elif not q:
+                        have = {b.ep.session for b in node.buffers if b.ep != ep}
+                        if t.process_sessions(head.default_arm) <= have:
+                            local.append(("BRec", s, ai, ()))
+            case t.Cond(g, tp, ep_):
+                try:
+                    taken = tp if v.truth(g, {}) else ep_
+                except v.EvalError:
+                    continue
+                if t.process_sessions(taken) <= {b.ep.session for b in node.buffers}:
+                    local.append(("True" if taken is tp else "False", "-", ai, ()))
+    return _NodeFacts(alts, bufs, tuple(local), tuple(heads), accepts, {})
 
 
 def enabled_redexes(state: RunState) -> list:
     """Complete enumeration of enabled redexes, deterministically ordered.
     Requires a recovery-free (encoded) network."""
+    facts = [_node_facts(nd) for nd in state.nodes]
     out: list = []
-    nodes = state.nodes
-    node_alts = [(i, _node_alternatives(state, i)) for i in range(len(nodes))]
-    buf_maps = [_buffer_map(nd) for nd in nodes]
-
-    # accept alternatives per node per shared name
-    accepts: dict = {}
-    for i, alts in node_alts:
-        for ai, (head, _) in enumerate(alts):
-            if isinstance(head, t.Accept):
-                accepts.setdefault(head.shared, {}).setdefault(i, []).append(ai)
-
-    for i, alts in node_alts:
-        bufs = buf_maps[i]
-        for ai, (head, _) in enumerate(alts):
-            match head:
-                case t.Request(a, _, _):
-                    eligible = tuple(sorted(j for j in accepts.get(a, {}) if j != i))
-                    out.append(Redex("Conn", a, i, eligible, ai))
-                case t.Send(t.Endpoint(s, True) as ep, _, _):
-                    if ep in bufs:
-                        c = bufs[ep].state
-                        rec = tuple(
-                            j for j in range(len(nodes))
-                            if j != i and buf_maps[j].get(t.Endpoint(s, False), None) is not None
-                            and buf_maps[j][t.Endpoint(s, False)].state == c
-                        )
-                        out.append(Redex("Bcast", s, i, rec, ai))
-                case t.Send(t.Endpoint(s, False) as ep, _, _):
-                    if ep in bufs:
-                        c1 = bufs[ep].state
-                        for j in range(len(nodes)):
-                            if j == i:
-                                continue
-                            ab = buf_maps[j].get(t.Endpoint(s, True))
-                            if ab is not None and c1 >= ab.state:
-                                out.append(Redex("Ucast", s, i, (j,), ai))
-                        out.append(Redex("Loss", s, i, (), ai))
-                case t.Recv(t.Endpoint(s, False) as ep, _, _, _):
-                    if ep in bufs:
-                        q = bufs[ep].queue
-                        if q and isinstance(q[0], t.ValMsg):
-                            out.append(Redex("Rcv", s, i, (), ai))
-                        elif not q:
-                            out.append(Redex("Rec", s, i, (), ai))
-                case t.Recv(t.Endpoint(s, True) as ep, _, _, _):
-                    if ep in bufs:
-                        out.append(Redex("Gthr", s, i, (), ai))
-                case t.Select(t.Endpoint(s, True) as ep, label, _):
-                    if ep in bufs:
-                        c = bufs[ep].state
-                        rec = tuple(
-                            j for j in range(len(nodes))
-                            if j != i and buf_maps[j].get(t.Endpoint(s, False)) is not None
-                            and buf_maps[j][t.Endpoint(s, False)].state == c
-                        )
-                        out.append(Redex("Sel", s, i, rec, ai, (label,)))
-                case t.Branch(t.Endpoint(s, False) as ep, arms, _):
-                    if ep in bufs:
-                        q = bufs[ep].queue
-                        labels = dict(arms)
-                        if q and isinstance(q[0], t.LabMsg) and q[0].label in labels:
-                            out.append(Redex("Bra", s, i, (), ai, (q[0].label,)))
-                        elif not q:
-                            df = head.default_arm
-                            needed = t.process_sessions(df)
-                            have = {b.ep.session for b in nodes[i].buffers if b.ep != ep}
-                            if needed <= have:
-                                out.append(Redex("BRec", s, i, (), ai))
-                case t.Cond(g, tp, ep_):
-                    try:
-                        taken = tp if v.truth(g, {}) else ep_
-                        rule = "True" if taken is tp else "False"
-                    except v.EvalError:
-                        continue
-                    needed = t.process_sessions(taken)
-                    have = {b.ep.session for b in nodes[i].buffers}
-                    if needed <= have:
-                        out.append(Redex(rule, "-", i, (), ai))
-                case _:
-                    pass
+    for i, f in enumerate(facts):
+        local = f.at.get(i)
+        if local is None:
+            local = f.at[i] = [Redex(rule, s, i, (), ai, detail)
+                               for rule, s, ai, detail in f.local]
+        out += local
+        for rule, s, ai, c, ep, detail in f.heads:
+            if rule == "Conn":
+                eligible = tuple(j for j, g in enumerate(facts) if j != i and s in g.accepts)
+                out.append(Redex("Conn", s, i, eligible, ai))
+            elif rule == "Ucast":  # to each aggregator at or behind the sender's state
+                out.extend(Redex("Ucast", s, i, (j,), ai) for j, g in enumerate(facts)
+                           if j != i and (b := g.bufs.get(ep)) is not None and c >= b.state)
+            else:  # Bcast, Sel: to each plain buffer at the sender's state
+                rec = tuple(j for j, g in enumerate(facts)
+                            if j != i and (b := g.bufs.get(ep)) is not None and b.state == c)
+                out.append(Redex(rule, s, i, rec, ai, detail))
     out.sort(key=Redex.key)
     return out
 
 
 # ------------------------------------------------------------- rule application
+
+# A search applies the same redex to the same node in one sibling state
+# after another, so the same (continuation, binder, value) comes round a few
+# applications apart.  A scheduler run rarely repeats one, and a larger
+# memo made its steps slower.  Conn's channel substitutions are not memoised:
+# that sped up early-state searches far more than late ones.
+_subst_value = lru_cache(maxsize=64)(t.subst_value)
 
 def _replace_node(nodes: tuple, i: int, node: t.NetworkNode) -> tuple:
     lst = list(nodes)
@@ -659,7 +669,9 @@ def _replace_node(nodes: tuple, i: int, node: t.NetworkNode) -> tuple:
 
 
 def _set_buffer(node: t.NetworkNode, buf: t.Buffer) -> t.NetworkNode:
-    bufs = tuple(b if b.ep != buf.ep else buf for b in node.buffers)
+    # endpoints compared field by field: Endpoint's == runs as Python code
+    s, aggr = buf.ep.session, buf.ep.aggr
+    bufs = tuple(buf if b.ep.session == s and b.ep.aggr == aggr else b for b in node.buffers)
     return t.NetworkNode(node.process, bufs, pos=node.pos)
 
 
@@ -685,12 +697,12 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
     chosen = tuple(sorted(r.receivers if chosen is None else chosen))
     if not set(chosen) <= set(r.receivers):
         raise EngineError("chosen receivers outside the eligible family")
-    alts = _node_alternatives(state, r.sender)
+    node = nodes[r.sender]
+    facts = _node_facts(node)
+    alts, bufs = facts.alts, facts.bufs
     if r.alt >= len(alts):
         raise EngineError("stale alternative index")
     head, rebuild = alts[r.alt]
-    node = nodes[r.sender]
-    bufs = _buffer_map(node)
 
     if r.rule == "Conn":
         assert isinstance(head, t.Request)
@@ -702,15 +714,14 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
             t.Buffer(t.Endpoint(sname, True), 0, ()),
         )
         for j in chosen:
-            j_alts = _node_alternatives(state, j)
-            cand = [ai for ai, (h, _) in enumerate(j_alts)
-                    if isinstance(h, t.Accept) and h.shared == head.shared]
+            jnode = nodes[j]
+            j_facts = _node_facts(jnode)
+            cand = j_facts.accepts.get(head.shared)
             if not cand:
                 raise EngineError(f"node {j} has no accept alternative on {head.shared}")
             ai = (accept_choice or {}).get(j, cand[0])
-            h, rb = j_alts[ai]
+            h, rb = j_facts.alts[ai]
             jbody = t.subst_channel(h.body, h.bind, t.Endpoint(sname, False))
-            jnode = nodes[j]
             new_nodes[j] = _add_buffer(
                 t.NetworkNode(rb(jbody), jnode.buffers, pos=jnode.pos),
                 t.Buffer(t.Endpoint(sname, False), 0, ()),
@@ -728,7 +739,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
             t.Buffer(ep, own.state + 1, own.queue),
         )
         for j in chosen:
-            jb = _buffer_map(nodes[j])[t.Endpoint(r.session, False)]
+            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
             new_nodes[j] = _set_buffer(
                 nodes[j], t.Buffer(jb.ep, jb.state + 1, jb.queue + (t.ValMsg(payload),))
             )
@@ -744,7 +755,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
             t.Buffer(ep, own.state + 1, own.queue),
         )
         for j in chosen:
-            jb = _buffer_map(nodes[j])[t.Endpoint(r.session, False)]
+            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
             new_nodes[j] = _set_buffer(
                 nodes[j], t.Buffer(jb.ep, jb.state + 1, jb.queue + (t.LabMsg(head.label),))
             )
@@ -761,7 +772,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
             t.NetworkNode(rebuild(head.body), node.buffers, pos=node.pos),
             t.Buffer(ep, own.state + 1, own.queue),
         )
-        jb = _buffer_map(nodes[j])[t.Endpoint(r.session, True)]
+        jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, True)]
         new_nodes[j] = _set_buffer(
             nodes[j],
             t.Buffer(jb.ep, jb.state, jb.queue + (t.TaggedMsg(own.state, payload),)),
@@ -773,7 +784,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
         own = bufs[head.chan]
         msg = own.queue[0]
         assert isinstance(msg, t.ValMsg)
-        body = t.subst_value(head.body, head.bind, msg.value)
+        body = _subst_value(head.body, head.bind, msg.value)
         new_node = _set_buffer(
             t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
             t.Buffer(own.ep, own.state, own.queue[1:]),
@@ -784,7 +795,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
         assert isinstance(head, t.Recv)
         own = bufs[head.chan]
         value = gather_values(own.queue, own.state)
-        body = t.subst_value(head.body, head.bind, value)
+        body = _subst_value(head.body, head.bind, value)
         new_node = _set_buffer(
             t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
             t.Buffer(own.ep, own.state + 1, residual(own.queue, own.state)),
@@ -807,7 +818,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
         assert isinstance(head, t.Recv)
         own = bufs[head.chan]
         value = v.eval_expr(head.default, {})
-        body = t.subst_value(head.body, head.bind, value)
+        body = _subst_value(head.body, head.bind, value)
         new_node = _set_buffer(
             t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
             t.Buffer(own.ep, own.state + 1, ()),
@@ -850,10 +861,9 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
 
 def redex_payload(state: RunState, r: Redex) -> Optional[str]:
     """Rendered payload carried by the step (for traces)."""
-    alts = _node_alternatives(state, r.sender)
-    head, _ = alts[r.alt]
-    node = state.nodes[r.sender]
-    bufs = _buffer_map(node)
+    facts = _node_facts(state.nodes[r.sender])
+    head, _ = facts.alts[r.alt]
+    bufs = facts.bufs
     match r.rule:
         case "Bcast" | "Ucast":
             return render_value(v.eval_expr(head.expr, {}))

@@ -5,9 +5,12 @@ not a later benchmark run."""
 
 import importlib
 import os
+import pkgutil
+import sys
 
 import pytest
 
+import ubsc
 from ubsc import corpus as cp
 from ubsc import engine as eng
 
@@ -30,6 +33,23 @@ def test_reported_caches_are_lru_caches(tracing):
         info = cache.cache_info()
         assert info.maxsize is not None, key
         assert callable(cache.cache_clear), key
+
+
+def test_every_lru_cache_is_bounded():
+    """Every lru cache of the ubsc modules, found as ``workloads.clear_caches``
+    finds them, has a finite ``maxsize``: run state must not grow without
+    bound over a long run."""
+    for mod in pkgutil.iter_modules(ubsc.__path__, "ubsc."):
+        importlib.import_module(mod.name)
+    found = set()
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "ubsc" or name.startswith("ubsc.")):
+            for attr, obj in vars(mod).items():
+                if callable(getattr(obj, "cache_clear", None)) and hasattr(obj, "cache_info"):
+                    found.add(f"{name}.{attr}")
+                    assert obj.cache_info().maxsize is not None, f"{name}.{attr}"
+    assert {"ubsc.engine.alternatives", "ubsc.engine._subst_value",
+            "ubsc.terms.process_facts"} <= found
 
 
 def test_tracer_round_trip(tracing):

@@ -1,0 +1,155 @@
+"""Redex enumeration and application against the code they replaced.
+
+``step_oracle`` holds the earlier ``enabled_redexes``, ``apply_redex`` and
+``redex_payload`` verbatim, which rebuild every node's alternatives and
+buffer map on every call.  On scheduler-reached states of every corpus
+program (encoded and raw) and of generated programs, each state must give
+the same redexes in the same order, and each redex the same payload and an
+equal next state, node lines included, under the full, an empty and a
+random receiver subset, and under each accept choice for Conn."""
+
+import dataclasses
+import functools
+import glob
+import os
+import random
+
+import pytest
+
+import step_oracle as oracle
+from conftest import generate_program
+from ubsc import corpus as cp
+from ubsc import engine as eng
+from ubsc import terms as t
+from ubsc.syntax import parse, parse_network
+
+CORPUS = sorted(os.path.basename(f) for f in glob.glob(os.path.join(cp.corpus_dir(), "*.ubsc")))
+GENERATED = [f"gen:{s}" for s in range(40)]
+
+
+@functools.lru_cache(maxsize=None)
+def _network(name: str) -> t.Network:
+    if name.startswith("gen:"):
+        return parse(generate_program(int(name[4:]))).network
+    return cp.load_program(name).network
+
+
+def _outcome(fn, *args, **kwargs):
+    """The state ``fn`` returns, with its node lines, or the error it raises."""
+    try:
+        state = fn(*args, **kwargs)
+    except eng.EngineError as e:
+        return "EngineError", str(e)
+    return state, tuple(nd.pos for nd in state.nodes)
+
+
+def _choices(state: eng.RunState, r: eng.Redex, rng: random.Random) -> list:
+    """(chosen, accept_choice) pairs to apply ``r`` under: the default, none,
+    a random subset, and for Conn every receiver on each of its accepts."""
+    subset = tuple(j for j in r.receivers if rng.random() < 0.5)
+    out = [(None, None), ((), None), (subset, None)]
+    if r.rule == "Conn" and r.receivers:
+        accepts = {j: [ai for ai, (h, _) in enumerate(eng.alternatives(state.nodes[j].process))
+                       if isinstance(h, t.Accept) and h.shared == r.session]
+                   for j in r.receivers}
+        for k in range(max(len(a) for a in accepts.values())):
+            out.append((r.receivers, {j: a[k % len(a)] for j, a in accepts.items()}))
+    return out
+
+
+def _assert_step_matches(state: eng.RunState, rng: random.Random) -> list:
+    redexes = eng.enabled_redexes(state)
+    assert redexes == oracle.enabled_redexes(state)
+    for r in redexes:
+        assert eng.redex_payload(state, r) == oracle.redex_payload(state, r)
+        for chosen, accept_choice in _choices(state, r, rng):
+            assert (_outcome(eng.apply_redex, state, r, chosen, accept_choice)
+                    == _outcome(oracle.apply_redex, state, r, chosen, accept_choice))
+    return redexes
+
+
+def _walk(net: t.Network, seed: int, steps: int) -> None:
+    """Follow a seeded schedule from ``net``, checking every state on it."""
+    state = eng.RunState.from_network(net)
+    rng = random.Random(seed)
+    for _ in range(steps):
+        redexes = _assert_step_matches(state, rng)
+        if not redexes:
+            return
+        state = eng.apply_redex(state, *eng.pick_redex(redexes, rng, 0.3, 0.2))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_runs_match_oracle(name):
+    net = _network(name)
+    for seed in (0, 1, 2):
+        _walk(eng.encode_network(net), seed, 60)
+    for seed in (3, 4):  # raw: recovery terms are heads no rule fires from
+        _walk(net, seed, 60)
+
+
+def test_generated_runs_match_oracle():
+    for name in GENERATED:
+        for seed in (7, 8):
+            _walk(eng.encode_network(_network(name)), seed, 40)
+
+
+ACCEPTORS = ("[ acc a(c). c?(x). 0 + acc a(d). d?(y). d?(z). 0 ] || "
+             "[ acc a(c). c?(x). 0 + acc a(d). d?(y). d?(z). 0 ] || "
+             "[ req a(*c). *c!<1>. *c!<2>. 0 ]")
+
+
+def _two_equal_nodes(state: eng.RunState, same_object: bool, pos=(None, None)):
+    """``state`` with node 1 replaced by node 0: the same object, or an equal
+    one with the two at the lines ``pos``."""
+    n0 = state.nodes[0]
+    if same_object:
+        n1 = n0
+    else:
+        n0 = dataclasses.replace(n0, pos=pos[0])
+        n1 = dataclasses.replace(n0, pos=pos[1])
+    return dataclasses.replace(state, nodes=(n0, n1) + state.nodes[2:])
+
+
+def test_equal_nodes_at_two_indices_match_oracle():
+    rng = random.Random(5)
+    state = eng.RunState.from_network(parse_network(ACCEPTORS))
+    for _ in range(6):
+        for same in (True, False):
+            st = _two_equal_nodes(state, same)
+            assert st.nodes[0] == st.nodes[1]
+            _assert_step_matches(st, rng)
+        redexes = eng.enabled_redexes(state)
+        if not redexes:
+            break
+        state = eng.apply_redex(state, redexes[0])
+
+
+def test_equal_nodes_keep_their_own_lines():
+    rng = random.Random(6)
+    state = eng.RunState.from_network(parse_network(ACCEPTORS))
+    for _ in range(6):
+        st = _two_equal_nodes(state, False, pos=(3, 7))
+        _assert_step_matches(st, rng)
+        for r in eng.enabled_redexes(st):
+            assert [nd.pos for nd in eng.apply_redex(st, r).nodes[:2]] == [3, 7]
+        # and swapped, so whichever line fills a memo, the other reads it
+        swapped = _two_equal_nodes(state, False, pos=(7, 3))
+        for r in eng.enabled_redexes(swapped):
+            assert [nd.pos for nd in eng.apply_redex(swapped, r).nodes[:2]] == [7, 3]
+        redexes = eng.enabled_redexes(state)
+        if not redexes:
+            break
+        state = eng.apply_redex(state, redexes[-1])
+
+
+@pytest.mark.parametrize("text", [
+    # a default arm on the branch's own session: only the other buffers count
+    "[ s>>{l: 0, df: s!<1>. 0} | s~0:[] ] || [ 0 | *s~1:[] ]",
+    "[ s>>{l: 0, df: s!<1>. 0} | s~0:[] | *s~0:[] ]",
+    '[ s>>{l: 0, df: 0} | s~0:["m"] ] || [ *s<<l. 0 | *s~0:[] ]',
+    "[ if 1 > 2 then s!<1>. 0 else t!<2>. 0 | s~0:[] ] || [ 0 | *s~0:[] ]",
+    "[ s!<1>. 0 | s~2:[] ] || [ 0 | *s~2:[] ] || [ 0 | *s~3:[] ]",
+])
+def test_hand_written_states_match_oracle(text):
+    _walk(parse_network(text), 9, 10)
