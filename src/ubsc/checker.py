@@ -76,11 +76,6 @@ class Gamma:
     vars: dict = field(default_factory=dict)
     shared: dict = field(default_factory=dict)
 
-    def with_var(self, name, beta) -> "Gamma":
-        nv = dict(self.vars)
-        nv[name] = beta
-        return Gamma(nv, self.shared)
-
     def with_shared(self, name, ty) -> "Gamma":
         ns = dict(self.shared)
         ns[name] = ty

@@ -2,8 +2,8 @@
 
 Exit code is 0 iff no error network was encountered and, when typing was
 requested, it succeeded.  Malformed input (an unreadable or unparsable file,
-an out-of-range option) exits 2 with a one-line message.  ``UBSC_COLOR``
-toggles ANSI colour.
+a replay record of the wrong shape, an out-of-range option) exits 2 with a
+one-line message.  ``UBSC_COLOR`` toggles ANSI colour.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import os
 import re
 import sys
 from collections import Counter
+from itertools import chain, repeat
+from typing import Optional
 
 from . import checker as ck
 from . import engine as eng
@@ -120,6 +122,8 @@ def cmd_encode_recovery(args, prog) -> int:
 
 
 def cmd_run(args, prog) -> int:
+    if args.max_steps < 0:
+        return _fail(f"run: --max-steps must not be negative, got {args.max_steps}")
     seeds = [args.seed]
     if args.sweep:
         m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", args.sweep)
@@ -179,6 +183,29 @@ def _run_one(prog, args, cfg: eng.SchedulerConfig, sweeping: bool) -> int:
     return 0
 
 
+# The shapes of replay records: the JSON types of the fields a record must
+# hold, and of those it may hold.
+_SCRIPT_STEP = ({"rule": str}, {"sender": int, "session": str, "label": str, "index": int,
+                                "receivers": list})
+_TRACE_HEADER = ({"seed": int, "loss_rate": (int, float), "recovery_bias": (int, float),
+                  "max_steps": int}, {})
+_TRACE_STEP = ({"digest": str}, {})
+
+
+def _shape_error(records: list, shapes) -> Optional[str]:
+    """Why a record of ``records`` does not have its shape in ``shapes``;
+    None when every one has."""
+    for i, (rec, (required, optional)) in enumerate(zip(records, shapes)):
+        if not isinstance(rec, dict):
+            return f"record {i} is not a JSON object"
+        for k, ty in {**required, **optional}.items():
+            if (k in required or k in rec) and not isinstance(rec.get(k), ty):
+                return f"record {i} lacks a well-formed {k!r}"
+        if not all(isinstance(j, int) for j in rec.get("receivers", ())):
+            return f"record {i} lacks a well-formed 'receivers'"
+    return None
+
+
 def cmd_replay(args, prog) -> int:
     try:
         with open(args.script, "r", encoding="utf-8") as fh:
@@ -187,7 +214,14 @@ def cmd_replay(args, prog) -> int:
                    [json.loads(l) for l in text.splitlines() if l.strip()])
     except (OSError, ValueError) as e:
         return _fail(f"replay: cannot read {args.script}: {e}")
-    if text.startswith("["):
+    is_script = text.startswith("[")
+    if not is_script and not records:
+        return _fail(f"replay: trace file {args.script} is empty")
+    bad = _shape_error(records, repeat(_SCRIPT_STEP) if is_script
+                       else chain([_TRACE_HEADER], repeat(_TRACE_STEP)))
+    if bad:
+        return _fail(f"replay: {args.script}: {bad}")
+    if is_script:
         try:
             state, digests = eng.run_script(prog.network, records)
         except eng.EngineError as e:
@@ -199,12 +233,10 @@ def cmd_replay(args, prog) -> int:
         print(render_network(eng.normalize(state.to_network())))
         return 0
     # trace file: re-run with the recorded config and compare digests
-    if not records:
-        return _fail(f"replay: trace file {args.script} is empty")
-    header = records[0]
-    cfg = eng.SchedulerConfig(seed=header["seed"], loss_rate=header["loss_rate"],
-                              recovery_bias=header["recovery_bias"],
-                              max_steps=header["max_steps"])
+    try:
+        cfg = eng.SchedulerConfig(**{k: records[0][k] for k in _TRACE_HEADER[0]})
+    except ValueError:
+        return _fail(f"replay: {args.script}: loss_rate and recovery_bias must lie in [0, 1]")
     trace = eng.run_scheduler(prog.network, cfg)
     recorded = [l["digest"] for l in records[1:]]
     fresh = [s.digest for s in trace.steps]

@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import terms as t
 from . import values as v
-from .render import (render_buffer, render_expr, render_msg, render_network,
-                     render_operand, render_value)
+from .render import (render_buffer, render_expr, render_network, render_operand,
+                     render_value)
 
 
 class EngineError(Exception):
@@ -662,10 +662,9 @@ def enabled_redexes(state: RunState) -> list:
 # that sped up early-state searches far more than late ones.
 _subst_value = lru_cache(maxsize=64)(t.subst_value)
 
-def _replace_node(nodes: tuple, i: int, node: t.NetworkNode) -> tuple:
-    lst = list(nodes)
-    lst[i] = node
-    return tuple(lst)
+_HEAD_TYPES = {"Conn": t.Request, "Bcast": t.Send, "Sel": t.Select, "Ucast": t.Send,
+               "Rcv": t.Recv, "Gthr": t.Recv, "Bra": t.Branch, "Rec": t.Recv,
+               "BRec": t.Branch, "Loss": t.Send, "True": t.Cond, "False": t.Cond}
 
 
 def _set_buffer(node: t.NetworkNode, buf: t.Buffer) -> t.NetworkNode:
@@ -675,208 +674,117 @@ def _set_buffer(node: t.NetworkNode, buf: t.Buffer) -> t.NetworkNode:
     return t.NetworkNode(node.process, bufs, pos=node.pos)
 
 
-def _add_buffer(node: t.NetworkNode, buf: t.Buffer) -> t.NetworkNode:
-    return t.NetworkNode(node.process, node.buffers + (buf,), pos=node.pos)
-
-
-def _drop_buffers(node: t.NetworkNode, keep_sessions: set) -> t.NetworkNode:
-    """Drop plain buffers whose session the continuation no longer uses.
-    Aggregator buffers are always retained: typed processes may only discard
-    plain endpoints, and keeping the unique aggregator side preserves typing
-    of the surrounding restriction."""
-    bufs = tuple(b for b in node.buffers if b.ep.aggr or b.ep.session in keep_sessions)
-    return t.NetworkNode(node.process, bufs, pos=node.pos)
+def _moved_value(rule: str, head: t.Process, bufs: dict) -> Optional[v.Value]:
+    """The value a step moves: the payload sent (Bcast, Ucast), received
+    (Rcv), gathered (Gthr) or defaulted (Rec); None for the other rules."""
+    match rule:
+        case "Bcast" | "Ucast":
+            return v.eval_expr(head.expr, {})
+        case "Rcv":
+            msg = bufs[head.chan].queue[0]
+            assert isinstance(msg, t.ValMsg)
+            return msg.value
+        case "Gthr":
+            own = bufs[head.chan]
+            return gather_values(own.queue, own.state)
+        case "Rec":
+            return v.eval_expr(head.default, {})
+    return None
 
 
 def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
                 accept_choice: Optional[dict] = None) -> RunState:
     """Apply ``r`` with the chosen receiver subset (defaults to the full
     eligible family).  ``accept_choice`` optionally picks an accept
-    alternative per receiver node for Conn."""
+    alternative per receiver node for Conn.  Every rule has one shape: the
+    acting node replaces its head with a continuation and updates its own
+    buffer, and the receivers' buffers gain the message."""
     nodes = state.nodes
     chosen = tuple(sorted(r.receivers if chosen is None else chosen))
     if not set(chosen) <= set(r.receivers):
         raise EngineError("chosen receivers outside the eligible family")
     node = nodes[r.sender]
     facts = _node_facts(node)
-    alts, bufs = facts.alts, facts.bufs
-    if r.alt >= len(alts):
+    if r.alt >= len(facts.alts):
         raise EngineError("stale alternative index")
-    head, rebuild = alts[r.alt]
+    head, rebuild = facts.alts[r.alt]
+    if r.rule not in _HEAD_TYPES:
+        raise EngineError(f"unknown rule {r.rule}")
+    assert isinstance(head, _HEAD_TYPES[r.rule])
+    new_nodes = list(nodes)
 
-    if r.rule == "Conn":
-        assert isinstance(head, t.Request)
+    if r.rule == "Conn":  # the sender and each chosen acceptor open the fresh session
         sname = f"s#{state.fresh}"
-        new_nodes = list(nodes)
-        body = t.subst_channel(head.body, head.bind, t.Endpoint(sname, True))
-        new_nodes[r.sender] = _add_buffer(
-            t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
-            t.Buffer(t.Endpoint(sname, True), 0, ()),
-        )
-        for j in chosen:
-            jnode = nodes[j]
-            j_facts = _node_facts(jnode)
-            cand = j_facts.accepts.get(head.shared)
-            if not cand:
-                raise EngineError(f"node {j} has no accept alternative on {head.shared}")
-            ai = (accept_choice or {}).get(j, cand[0])
-            h, rb = j_facts.alts[ai]
-            jbody = t.subst_channel(h.body, h.bind, t.Endpoint(sname, False))
-            new_nodes[j] = _add_buffer(
-                t.NetworkNode(rb(jbody), jnode.buffers, pos=jnode.pos),
-                t.Buffer(t.Endpoint(sname, False), 0, ()),
-            )
+        for k, j in enumerate((r.sender,) + chosen):
+            h, rb = head, rebuild
+            if k:
+                j_facts = _node_facts(nodes[j])
+                cand = j_facts.accepts.get(head.shared)
+                if not cand:
+                    raise EngineError(f"node {j} has no accept alternative on {head.shared}")
+                h, rb = j_facts.alts[(accept_choice or {}).get(j, cand[0])]
+            ep = t.Endpoint(sname, not k)
+            body = rb(t.subst_channel(h.body, h.bind, ep))
+            new_nodes[j] = t.NetworkNode(body, nodes[j].buffers + (t.Buffer(ep, 0, ()),),
+                                         pos=nodes[j].pos)
         return RunState(state.restricted + (sname,), tuple(new_nodes), state.fresh + 1)
 
-    if r.rule == "Bcast":
-        assert isinstance(head, t.Send)
-        ep = head.chan
-        own = bufs[ep]
-        payload = v.eval_expr(head.expr, {})
-        new_nodes = list(nodes)
-        new_nodes[r.sender] = _set_buffer(
-            t.NetworkNode(rebuild(head.body), node.buffers, pos=node.pos),
-            t.Buffer(ep, own.state + 1, own.queue),
-        )
-        for j in chosen:
-            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
-            new_nodes[j] = _set_buffer(
-                nodes[j], t.Buffer(jb.ep, jb.state + 1, jb.queue + (t.ValMsg(payload),))
-            )
-        return RunState(state.restricted, tuple(new_nodes), state.fresh)
+    if r.rule in ("True", "False", "BRec"):
+        # Rebuild the taken arm and drop the plain buffers it no longer uses.
+        # Aggregator buffers stay: typed processes may only discard plain
+        # endpoints, and the restriction's typing needs the aggregator side.
+        if r.rule == "BRec":  # the branch's own buffer goes too
+            body = rebuild(head.default_arm)
+            keep = t.process_sessions(body) - {facts.bufs[head.chan].ep.session}
+        else:
+            body = rebuild(head.then_p if r.rule == "True" else head.else_p)
+            keep = t.process_sessions(body)
+        bufs = tuple(b for b in node.buffers if b.ep.aggr or b.ep.session in keep)
+        new_nodes[r.sender] = t.NetworkNode(body, bufs, pos=node.pos)
 
-    if r.rule == "Sel":
-        assert isinstance(head, t.Select)
-        ep = head.chan
-        own = bufs[ep]
-        new_nodes = list(nodes)
-        new_nodes[r.sender] = _set_buffer(
-            t.NetworkNode(rebuild(head.body), node.buffers, pos=node.pos),
-            t.Buffer(ep, own.state + 1, own.queue),
-        )
-        for j in chosen:
-            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
-            new_nodes[j] = _set_buffer(
-                nodes[j], t.Buffer(jb.ep, jb.state + 1, jb.queue + (t.LabMsg(head.label),))
-            )
-        return RunState(state.restricted, tuple(new_nodes), state.fresh)
-
-    if r.rule == "Ucast":
-        assert isinstance(head, t.Send)
-        ep = head.chan
-        own = bufs[ep]
-        (j,) = r.receivers
-        payload = v.eval_expr(head.expr, {})
-        new_nodes = list(nodes)
-        new_nodes[r.sender] = _set_buffer(
-            t.NetworkNode(rebuild(head.body), node.buffers, pos=node.pos),
-            t.Buffer(ep, own.state + 1, own.queue),
-        )
-        jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, True)]
-        new_nodes[j] = _set_buffer(
-            nodes[j],
-            t.Buffer(jb.ep, jb.state, jb.queue + (t.TaggedMsg(own.state, payload),)),
-        )
-        return RunState(state.restricted, tuple(new_nodes), state.fresh)
-
-    if r.rule == "Rcv":
-        assert isinstance(head, t.Recv)
-        own = bufs[head.chan]
-        msg = own.queue[0]
-        assert isinstance(msg, t.ValMsg)
-        body = _subst_value(head.body, head.bind, msg.value)
-        new_node = _set_buffer(
-            t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
-            t.Buffer(own.ep, own.state, own.queue[1:]),
-        )
-        return RunState(state.restricted, _replace_node(nodes, r.sender, new_node), state.fresh)
-
-    if r.rule == "Gthr":
-        assert isinstance(head, t.Recv)
-        own = bufs[head.chan]
-        value = gather_values(own.queue, own.state)
-        body = _subst_value(head.body, head.bind, value)
-        new_node = _set_buffer(
-            t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
-            t.Buffer(own.ep, own.state + 1, residual(own.queue, own.state)),
-        )
-        return RunState(state.restricted, _replace_node(nodes, r.sender, new_node), state.fresh)
-
-    if r.rule == "Bra":
-        assert isinstance(head, t.Branch)
-        own = bufs[head.chan]
-        msg = own.queue[0]
-        assert isinstance(msg, t.LabMsg)
-        body = dict(head.arms)[msg.label]
-        new_node = _set_buffer(
-            t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
-            t.Buffer(own.ep, own.state, own.queue[1:]),
-        )
-        return RunState(state.restricted, _replace_node(nodes, r.sender, new_node), state.fresh)
-
-    if r.rule == "Rec":
-        assert isinstance(head, t.Recv)
-        own = bufs[head.chan]
-        value = v.eval_expr(head.default, {})
-        body = _subst_value(head.body, head.bind, value)
-        new_node = _set_buffer(
-            t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
-            t.Buffer(own.ep, own.state + 1, ()),
-        )
-        return RunState(state.restricted, _replace_node(nodes, r.sender, new_node), state.fresh)
-
-    if r.rule == "BRec":
-        assert isinstance(head, t.Branch)
-        own = bufs[head.chan]
-        body = rebuild(head.default_arm)
-        keep = t.process_sessions(body)
-        new_node = _drop_buffers(
-            t.NetworkNode(body, tuple(b for b in node.buffers if b.ep != own.ep),
-                          pos=node.pos),
-            keep,
-        )
-        return RunState(state.restricted, _replace_node(nodes, r.sender, new_node), state.fresh)
-
-    if r.rule == "Loss":
-        assert isinstance(head, t.Send)
-        own = bufs[head.chan]
-        new_node = _set_buffer(
-            t.NetworkNode(rebuild(head.body), node.buffers, pos=node.pos),
-            t.Buffer(own.ep, own.state + 1, own.queue),
-        )
-        return RunState(state.restricted, _replace_node(nodes, r.sender, new_node), state.fresh)
-
-    if r.rule in ("True", "False"):
-        assert isinstance(head, t.Cond)
-        taken = head.then_p if r.rule == "True" else head.else_p
-        body = rebuild(taken)
-        keep = t.process_sessions(body)
-        new_node = _drop_buffers(
-            t.NetworkNode(body, node.buffers, pos=node.pos), keep
-        )
-        return RunState(state.restricted, _replace_node(nodes, r.sender, new_node), state.fresh)
-
-    raise EngineError(f"unknown rule {r.rule}")
+    else:
+        own = facts.bufs[head.chan]
+        value = _moved_value(r.rule, head, facts.bufs)
+        if type(head) is t.Recv:  # Rcv, Gthr, Rec bind the moved value
+            body = _subst_value(head.body, head.bind, value)
+        elif r.rule == "Bra":
+            msg = own.queue[0]
+            assert isinstance(msg, t.LabMsg)
+            body = dict(head.arms)[msg.label]
+        else:
+            body = head.body
+        match r.rule:  # the own buffer's next (state, queue)
+            case "Rcv" | "Bra":
+                after = own.state, own.queue[1:]
+            case "Gthr":
+                after = own.state + 1, residual(own.queue, own.state)
+            case "Rec":
+                after = own.state + 1, ()
+            case _:  # Bcast, Sel, Ucast, Loss
+                after = own.state + 1, own.queue
+        new_nodes[r.sender] = _set_buffer(t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
+                                          t.Buffer(own.ep, *after))
+        if r.rule == "Ucast":  # tagged with the sender's state; ``chosen`` is not read
+            (j,) = r.receivers
+            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, True)]
+            new_nodes[j] = _set_buffer(nodes[j], t.Buffer(
+                jb.ep, jb.state, jb.queue + (t.TaggedMsg(own.state, value),)))
+        elif r.rule in ("Bcast", "Sel"):  # each chosen plain buffer advances
+            msg = t.ValMsg(value) if r.rule == "Bcast" else t.LabMsg(head.label)
+            for j in chosen:
+                jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
+                new_nodes[j] = _set_buffer(nodes[j], t.Buffer(
+                    jb.ep, jb.state + 1, jb.queue + (msg,)))
+    return RunState(state.restricted, tuple(new_nodes), state.fresh)
 
 
 def redex_payload(state: RunState, r: Redex) -> Optional[str]:
     """Rendered payload carried by the step (for traces)."""
+    if r.rule in ("Sel", "Bra"):
+        return r.detail[0]
     facts = _node_facts(state.nodes[r.sender])
-    head, _ = facts.alts[r.alt]
-    bufs = facts.bufs
-    match r.rule:
-        case "Bcast" | "Ucast":
-            return render_value(v.eval_expr(head.expr, {}))
-        case "Sel" | "Bra":
-            return r.detail[0]
-        case "Rcv":
-            return render_msg(bufs[head.chan].queue[0])
-        case "Gthr":
-            b = bufs[head.chan]
-            return render_value(gather_values(b.queue, b.state))
-        case "Rec":
-            return render_value(v.eval_expr(head.default, {}))
-    return None
+    value = _moved_value(r.rule, facts.alts[r.alt][0], facts.bufs)
+    return None if value is None else render_value(value)
 
 
 # ------------------------------------------------------------- scheduler

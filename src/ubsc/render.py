@@ -117,20 +117,6 @@ def render_type(ty: st.SessionType) -> str:
     raise TypeError(f"not a session type: {ty!r}")
 
 
-def render_buffer_type(m: st.BufferType) -> str:
-    if not m:
-        return "eps"
-    parts = []
-    for item in m:
-        if isinstance(item, st.OutItem):
-            parts.append(f"!{render_base(item.beta)}")
-        elif isinstance(item, st.SelItem):
-            parts.append(f"+{item.label}")
-        else:
-            parts.append("~")
-    return ".".join(parts)
-
-
 def render_chan(ch: t.Chan) -> str:
     name = ch.session if isinstance(ch, t.Endpoint) else ch.name
     return ("*" if ch.aggr else "") + name

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import sestypes as st
 from . import terms as t
 from . import values as v
-from .render import render_network, render_type
+from .render import render_chan, render_network, render_type
 
 
 class UBSCSyntaxError(Exception):
@@ -447,7 +447,7 @@ class _Parser:
             if not arms and not saw_default:
                 self.fail("empty branch")
             return t.Branch(ch, tuple(arms), default_arm)
-        self.fail(f"expected a session prefix after {render_chanref(ch)}")
+        self.fail(f"expected a session prefix after {render_chan(ch)}")
 
     def callarg(self, chanvars: frozenset):
         if self.at("*"):
@@ -544,11 +544,6 @@ class _Parser:
                 return v.Builtin(tok.text, tuple(args))
             return v.Var(tok.text)
         self.fail(f"expected an expression, found {tok.text!r}", tok)
-
-
-def render_chanref(ch: t.Chan) -> str:
-    name = ch.session if isinstance(ch, t.Endpoint) else ch.name
-    return ("*" if ch.aggr else "") + name
 
 
 # ------------------------------------------------------------------ call-arg

@@ -94,9 +94,6 @@ class Branch:
     arms: tuple  # ((label, Process), ...) labels pairwise distinct
     default_arm: "Process"
 
-    def arm_labels(self):
-        return [l for l, _ in self.arms]
-
 
 @dataclass(frozen=True)
 class Sum:

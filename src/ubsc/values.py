@@ -603,12 +603,6 @@ def type_expr(vars_ctx: dict, e: Expr) -> BaseType:
     raise ExprTypeError(f"cannot type {e!r}")
 
 
-def check_expr(vars_ctx: dict, e: Expr, expected: BaseType) -> None:
-    t = type_expr(vars_ctx, e)
-    if not base_compatible(expected, t):
-        raise ExprTypeError(f"expected {expected!r}, got {t!r}")
-
-
 install_cached_hash(UnitV, EpsV, IntV, BoolV, StrV, PairV, SetV,
                     UnitT, IntT, BoolT, StrT, PairT, SetT, AnyT,
                     Lit, Var, BinOp, TupleE, SetE, Builtin)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import ubsc
 from ubsc.cli import main, parse_declared
 from ubsc.corpus import corpus_dir
 from ubsc.terms import Endpoint
@@ -143,25 +144,42 @@ def test_stepper_undo(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child finds the package where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(ubsc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "ubsc.cli", "check",
                           corpus("heartbeat_runtime1.ubsc")],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
 
 
+REPLAY_INPUTS = {
+    "empty trace": "",
+    "trace header without fields": "{}\n",
+    "trace loss rate above 1":
+        '{"seed": 0, "loss_rate": 3, "recovery_bias": 0.2, "max_steps": 5}\n',
+    "script step without rule": '[{"sender": 0}]',
+    "script step not an object": "[1]",
+}
+
+
 @pytest.mark.parametrize("case", ["missing file", "empty trace", "sweep without range",
-                                  "sweep bound not a number", "loss rate above 1"])
+                                  "sweep bound not a number", "loss rate above 1",
+                                  "trace header without fields", "trace loss rate above 1",
+                                  "script step without rule", "script step not an object",
+                                  "negative max steps"])
 def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
+    replay_input = tmp_path / "replay.json"
+    replay_input.write_text(REPLAY_INPUTS.get(case, ""))
     prog = corpus("heartbeat_simple.ubsc")
     argv = {
         "missing file": ["check", str(tmp_path / "missing.ubsc")],
-        "empty trace": ["replay", prog, str(empty)],
         "sweep without range": ["run", prog, "--sweep", "5"],
         "sweep bound not a number": ["run", prog, "--sweep", "5..x"],
         "loss rate above 1": ["run", prog, "--loss-rate", "2"],
-    }[case]
+        "negative max steps": ["run", prog, "--max-steps", "-3"],
+    }.get(case, ["replay", prog, str(replay_input)])
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
