@@ -251,6 +251,25 @@ def cmd_replay(args, prog) -> int:
     return 0
 
 
+def _ask_receivers(r: eng.Redex) -> tuple:
+    """The receivers of ``r`` chosen at the prompt, asked again after a line
+    that is not all, none or ids of the eligible family."""
+    while True:
+        try:
+            sub = input(f"receivers {list(r.receivers)} (all/none/ids)> ").strip()
+        except EOFError:
+            return r.receivers
+        if sub in ("", "all", "none"):
+            return () if sub == "none" else r.receivers
+        try:
+            chosen = tuple(int(x) for x in sub.replace(",", " ").split())
+        except ValueError:
+            chosen = None
+        if chosen is not None and set(chosen) <= set(r.receivers):
+            return chosen
+        print(f"not all, none or ids of receivers {list(r.receivers)}: {sub}")
+
+
 def cmd_step(args, prog) -> int:
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     history = []
@@ -281,20 +300,15 @@ def cmd_step(args, prog) -> int:
             continue
         try:
             idx = int(line)
+            if idx < 0:
+                raise IndexError(idx)
             r = redexes[idx]
         except (ValueError, IndexError):
             print("invalid index")
             continue
         chosen = r.receivers
         if r.rule in eng.BROADCAST_RULES and r.receivers:
-            try:
-                sub = input(f"receivers {list(r.receivers)} (all/none/ids)> ").strip()
-            except EOFError:
-                sub = "all"
-            if sub == "none":
-                chosen = ()
-            elif sub and sub != "all":
-                chosen = tuple(int(x) for x in sub.replace(",", " ").split())
+            chosen = _ask_receivers(r)
         history.append(state)
         entry = {"rule": r.rule, "sender": r.sender, "session": r.session,
                  "receivers": list(chosen)}

@@ -18,7 +18,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from typing import Callable, NamedTuple, Optional
 
 from . import terms as t
@@ -358,13 +358,26 @@ def _node_names(node: t.NetworkNode) -> frozenset:
     return names.union(_buffer_parts(node)[0])
 
 
-@lru_cache(maxsize=2048)
-def _name_orders(node: t.NetworkNode) -> tuple:
-    """The node's names sorted, and in the order the canonical assignment of
-    restricted names meets them: its buffers' sessions sorted, then the
-    rest sorted."""
-    names = sorted(_node_names(node))
-    return tuple(names), tuple(dict.fromkeys(sorted(set(_buffer_parts(node)[0])) + names))
+class _NodeDigest:
+    """What digesting reads from one node, kept on it as :func:`_node_facts`
+    is: its ``names``, ``sorted`` and in the order the canonical assignment
+    ``meets`` them (buffer sessions sorted, then the rest sorted); its
+    ``masked`` text, valid while its names outside the restricted set are
+    ``free``; and its renamed ``text``, valid under the ``assigned`` map."""
+
+    __slots__ = ("names", "sorted", "meets", "free", "masked", "assigned", "text")
+
+    def __init__(self, names: frozenset, ordered: tuple, meets: tuple):
+        self.names, self.sorted, self.meets = names, ordered, meets
+        self.free = self.assigned = None
+
+
+@v.memo_on_term
+def _node_digest(node: t.NetworkNode) -> _NodeDigest:
+    names = _node_names(node)
+    ordered = tuple(sorted(names))
+    meets = tuple(dict.fromkeys([*sorted(set(_buffer_parts(node)[0])), *ordered]))
+    return _NodeDigest(names, ordered, meets)
 
 
 def _fill(text: str, ren: dict) -> str:
@@ -425,38 +438,43 @@ def canonical_text(restricted, nodes) -> str:
             if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
     if not kept:
         kept = [t.NetworkNode(t.Inact(), ())]
-    live = frozenset().union(*[_node_names(nd) for nd in kept])
-    rset = frozenset(restricted) & live
-    # each node with its restricted names, sorted: what both renamings touch
-    named = [(nd, [s for s in _name_orders(nd)[0] if s in rset]) for nd in kept]
-    keys = [_node_render(nd, tuple(zip(rn, repeat("?")))) for nd, rn in named]
+    recs = list(map(_node_digest, kept))
+    rset = frozenset(restricted).intersection(frozenset().union(*[f.names for f in recs]))
+    for nd, f in zip(kept, recs):  # each node masked: its restricted names as "?"
+        if f.free != (free := tuple(filterfalse(rset.__contains__, f.sorted))):
+            mask = tuple(zip(filter(rset.__contains__, f.sorted), repeat("?")))
+            f.free, f.masked = free, _node_render(nd, mask)
+    keys = [f.masked for f in recs]
     if len(set(keys)) < len(keys):  # ties under the mask fall to the plain text
-        keys = [(k, _node_render(nd, ())) for k, (nd, _) in zip(keys, named)]
-    order = [ndr for _, ndr in sorted(zip(keys, named), key=lambda kn: kn[0])]
-    texts: list = []
+        keys = [(k, _node_render(nd, ())) for k, nd in zip(keys, kept)]
+    order = [(kept[i], recs[i]) for i in sorted(range(len(keys)), key=keys.__getitem__)]
     for _ in range(4):
-        met = dict.fromkeys(chain.from_iterable(_name_orders(nd)[1] for nd, _ in order))
-        met = [s for s in met if s in rset]
-        rnames, binders = _r_names(len(met))
-        assigned = dict(zip(met, rnames))
-        texts = [_node_render(nd, tuple([(s, assigned[s]) for s in rn])) for nd, rn in order]
-        perm = sorted(range(len(order)), key=lambda i: texts[i])
-        if perm == list(range(len(order))):
+        met = dict.fromkeys(chain.from_iterable([f.meets for _, f in order]))
+        assigned, binders = _assignment(tuple(filter(rset.__contains__, met)))
+        texts = [f.text if f.assigned is assigned else _renamed(nd, f, assigned)
+                 for nd, f in order]
+        if (ranked := sorted(texts)) == texts:
             break
-        order = [order[i] for i in perm]
-    texts.sort()
-    body = " || ".join(texts)
-    if binders and len(texts) > 1:
-        body = f"({body})"
-    return binders + body
+        order = [order[i] for i in sorted(range(len(order)), key=texts.__getitem__)]
+    body = " || ".join(ranked)
+    return binders + (f"({body})" if binders and len(ranked) > 1 else body)
+
+
+def _renamed(node: t.NetworkNode, f: _NodeDigest, assigned: dict) -> str:
+    """The node's text under ``assigned``, kept on its record ``f``."""
+    rn = list(filter(assigned.__contains__, f.sorted))
+    f.assigned, f.text = assigned, _node_render(node, tuple(zip(rn, map(assigned.__getitem__, rn))))
+    return f.text
 
 
 @lru_cache(maxsize=8)
-def _r_names(n: int) -> tuple:
-    """The canonical restricted names r0 ... r<n-1>, and their binders as
-    text.  Successive states mostly restrict as many names."""
-    names = tuple(f"r{i}" for i in range(n))
-    return names, "".join(f"new {nm}. " for nm in names)
+def _assignment(met: tuple) -> tuple:
+    """The canonical names r0 ... of the restricted names ``met`` in the
+    order met, and their binders as text.  One shared map per order, so a
+    node's text rendered under it is reused while states meet their names
+    in the same order."""
+    names = [f"r{i}" for i in range(len(met))]
+    return dict(zip(met, names)), "".join(f"new {nm}. " for nm in names)
 
 
 def canonical_render(n: t.Network) -> str:
@@ -870,7 +888,9 @@ def resolve_script_step(state: RunState, spec: dict) -> tuple:
         raise EngineError(f"no enabled redex matches {spec}")
     if len(cands) > 1 and "index" not in spec:
         raise EngineError(f"ambiguous script step {spec}: {len(cands)} matches")
-    r = cands[spec.get("index", 0)]
+    if not 0 <= (i := spec.get("index", 0)) < len(cands):
+        raise EngineError(f"script step {spec}: index {i} outside [0, {len(cands)})")
+    r = cands[i]
     chosen = tuple(spec["receivers"]) if "receivers" in spec else r.receivers
     return r, chosen
 

@@ -143,15 +143,48 @@ def test_stepper_undo(capsys, monkeypatch):
     assert rc == 0
 
 
-def test_console_entry_point():
-    # the child finds the package where this process did, installed or not
+def _run_module(module, args, stdin_text=None):
+    """``python -m module args`` in a child process, which finds the
+    package where this process did, installed or not."""
     src = os.path.dirname(os.path.dirname(ubsc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "ubsc.cli", "check",
-                          corpus("heartbeat_runtime1.ubsc")],
-                         capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", module, *args], input=stdin_text,
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    out = _run_module("ubsc.cli", ["check", corpus("heartbeat_runtime1.ubsc")])
     assert out.returncode == 0
+    # ``python -m ubsc`` runs the same command line
+    out = _run_module("ubsc", ["check", corpus("heartbeat_simple.ubsc")])
+    assert out.returncode == 0 and "Ok" in out.stdout
+
+
+def test_stepper_asks_again_on_bad_input():
+    """A negative choice, and a receivers line that is not all, none or ids
+    or names a node outside the eligible family, get one line and the
+    prompt again."""
+    out = _run_module("ubsc", ["step", corpus("heartbeat_simple.ubsc")],
+                      "-1\n0\nabc\n7\n1\nq\n")
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    assert "invalid index" in out.stdout and "applied Rec" not in out.stdout
+    assert "not all, none or ids of receivers [1, 2]: abc" in out.stdout
+    assert "not all, none or ids of receivers [1, 2]: 7" in out.stdout
+    assert out.stdout.count("(all/none/ids)>") == 3
+    assert "applied Bcast" in out.stdout and 's~1:["hbt"]' in out.stdout
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_replay_script_index_out_of_range(index, tmp_path, capsys):
+    """A script step's ``index`` outside the matches fails the replay with
+    one line; -1 does not pick the last match."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"rule": "Bcast", "index": index}]))
+    rc = main(["replay", corpus("heartbeat_simple.ubsc"), str(script)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1 and len(lines) == 1
+    assert "replay failed" in lines[0] and f"index {index} outside [0, 1)" in lines[0]
 
 
 REPLAY_INPUTS = {

@@ -19,7 +19,7 @@ import canon_oracle as oracle
 from conftest import generate_program
 from ubsc import corpus as cp
 from ubsc import engine as eng
-from ubsc import render, terms as t, values as v
+from ubsc import render, safety as sf, terms as t, values as v
 from ubsc.syntax import parse, parse_network
 
 CORPUS = sorted(os.path.basename(f) for f in glob.glob(os.path.join(cp.corpus_dir(), "*.ubsc")))
@@ -102,6 +102,68 @@ def test_long_paxos_run_matches_oracle():
     states = _reached("paxos5.ubsc", 26508, 400)
     for state in states[::7]:
         _assert_matches_oracle(state)
+
+
+@pytest.mark.parametrize("name", ["paxos3.ubsc", "paxos5.ubsc"])
+def test_bfs_visited_states_match_oracle(name, monkeypatch):
+    """Every state the progress and recovery searches digest, from states
+    the scheduler reaches: the text made in flight, with the node records
+    left by the states digested before it, is the oracle's."""
+    made = []
+    digest = eng.RunState.digest
+
+    def recording(state):
+        made.append((state, eng.canonical_text(state.restricted, state.nodes)))
+        return digest(state)
+
+    monkeypatch.setattr(eng.RunState, "digest", recording)
+    for seed in (0, 1):
+        for state in _reached(name, seed, 60):
+            for sess, c in sf.progress_shape_sessions(state):
+                sf.session_progress_search(state, sess, c)
+            for sess, c in sf.recovery_shape_sessions(state):
+                sf.session_recovery_search(state, sess, c)
+    assert len(made) > 500
+    for state, text in made:
+        assert text == oracle.canonical_text(state.restricted, state.nodes)
+
+
+def test_node_records_follow_the_restricted_set():
+    """The same node objects digested under two restricted sets, with other
+    states digested in between: each text is the oracle's, so a record's
+    masked and renamed texts are not reused once what they were rendered
+    under has changed."""
+    states = _reached("paxos5.ubsc", 4, 120)
+    state, other = states[-1], states[-3]
+    live = [r for r in state.restricted if any(r in eng._node_names(nd) for nd in state.nodes)]
+    fewer = tuple(live[1::2])
+    shared = set(map(id, state.nodes)) & set(map(id, other.nodes))
+    assert len(live) >= 4 and shared
+    # the node order under the mask picks which of two stable assignments
+    # the fixpoint keeps: restricting u alone puts b first, s and u a first
+    a = parse_network("[ s!<1>. u!<2>. 0 | s~0:[] ]")
+    b = parse_network("[ u!<1>. s!<3>. 0 | u~0:[] ]")
+    for restricted in (("u",), ("s", "u"), ("s",), ("s", "u")):
+        assert (eng.canonical_text(restricted, (a, b))
+                == oracle.canonical_text(restricted, (a, b)))
+    for restricted, nodes in [(state.restricted, state.nodes), (fewer, state.nodes),
+                              (other.restricted, other.nodes), (state.restricted, state.nodes),
+                              (other.restricted, other.nodes), (fewer, state.nodes),
+                              (fewer, other.nodes), (state.restricted, state.nodes)]:
+        assert (eng.canonical_text(restricted, nodes)
+                == oracle.canonical_text(restricted, nodes))
+
+
+def test_redigest_renders_no_node():
+    """Digesting a state again under the same assignment reuses every
+    node's text: no ``_node_render`` lookup, hit or miss."""
+    for name in ("paxos3.ubsc", "paxos5.ubsc"):
+        for state in _reached(name, 2, 80):
+            first = state.digest()
+            info = eng._node_render.cache_info()
+            assert state.digest() == first
+            again = eng._node_render.cache_info()
+            assert again.hits + again.misses == info.hits + info.misses
 
 
 def _fresh_caches():
