@@ -700,67 +700,49 @@ def _type_node_body(gamma: Gamma, node: t.NetworkNode, idx: int, where: str,
         raise TypeFail("TNode", "process uses sessions without buffers: "
                        + ", ".join(sorted(render_chan(c) for c in missing)), where)
 
-    # per-endpoint candidate process types
-    cand_lists = []
+    # per-endpoint candidate process types; None asks for synthesis
     eps = sorted(theta, key=lambda e: (e.session, e.aggr))
-    synth_needed = []
+    cand_lists = []
     for ep in eps:
         _, c_comb, m = theta[ep]
         pos = max(c_comb - len(m), 0)
         cands = _candidate_start_types(ep, pos, protocols, declared, derived)
-        if cands is None:
-            synth_needed.append(ep)
-            cand_lists.append(None)
-        else:
-            if not cands:
-                raise TypeFail("TNode", f"no protocol position {pos} for "
-                                        f"{render_chan(ep)}", where)
-            cand_lists.append(cands)
+        if cands == []:
+            raise TypeFail("TNode", f"no protocol position {pos} for "
+                                    f"{render_chan(ep)}", where)
+        cand_lists.append(cands)
 
-    synth_ctx = None
-    if synth_needed:
+    if None in cand_lists:
         try:
             synth_ctx = synth_process(gamma, node.process)
         except _SynthFail as e:
             raise TypeFail("TNode", str(e), where)
-        for ch in synth_ctx:
-            if isinstance(ch, t.ChanVar):
-                raise TypeFail("TNode", f"free channel variable {render_chan(ch)}",
-                               where)
-    for i, ep in enumerate(eps):
-        if cand_lists[i] is None:
-            cand_lists[i] = [synth_ctx.get(ep, st.END)]
-
-    last_err = None
-    for combo in itertools.product(*cand_lists) if eps else [()]:
-        delta_p = {ep: ty for ep, ty in zip(eps, combo)}
+        cand_lists = [c or [synth_ctx.get(ep, st.END)] for ep, c in zip(eps, cand_lists)]
+    # An endpoint's buffer check reads it alone, and SWk admits only end for
+    # an endpoint the process does not use: filter each list on its own, so
+    # that the product ranges over the used endpoints only.
+    kept = []
+    for ep, cands in zip(eps, cand_lists):
+        fits = [ty for ty in cands if st.combine(ty, theta[ep][2]) is not None]
+        kept.append(fits if ep in fchans else [ty for ty in fits if _is_end(ty)][:1])
+    for combo in itertools.product(*kept):
+        delta_p = dict(zip(eps, combo))
         sub_trace: list = []
-        res = type_process(gamma, delta_p, node.process, sub_trace)
-        if not res.ok:
-            last_err = res.error
-            continue
-        ctx = {}
-        ok = True
-        for ep in eps:
-            _, c_comb, m = theta[ep]
-            combined = st.combine(delta_p[ep], m)
-            if combined is None:
-                ok = False
-                last_err = TypeFail(
-                    "TNode",
-                    f"buffer of {render_chan(ep)} does not match "
-                    f"{render_type(delta_p[ep])}", where)
-                break
-            ctx[ep] = (c_comb, combined)
-        if not ok:
-            continue
-        trace.extend(sub_trace)
-        trace.append(RuleApp("TNode", where,
-                             judgment=render_stated_context(ctx)))
-        return ctx
-    if last_err is not None:
-        raise TypeFail(last_err.rule, last_err.reason, last_err.where or where)
-    raise TypeFail("TNode", "no admissible typing", where)
+        if type_process(gamma, delta_p, node.process, sub_trace).ok:
+            ctx = {ep: (theta[ep][1], st.combine(ty, theta[ep][2]))
+                   for ep, ty in delta_p.items()}
+            trace.extend(sub_trace)
+            trace.append(RuleApp("TNode", where,
+                                 judgment=render_stated_context(ctx)))
+            return ctx
+    # no tuple is admissible: report why the last tuple of the whole product fails
+    last = {ep: cands[-1] for ep, cands in zip(eps, cand_lists)}
+    err = type_process(gamma, last, node.process).error
+    if err is None:
+        ep = next(ep for ep in eps if st.combine(last[ep], theta[ep][2]) is None)
+        err = TypeFail("TNode", f"buffer of {render_chan(ep)} does not match "
+                                f"{render_type(last[ep])}")
+    raise TypeFail(err.rule, err.reason, err.where or where)
 
 
 def _merge_contexts(node_ctxs: list, declared: dict, pin: dict,

@@ -73,6 +73,14 @@ def _fail(msg: str) -> int:
     return 2
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written, or None; an existing file keeps its content."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as e:
+        return f"cannot write {path}: {e.strerror}"
+
+
 def _gamma(prog) -> ck.Gamma:
     return ck.Gamma(shared=prog.shared_types())
 
@@ -130,20 +138,28 @@ def cmd_run(args, prog) -> int:
         if m is None:
             return _fail(f"run: --sweep expects a seed range a..b, got {args.sweep!r}")
         seeds = list(range(int(m[1]), int(m[2]) + 1))
+        if not seeds:
+            return _fail(f"run: --sweep range {args.sweep!r} is empty")
     try:
         cfgs = [eng.SchedulerConfig(seed=seed, loss_rate=args.loss_rate,
                                     recovery_bias=args.recovery_bias,
                                     max_steps=args.max_steps) for seed in seeds]
     except ValueError:
         return _fail("run: --loss-rate and --recovery-bias must lie in [0, 1]")
+    # every output file is tried before any run, so that no run is lost to it
+    paths = [args.trace and (f"{args.trace}.{c.seed}" if len(cfgs) > 1 else args.trace)
+             for c in cfgs]
+    for path in filter(None, paths):
+        if err := _unwritable(path):
+            return _fail(f"run: {err}")
     exit_code = 0
-    for cfg in cfgs:
-        code = _run_one(prog, args, cfg, sweeping=len(cfgs) > 1)
+    for cfg, path in zip(cfgs, paths):
+        code = _run_one(prog, args, cfg, path, sweeping=len(cfgs) > 1)
         exit_code = exit_code or code
     return exit_code
 
 
-def _run_one(prog, args, cfg: eng.SchedulerConfig, sweeping: bool) -> int:
+def _run_one(prog, args, cfg: eng.SchedulerConfig, path, sweeping: bool) -> int:
     net = prog.network
     gamma = _gamma(prog)
     if args.check:
@@ -161,8 +177,7 @@ def _run_one(prog, args, cfg: eng.SchedulerConfig, sweeping: bool) -> int:
 
     trace = eng.run_scheduler(net, cfg, on_step=on_step,
                               networks=args.trace_networks)
-    if args.trace:
-        path = args.trace if not sweeping else f"{args.trace}.{cfg.seed}"
+    if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(trace.to_jsonl())
     hist = Counter(s.rule for s in trace.steps)
@@ -271,6 +286,8 @@ def _ask_receivers(r: eng.Redex) -> tuple:
 
 
 def cmd_step(args, prog) -> int:
+    if args.script and (err := _unwritable(args.script)):
+        return _fail(f"step: {err}")
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     history = []
     script = []
@@ -358,7 +375,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("step", help="interactive stepper")
     p.add_argument("file")
-    p.add_argument("--script", help="append accepted choices to this file")
+    p.add_argument("--script", help="write accepted choices to this file")
     p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("encode-recovery",

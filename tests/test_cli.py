@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -201,18 +202,25 @@ REPLAY_INPUTS = {
                                   "sweep bound not a number", "loss rate above 1",
                                   "trace header without fields", "trace loss rate above 1",
                                   "script step without rule", "script step not an object",
-                                  "negative max steps"])
-def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys):
+                                  "negative max steps", "empty sweep range",
+                                  "trace in a missing directory",
+                                  "script in a missing directory"])
+def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys, monkeypatch):
     replay_input = tmp_path / "replay.json"
     replay_input.write_text(REPLAY_INPUTS.get(case, ""))
     prog = corpus("heartbeat_simple.ubsc")
+    missing = tmp_path / "missing"
     argv = {
         "missing file": ["check", str(tmp_path / "missing.ubsc")],
         "sweep without range": ["run", prog, "--sweep", "5"],
         "sweep bound not a number": ["run", prog, "--sweep", "5..x"],
         "loss rate above 1": ["run", prog, "--loss-rate", "2"],
         "negative max steps": ["run", prog, "--max-steps", "-3"],
+        "empty sweep range": ["run", prog, "--sweep", "5..3"],
+        "trace in a missing directory": ["run", prog, "--trace", str(missing / "x")],
+        "script in a missing directory": ["step", prog, "--script", str(missing / "s.json")],
     }.get(case, ["replay", prog, str(replay_input)])
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0\n\nq\n"))  # one step, then quit
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2

@@ -1,0 +1,165 @@
+"""Node typing against the candidate product it replaced.
+
+``type_oracle`` holds the earlier ``checker._type_node_body`` verbatim,
+which runs ``type_process`` over every combination of the endpoints'
+candidate types.  The checker now filters each endpoint's candidates on its
+own and takes the product over the used endpoints only.  On scheduler-reached
+states of the criterion-4 families, of generated programs and of a long
+paxos5 run, each typed under its own protocol map, the paxos one and none,
+``type_network`` must give the same verdict, contexts, trace and error under
+both bodies.  The second half bounds the ``type_process`` calls per node."""
+
+import pytest
+
+import type_oracle as oracle
+from conftest import generate_program
+from test_type_memo import DECLARED_CASES, FAMILIES, P3_T, _fields, _fixed, _runs
+from ubsc import checker as ck
+from ubsc import corpus as cp
+from ubsc import sestypes as st
+from ubsc.syntax import parse, parse_network, parse_type
+
+PAXOS = _fixed(P3_T)
+
+
+def _with_body(body, *args, **kwargs):
+    """``type_network`` with every node typed by ``body``, outside the memo."""
+    def type_node(gamma, node, idx, declared, protocols, derived, trace):
+        where = f"node#{idx}" + (f" (line {node.pos})" if node.pos else "")
+        return body(gamma, node, idx, where, declared, protocols, derived, trace)
+
+    saved = ck._type_node
+    ck._type_node = type_node
+    try:
+        return ck.type_network(*args, **kwargs)
+    finally:
+        ck._type_node = saved
+
+
+def _assert_same(gamma, net, **kwargs) -> bool:
+    new = _with_body(ck._type_node_body, gamma, net, **kwargs)
+    assert _fields(new) == _fields(_with_body(oracle._type_node_body, gamma, net, **kwargs))
+    return new.ok
+
+
+def _check_states(prog, states, protocol_of) -> list:
+    """The verdicts of every state under its own protocols, the paxos ones
+    and none, each checked against the oracle."""
+    g = ck.Gamma(shared=prog.shared_types())
+    return [_assert_same(g, state.to_network(), protocols=protos)
+            for state in states
+            for protos in (protocol_of(state), PAXOS(state), None)]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+def test_node_typing_matches_oracle_on_corpus_runs(family):
+    fname, seeds, steps, loss, bias, protocol_of = family
+    prog = cp.load_program(fname)
+    assert True in _check_states(prog, _runs(prog, seeds, steps, loss, bias), protocol_of)
+
+
+def test_node_typing_matches_oracle_on_generated_programs():
+    verdicts = []
+    for gseed in range(8):
+        prog = parse(generate_program(gseed))
+        T = prog.shared_types()["a"]
+        verdicts += _check_states(
+            prog, _runs(prog, range(2), 25, 0.3, 0.25),
+            lambda state, T=T: {**{s: T for s in state.restricted}, "a": T})
+    assert True in verdicts and False in verdicts
+
+
+def test_node_typing_matches_oracle_on_written_networks():
+    assert {_assert_same(ck.Gamma(), parse_network(text), declared=d)
+            for text, contexts in DECLARED_CASES for d in contexts} == {True, False}
+    # no candidate types the process, and the last, ?str.end, does not fit
+    # the buffer: the error is still the one ?str.end gives
+    assert not _assert_same(ck.Gamma(), parse_network("[ s?(x) def true. 0 | s~2:[7] ]"),
+                            protocols={"s": parse_type("&{l1: ?int.end, l2: ?str.end}")})
+
+
+def _paxos5_states(stops):
+    """The states of paxos5 under seed 26508 (loss 0.3, bias 0.2) after
+    each step count in ``stops``."""
+    prog = cp.load_program("paxos5.ubsc")
+    states = list(_runs(prog, [26508], max(stops), 0.3, 0.2))
+    return prog, [states[i] for i in stops]
+
+
+def test_node_typing_matches_oracle_on_long_paxos5_run():
+    """Every 10th state up to step 350, where a finished session's endpoint
+    gives the oracle two candidates and the product reaches 2048 per node."""
+    prog, states = _paxos5_states(range(0, 351, 10))
+    g = ck.Gamma(shared=prog.shared_types())
+    assert all(_assert_same(g, s.to_network(), protocols=PAXOS(s)) for s in states)
+
+
+# ------------------------------------------------------------------ bound
+
+def _count_calls(monkeypatch) -> list:
+    calls = [0]
+    real = ck.type_process
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ck, "type_process", counting)
+    return calls
+
+
+def _filtered_product(gamma, node, declared, protocols, derived) -> int:
+    """The product over the endpoints the process uses of the candidate
+    types each one's buffer admits; a synthesised type counts as one."""
+    theta = ck._node_theta(gamma, node, 0)
+    n = 1
+    for ep in ck._free_chans(node.process):
+        _, c, m = theta[ep]
+        cands = ck._candidate_start_types(ep, max(c - len(m), 0), protocols, declared,
+                                          derived)
+        n *= 1 if cands is None else sum(st.combine(ty, m) is not None for ty in cands)
+    return n
+
+
+def test_type_process_calls_are_bounded_per_node(monkeypatch):
+    """A node that types makes at most one ``type_process`` call per tuple of
+    the product over its used endpoints' filtered candidates; one that fails
+    makes one more, which finds the error of the last tuple of the whole
+    product."""
+    calls = _count_calls(monkeypatch)
+    seen = []
+
+    def type_node(gamma, node, idx, declared, protocols, derived, trace):
+        bound, before = _filtered_product(gamma, node, declared, protocols, derived), calls[0]
+        try:
+            ctx = ck._type_node_body(gamma, node, idx, "", declared, protocols, derived,
+                                     trace)
+        except ck.TypeFail:
+            assert calls[0] - before <= bound + 1
+            seen.append(False)
+            raise
+        assert calls[0] - before <= bound
+        seen.append(True)
+        return ctx
+
+    monkeypatch.setattr(ck, "_type_node", type_node)
+    for fname, seeds, steps, loss, bias, protocol_of in FAMILIES:
+        prog = cp.load_program(fname)
+        g = ck.Gamma(shared=prog.shared_types())
+        for state in _runs(prog, seeds, steps, loss, bias):
+            for protos in (protocol_of(state), PAXOS(state), None):
+                ck.type_network(g, state.to_network(), protocols=protos)
+    assert True in seen and False in seen
+
+
+def test_long_paxos5_run_types_each_node_once(monkeypatch):
+    """Cold, the step-350 state makes one ``type_process`` call per node,
+    where the oracle made 9,472 in all, and the step-1500 state types."""
+    prog, (at350, at1500) = _paxos5_states([350, 1500])
+    g = ck.Gamma(shared=prog.shared_types())
+    calls = _count_calls(monkeypatch)
+    ck._node_typing.cache_clear()
+    assert ck.type_network(g, at350.to_network(), protocols=PAXOS(at350)).ok
+    assert calls[0] == len(at350.nodes)
+    ck._node_typing.cache_clear()
+    assert ck.type_network(g, at1500.to_network(), protocols=PAXOS(at1500)).ok
