@@ -40,11 +40,15 @@ def parse_declared(text: str, type_decls=None) -> dict:
     p.type_decls = dict(type_decls or {})
     out = {}
     while True:
+        start = p.peek()
         aggr = False
         if p.at("*"):
             p.next()
             aggr = True
         name = p.name()
+        ep = t.Endpoint(name, aggr)
+        if ep in out:
+            p.fail(f"endpoint {'*' if aggr else ''}{name} declared twice", start)
         p.expect(":")
         p.expect("(")
         ctok = p.next()
@@ -53,7 +57,7 @@ def parse_declared(text: str, type_decls=None) -> dict:
         p.expect(",")
         ty = p.stype(frozenset())
         p.expect(")")
-        out[t.Endpoint(name, aggr)] = (int(ctok.text), ty)
+        out[ep] = (int(ctok.text), ty)
         if p.at(","):
             p.next()
             continue

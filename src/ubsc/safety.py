@@ -4,6 +4,10 @@ networks, and the bounded progress/recovery searches.
 Error detection is syntactic on the congruence normal form, peeking through
 definition wrappers (one bounded unfolding) so prefix shapes hidden under a
 definition are found.  Sum-headed processes match no prefix shape.
+
+The progress and recovery searches share one breadth-first search that uses
+sleep sets to apply two independent redexes (disjoint footprints) in one
+order only; it returns the schedule the search without them returns.
 """
 
 from __future__ import annotations
@@ -233,31 +237,47 @@ def recovery_shape_sessions(state: eng.RunState) -> list:
 def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
     """Breadth-first search over full-delivery reductions restricted to
     ``allowed`` rules; returns the schedule reaching ``target`` or None.
-    ``cap`` bounds the number of explored states."""
+    ``cap`` bounds the number of explored states.
+
+    Two independent redexes (disjoint :func:`engine.redex_footprint`) are
+    applied in one order only, by sleep sets (Godefroid, LNCS 1032).  A
+    queued state's sleep set holds the redexes its parents had explored, or
+    slept on, independent of the redex reaching it; they are skipped.  Each
+    skipped successor is already in ``seen``: the other order reached it
+    from a state queued earlier.  So the search returns the schedule the
+    full search returns."""
     start = state.digest()
     seen = {start}
-    queue = deque([(state, [])])
+    sleep = {start: {}}  # queued state's digest -> its sleep set {redex: footprint}
+    queue = deque([(state, [], start)])
     while queue:
         if len(seen) > cap:
             return None
-        cur, path = queue.popleft()
+        cur, path, key = queue.popleft()
+        done = sleep.pop(key)  # slept on or explored here -> footprint
         if len(path) >= bound:
             continue
         for r in eng.enabled_redexes(cur):
-            if not allowed(r):
+            if r in done or not allowed(r):
                 continue
             try:
                 nxt = eng.apply_redex(cur, r)
             except eng.EngineError:
                 continue
+            fp = eng.redex_footprint(cur, r)
+            asleep = {u: m for u, m in done.items() if not m & fp}
+            done[r] = fp
             d = nxt.digest()
             if d in seen:
+                if d in sleep:  # still queued: sleep only on what every way there allows
+                    sleep[d] = {u: m for u, m in sleep[d].items() if u in asleep}
                 continue
             seen.add(d)
             npath = path + [r]
             if target(nxt):
                 return npath
-            queue.append((nxt, npath))
+            sleep[d] = asleep
+            queue.append((nxt, npath, d))
     return None
 
 

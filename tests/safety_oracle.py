@@ -1,9 +1,15 @@
 """``is_error_network`` as it was before each node was peeled once per call,
 kept verbatim as a differential oracle: it peels every node once per
 session.  Only the imports are new; ``_peel``, the pair tables and
-``SafetyReport`` come from the package."""
+``SafetyReport`` come from the package.
+
+``_bfs`` is the progress and recovery search as it was before sleep sets,
+kept verbatim as a differential oracle: it applies and digests every
+allowed successor.  Only the imports are new."""
 
 from __future__ import annotations
+
+from collections import deque
 
 from ubsc import engine as eng
 from ubsc import terms as t
@@ -84,3 +90,34 @@ def is_error_network(n: t.Network) -> SafetyReport:
     if witness:
         return SafetyReport("error-network", witness, classification, violations)
     return SafetyReport("ok", None, classification, violations)
+
+
+def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
+    """Breadth-first search over full-delivery reductions restricted to
+    ``allowed`` rules; returns the schedule reaching ``target`` or None.
+    ``cap`` bounds the number of explored states."""
+    start = state.digest()
+    seen = {start}
+    queue = deque([(state, [])])
+    while queue:
+        if len(seen) > cap:
+            return None
+        cur, path = queue.popleft()
+        if len(path) >= bound:
+            continue
+        for r in eng.enabled_redexes(cur):
+            if not allowed(r):
+                continue
+            try:
+                nxt = eng.apply_redex(cur, r)
+            except eng.EngineError:
+                continue
+            d = nxt.digest()
+            if d in seen:
+                continue
+            seen.add(d)
+            npath = path + [r]
+            if target(nxt):
+                return npath
+            queue.append((nxt, npath))
+    return None

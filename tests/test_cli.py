@@ -204,7 +204,8 @@ REPLAY_INPUTS = {
                                   "script step without rule", "script step not an object",
                                   "negative max steps", "empty sweep range",
                                   "trace in a missing directory",
-                                  "script in a missing directory"])
+                                  "script in a missing directory",
+                                  "context endpoint declared twice"])
 def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys, monkeypatch):
     replay_input = tmp_path / "replay.json"
     replay_input.write_text(REPLAY_INPUTS.get(case, ""))
@@ -219,6 +220,7 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys, monkeypat
         "empty sweep range": ["run", prog, "--sweep", "5..3"],
         "trace in a missing directory": ["run", prog, "--trace", str(missing / "x")],
         "script in a missing directory": ["step", prog, "--script", str(missing / "s.json")],
+        "context endpoint declared twice": ["check", prog, "--context", "s:(1, end), s:(2, end)"],
     }.get(case, ["replay", prog, str(replay_input)])
     monkeypatch.setattr(sys, "stdin", io.StringIO("0\n\nq\n"))  # one step, then quit
     rc = main(argv)
