@@ -156,20 +156,10 @@ def corpus_programs() -> list:
 def run_case(case: GoldenCase) -> tuple:
     """Replay a case; returns (digests, mismatches) where mismatches pairs
     each expected intermediate network against the script's actual digest."""
-    prog = load_program(case.program)
-    state = eng.RunState.from_network(eng.encode_network(prog.network))
-    digests = []
-    mismatches = []
-    expected = dict((i, text) for i, text in case.expected)
-    for i, spec in enumerate(case.schedule):
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
-        d = state.digest()
-        digests.append(d)
-        if i in expected:
-            want = eng.digest(parse(expected[i]).network)
-            if want != d:
-                mismatches.append((i, want, d))
+    _, digests = eng.run_script(load_program(case.program).network, case.schedule)
+    expected = dict(case.expected)
+    mismatches = [(i, want, d) for i, d in enumerate(digests) if i in expected
+                  and (want := eng.digest(parse(expected[i]).network)) != d]
     return digests, mismatches
 
 

@@ -525,7 +525,10 @@ def _alternatives(p: t.Process) -> list:
     """Head alternatives of a process: (head, rebuild) pairs where rebuild
     reinstates the surrounding definition context around a reduced head.
     Sum alternatives discard the other summands; calls unfold through their
-    definition context."""
+    definition context.  A call that does not unfold (an unbound name, or
+    past ``_MAX_UNFOLD`` unfoldings) is a head of its own that fires
+    nothing, so a process has one alternative only when no sum lies on its
+    unfolded path."""
     out: list = []
 
     def go(p: t.Process, defs_env: tuple, rebuild: Callable, depth: int):
@@ -540,12 +543,9 @@ def _alternatives(p: t.Process) -> list:
                     return _rebuild(t.Defs(_defs, nb))
 
                 go(body, env2, rb, depth)
-            case t.Call():
-                if depth >= _MAX_UNFOLD:
-                    return
-                unfolded = t.unfold_call(p, defs_env)
-                if unfolded is not None:  # else a stuck call
-                    go(unfolded, defs_env, rebuild, depth + 1)
+            case t.Call() if depth < _MAX_UNFOLD and (
+                    unfolded := t.unfold_call(p, defs_env)) is not None:
+                go(unfolded, defs_env, rebuild, depth + 1)
             case _:
                 out.append((p, rebuild))
 
@@ -915,10 +915,10 @@ def resolve_script_step(state: RunState, spec: dict) -> tuple:
     return r, chosen
 
 
-def run_script(network: t.Network, steps: list, encode: bool = True) -> tuple:
-    """Apply an explicit schedule; returns (final state, digest per step)."""
-    net = encode_network(network) if encode else network
-    state = RunState.from_network(net)
+def run_script(network: t.Network, steps: list) -> tuple:
+    """Apply an explicit schedule to the encoded network; returns (final
+    state, digest per step)."""
+    state = RunState.from_network(encode_network(network))
     digests = []
     for spec in steps:
         r, chosen = resolve_script_step(state, spec)

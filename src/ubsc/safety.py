@@ -1,9 +1,11 @@
 """Semantic classification of networks: error networks, deadlock, simple
 networks, and the bounded progress/recovery searches.
 
-Error detection is syntactic on the congruence normal form, peeking through
-definition wrappers (one bounded unfolding) so prefix shapes hidden under a
-definition are found.  Sum-headed processes match no prefix shape.
+Error detection is syntactic on the congruence normal form.  A node's heads
+are the engine's head alternatives (:func:`engine.alternatives`), so the
+checks see the prefixes the reduction rules fire from, behind definitions
+and calls up to the engine's one unfolding bound.  A node with more than one
+alternative (a sum on its unfolded path) matches no prefix shape.
 
 The progress and recovery searches share one breadth-first search that uses
 sleep sets to apply two independent redexes (disjoint footprints) in one
@@ -56,34 +58,21 @@ class SafetyReport:
         return out
 
 
-def _peel(p: t.Process, depth: int = 4):
-    """Strip definition wrappers and unfold calls a bounded number of times,
-    returning the stable head."""
-    env: tuple = ()
-    for _ in range(depth):
-        match p:
-            case t.Defs(defs, body):
-                env = env + (defs,)
-                p = body
-            case t.Call():
-                unfolded = t.unfold_call(p, env)
-                if unfolded is None:
-                    return p
-                p = unfolded
-            case _:
-                return p
-    return p
+def _head(p: t.Process) -> Optional[t.Process]:
+    """The one head alternative of ``p``; None when it has several."""
+    alts = eng.alternatives(p)
+    return alts[0][0] if len(alts) == 1 else None
 
 
 def classify_prefix(node: t.NetworkNode, session: str):
     """Match a node against the six session-prefix shapes; None otherwise.
     Broadcast, unicast-send and select shapes require an empty own queue."""
-    return _classify(_peel(node.process), {b.ep: b for b in node.buffers}, session)
+    return _classify(_head(node.process), {b.ep: b for b in node.buffers}, session)
 
 
 def _classify(head: t.Process, bufs: dict, session: str):
-    """:func:`classify_prefix` of a node with peeled head ``head`` and
-    buffers ``bufs`` (by endpoint)."""
+    """:func:`classify_prefix` of a node with head ``head`` (None for
+    several) and buffers ``bufs`` (by endpoint)."""
     ag = t.Endpoint(session, True)
     pl = t.Endpoint(session, False)
     match head:
@@ -113,14 +102,14 @@ def _send_queue_violation(head: t.Process, bufs: dict) -> bool:
 
 def is_error_network(n: t.Network) -> SafetyReport:
     """Search all node pairs per session for an invalid pair.  A node can
-    only take part on the session of its head's endpoint, so each node is
-    peeled once and visited under that session alone."""
+    only take part on the session of its head's endpoint, so each node's
+    head is read once and visited under that session alone."""
     _, nodes = eng.normal_parts(n)
     sessions = set()
     acting: dict = {}  # session -> [(node index, head, buffers)], by index
     for i, nd in enumerate(nodes):
         sessions |= {b.ep.session for b in nd.buffers}
-        head = _peel(nd.process)
+        head = _head(nd.process)
         ch = getattr(head, "chan", None)
         if type(ch) is t.Endpoint:
             acting.setdefault(ch.session, []).append((i, head, {b.ep: b for b in nd.buffers}))
@@ -158,27 +147,15 @@ def is_error_network(n: t.Network) -> SafetyReport:
     return SafetyReport("ok", None, classification, violations)
 
 
-def _summands(p: t.Process) -> list:
-    head = _peel(p)
-    if isinstance(head, t.Sum):
-        return _summands(head.left) + _summands(head.right)
-    return [head]
-
-
 def is_deadlocked(n: t.Network) -> bool:
     """True iff the network is a parallel composition of nodes whose processes
-    are sums of accept-prefixed processes only.  A terminal network (every
-    process inactive) is not deadlocked."""
+    are sums of accept-prefixed processes only: every head alternative of a
+    non-inactive node is an accept.  A terminal network (every process
+    inactive) is not deadlocked."""
     _, nodes = eng.normal_parts(n)
-    if all(isinstance(nd.process, t.Inact) for nd in nodes):
-        return False
-    for nd in nodes:
-        if isinstance(nd.process, t.Inact):
-            continue  # vacuous summand set
-        for s in _summands(nd.process):
-            if not isinstance(s, t.Accept):
-                return False
-    return True
+    live = [nd.process for nd in nodes if not isinstance(nd.process, t.Inact)]
+    return bool(live) and all(isinstance(head, t.Accept)
+                              for p in live for head, _ in eng.alternatives(p))
 
 
 def is_simple(result: TypingResult) -> bool:
@@ -201,37 +178,35 @@ def _session_positions(state: eng.RunState, session: str):
     return ag_nodes, pl_nodes
 
 
+def _shapes(state: eng.RunState):
+    """Each session with exactly one aggregator and some plain endpoint, in
+    name order, as (session, (aggregator node, state), [(plain node,
+    state)]), from one pass over the buffers."""
+    positions: dict = {}  # session -> (aggregator positions, plain positions)
+    for i, nd in enumerate(state.nodes):
+        for b in nd.buffers:
+            positions.setdefault(b.ep.session, ([], []))[not b.ep.aggr].append((i, b.state))
+    for s in sorted(positions):
+        ag_nodes, pl_nodes = positions[s]
+        if len(ag_nodes) == 1 and pl_nodes:
+            yield s, ag_nodes[0], pl_nodes
+
+
 def progress_shape_sessions(state: eng.RunState) -> list:
     """Sessions in the progress-eligible shape: the aggregator
     node still uses the session, and every plain node holds it at the same
     state as the aggregator and still uses it."""
-    out = []
-    sessions = {b.ep.session for nd in state.nodes for b in nd.buffers}
-    for s in sorted(sessions):
-        ag_nodes, pl_nodes = _session_positions(state, s)
-        if len(ag_nodes) != 1 or not pl_nodes:
-            continue
-        (ai, c) = ag_nodes[0]
-        if s not in t.process_sessions(state.nodes[ai].process):
-            continue
-        if all(cp == c and s in t.process_sessions(state.nodes[pi].process)
-               for pi, cp in pl_nodes):
-            out.append((s, c))
-    return out
+    def uses(i, s):
+        return s in t.process_sessions(state.nodes[i].process)
+
+    return [(s, c) for s, (ai, c), pl_nodes in _shapes(state)
+            if uses(ai, s) and all(cp == c and uses(pi, s) for pi, cp in pl_nodes)]
 
 
 def recovery_shape_sessions(state: eng.RunState) -> list:
     """Sessions where every plain endpoint lags behind the aggregator."""
-    out = []
-    sessions = {b.ep.session for nd in state.nodes for b in nd.buffers}
-    for s in sorted(sessions):
-        ag_nodes, pl_nodes = _session_positions(state, s)
-        if len(ag_nodes) != 1 or not pl_nodes:
-            continue
-        (_, c) = ag_nodes[0]
-        if all(cp < c for _, cp in pl_nodes):
-            out.append((s, c))
-    return out
+    return [(s, c) for s, (_, c), pl_nodes in _shapes(state)
+            if all(cp < c for _, cp in pl_nodes)]
 
 
 def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
@@ -281,40 +256,30 @@ def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
     return None
 
 
-def session_progress_search(state: eng.RunState, session: str, c: int,
-                            bound: Optional[int] = None):
+def _all_at(session: str, c: int):
+    """Search target: the one aggregator and every plain endpoint of
+    ``session`` are at state ``c``."""
+    def target(st: eng.RunState) -> bool:
+        ag_nodes, pl_nodes = _session_positions(st, session)
+        return len(ag_nodes) == 1 and all(cp == c for _, cp in ag_nodes + pl_nodes)
+    return target
+
+
+def session_progress_search(state: eng.RunState, session: str, c: int):
     """Find a recovery-free schedule advancing the session state by one:
     the aggregator buffer reaches c+1 and every surviving plain buffer
     reaches c+1."""
-    bound = bound if bound is not None else 4 * len(state.nodes)
-
-    def allowed(r: eng.Redex) -> bool:
-        return r.rule not in eng.RECOVERY_RULES
-
-    def target(st: eng.RunState) -> bool:
-        ag_nodes, pl_nodes = _session_positions(st, session)
-        if len(ag_nodes) != 1 or ag_nodes[0][1] != c + 1:
-            return False
-        return all(cp == c + 1 for _, cp in pl_nodes)
-
-    return _bfs(state, allowed, target, bound)
+    return _bfs(state, lambda r: r.rule not in eng.RECOVERY_RULES,
+                _all_at(session, c + 1), 4 * len(state.nodes))
 
 
-def session_recovery_search(state: eng.RunState, session: str, c: int,
-                            bound: Optional[int] = None):
+# autonomous moves: recovery, conditional drops, and consuming already-buffered
+# messages; nothing that advances the aggregator
+_AUTONOMOUS_RULES = ("Rec", "BRec", "Loss", "True", "False", "Rcv", "Bra")
+
+
+def session_recovery_search(state: eng.RunState, session: str, c: int):
     """Find a recovery-only schedule (plus conditional drops) after which
     every surviving plain buffer matches the aggregator state."""
-    bound = bound if bound is not None else 4 * len(state.nodes)
-
-    def allowed(r: eng.Redex) -> bool:
-        # autonomous moves: recovery, conditional drops, and consuming
-        # already-buffered messages; nothing that advances the aggregator
-        return r.rule in ("Rec", "BRec", "Loss", "True", "False", "Rcv", "Bra")
-
-    def target(st: eng.RunState) -> bool:
-        ag_nodes, pl_nodes = _session_positions(st, session)
-        if len(ag_nodes) != 1 or ag_nodes[0][1] != c:
-            return False
-        return all(cp == c for _, cp in pl_nodes)
-
-    return _bfs(state, allowed, target, bound)
+    return _bfs(state, lambda r: r.rule in _AUTONOMOUS_RULES,
+                _all_at(session, c), 4 * len(state.nodes))

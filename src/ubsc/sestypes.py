@@ -245,41 +245,28 @@ def combine(t: SessionType, m: BufferType) -> Optional[SessionType]:
     return t
 
 
-def advance(t: SessionType, n: int) -> set:
-    """All types reachable by consuming exactly ``n`` prefixes; selection and
-    branching may take any arm."""
+def _advance(t: SessionType, n: int, kinds: tuple) -> set:
+    """All types reachable by consuming exactly ``n`` prefixes, each of one
+    of ``kinds``; selection and branching may take any arm."""
     frontier = {t}
     for _ in range(n):
         nxt = set()
-        for u in frontier:
-            u = unfold(u)
-            match u:
-                case Out(_, c) | In(_, c):
-                    nxt.add(c)
-                case SelT(arms) | BraT(arms):
-                    for _, c in arms:
-                        nxt.add(c)
-                case _:
-                    pass
+        for u in map(unfold, frontier):
+            if isinstance(u, kinds):
+                nxt.update((u.cont,) if isinstance(u, (Out, In)) else (c for _, c in u.arms))
         frontier = nxt
-        if not frontier:
-            break
     return frontier
+
+
+def advance(t: SessionType, n: int) -> set:
+    """All types reachable by consuming exactly ``n`` prefixes; selection and
+    branching may take any arm."""
+    return _advance(t, n, (Out, In, SelT, BraT))
 
 
 def output_advance(t: SessionType, n: int) -> set:
     """As :func:`advance` but only output prefixes may be consumed."""
-    frontier = {t}
-    for _ in range(n):
-        nxt = set()
-        for u in frontier:
-            u = unfold(u)
-            if isinstance(u, Out):
-                nxt.add(u.cont)
-        frontier = nxt
-        if not frontier:
-            break
-    return frontier
+    return _advance(t, n, (Out,))
 
 
 def autonomous_advance(t: SessionType, n: int) -> set:
@@ -287,17 +274,7 @@ def autonomous_advance(t: SessionType, n: int) -> set:
     own: dropping an output (loss) or defaulting an input (receive
     recovery).  Branch positions cannot be crossed autonomously while
     keeping the endpoint."""
-    frontier = {t}
-    for _ in range(n):
-        nxt = set()
-        for u in frontier:
-            u = unfold(u)
-            if isinstance(u, (Out, In)):
-                nxt.add(u.cont)
-        frontier = nxt
-        if not frontier:
-            break
-    return frontier
+    return _advance(t, n, (Out, In))
 
 
 def entry_synchronizes(c_from: int, t_from: SessionType, c_to: int,

@@ -1,6 +1,12 @@
 """``is_error_network`` as it was before each node was peeled once per call,
 kept verbatim as a differential oracle: it peels every node once per
-session.  Only the imports are new; ``_peel``, the pair tables and
+session.  ``_peel``, ``_summands`` and ``is_deadlocked`` are the safety
+checks' own head view as it was before they read ``engine.alternatives``,
+kept verbatim: at most four unfoldings, and a sum split without the
+definitions in scope.  ``progress_shape_sessions`` and
+``recovery_shape_sessions`` are kept verbatim from before they shared one
+pass over the buffers: they walk every node once per session.  Only the
+imports are new; the pair tables, ``_session_positions`` and
 ``SafetyReport`` come from the package.
 
 ``_bfs`` is the progress and recovery search as it was before sleep sets,
@@ -14,7 +20,26 @@ from collections import deque
 from ubsc import engine as eng
 from ubsc import terms as t
 from ubsc.safety import (_AGGR_KINDS, _INVALID_ANY, _INVALID_SAME_STATE, SafetyReport,
-                         _peel)
+                         _session_positions)
+
+
+def _peel(p: t.Process, depth: int = 4):
+    """Strip definition wrappers and unfold calls a bounded number of times,
+    returning the stable head."""
+    env: tuple = ()
+    for _ in range(depth):
+        match p:
+            case t.Defs(defs, body):
+                env = env + (defs,)
+                p = body
+            case t.Call():
+                unfolded = t.unfold_call(p, env)
+                if unfolded is None:
+                    return p
+                p = unfolded
+            case _:
+                return p
+    return p
 
 
 def classify_prefix(node: t.NetworkNode, session: str):
@@ -90,6 +115,62 @@ def is_error_network(n: t.Network) -> SafetyReport:
     if witness:
         return SafetyReport("error-network", witness, classification, violations)
     return SafetyReport("ok", None, classification, violations)
+
+
+def _summands(p: t.Process) -> list:
+    head = _peel(p)
+    if isinstance(head, t.Sum):
+        return _summands(head.left) + _summands(head.right)
+    return [head]
+
+
+def is_deadlocked(n: t.Network) -> bool:
+    """True iff the network is a parallel composition of nodes whose processes
+    are sums of accept-prefixed processes only.  A terminal network (every
+    process inactive) is not deadlocked."""
+    _, nodes = eng.normal_parts(n)
+    if all(isinstance(nd.process, t.Inact) for nd in nodes):
+        return False
+    for nd in nodes:
+        if isinstance(nd.process, t.Inact):
+            continue  # vacuous summand set
+        for s in _summands(nd.process):
+            if not isinstance(s, t.Accept):
+                return False
+    return True
+
+
+def progress_shape_sessions(state: eng.RunState) -> list:
+    """Sessions in the progress-eligible shape: the aggregator
+    node still uses the session, and every plain node holds it at the same
+    state as the aggregator and still uses it."""
+    out = []
+    sessions = {b.ep.session for nd in state.nodes for b in nd.buffers}
+    for s in sorted(sessions):
+        ag_nodes, pl_nodes = _session_positions(state, s)
+        if len(ag_nodes) != 1 or not pl_nodes:
+            continue
+        (ai, c) = ag_nodes[0]
+        if s not in t.process_sessions(state.nodes[ai].process):
+            continue
+        if all(cp == c and s in t.process_sessions(state.nodes[pi].process)
+               for pi, cp in pl_nodes):
+            out.append((s, c))
+    return out
+
+
+def recovery_shape_sessions(state: eng.RunState) -> list:
+    """Sessions where every plain endpoint lags behind the aggregator."""
+    out = []
+    sessions = {b.ep.session for nd in state.nodes for b in nd.buffers}
+    for s in sorted(sessions):
+        ag_nodes, pl_nodes = _session_positions(state, s)
+        if len(ag_nodes) != 1 or not pl_nodes:
+            continue
+        (_, c) = ag_nodes[0]
+        if all(cp < c for _, cp in pl_nodes):
+            out.append((s, c))
+    return out
 
 
 def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):

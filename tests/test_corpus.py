@@ -24,6 +24,20 @@ def test_schedules_reproduce_displayed_networks():
         assert not mismatches, (case.name, mismatches)
 
 
+def test_mismatches_follow_the_schedule():
+    """``run_case`` reports each wrong expected network once, in step order,
+    whatever order the case lists them in; the last entry for a step wins."""
+    from dataclasses import replace
+
+    from ubsc.syntax import parse
+    case = CASES["beacon_subset_deliver"]
+    wrong = [(1, "[ 0 ]"), (0, "[ 0 | s~0:[] ]"), (5, "[ 0 ]"), (1, "[ 0 | *s~0:[] ]")]
+    digests, mismatches = cp.run_case(replace(case, expected=wrong))
+    assert digests == case.digests
+    assert mismatches == [(0, eng.digest(parse("[ 0 | s~0:[] ]").network), digests[0]),
+                          (1, eng.digest(parse("[ 0 | *s~0:[] ]").network), digests[1])]
+
+
 def test_gather_chain_matches_tagged_queue():
     case = CASES["gather_chain"]
     prog = cp.load_program(case.program)

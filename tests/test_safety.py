@@ -1,9 +1,13 @@
+import os
+
 import pytest
 
+from conftest import generate_program
 from ubsc import checker as ck
 from ubsc import engine as eng
 from ubsc import safety as sf
-from ubsc.corpus import load_program
+from ubsc import terms as t
+from ubsc.corpus import corpus_dir, load_program
 from ubsc.syntax import parse, parse_network, parse_type
 from ubsc.terms import Endpoint
 
@@ -73,6 +77,45 @@ def test_deadlocked():
     assert not sf.is_deadlocked(parse_network("[ req a(*x). 0 ] || [ acc a(y). 0 ]"))
     assert not sf.is_deadlocked(parse_network("[0] || [0]"))
     assert not sf.is_deadlocked(parse_network("[ s?(x). 0 | s~0:[] ]"))
+
+
+def test_error_pair_behind_four_unfoldings():
+    """Both Bcasts are enabled, so both nodes sit at a Brc head, though one
+    of them is four unfoldings deep."""
+    net = parse_network("[ def A() = B(), B() = C(), C() = D(), D() = *s!<1>. 0 in A() "
+                        "| *s~0:[] ] || [ *s!<2>. 0 | *s~0:[] ]")
+    redexes = eng.enabled_redexes(eng.RunState.from_network(net))
+    assert [(r.rule, r.sender) for r in redexes] == [("Bcast", 0), ("Bcast", 1)]
+    rep = sf.is_error_network(net)
+    assert rep.verdict == "error-network"
+    _, (_, ki, _), (_, kj, _) = rep.witness
+    assert ki == kj == "Brc"
+
+
+def test_deadlock_with_sum_inside_definitions():
+    assert sf.is_deadlocked(parse_network("[ def D() = acc a(x). 0 in (D() + acc b(y). 0) ]"))
+
+
+def test_stuck_calls():
+    """A call that does not unfold is a head that fires nothing: it is no
+    accept, and a sum holding one still has two heads."""
+    assert not sf.is_deadlocked(parse_network("[ X() ]"))
+    assert not sf.is_deadlocked(parse_network("[ acc a(x). 0 + X() ]"))
+    node = parse_network("[ *s!<1>. 0 + X() | *s~0:[] ]")
+    assert sf.classify_prefix(node, "s") is None
+    net = parse_network("[ *s!<1>. 0 + X() | *s~0:[] ] || [ *s!<2>. 0 | *s~0:[] ]")
+    assert sf.is_error_network(net).classification == {(1, "s"): ("Brc", 0)}
+
+
+def test_stuck_call_in_a_sum_fires_nothing():
+    net = parse_network("[ *s!<1>. 0 + X() + *s!<2>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]")
+    state = eng.RunState.from_network(net)
+    heads = [h for h, _ in eng.alternatives(state.nodes[0].process)]
+    assert [type(h) for h in heads] == [t.Send, t.Call, t.Send]
+    redexes = eng.enabled_redexes(state)
+    assert [(r.rule, r.session, r.sender, r.receivers, r.detail) for r in redexes] == [
+        ("Bcast", "s", 0, (1,), ()), ("Bcast", "s", 0, (1,), ()), ("Rec", "s", 1, (), ())]
+    assert [r.alt for r in redexes if r.sender == 0] == [0, 2]
 
 
 def test_deadlock_trichotomy_on_terminal_states():
@@ -154,28 +197,51 @@ def test_progress_during_gather_chain():
         state = eng.apply_redex(state, r, chosen)
 
 
-# ------------------------------------------------------------- one peel per node
+# ------------------------------------------------------------- one head view
 
-def _reached_networks(name, seed, steps):
+CORPUS_PROGRAMS = sorted(f for f in os.listdir(corpus_dir()) if f.endswith(".ubsc"))
+
+
+def _reached_networks(name, seed, steps, network=None):
     cfg = eng.SchedulerConfig(seed=seed, loss_rate=0.3, recovery_bias=0.2, max_steps=steps)
     out = []
-    eng.run_scheduler(load_program(name).network, cfg, digests=False,
+    eng.run_scheduler(network or load_program(name).network, cfg, digests=False,
                       on_step=lambda state, step: out.append(state.to_network()))
     return out
 
 
-@pytest.mark.parametrize("name", [
-    "paxos3.ubsc", "paxos5.ubsc", "paxos_multi.ubsc", "paxos_recover.ubsc",
-    "heartbeat_gather.ubsc", "heartbeat_runtime.ubsc", "drop_connections.ubsc",
-    "error_brc_bra.ubsc", "error_brc_brc.ubsc", "ok_rcv_uni.ubsc",
-])
-def test_error_network_report_matches_oracle(name):
+def _assert_checks_match_oracle(nets):
     import safety_oracle
-    nets = [load_program(name).network]
-    for seed in (0, 1, 2):
-        nets += _reached_networks(name, seed, 80)
     for net in nets:
         assert sf.is_error_network(net) == safety_oracle.is_error_network(net)
+        assert sf.is_deadlocked(net) == safety_oracle.is_deadlocked(net)
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+def test_error_network_report_matches_oracle(name):
+    """Both safety checks, which read ``engine.alternatives``, agree with
+    the oracle's bounded peel on the scheduler-reached states."""
+    nets = [load_program(name).network]
+    for seed in (0, 1, 2):
+        nets += _reached_networks(name, seed, 150)
+    _assert_checks_match_oracle(nets)
+
+
+@pytest.mark.parametrize("name", ["paxos3.ubsc", "paxos5.ubsc", "heartbeat_gather.ubsc"])
+def test_shapes_match_oracle(name):
+    import safety_oracle
+    for net in _reached_networks(name, 0, 150):
+        state = eng.RunState.from_network(net)
+        assert sf.progress_shape_sessions(state) == safety_oracle.progress_shape_sessions(state)
+        assert sf.recovery_shape_sessions(state) == safety_oracle.recovery_shape_sessions(state)
+
+
+def test_safety_checks_match_oracle_on_generated_programs():
+    nets = []
+    for gseed in range(40):
+        network = parse(generate_program(gseed)).network
+        nets += [network] + _reached_networks(None, gseed, 150, network)
+    _assert_checks_match_oracle(nets)
 
 
 def test_error_network_report_matches_oracle_on_errors():
@@ -191,25 +257,25 @@ def test_error_network_report_matches_oracle_on_errors():
         assert sf.is_error_network(net) == safety_oracle.is_error_network(net)
 
 
-def test_is_error_network_peels_each_node_once(monkeypatch):
-    """On the paxos5 step-300 state (49 sessions) every node is peeled once,
-    not once per session."""
-    from ubsc import terms as t
+def test_safety_checks_reuse_the_engine_heads(monkeypatch):
+    """On the paxos5 step-300 state (49 sessions), once ``enabled_redexes``
+    has read every node's heads, the safety checks unfold no call."""
     net = _reached_networks("paxos5.ubsc", 26508, 300)[-1]
+    eng.enabled_redexes(eng.RunState.from_network(net))
     calls = []
-    peel = sf._peel
-    monkeypatch.setattr(sf, "_peel", lambda p, *a: calls.append(p) or peel(p, *a))
+    unfold = t.unfold_call
+    monkeypatch.setattr(t, "unfold_call", lambda *a: calls.append(a) or unfold(*a))
     report = sf.is_error_network(net)
-    _, nodes = t.flatten_nodes(eng.normalize(net))
-    assert len(calls) == len(nodes) == 5
-    assert len({s for _, s in report.classification}) <= len(nodes)
+    sf.is_deadlocked(net)
+    assert calls == []
+    _, nodes = eng.normal_parts(net)
+    assert len({s for _, s in report.classification}) <= len(nodes) == 5
 
 
 @pytest.mark.parametrize("name", ["paxos5.ubsc", "drop_connections.ubsc", "error_brc_bra.ubsc"])
 def test_normal_parts_are_the_flattened_normal_form(name):
     """The safety checks read ``normal_parts`` where they used to flatten
     ``normalize``'s network again; both give the same names and nodes."""
-    from ubsc import terms as t
     nets = [load_program(name).network] + _reached_networks(name, 1, 80)
     nets.append(parse_network("new s. new u. ([ 0 ] || [ s!<1>. 0 | s~0:[] ])"))
     for net in nets:
@@ -217,7 +283,6 @@ def test_normal_parts_are_the_flattened_normal_form(name):
 
 
 def test_safety_checks_flatten_once(monkeypatch):
-    from ubsc import terms as t
     net = _reached_networks("paxos3.ubsc", 0, 40)[-1]
     calls = []
     flatten = t.flatten_nodes
