@@ -91,9 +91,14 @@ def _lookup_def(env: tuple, name: str) -> Optional[_DefEntry]:
 
 _free_chans = lru_cache(maxsize=65536)(lambda p: frozenset(t.free_chans(p)))
 
-# definition bodies recur unchanged across the states of a run; their checks
-# (trace segment or failure) are memoised on (body, params, signature, vars)
-_DEF_MEMO: dict = {}
+
+@lru_cache(maxsize=256)
+def _def_slot(key: tuple) -> list:
+    """The slot of one definition check, keyed on (body, params, signature,
+    scope, vars): empty until the check has run, then holding its trace
+    segment or failure.  Definition bodies recur unchanged across the states
+    of a run."""
+    return []
 
 
 def _sig_key(sig) -> tuple:
@@ -120,7 +125,24 @@ def type_buffer(gamma: Gamma, b: t.Buffer):
     counter.  Aggregator buffers replay the gather typing rule until the
     queue is exhausted: each state from the buffer counter upward contributes
     the type of its aggregated value, and the resulting counter advances by
-    the number of applications."""
+    the number of applications.  The typing reads nothing from ``gamma``, so
+    it is worked out once per buffer term."""
+    ok, out = _buffer_typing(b)
+    if not ok:
+        raise TypeFail(out.rule, out.reason, out.where)
+    return out
+
+
+@v.memo_on_term
+def _buffer_typing(b: t.Buffer) -> tuple:
+    """(True, typing) or (False, TypeFail) for :func:`type_buffer`."""
+    try:
+        return True, _type_buffer_body(b)
+    except TypeFail as e:
+        return False, e
+
+
+def _type_buffer_body(b: t.Buffer) -> tuple:
     if not b.ep.aggr:
         items = []
         for m in b.queue:
@@ -392,9 +414,9 @@ class _ProcessChecker:
         scope = tuple(fr["__defs__"] for fr in entry.env if "__defs__" in fr)
         key = (entry.body, entry.params, _sig_key(entry.sig), scope,
                tuple(sorted(self.gamma.vars.items(), key=lambda kv: kv[0])))
-        hit = _DEF_MEMO.get(key)
-        if hit is not None:
-            ok, payload = hit
+        slot = _def_slot(key)
+        if slot:
+            ok, payload = slot[0]
             if ok:
                 self.trace.extend(payload)
                 return
@@ -410,9 +432,9 @@ class _ProcessChecker:
         try:
             self.check(vars_ctx, entry.env, delta, entry.body)
         except TypeFail as e:
-            _DEF_MEMO[key] = (False, e)
+            slot.append((False, e))
             raise
-        _DEF_MEMO[key] = (True, tuple(self.trace[mark:]))
+        slot.append((True, tuple(self.trace[mark:])))
 
 
 def type_process(gamma: Gamma, delta: dict, p: t.Process,
@@ -531,9 +553,7 @@ def _candidate_start_types(ep: t.Endpoint, pos: int, protocols: dict,
     off a sibling aggregator node, or (backwards, by output reconstruction)
     from a declared target entry.  None means unknown."""
     if protocols and ep.session in protocols:
-        base = protocols[ep.session]
-        side = st.dual(base) if ep.aggr else base
-        return sorted(st.advance(side, pos), key=render_type)
+        return list(_protocol_candidates(protocols[ep.session], ep.aggr, pos))
     if derived and not ep.aggr and ep.session in derived:
         c_d, plain_at_cd = derived[ep.session]
         if pos >= c_d:
@@ -543,6 +563,13 @@ def _candidate_start_types(ep: t.Endpoint, pos: int, protocols: dict,
         if pos >= c_t:
             return sorted(st.output_advance(t_t, pos - c_t), key=render_type)
     return None
+
+
+@lru_cache(maxsize=4096)
+def _protocol_candidates(base: st.SessionType, aggr: bool, pos: int) -> tuple:
+    """The protocol branch of :func:`_candidate_start_types`, by protocol,
+    polarity and position: every node of every state of a run asks again."""
+    return tuple(sorted(st.advance(st.dual(base) if aggr else base, pos), key=render_type))
 
 
 def type_network(gamma: Gamma, net: t.Network, declared: Optional[dict] = None,

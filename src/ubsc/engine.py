@@ -498,8 +498,11 @@ class RunState:
     nodes: tuple
     fresh: int = 0
 
+    @v.memo_on_term
     def to_network(self) -> t.Network:
-        return t.restrict_all(self.restricted, t.par_all(self.nodes))
+        """The state as one network, built once per state.  It carries the
+        state's parts, so flattening it again walks nothing."""
+        return t.assemble(self.restricted, self.nodes)
 
     def digest(self) -> str:
         text = canonical_text(self.restricted, self.nodes)

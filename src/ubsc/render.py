@@ -77,7 +77,9 @@ def _expr_text(e: v.Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
+@v.memo_on_term
 def render_base(b: v.BaseType) -> str:
+    """``b`` as text; memoised per term, like :func:`render_type`."""
     match b:
         case v.UnitT():
             return "unit"
@@ -96,7 +98,10 @@ def render_base(b: v.BaseType) -> str:
     raise TypeError(f"not a base type: {b!r}")
 
 
+@v.memo_on_term
 def render_type(ty: st.SessionType) -> str:
+    """``ty`` as text; memoised per term: candidate and merge sort keys and
+    every typing judgment render the same few protocol types again."""
     match ty:
         case st.End():
             return "end"

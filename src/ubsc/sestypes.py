@@ -169,7 +169,10 @@ def contractive(t: SessionType, bound=frozenset(), guarded=True) -> bool:
 
 def types_equal(a: SessionType, b: SessionType, assumed=None) -> bool:
     """Equality up to unfolding of recursion, with wildcard payload types
-    matching anything."""
+    matching anything.  The relation is reflexive, so a type is equal to
+    itself at once."""
+    if a is b:
+        return True
     if assumed is None:
         assumed = set()
     key = (a, b)

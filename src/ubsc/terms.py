@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import is_
 from typing import Optional, Union
 
@@ -479,7 +480,11 @@ def map_nodes(n: Network, f) -> Network:
 
 def flatten_nodes(n: Network) -> tuple:
     """Hoist restrictions and flatten parallel composition, renaming
-    restricted names that would clash.  Returns (restricted names, nodes)."""
+    restricted names that would clash.  Returns (restricted names, nodes):
+    the parts ``n`` carries when :func:`assemble` built it, else a walk."""
+    carried = getattr(n, "_flat", None)
+    if carried is not None:
+        return carried
     restricted: list = []
     nodes: list = []
     free_everywhere = free_names(n)
@@ -555,6 +560,19 @@ def restrict_all(names, body: Network) -> Network:
     for n in reversed(list(names)):
         out = Restrict(n, out)
     return out
+
+
+def assemble(restricted: tuple, nodes: tuple) -> Network:
+    """``restrict_all(restricted, par_all(nodes))``, carrying the parts for
+    :func:`flatten_nodes` when its walk would give them back unchanged:
+    there are nodes, and the restricted names are distinct and none is a
+    free variable of a node, so the walk renames nothing."""
+    net = restrict_all(restricted, par_all(nodes))
+    if (nodes and len(set(restricted)) == len(restricted)
+            and set(restricted).isdisjoint(
+                chain.from_iterable(process_facts(nd.process)[2] for nd in nodes))):
+        object.__setattr__(net, "_flat", (tuple(restricted), tuple(nodes)))
+    return net
 
 
 from .values import install_cached_hash as _install_cached_hash

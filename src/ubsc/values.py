@@ -525,7 +525,27 @@ class ExprTypeError(Exception):
 
 
 def type_expr(vars_ctx: dict, e: Expr) -> BaseType:
-    """Principal base type of ``e`` under a variable context."""
+    """Principal base type of ``e`` under a variable context.  A closed
+    expression reads no variable, so it is typed once per term."""
+    if fv_expr(e):
+        return _type_expr(vars_ctx, e)
+    ok, out = _closed_type(e)
+    if not ok:
+        raise ExprTypeError(out)
+    return out
+
+
+@memo_on_term
+def _closed_type(e: Expr) -> tuple:
+    """(True, type) or (False, error message) of a closed expression:
+    ballots grow by ``+ 1`` per round, as for :func:`_closed_value`."""
+    try:
+        return True, _type_expr({}, e)
+    except ExprTypeError as exc:
+        return False, str(exc)
+
+
+def _type_expr(vars_ctx: dict, e: Expr) -> BaseType:
     match e:
         case Lit(v):
             return type_of_value(v)

@@ -49,7 +49,8 @@ def test_every_lru_cache_is_bounded():
                     found.add(f"{name}.{attr}")
                     assert obj.cache_info().maxsize is not None, f"{name}.{attr}"
     assert {"ubsc.engine.alternatives", "ubsc.engine._subst_value",
-            "ubsc.terms.process_facts"} <= found
+            "ubsc.terms.process_facts", "ubsc.checker._def_slot",
+            "ubsc.checker._protocol_candidates"} <= found
 
 
 def test_tracer_round_trip(tracing):
