@@ -502,30 +502,20 @@ def synth_process(gamma: Gamma, p: t.Process) -> dict:
             case t.Sum(l, r):
                 dl = go(l, dict(vars_ctx))
                 dr = go(r, dict(vars_ctx))
-                out = dict(dl)
-                for k, ty in dr.items():
-                    if k in out:
-                        m = st.refine_session(out[k], ty)
-                        if m is None:
-                            raise _SynthFail(f"sum alternatives disagree on "
-                                             f"{render_chan(k)}")
-                        out[k] = m
-                    else:
-                        out[k] = ty
-                return out
+                return _merge_branch_ctx(dl, dr, "sum alternatives")
             case t.Request() | t.Accept() | t.Defs() | t.Call() | t.Recover():
                 raise _SynthFail(f"cannot synthesise a type for "
                                  f"{type(p).__name__}; a protocol declaration "
                                  f"is required")
         raise _SynthFail(f"unhandled form {render_process(p)}")
 
-    def _merge_branch_ctx(a: dict, b: dict) -> dict:
+    def _merge_branch_ctx(a: dict, b: dict, noun: str = "branches") -> dict:
         out = dict(a)
         for k, ty in b.items():
             if k in out:
                 m = st.refine_session(out[k], ty)
                 if m is None:
-                    raise _SynthFail(f"branches disagree on {render_chan(k)}")
+                    raise _SynthFail(f"{noun} disagree on {render_chan(k)}")
                 out[k] = m
             else:
                 out[k] = ty

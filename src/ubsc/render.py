@@ -1,10 +1,16 @@
 """Pretty-printing for every syntax category.
 
-The output of every render function reparses to an alpha-equivalent term;
-the canonicaliser relies on this being deterministic.
+A process is written by one walk, :func:`_canon_text`: as written by
+:func:`render_process`, canonically by :func:`canon_process`, and as the
+name templates of the engine's digests.  A printed process parses back to
+the same term, with its sums right-nested, so printing the parse of a
+printed text gives that text again.
 """
 
 from __future__ import annotations
+
+import os
+from typing import Optional
 
 from . import sestypes as st
 from . import terms as t
@@ -127,63 +133,207 @@ def render_chan(ch: t.Chan) -> str:
     return ("*" if ch.aggr else "") + name
 
 
-def _body(p: t.Process) -> str:
-    s = render_process(p)
-    if isinstance(p, (t.Sum, t.Recover)):
-        return f"({s})"
-    return s
+_CANON_BASE = 10_000  # throwaway numbering base for order keys
+_HOLE = "\x00"  # delimits a name hole in a template: "\x00name\x00"
+_NO_BINDERS: dict = {}  # the binder map at the top of a process; never mutated
 
 
-def render_process(p: t.Process) -> str:
+class _NameOrder(Exception):
+    """A sum's alternative order depends on the names filling its holes."""
+
+
+class _Holes:
+    """The holes a canonicalisation into a template makes: their ``count``,
+    and the ``top`` binder map (a definitions block's) under which body
+    texts are memoised, see :func:`_canon_body`."""
+
+    __slots__ = ("count", "top")
+
+    def __init__(self, top: Optional[dict] = None):
+        self.count = 0
+        self.top = top
+
+
+def _fixed_order(a: str, b: str) -> bool:
+    """``a`` and ``b`` compare the same whatever names fill their holes:
+    they are equal, or differ before either reaches a hole."""
+    if a == b:
+        return True
+    i = len(os.path.commonprefix((a, b)))
+    return _HOLE not in a[:i + 1] and _HOLE not in b[:i + 1]
+
+
+def _chan_text(ch: t.Chan, env: dict, holes: Optional[_Holes]) -> str:
+    if type(ch) is t.ChanVar:
+        name = env.get(ch.name, ch.name)
+    else:
+        name = _hole(ch.session, holes)
+    return "*" + name if ch.aggr else name
+
+
+def _hole(name: str, holes: Optional[_Holes]) -> str:
+    """``name`` as a hole, counted in ``holes``; as is without ``holes``."""
+    if holes is None:
+        return name
+    holes.count += 1
+    return _HOLE + name + _HOLE
+
+
+def _canon_expr(e: v.Expr, env: dict) -> v.Expr:
+    if not env or env.keys().isdisjoint(v.fv_expr(e)):
+        return e  # closed under env: shared, not rebuilt
+    match e:
+        case v.Var(x):
+            return v.Var(env.get(x, x))
+        case v.BinOp(op, l, r):
+            return v.BinOp(op, _canon_expr(l, env), _canon_expr(r, env))
+        case v.TupleE(a, b):
+            return v.TupleE(_canon_expr(a, env), _canon_expr(b, env))
+        case v.SetE(items):
+            return v.SetE(tuple(_canon_expr(i, env) for i in items))
+        case v.Builtin(f, args):
+            return v.Builtin(f, tuple(_canon_expr(a, env) for a in args))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _bind(name: str, env: dict, counter: Optional[list], prefix: str = "v") -> tuple:
+    """The text of binder ``name`` and the binder map under it: the next
+    canonical name, or ``name`` as written when there is no ``counter``."""
+    if counter is None:
+        return name, env
+    new = f"{prefix}{counter[0]}"
+    counter[0] += 1
+    return new, {**env, name: new}
+
+
+def _canon_text(p: t.Process, env: dict, counter: Optional[list],
+                holes: Optional[_Holes] = None) -> str:
+    """``p`` as text, in one walk.  Without a ``counter`` binders keep their
+    names and sum alternatives their order.  With one the text is
+    canonical: binders renamed to sequential canonical names, sum
+    alternatives sorted by an alpha-invariant key.  With ``holes`` every
+    endpoint session and shared name becomes a hole, and a sum whose order
+    would depend on how the holes are filled raises :class:`_NameOrder`."""
     match p:
         case t.Inact():
             return "0"
         case t.Request(a, x, body):
-            return f"req {a}(*{x}). {_body(body)}"
+            nx, env2 = _bind(x, env, counter)
+            return f"req {_hole(a, holes)}(*{nx}). {_canon_body(body, env2, counter, holes)}"
         case t.Accept(a, x, body):
-            return f"acc {a}({x}). {_body(body)}"
+            nx, env2 = _bind(x, env, counter)
+            return f"acc {_hole(a, holes)}({nx}). {_canon_body(body, env2, counter, holes)}"
         case t.Send(ch, e, body):
-            return f"{render_chan(ch)}!<{render_operand(e)}>. {_body(body)}"
+            return (f"{_chan_text(ch, env, holes)}!<{render_operand(_canon_expr(e, env))}>. "
+                    f"{_canon_body(body, env, counter, holes)}")
         case t.Recv(ch, x, d, body):
-            dflt = "" if d == v.Lit(v.UNIT) else f" def {render_operand(d)}"
-            return f"{render_chan(ch)}?({x}){dflt}. {_body(body)}"
+            d2 = _canon_expr(d, env)
+            dflt = "" if d2 == v.Lit(v.UNIT) else f" def {render_operand(d2)}"
+            nx, env2 = _bind(x, env, counter)
+            return (f"{_chan_text(ch, env, holes)}?({nx}){dflt}. "
+                    f"{_canon_body(body, env2, counter, holes)}")
         case t.Select(ch, l, body):
-            return f"{render_chan(ch)}<<{l}. {_body(body)}"
-        case t.Branch(ch, arms, default_arm):
-            inner = ", ".join(f"{l}: {render_process(ap)}" for l, ap in arms)
-            return f"{render_chan(ch)}>>{{{inner}, df: {render_process(default_arm)}}}"
-        case t.Sum(l, r):
-            ls = render_process(l)
-            if isinstance(l, t.Recover):
-                ls = f"({ls})"
-            rs = render_process(r)
-            if isinstance(r, (t.Sum, t.Recover)):
-                rs = f"({rs})"
-            return f"{ls} + {rs}"
-        case t.Cond(g, tp, ep):
-            return f"if {render_expr(g)} then {_body(tp)} else {_body(ep)}"
+            return f"{_chan_text(ch, env, holes)}<<{l}. {_canon_body(body, env, counter, holes)}"
+        case t.Branch(ch, arms, df):
+            chan = _chan_text(ch, env, holes)
+            inner = ", ".join(f"{l}: {_canon_text(ap, env, counter, holes)}" for l, ap in arms)
+            return f"{chan}>>{{{inner}, df: {_canon_text(df, env, counter, holes)}}}"
+        case t.Sum():
+            alts = _flatten_sum(p)
+            if counter is not None:
+                key_holes = None if holes is None else _Holes()  # keys are not part of the text
+                keyed = [(_canon_text(alt, env, [_CANON_BASE], key_holes), alt) for alt in alts]
+                keyed.sort(key=lambda kv: kv[0])
+                if holes is not None and not all(_fixed_order(a, b) for (a, _), (b, _)
+                                                 in zip(keyed, keyed[1:])):
+                    raise _NameOrder
+                alts = [alt for _, alt in keyed]
+            texts = [_canon_text(alt, env, counter, holes) for alt in alts]
+            texts = [f"({s})" if type(alt) is t.Recover else s for alt, s in zip(alts, texts)]
+            res = f"{texts[-2]} + {texts[-1]}"  # right-nested as Sum(a1, Sum(a2, ...))
+            for s in reversed(texts[:-2]):
+                res = f"{s} + ({res})"
+            return res
+        case t.Cond(g, a, b):
+            guard = render_expr(_canon_expr(g, env))
+            then = _canon_body(a, env, counter, holes)
+            return f"if {guard} then {then} else {_canon_body(b, env, counter, holes)}"
         case t.Defs(defs, body):
-            ds = ", ".join(
-                f"{n}({', '.join(params)}) = {render_process(b)}" for n, params, b in defs
-            )
-            return f"def {ds} in {_body(body)}"
+            head, env2 = _canon_defs(defs, env, counter, holes)
+            return head + _canon_body(body, env2, counter, holes)
         case t.Call(name, args):
-            parts = []
-            for a in args:
-                if isinstance(a, (t.Endpoint, t.ChanVar)):
-                    parts.append(render_chan(a))
-                else:
-                    parts.append(render_expr(a))
-            return f"{name}(" + ", ".join(parts) + ")"
-        case t.Recover(body, handler):
-            bs = render_process(body)
-            if isinstance(body, t.Sum):
-                bs = f"({bs})"
-            hs = render_process(handler)
-            if isinstance(handler, (t.Sum, t.Recover)):
-                hs = f"({hs})"
+            parts = (_chan_text(a, env, holes) if isinstance(a, (t.Endpoint, t.ChanVar))
+                     else render_expr(_canon_expr(a, env)) for a in args)
+            return f"{env.get(name, name)}(" + ", ".join(parts) + ")"
+        case t.Recover(b, h):
+            bs = _canon_text(b, env, counter, holes)
+            hs = _canon_text(h, env, counter, holes)
+            bs = f"({bs})" if type(b) is t.Sum else bs
+            hs = f"({hs})" if type(h) in (t.Sum, t.Recover) else hs
             return f"{bs} >r {hs}"
     raise TypeError(f"not a process: {p!r}")
+
+
+def _canon_body(p: t.Process, env: dict, counter: Optional[list],
+                holes: Optional[_Holes]) -> str:
+    """:func:`_canon_text` in a prefix's body position: a sum or a recovery
+    term in parentheses.
+
+    Under the ``top`` binder map of ``holes`` the text is memoised on ``p``
+    with the counter it starts and ends at.  A continuation reached without
+    a binder (after a send, a select, or a branch of a binder-free test)
+    starts at the same counter when it becomes the body of the node's next
+    process, so its template is then read back, not made again."""
+    memo_here = holes is not None and env is holes.top
+    if memo_here:
+        memo = p.__dict__.get("_canon_memo")
+        if memo is not None and memo[0] is env and memo[1] == counter[0]:
+            counter[0] = memo[2]
+            holes.count += memo[3]
+            return memo[4]
+        start, made = counter[0], holes.count
+    s = _canon_text(p, env, counter, holes)
+    if type(p) is t.Sum or type(p) is t.Recover:
+        s = f"({s})"
+    if memo_here:
+        object.__setattr__(p, "_canon_memo", (env, start, counter[0], holes.count - made, s))
+    return s
+
+
+def _canon_defs(defs: tuple, env: dict, counter: Optional[list],
+                holes: Optional[_Holes]) -> tuple:
+    """Text ``def ... in `` of a ``Defs`` block's definitions, and the
+    binder map its body is walked under."""
+    names = []
+    for n, _, _ in defs:
+        nn, env = _bind(n, env, counter, "d")
+        names.append(nn)
+    texts = []
+    for (_, params, dbody), nn in zip(defs, names):
+        env3, new_params = env, []
+        for prm in params:
+            nprm, env3 = _bind(prm, env3, counter)
+            new_params.append(nprm)
+        texts.append(f"{nn}({', '.join(new_params)}) = "
+                     f"{_canon_text(dbody, env3, counter, holes)}")
+    return f"def {', '.join(texts)} in ", env
+
+
+def _flatten_sum(p: t.Process) -> list:
+    if isinstance(p, t.Sum):
+        return _flatten_sum(p.left) + _flatten_sum(p.right)
+    return [p]
+
+
+def render_process(p: t.Process) -> str:
+    """``p`` as written: its binders' names and its sum order kept."""
+    return _canon_text(p, _NO_BINDERS, None)
+
+
+def canon_process(p: t.Process) -> str:
+    """Canonical text of a process: equal exactly for alpha-equivalent
+    processes."""
+    return _canon_text(p, {}, [0])
 
 
 def render_msg(m) -> str:

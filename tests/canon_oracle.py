@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from render_oracle import render_network, render_process
 from ubsc import terms as t
 from ubsc import values as v
-from ubsc.render import render_network, render_process
 
 
 # ------------------------------------------------------------- canonical form

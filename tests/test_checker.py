@@ -166,6 +166,22 @@ def test_node_domain_conditions():
     assert not res.ok and "channel variable" in res.error.reason
 
 
+@pytest.mark.parametrize("text, expect", [
+    ("[ s!<1>. 0 + s?(x). 0 | s~0:[] ]",
+     "Fail TNode: sum alternatives disagree on s (at node#0 (line 1))"),
+    ("[ if true then s!<1>. 0 else s?(x). 0 | s~0:[] ]",
+     "Fail TNode: branches disagree on s (at node#0 (line 1))"),
+    ("[ acc a(x). 0 + s!<1>. 0 | s~0:[] ]",
+     "Fail TNode: cannot synthesise a type for Accept; a protocol declaration is "
+     "required (at node#0 (line 1))"),
+    ("[ s!<1>. 0 + s!<2>. 0 | s~0:[] ]", "Ok, residual: s: (0, !int.end)"),
+])
+def test_synthesis_without_protocols(text, expect):
+    """With no protocol for its session, a node's types are synthesised
+    from its process; each failure names the merge that failed."""
+    assert ck.type_network(G, parse_network(text)).render() == expect
+
+
 def test_duplicate_aggregator_rejected():
     net = parse_network("[ 0 | *s~0:[] ] || [ 0 | *s~0:[] ]")
     res = ck.type_network(G, net)

@@ -8,6 +8,7 @@ import pytest
 from conftest import generate_program
 from ubsc import corpus as cp
 from ubsc import engine as eng
+from ubsc import render
 from ubsc import terms as t
 from ubsc import values as v
 from ubsc.syntax import parse, parse_network, parse_process
@@ -74,20 +75,20 @@ def test_subst_procvar_arity():
 def test_alpha_equivalence():
     a = parse_process("req a(*x). *x!<1>. 0")
     b = parse_process("req a(*y). *y!<1>. 0")
-    assert eng.canon_process(a) == eng.canon_process(b)
+    assert render.canon_process(a) == render.canon_process(b)
     c = parse_process("req a(*y). *y!<2>. 0")
-    assert eng.canon_process(a) != eng.canon_process(c)
+    assert render.canon_process(a) != render.canon_process(c)
 
 
 def test_alpha_is_equivalence_and_subst_commutes():
     a = parse_process("acc a(x). x?(w) def 1. 0")
     b = parse_process("acc a(z). z?(q) def 1. 0")
-    assert eng.canon_process(a) == eng.canon_process(b)
+    assert render.canon_process(a) == render.canon_process(b)
     # substituting a free channel commutes with renaming of bound ones
     p1 = t.Send(t.ChanVar("u", False), v.Lit(v.IntV(1)),
                 t.Recv(t.ChanVar("u", False), "w", v.Lit(v.UNIT), t.Inact()))
     s1 = t.subst_channel(p1, "u", t.Endpoint("s", False))
-    assert eng.canon_process(s1) == eng.canon_process(
+    assert render.canon_process(s1) == render.canon_process(
         parse_process("s!<1>. s?(w). 0"))
 
 
