@@ -202,22 +202,21 @@ def _run_one(prog, args, cfg: eng.SchedulerConfig, path, sweeping: bool) -> int:
     return 0
 
 
-# The shapes of replay records: the JSON types of the fields a record must
-# hold, and of those it may hold.
-_SCRIPT_STEP = ({"rule": str}, {"sender": int, "session": str, "label": str, "index": int,
-                                "receivers": list})
-_TRACE_HEADER = ({"seed": int, "loss_rate": (int, float), "recovery_bias": (int, float),
-                  "max_steps": int}, {})
-_TRACE_STEP = ({"digest": str}, {})
+# The fields of replay records and their JSON types.  A script step needs a
+# rule; a trace step the rule, session, sender, receivers and digest; a header all.
+_STEP = {"rule": str, "sender": int, "session": str, "receivers": list, "digest": str,
+         "index": int}
+_HEADER = {"seed": int, "loss_rate": (int, float), "recovery_bias": (int, float),
+           "max_steps": int}
 
 
 def _shape_error(records: list, shapes) -> Optional[str]:
     """Why a record of ``records`` does not have its shape in ``shapes``;
     None when every one has."""
-    for i, (rec, (required, optional)) in enumerate(zip(records, shapes)):
+    for i, (rec, (fields, required)) in enumerate(zip(records, shapes)):
         if not isinstance(rec, dict):
             return f"record {i} is not a JSON object"
-        for k, ty in {**required, **optional}.items():
+        for k, ty in fields.items():
             if (k in required or k in rec) and not isinstance(rec.get(k), ty):
                 return f"record {i} lacks a well-formed {k!r}"
         if not all(isinstance(j, int) for j in rec.get("receivers", ())):
@@ -236,37 +235,32 @@ def cmd_replay(args, prog) -> int:
     is_script = text.startswith("[")
     if not is_script and not records:
         return _fail(f"replay: trace file {args.script} is empty")
-    bad = _shape_error(records, repeat(_SCRIPT_STEP) if is_script
-                       else chain([_TRACE_HEADER], repeat(_TRACE_STEP)))
-    if bad:
+    required = {"rule"} if is_script else {"rule", "session", "sender", "receivers", "digest"}
+    shapes = chain([] if is_script else [(_HEADER, _HEADER)], repeat((_STEP, required)))
+    if bad := _shape_error(records, shapes):
         return _fail(f"replay: {args.script}: {bad}")
-    if is_script:
+    steps = records if is_script else records[1:]
+    if not is_script:
         try:
-            state, digests = eng.run_script(prog.network, records)
-        except eng.EngineError as e:
-            print(_color(f"replay failed: {e}", "31"))
-            return 1
-        for i, d in enumerate(digests):
-            print(f"step {i}: {d}")
-        print("final:")
-        print(render_network(eng.normalize(state.to_network())))
-        return 0
-    # trace file: re-run with the recorded config and compare digests
+            max_steps = eng.SchedulerConfig(**{k: records[0][k] for k in _HEADER}).max_steps
+        except ValueError:
+            return _fail(f"replay: {args.script}: loss_rate and recovery_bias must lie in [0, 1]")
     try:
-        cfg = eng.SchedulerConfig(**{k: records[0][k] for k in _TRACE_HEADER[0]})
-    except ValueError:
-        return _fail(f"replay: {args.script}: loss_rate and recovery_bias must lie in [0, 1]")
-    trace = eng.run_scheduler(prog.network, cfg)
-    recorded = [l["digest"] for l in records[1:]]
-    fresh = [s.digest for s in trace.steps]
-    if recorded != fresh:
-        for i, (a, b) in enumerate(zip(recorded, fresh)):
-            if a != b:
-                print(_color(f"digest mismatch at step {i}: {a} != {b}", "31"))
-                return 1
-        print(_color(f"length mismatch: {len(recorded)} vs {len(fresh)}", "31"))
+        state, digests = eng.run_script(prog.network, steps)
+        if not is_script and (len(steps) > max_steps or
+                              len(steps) < max_steps and eng.enabled_redexes(state)):
+            raise eng.EngineError(f"length mismatch: {len(steps)} steps recorded, but a run "
+                                  f"stops at max_steps {max_steps} or with no redex enabled")
+    except eng.EngineError as e:
+        print(_color(f"replay failed: {e}", "31"))
         return 1
-    print(f"replay ok: {len(fresh)} steps reproduce recorded digests")
+    if not is_script:
+        print(f"replay ok: {len(steps)} steps reproduce recorded digests")
+        return 0
+    for i, d in enumerate(digests):
+        print(f"step {i}: {d}")
+    print("final:")
+    print(render_network(eng.normalize(state.to_network())))
     return 0
 
 
@@ -293,7 +287,6 @@ def cmd_step(args, prog) -> int:
     if args.script and (err := _unwritable(args.script)):
         return _fail(f"step: {err}")
     state = eng.RunState.from_network(eng.encode_network(prog.network))
-    history = []
     script = []
     while True:
         print()
@@ -313,9 +306,9 @@ def cmd_step(args, prog) -> int:
         if line == "q":
             break
         if line == "u":
-            if history:
-                state = history.pop()
+            if script:
                 script.pop()
+                state, _ = eng.run_script(prog.network, script)
             else:
                 print("nothing to undo")
             continue
@@ -330,14 +323,11 @@ def cmd_step(args, prog) -> int:
         chosen = r.receivers
         if r.rule in eng.BROADCAST_RULES and r.receivers:
             chosen = _ask_receivers(r)
-        history.append(state)
-        entry = {"rule": r.rule, "sender": r.sender, "session": r.session,
-                 "receivers": list(chosen)}
-        if r.detail:
-            entry["label"] = r.detail[0]
-        script.append(entry)
+        payload = eng.redex_payload(state, r)
         state = eng.apply_redex(state, r, chosen)
-        print(f"applied {r.rule}; digest {state.digest()}")
+        script.append(eng.TraceStep(len(script), r.rule, r.session, r.sender, chosen,
+                                    payload, state.digest()).to_json())
+        print(f"applied {r.rule}; digest {script[-1]['digest']}")
     if args.script and script:
         with open(args.script, "w", encoding="utf-8") as fh:
             json.dump(script, fh, indent=1)

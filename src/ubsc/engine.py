@@ -696,9 +696,11 @@ class Trace:
 
 
 def resolve_script_step(state: RunState, spec: dict) -> tuple:
-    """Match a schedule-script entry against the enabled redexes.  Matching
-    fields: rule (required), sender, session, label.  ``receivers`` limits
-    the chosen subset (defaults to the full eligible family)."""
+    """Match a script entry or trace step against the enabled redexes and
+    apply it; returns (redex, chosen receivers, successor).  Fields: rule
+    (required), sender, session, ``receivers`` (the chosen subset, by default
+    the full family), ``digest`` (the successor's: the first match that has
+    it is taken) and ``index``, which picks among matches without a digest."""
     cands = []
     for r in enabled_redexes(state):
         if r.rule != spec["rule"]:
@@ -707,28 +709,32 @@ def resolve_script_step(state: RunState, spec: dict) -> tuple:
             continue
         if "session" in spec and r.session != spec["session"]:
             continue
-        if "label" in spec and (not r.detail or r.detail[0] != spec["label"]):
-            continue
         cands.append(r)
-    if not cands:
-        raise EngineError(f"no enabled redex matches {spec}")
-    if len(cands) > 1 and "index" not in spec:
-        raise EngineError(f"ambiguous script step {spec}: {len(cands)} matches")
-    if not 0 <= (i := spec.get("index", 0)) < len(cands):
-        raise EngineError(f"script step {spec}: index {i} outside [0, {len(cands)})")
-    r = cands[i]
-    chosen = tuple(spec["receivers"]) if "receivers" in spec else r.receivers
-    return r, chosen
+    if "digest" not in spec:
+        if len(cands) > 1 and "index" not in spec:
+            raise EngineError(f"{len(cands)} {spec['rule']} redexes match; no index picks one")
+        if not 0 <= (i := spec.get("index", 0)) < len(cands):
+            raise EngineError(f"{len(cands)} {spec['rule']} redexes match; index {i} outside "
+                              f"[0, {len(cands)})")
+        cands = [cands[i]]
+    for r in cands:
+        chosen = tuple(spec["receivers"]) if "receivers" in spec else r.receivers
+        succ = apply_redex(state, r, chosen)
+        if "digest" not in spec or succ.digest() == spec["digest"]:
+            return r, chosen, succ
+    raise EngineError(f"no enabled {spec['rule']} redex reaches digest {spec['digest']}")
 
 
 def run_script(network: t.Network, steps: list) -> tuple:
-    """Apply an explicit schedule to the encoded network; returns (final
-    state, digest per step)."""
+    """Replay script entries or trace steps by :func:`resolve_script_step`;
+    returns (final state, digest per step).  A step's error names its index."""
     state = RunState.from_network(encode_network(network))
     digests = []
-    for spec in steps:
-        r, chosen = resolve_script_step(state, spec)
-        state = apply_redex(state, r, chosen)
+    for i, spec in enumerate(steps):
+        try:
+            _, _, state = resolve_script_step(state, spec)
+        except EngineError as e:
+            raise EngineError(f"step {i}: {e}") from None
         digests.append(state.digest())
     return state, digests
 

@@ -48,15 +48,13 @@ def test_criterion_1_worked_examples():
     prog = cp.load_program(gather.program)
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     for spec in gather.schedule[:4]:
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
+        _, _, state = eng.resolve_script_step(state, spec)
     agg = [b for nd in state.nodes for b in nd.buffers if b.ep.aggr][0]
     assert agg.queue == (t.TaggedMsg(0, v.StrV("hbt2")),
                          t.TaggedMsg(1, v.StrV("hbt2")),
                          t.TaggedMsg(0, v.StrV("hbt1")))
     for spec in gather.schedule[4:6]:
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
+        _, _, state = eng.resolve_script_step(state, spec)
     agg = [b for nd in state.nodes for b in nd.buffers if b.ep.aggr][0]
     assert agg.state == 2 and agg.queue == ()
     dt = time.time() - t0
@@ -286,8 +284,7 @@ def test_criterion_5_progress_and_recovery():
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     scan(state)
     for spec in case.schedule:
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
+        _, _, state = eng.resolve_script_step(state, spec)
         scan(state)
 
     # scheduler runs over the beacon and gather corpus

@@ -300,8 +300,7 @@ def test_typed_step_preservation_on_gather_chain():
     prev = ck.type_network(g, state.to_network(), protocols=protocols)
     assert prev.ok
     for spec in case.schedule:
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
+        _, _, state = eng.resolve_script_step(state, spec)
         protocols = {s: prog.shared_types()["a"] for s in state.restricted}
         protocols["a"] = prog.shared_types()["a"]
         cur = ck.type_network(g, state.to_network(), protocols=protocols)

@@ -121,6 +121,23 @@ def test_replay_trace_file(tmp_path, capsys):
     assert rc == 0 and "replay ok" in out
 
 
+def test_replay_script_checks_digests(tmp_path, capsys):
+    """A script step's digest is checked: the steps of a trace, made a JSON
+    array with one digest changed, fail the replay at that step in one line."""
+    trace = tmp_path / "t.jsonl"
+    main(["run", corpus("paxos3.ubsc"), "--seed", "1", "--loss-rate", "0.3",
+          "--max-steps", "60", "--trace", str(trace)])
+    steps = [json.loads(l) for l in trace.read_text().splitlines()[1:]]
+    steps[40]["digest"] = "0" * 16
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(steps))
+    capsys.readouterr()
+    rc = main(["replay", corpus("paxos3.ubsc"), str(script)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1 and len(lines) == 1
+    assert lines[0].startswith("replay failed: step 40: ") and "{" not in lines[0]
+
+
 def test_stepper_drives_and_records(tmp_path, capsys, monkeypatch):
     script = tmp_path / "script.json"
     # choose the broadcast, deliver to node 1 only, then receive, then quit
@@ -195,6 +212,12 @@ REPLAY_INPUTS = {
         '{"seed": 0, "loss_rate": 3, "recovery_bias": 0.2, "max_steps": 5}\n',
     "script step without rule": '[{"sender": 0}]',
     "script step not an object": "[1]",
+    "trace step without rule":
+        '{"seed": 0, "loss_rate": 0.3, "recovery_bias": 0.2, "max_steps": 5}\n'
+        '{"session": "s#0", "sender": 0, "receivers": [1], "digest": "0"}\n',
+    "trace step receivers not ints":
+        '{"seed": 0, "loss_rate": 0.3, "recovery_bias": 0.2, "max_steps": 5}\n'
+        '{"rule": "Bcast", "session": "s#0", "sender": 0, "receivers": ["1"], "digest": "0"}\n',
 }
 
 
@@ -202,6 +225,7 @@ REPLAY_INPUTS = {
                                   "sweep bound not a number", "loss rate above 1",
                                   "trace header without fields", "trace loss rate above 1",
                                   "script step without rule", "script step not an object",
+                                  "trace step without rule", "trace step receivers not ints",
                                   "negative max steps", "empty sweep range",
                                   "trace in a missing directory",
                                   "script in a missing directory",

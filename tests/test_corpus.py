@@ -43,16 +43,14 @@ def test_gather_chain_matches_tagged_queue():
     prog = cp.load_program(case.program)
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     for spec in case.schedule[:4]:
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
+        _, _, state = eng.resolve_script_step(state, spec)
     agg = [b for nd in state.nodes for b in nd.buffers if b.ep.aggr][0]
     from ubsc import terms as t
     assert agg.queue == (t.TaggedMsg(0, v.StrV("hbt2")), t.TaggedMsg(1, v.StrV("hbt2")),
                          t.TaggedMsg(0, v.StrV("hbt1")))
     # two gather steps empty the queue at state 2
     for spec in case.schedule[4:6]:
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
+        _, _, state = eng.resolve_script_step(state, spec)
     agg = [b for nd in state.nodes for b in nd.buffers if b.ep.aggr][0]
     assert agg.state == 2 and agg.queue == ()
 
@@ -63,9 +61,8 @@ def test_drop_connections_ends_with_false_split():
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     rules = []
     for spec in case.schedule:
-        r, chosen = eng.resolve_script_step(state, spec)
+        r, _, state = eng.resolve_script_step(state, spec)
         rules.append(r.rule)
-        state = eng.apply_redex(state, r, chosen)
     assert rules[-1] == "False"
     # the conditional node kept only the younger session's buffer
     cond_node = state.nodes[2]

@@ -193,8 +193,7 @@ def test_progress_during_gather_chain():
             assert sf.session_progress_search(state, sess, c) is not None
         for sess, c in sf.recovery_shape_sessions(state):
             assert sf.session_recovery_search(state, sess, c) is not None
-        r, chosen = eng.resolve_script_step(state, spec)
-        state = eng.apply_redex(state, r, chosen)
+        _, _, state = eng.resolve_script_step(state, spec)
 
 
 # ------------------------------------------------------------- one head view
