@@ -62,9 +62,7 @@ def parse_declared(text: str, type_decls=None) -> dict:
             p.next()
             continue
         break
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return out
+    return p.whole(out)
 
 
 def _load(path: str):
@@ -173,11 +171,17 @@ def _run_one(prog, args, cfg: eng.SchedulerConfig, path, sweeping: bool) -> int:
             return 1
     safety_failures = []
 
+    def check_safety(net, where):
+        rep = sf.is_error_network(net)
+        if rep.verdict != "ok":
+            safety_failures.append((where, rep))
+
+    if args.safety:
+        check_safety(eng.encode_network(net), "the initial state")
+
     def on_step(state, step):
         if args.safety:
-            rep = sf.is_error_network(state.to_network())
-            if rep.verdict != "ok":
-                safety_failures.append((step.index, rep))
+            check_safety(state.to_network(), f"step {step.index}")
 
     trace = eng.run_scheduler(net, cfg, on_step=on_step,
                               networks=args.trace_networks)
@@ -196,8 +200,8 @@ def _run_one(prog, args, cfg: eng.SchedulerConfig, path, sweeping: bool) -> int:
         print(f"{tag}final network:")
         print(render_network(eng.normalize(trace.final.to_network())))
     if safety_failures:
-        idx, rep = safety_failures[0]
-        print(_color(f"safety violation at step {idx}: {rep.render()}", "31"))
+        where, rep = safety_failures[0]
+        print(_color(f"safety violation at {where}: {rep.render()}", "31"))
         return 1
     return 0
 
@@ -388,9 +392,14 @@ def main(argv=None) -> int:
     except (OSError, UBSCSyntaxError, UnicodeDecodeError) as e:
         return _fail(str(e))
     try:
-        return args.func(args, prog)
+        code = args.func(args, prog)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit-time flush
+        return code
     except UBSCSyntaxError as e:  # a malformed --context
         return _fail(str(e))
+    except BrokenPipeError:  # the reader closed standard output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
+        return 1
 
 
 if __name__ == "__main__":

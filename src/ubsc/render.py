@@ -2,9 +2,10 @@
 
 A process is written by one walk, :func:`_canon_text`: as written by
 :func:`render_process`, canonically by :func:`canon_process`, and as the
-name templates of the engine's digests.  A printed process parses back to
-the same term, with its sums right-nested, so printing the parse of a
-printed text gives that text again.
+name templates of the engine's digests.  A printed process or expression
+parses back to the same term, with its sums right-nested and its binary
+operators left-nested at the levels of :data:`values.OP_LEVEL`, so printing
+the parse of a printed text gives that text again.
 """
 
 from __future__ import annotations
@@ -15,17 +16,6 @@ from typing import Optional
 from . import sestypes as st
 from . import terms as t
 from . import values as v
-
-# expression precedence levels (higher binds tighter)
-_LVL_OR, _LVL_AND, _LVL_CMP, _LVL_ADD, _LVL_MUL, _LVL_ATOM = range(6)
-_OP_LEVEL = {
-    "or": _LVL_OR,
-    "and": _LVL_AND,
-    "=": _LVL_CMP, "!=": _LVL_CMP, "<": _LVL_CMP, ">": _LVL_CMP,
-    "<=": _LVL_CMP, ">=": _LVL_CMP,
-    "+": _LVL_ADD, "-": _LVL_ADD, "union": _LVL_ADD,
-    "*": _LVL_MUL,
-}
 
 
 def render_value(val: v.Value) -> str:
@@ -47,18 +37,18 @@ def render_value(val: v.Value) -> str:
     raise TypeError(f"not a value: {val!r}")
 
 
-def render_expr(e: v.Expr, level: int = _LVL_OR) -> str:
+def render_expr(e: v.Expr, level: int = 0) -> str:
     """``e`` as text, in parentheses when it binds more loosely than
-    ``level``."""
+    ``level`` of :data:`values.OP_LEVEL`."""
     s = _expr_text(e)
-    if type(e) is v.BinOp and _OP_LEVEL[e.op] < level:
+    if type(e) is v.BinOp and v.OP_LEVEL[e.op] < level:
         return f"({s})"
     return s
 
 
 def render_operand(e: v.Expr) -> str:
     """An expression where a send's payload or a receive's default sits."""
-    return render_expr(e, _LVL_ADD)
+    return render_expr(e, v.OP_LEVEL["+"])
 
 
 @v.memo_on_term
@@ -78,7 +68,7 @@ def _expr_text(e: v.Expr) -> str:
             return f"{name}(" + ", ".join(render_expr(a) for a in args) + ")"
         case v.BinOp(op, l, r):
             # left-associative: left operand may sit at the same level
-            lvl = _OP_LEVEL[op]
+            lvl = v.OP_LEVEL[op]
             return f"{render_expr(l, lvl)} {op} {render_expr(r, lvl + 1)}"
     raise TypeError(f"not an expression: {e!r}")
 
@@ -236,8 +226,9 @@ def _canon_text(p: t.Process, env: dict, counter: Optional[list],
             return f"{_chan_text(ch, env, holes)}<<{l}. {_canon_body(body, env, counter, holes)}"
         case t.Branch(ch, arms, df):
             chan = _chan_text(ch, env, holes)
-            inner = ", ".join(f"{l}: {_canon_text(ap, env, counter, holes)}" for l, ap in arms)
-            return f"{chan}>>{{{inner}, df: {_canon_text(df, env, counter, holes)}}}"
+            inner = ", ".join([f"{l}: {_canon_text(ap, env, counter, holes)}" for l, ap in arms]
+                              + [f"df: {_canon_text(df, env, counter, holes)}"])
+            return f"{chan}>>{{{inner}}}"
         case t.Sum():
             alts = _flatten_sum(p)
             if counter is not None:

@@ -123,6 +123,24 @@ class _Parser:
             self.fail(f"expected a name, found {tok.text!r}", tok)
         return tok.text
 
+    def seq(self, item, close, *args) -> list:
+        """``item(*args)`` separated by commas, then ``close``; none when
+        ``close`` comes first."""
+        items = []
+        if not self.at(close):
+            items.append(item(*args))
+            while self.at(","):
+                self.next()
+                items.append(item(*args))
+        self.expect(close)
+        return items
+
+    def whole(self, result):
+        """``result``, once the input has been read to its end."""
+        if self.peek().kind != "eof":
+            self.fail(f"trailing input {self.peek().text!r}")
+        return result
+
     # -- program -------------------------------------------------------
     def program(self) -> SourceProgram:
         shared = {}
@@ -139,10 +157,7 @@ class _Parser:
             if tn not in self.type_decls:
                 self.fail(f"undeclared protocol type {tn}")
             shared[a] = tn
-        net = self.network()
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input {self.peek().text!r}")
-        net = _resolve_call_args(net)
+        net = _resolve_call_args(self.whole(self.network()))
         return SourceProgram(self.type_decls, shared, net)
 
     # -- session types ---------------------------------------------------
@@ -157,16 +172,7 @@ class _Parser:
         if self.at("+") or self.at("&"):
             self.next()
             self.expect("{")
-            arms = []
-            while True:
-                l = self.name()
-                self.expect(":")
-                arms.append((l, self.stype(bound)))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-            self.expect("}")
+            arms = self.seq(self.type_arm, "}", bound)
             try:
                 arms_t = st.mkarms(arms)
             except st.TypeSyntaxError as e:
@@ -192,6 +198,11 @@ class _Parser:
                 return self.type_decls[n]
             self.fail(f"unknown type name {n}", tok)
         self.fail(f"expected a session type, found {tok.text!r}", tok)
+
+    def type_arm(self, bound: frozenset) -> tuple:
+        l = self.name()
+        self.expect(":")
+        return l, self.stype(bound)
 
     def btype(self) -> v.BaseType:
         tok = self.peek()
@@ -262,14 +273,7 @@ class _Parser:
         state = int(tok.text)
         self.expect(":")
         self.expect("[")
-        queue = []
-        while not self.at("]"):
-            queue.append(self.msg(aggr))
-            if self.at(","):
-                self.next()
-            else:
-                break
-        self.expect("]")
+        queue = self.seq(self.msg, "]", aggr)
         try:
             return t.Buffer(t.Endpoint(sess, aggr), state, tuple(queue))
         except ValueError as e:
@@ -356,12 +360,7 @@ class _Parser:
             while True:
                 dn = self.name()
                 self.expect("(")
-                params = []
-                while not self.at(")"):
-                    params.append(self.name())
-                    if self.at(","):
-                        self.next()
-                self.expect(")")
+                params = self.seq(self.name, ")")
                 self.expect("=")
                 body = self.process(chanvars | frozenset(params))
                 defs.append((dn, tuple(params), body))
@@ -375,13 +374,7 @@ class _Parser:
         if tok.kind == "name" and self.at("(", 1):
             self.next()
             self.expect("(")
-            args = []
-            while not self.at(")"):
-                args.append(self.callarg(chanvars))
-                if self.at(","):
-                    self.next()
-            self.expect(")")
-            return t.Call(tok.text, tuple(args))
+            return t.Call(tok.text, tuple(self.seq(self.callarg, ")", chanvars)))
         ch = self.chanref(chanvars)
         return self.chantail(ch, chanvars)
 
@@ -400,7 +393,7 @@ class _Parser:
         if self.at("!"):
             self.next()
             self.expect("<")
-            e = self.addexpr(chanvars)
+            e = self.expr(chanvars, v.OP_LEVEL["+"])  # so that ">" closes the payload
             self.expect(">")
             self.expect(".")
             return t.Send(ch, e, self.prefixterm(chanvars))
@@ -412,7 +405,7 @@ class _Parser:
             default = v.Lit(v.UNIT)
             if self.at("def"):
                 self.next()
-                default = self.addexpr(chanvars)
+                default = self.expr(chanvars, v.OP_LEVEL["+"])
             self.expect(".")
             return t.Recv(ch, x, default, self.prefixterm(chanvars))
         if self.at("<<"):
@@ -423,31 +416,21 @@ class _Parser:
         if self.at(">>"):
             self.next()
             self.expect("{")
-            arms = []
-            default_arm = t.Inact()
-            saw_default = False
-            while True:
-                if self.at("df"):
-                    self.next()
-                    self.expect(":")
-                    default_arm = self.process(chanvars)
-                    saw_default = True
-                else:
-                    l = self.name()
-                    self.expect(":")
-                    arms.append((l, self.process(chanvars)))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-            self.expect("}")
+            arms = self.seq(self.branch_arm, "}", chanvars)
             labels = [l for l, _ in arms]
             if len(set(labels)) != len(labels):
                 self.fail(f"duplicate branch labels {labels}")
-            if not arms and not saw_default:
+            if not arms:
                 self.fail("empty branch")
-            return t.Branch(ch, tuple(arms), default_arm)
+            default = dict(arms).get("df", t.Inact())
+            return t.Branch(ch, tuple(a for a in arms if a[0] != "df"), default)
         self.fail(f"expected a session prefix after {render_chan(ch)}")
+
+    def branch_arm(self, chanvars: frozenset) -> tuple:
+        """``label: process``, where the default arm's label is ``df``."""
+        l = self.next().text if self.at("df") else self.name()
+        self.expect(":")
+        return l, self.process(chanvars)
 
     def callarg(self, chanvars: frozenset):
         if self.at("*"):
@@ -457,40 +440,13 @@ class _Parser:
         return self.expr(chanvars)
 
     # -- expressions -------------------------------------------------------
-    def expr(self, chanvars: frozenset) -> v.Expr:
-        left = self.andexpr(chanvars)
-        while self.at("or"):
-            self.next()
-            left = v.BinOp("or", left, self.andexpr(chanvars))
-        return left
-
-    def andexpr(self, chanvars: frozenset) -> v.Expr:
-        left = self.cmpexpr(chanvars)
-        while self.at("and"):
-            self.next()
-            left = v.BinOp("and", left, self.cmpexpr(chanvars))
-        return left
-
-    def cmpexpr(self, chanvars: frozenset) -> v.Expr:
-        left = self.addexpr(chanvars)
-        for op in ("<=", ">=", "!=", "=", "<", ">"):
-            if self.at(op):
-                self.next()
-                return v.BinOp(op, left, self.addexpr(chanvars))
-        return left
-
-    def addexpr(self, chanvars: frozenset) -> v.Expr:
-        left = self.mulexpr(chanvars)
-        while self.at("+") or self.at("-") or self.at("union"):
-            op = self.next().text
-            left = v.BinOp(op, left, self.mulexpr(chanvars))
-        return left
-
-    def mulexpr(self, chanvars: frozenset) -> v.Expr:
+    def expr(self, chanvars: frozenset, level: int = 0) -> v.Expr:
+        """An expression whose binary operators all bind at ``level`` of
+        :data:`values.OP_LEVEL` or tighter, each level left-associative."""
         left = self.atom(chanvars)
-        while self.at("*"):
-            self.next()
-            left = v.BinOp("*", left, self.atom(chanvars))
+        while v.OP_LEVEL.get(self.peek().text, -1) >= level:
+            op = self.next().text
+            left = v.BinOp(op, left, self.expr(chanvars, v.OP_LEVEL[op] + 1))
         return left
 
     def atom(self, chanvars: frozenset) -> v.Expr:
@@ -524,24 +480,12 @@ class _Parser:
             return e
         if self.at("{"):
             self.next()
-            items = []
-            while not self.at("}"):
-                items.append(self.expr(chanvars))
-                if self.at(","):
-                    self.next()
-            self.expect("}")
-            return v.SetE(tuple(items))
+            return v.SetE(tuple(self.seq(self.expr, "}", chanvars)))
         if tok.kind == "name":
             self.next()
             if tok.text in v.BUILTINS:
                 self.expect("(")
-                args = []
-                while not self.at(")"):
-                    args.append(self.expr(chanvars))
-                    if self.at(","):
-                        self.next()
-                self.expect(")")
-                return v.Builtin(tok.text, tuple(args))
+                return v.Builtin(tok.text, tuple(self.seq(self.expr, ")", chanvars)))
             return v.Var(tok.text)
         self.fail(f"expected an expression, found {tok.text!r}", tok)
 
@@ -658,18 +602,12 @@ def parse_network(text: str, filename=None) -> t.Network:
 
 def parse_process(text: str) -> t.Process:
     p = _Parser(lex(text))
-    out = p.process(frozenset())
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return _resolve_call_args(t.NetworkNode(out, ())).process
+    return _resolve_call_args(t.NetworkNode(p.whole(p.process(frozenset())), ())).process
 
 
 def parse_expr(text: str) -> v.Expr:
     p = _Parser(lex(text))
-    out = p.expr(frozenset())
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return out
+    return p.whole(p.expr(frozenset()))
 
 
 def parse_value(text: str) -> v.Value:
@@ -679,10 +617,7 @@ def parse_value(text: str) -> v.Value:
 def parse_type(text: str, decls=None) -> st.SessionType:
     p = _Parser(lex(text))
     p.type_decls = dict(decls or {})
-    out = p.stype(frozenset())
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return out
+    return p.whole(p.stype(frozenset()))
 
 
 def pretty_print(prog: SourceProgram) -> str:

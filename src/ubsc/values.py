@@ -285,7 +285,10 @@ class Builtin:
 
 Expr = Union[Lit, Var, BinOp, TupleE, SetE, Builtin]
 
-BIN_OPS = {"+", "-", "*", ">", "<", ">=", "<=", "=", "!=", "and", "or", "union"}
+# The binary operators and their precedence levels, higher binding tighter;
+# every level is left-associative.  The parser and the printer both read it.
+OP_LEVEL = {"or": 0, "and": 1, "=": 2, "!=": 2, "<": 2, ">": 2, "<=": 2, ">=": 2,
+            "+": 3, "-": 3, "union": 3, "*": 4}
 BUILTINS = {"chooseVal", "size", "fst", "snd"}
 
 

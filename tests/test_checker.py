@@ -130,6 +130,64 @@ def test_call_leftover_live_channel_fails():
     assert not res.ok
 
 
+def _context(entries: dict) -> dict:
+    """A linear context from ``{"*s": "+{a: end}", ...}``."""
+    return {Endpoint(ch.lstrip("*"), ch.startswith("*")): parse_type(ty)
+            for ch, ty in entries.items()}
+
+
+@pytest.mark.parametrize("text, entries, expect", [
+    ("s!<1>. 0", {}, "Fail TSnd: channel s not in the linear context"),
+    ("req a(*x). 0", {}, "Fail TReq: undeclared shared channel a"),
+    ("acc a(x). 0", {}, "Fail TAcc: undeclared shared channel a"),
+    ("*s<<b. 0", {"*s": "+{a: end}"}, "Fail TSel: label b not offered by +{a: end}"),
+    ("*s>>{a: 0}", {"*s": "&{a: end}"}, "Fail TBr: branch on aggregator endpoint *s"),
+    ("s>>{a: *r!<1>. 0, df: 0}", {"s": "&{a: end}", "*r": "!int.end"},
+     "Fail TBr: recovery arm drops aggregator endpoint *r"),
+    ("if 1 then 0 else 0", {}, "Fail TCond: guard has type int"),
+    ("if true then *r!<1>. 0 else 0", {"*r": "!int.end"},
+     "Fail TCond: aggregator endpoint *r dropped by else-branch"),
+    ("if true then 0 else *r!<1>. 0", {"*r": "!int.end"},
+     "Fail TCond: aggregator endpoint *r dropped by then-branch"),
+    ("D(1)", {}, "Fail TVar: unbound definition D"),
+    ("def D(n) = 0 in D(1, 2)", {}, "Fail TVar: D expects 1 arguments, got 2"),
+    ("def D(x) = x!<1>. 0 in D(s)", {}, "Fail TVar: channel argument s not in context"),
+    ("def D(x) = x!<1>. 0 in if true then D(s) else D(1)", {"s": "!int.end"},
+     "Fail TVar: D: expected a channel argument, got expression"),
+    ("def D(x) = x!<1>. D(*x) in D(s)", {"s": "!int.end"},
+     "Fail TVar: D: channel argument *x has wrong polarity"),
+    ("def D(x) = x!<1>. D(y) in D(s)", {"s": "!int.end"},
+     "Fail TVar: channel argument y not in context"),
+    ("def D(x) = x!<1>. D(x) in D(s)", {"s": "!int.end"},
+     "Fail TVar: D: channel argument x type mismatch"),
+    ("def D(n) = D(*s) in D(1)", {}, "Fail TVar: D: expected an expression argument, got channel"),
+    ("def D(n) = D(true) in D(1)", {}, "Fail TVar: D: argument type bool does not match int"),
+    ("0 >r 0", {}, "Fail TRec: recovery term must be encoded before typechecking"),
+])
+def test_process_rule_rejections(text, entries, expect):
+    """One ill-typed process per rejection of a process typing rule.  A
+    definition's signature comes from its first call, so a call that
+    disagrees with it is a second call.  Two rejections cannot be reached:
+    TInact with channels left, and a call that leaves live channels, as
+    every channel a process does not use is weakened away or rejected by SWk
+    first."""
+    assert ck.type_process(G, _context(entries), parse_process(text)).render() == expect
+
+
+@pytest.mark.parametrize("text, protocols, expect", [
+    ("[ 0 | s~0:[] | s~0:[] ]", {}, "Fail TNode: duplicate buffer for s (at node#0)"),
+    ("new a. [ req a(*x). 0 ]", {}, "Fail TCRes: no protocol for restricted shared name a"),
+    ("new a. [ req a(*x). 0 ]", {"a": "end"}, "Ok, residual: (empty)"),
+    ("new s. [ s?(x). 0 | s~0:[] ]", {},
+     "Fail TSRes: restricted session s has no aggregator endpoint in context"),
+])
+def test_network_rule_rejections(text, protocols, expect):
+    protocols = {name: parse_type(ty) for name, ty in protocols.items()}
+    res = ck.type_network(G, parse_network(text), protocols=protocols)
+    assert res.render() == expect
+    assert not res.ok or "TCRes" in [app.rule for app in res.trace]
+
+
 # ------------------------------------------------------------- network typing
 
 def test_heartbeat_static():

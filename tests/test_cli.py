@@ -79,6 +79,29 @@ def test_run_with_check_and_safety(capsys):
     assert rc == 0 and "safety: ok" in out
 
 
+def test_run_safety_checks_the_initial_state(capsys):
+    """A program that starts as an error network fails ``--safety``, though
+    no step reaches another one."""
+    rc = main(["run", corpus("error_brc_brc.ubsc"), "--safety", "--max-steps", "5"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1 and "safety: 1 error-network states" in lines
+    assert lines[-1] == ("safety violation at the initial state: error network on "
+                         "session s: node#0 Brc^0 with node#1 Brc^0")
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that stops early, as in ``ubsc run ... | head -1``, ends the
+    command with exit 1 and nothing on standard error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = _run_module("ubsc", ["run", corpus("paxos5.ubsc"), "--max-steps", "150"],
+                          stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1 and out.stderr == ""
+
+
 def test_run_sweep(capsys):
     rc = main(["run", corpus("heartbeat_simple.ubsc"), "--sweep", "0..2",
                "--max-steps", "10"])
@@ -161,14 +184,14 @@ def test_stepper_undo(capsys, monkeypatch):
     assert rc == 0
 
 
-def _run_module(module, args, stdin_text=None):
+def _run_module(module, args, stdin_text=None, stdout=subprocess.PIPE):
     """``python -m module args`` in a child process, which finds the
     package where this process did, installed or not."""
     src = os.path.dirname(os.path.dirname(ubsc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", module, *args], input=stdin_text,
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_console_entry_point():
@@ -220,6 +243,12 @@ REPLAY_INPUTS = {
         '{"rule": "Bcast", "session": "s#0", "sender": 0, "receivers": ["1"], "digest": "0"}\n',
 }
 
+PROGRAM_INPUTS = {
+    "call args without comma": "[ def X(a, b) = 0 in X(1 2) ]",
+    "trailing comma in a buffer": "[ 0 | s~0:[1,] ]",
+    "set without comma": "[ if size({1 2}) = 2 then 0 else 0 ]",
+}
+
 
 @pytest.mark.parametrize("case", ["missing file", "empty trace", "sweep without range",
                                   "sweep bound not a number", "loss rate above 1",
@@ -229,10 +258,13 @@ REPLAY_INPUTS = {
                                   "negative max steps", "empty sweep range",
                                   "trace in a missing directory",
                                   "script in a missing directory",
-                                  "context endpoint declared twice"])
+                                  "context endpoint declared twice",
+                                  *PROGRAM_INPUTS])
 def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys, monkeypatch):
     replay_input = tmp_path / "replay.json"
     replay_input.write_text(REPLAY_INPUTS.get(case, ""))
+    program_input = tmp_path / "program.ubsc"
+    program_input.write_text(PROGRAM_INPUTS.get(case, ""))
     prog = corpus("heartbeat_simple.ubsc")
     missing = tmp_path / "missing"
     argv = {
@@ -245,6 +277,7 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys, monkeypat
         "trace in a missing directory": ["run", prog, "--trace", str(missing / "x")],
         "script in a missing directory": ["step", prog, "--script", str(missing / "s.json")],
         "context endpoint declared twice": ["check", prog, "--context", "s:(1, end), s:(2, end)"],
+        **{c: ["check", str(program_input)] for c in PROGRAM_INPUTS},
     }.get(case, ["replay", prog, str(replay_input)])
     monkeypatch.setattr(sys, "stdin", io.StringIO("0\n\nq\n"))  # one step, then quit
     rc = main(argv)

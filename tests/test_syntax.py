@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from ubsc import engine as eng
 from ubsc import terms as t
 from ubsc import values as v
 from ubsc.corpus import corpus_dir
-from ubsc.render import render_network, render_type
+from ubsc.render import render_network, render_process, render_type
 from ubsc.syntax import (UBSCSyntaxError, parse, parse_expr, parse_network,
                          parse_process, parse_type, pretty_print)
 
@@ -149,6 +150,25 @@ def test_expr_parse_precedence():
     assert v.eval_expr(parse_expr("{(1, 2)} union {(3, 4)}"), {}) == v.mkset(
         [v.PairV(v.IntV(1), v.IntV(2)), v.PairV(v.IntV(3), v.IntV(4))]
     )
+
+
+@pytest.mark.parametrize("text", ["s>>{df: 0}", "if (x < 1) = true then 0 else 0"])
+def test_printed_process_parses_back(text):
+    """A branch with only its default arm, and a comparison nested in a
+    comparison, print as text that parses back to the same term."""
+    p = parse_process(text)
+    assert parse_process(render_process(p)) == p
+
+
+@pytest.mark.parametrize("text, message", [
+    ("s>>{a: 0, df: 0, df: s!<1>. 0}", "duplicate branch labels ['a', 'df', 'df']"),
+    ("s>>{}", "empty branch"),
+    ("s>>{a: 0,}", "expected a name, found '}'"),
+    ("def X(a b) = 0 in X(1, 2)", "expected ')', found 'b'"),
+])
+def test_malformed_list_fails(text, message):
+    with pytest.raises(UBSCSyntaxError, match=re.escape(message)):
+        parse_process(text)
 
 
 def test_recv_default_sugar():
