@@ -17,7 +17,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, filterfalse, repeat
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, itemgetter, not_
 from typing import Callable, NamedTuple, Optional
 
 from . import terms as t
@@ -81,20 +82,14 @@ def has_recover(p: t.Process) -> bool:
 
 # ------------------------------------------------------------- canonical form
 
-# A node's canonical rendering under a renaming of its session and shared
-# names is computed once, as a template: the canonical text with every name
-# ``n`` written as the hole ``\0n\0``.  Rendering under a renaming then fills
-# the holes and sorts the buffers by their renamed sessions.  Holes are keyed
-# by the name, so a process, a definitions block or a buffer keeps its
-# template across node versions.  The memo keys follow Maziarz et al.,
-# "Hashing Modulo Alpha-Equivalence" (PLDI 2021): a term's template depends
-# on its structure, and names enter only through the fill.
-
-def _checked(text: str, holes: _Holes) -> Optional[str]:
-    """``text`` when it holds exactly the hole marks its holes made; None
-    when it holds more (a string value holding one)."""
-    return text if text.count(_HOLE) == 2 * holes.count else None
-
+# A node's canonical rendering under a renaming of its names is assembled
+# from parts kept across node versions.  Its process is a template: the
+# canonical text with every name ``n`` written as the hole ``\0n\0``, filled
+# under the renaming.  Its finished buffers form one block shared by every
+# version, filled column by column when the renaming changes; only its few
+# live buffers are rendered one at a time.  The memo keys follow Maziarz et
+# al., "Hashing Modulo Alpha-Equivalence" (PLDI 2021): a term's template
+# depends on its structure, and names enter only through the fill.
 
 @lru_cache(maxsize=256)
 def _defs_block(defs: tuple) -> Optional[tuple]:
@@ -106,16 +101,15 @@ def _defs_block(defs: tuple) -> Optional[tuple]:
         text, env = _canon_defs(defs, {}, counter, holes)
     except _NameOrder:
         return None
-    text = _checked(text, holes)
-    return None if text is None else (text, env, counter[0])
+    return (text, env, counter[0]) if text.count(_HOLE) == 2 * holes.count else None
 
 
 @lru_cache(maxsize=2048)
 def _process_template(p: t.Process) -> Optional[tuple]:
-    """Template of the canonical rendering of ``p`` as two texts with holes:
-    the definitions block's, shared by every process under it, and the
-    rest's.  None when ``p`` has no exact template: a sum's order depends
-    on its names, or a string value holds a hole mark."""
+    """Template of the canonical rendering of ``p``, split at the holes (the
+    names at the odd indices), and its names; the definitions block's part
+    is made once per block.  None when ``p`` has no exact template: a sum's
+    order depends on its names, or a string value holds a hole mark."""
     if type(p) is t.Defs:
         block = _defs_block(p.defs)
         if block is None:
@@ -126,10 +120,13 @@ def _process_template(p: t.Process) -> Optional[tuple]:
         head, env, n, canon, body = "", _NO_BINDERS, 0, _canon_text, p
     holes = _Holes(env)
     try:
-        text = _checked(canon(body, env, [n], holes), holes)
+        text = canon(body, env, [n], holes)
     except _NameOrder:
         return None
-    return None if text is None else (head, text)
+    if text.count(_HOLE) != 2 * holes.count:  # more marks than holes: a string holds one
+        return None
+    parts = tuple((head + text).split(_HOLE))
+    return parts, frozenset(parts[1::2])
 
 
 @v.memo_on_term
@@ -138,75 +135,133 @@ def _buffer_tail(b: t.Buffer) -> str:
     return render_buffer(b)[b.ep.aggr + len(b.ep.session):]
 
 
-@lru_cache(maxsize=512)
-def _buffer_parts(node: t.NetworkNode) -> tuple:
-    """The node's buffers in node order as (sessions, polarity marks, texts
-    after the name)."""
-    bufs = node.buffers
-    return (tuple(b.ep.session for b in bufs), tuple("*" if b.ep.aggr else "" for b in bufs),
-            tuple(map(_buffer_tail, bufs)))
+_SESSION, _TEXT = attrgetter("ep.session"), itemgetter(4)
 
 
-@lru_cache(maxsize=2048)  # with _node_render, bounds how long old nodes and their facts live
-def _node_names(node: t.NetworkNode) -> frozenset:
-    """Session and shared names of a node: its process's, read off the
-    process template's holes when there is one, and its buffers'."""
-    tpl = _process_template(node.process)
-    if tpl is None:
-        sessions, shared, _ = t.process_facts(node.process)
-        names = sessions | shared
-    else:
-        names = frozenset(tpl[0].split(_HOLE)[1::2]).union(tpl[1].split(_HOLE)[1::2])
-    return names.union(_buffer_parts(node)[0])
+class _Block:
+    """A node's finished buffers (of sessions its process no longer names)
+    in node order, with their ``sorted`` names and, per slot of
+    :func:`_renamed`, their sort entries.  Shared by the node's versions."""
+
+    __slots__ = ("bufs", "sessions", "marks", "tails", "sorted", "sel", "others", "outs")
+
+    def __init__(self, bufs: tuple, old: Optional["_Block"] = None):
+        new = bufs[len(old.bufs):] if old else bufs
+        self.bufs, self.sessions, self.marks, self.tails = bufs, *map(add, (
+            (old.sessions, old.marks, old.tails) if old else ((), (), ())),
+            (tuple(map(_SESSION, new)), tuple("*" if b.ep.aggr else "" for b in new),
+             tuple(map(_buffer_tail, new))))
+        self.sorted = tuple(sorted(set(self.sessions)))
+        self.sel, self.others, self.outs = (), (), [(None, None), (None, None)]
+
+    def fill(self, ren: dict) -> list:
+        """The sorted (renamed session, mark, j, 0, text) of each j-th buffer."""
+        names = list(map(ren.get, self.sessions, self.sessions))
+        return sorted(zip(names, self.marks, range(len(names)), repeat(0),
+                          map(add, map(add, self.marks, names), self.tails)))
+
+
+_NO_BLOCK = _Block(())
+
+
+def _block(bufs: tuple, live: tuple) -> _Block:
+    """The block of the node buffers ``bufs`` not ``live``: the one kept on
+    the first if it holds them, else made, extending it if it holds a prefix.
+    It notes which it holds (``sel``) and the ``others``, all live."""
+    fin = tuple(compress(bufs, map(not_, live)))
+    old = getattr(fin[0], "_block", None) if fin else _NO_BLOCK
+    if old is None or old.bufs != fin:
+        old = _Block(fin, old if old is not None and old.bufs == fin[:len(old.bufs)] else None)
+        object.__setattr__(fin[0], "_block", old)
+    if fin:
+        old.sel, old.others = tuple(map(not_, live)), tuple(compress(range(len(bufs)), live))
+    return old
 
 
 class _NodeDigest:
-    """What digesting reads from one node, kept on it as :func:`_node_facts`
-    is: its ``names``, ``sorted`` and in the order the canonical assignment
-    ``meets`` them (buffer sessions sorted, then the rest sorted); its
-    ``masked`` text, valid while its names outside the restricted set are
-    ``free``; and its renamed ``text``, valid under the ``assigned`` map."""
+    """What digesting reads from a node: its process's ``named`` names; its
+    ``block``; each ``live`` buffer's (session, mark, r, i + 1, tail), the
+    i-th after the block's r-th; its names in the order the assignment
+    ``meets`` them; its ``texts``, the ``last`` per slot of :func:`_renamed`."""
 
-    __slots__ = ("names", "sorted", "meets", "free", "masked", "assigned", "text")
-
-    def __init__(self, names: frozenset, ordered: tuple, meets: tuple):
-        self.names, self.sorted, self.meets = names, ordered, meets
-        self.free = self.assigned = None
+    __slots__ = ("named", "block", "live", "meets", "last", "texts")
 
 
 @v.memo_on_term
 def _node_digest(node: t.NetworkNode) -> _NodeDigest:
-    names = _node_names(node)
-    ordered = tuple(sorted(names))
-    meets = tuple(dict.fromkeys([*sorted(set(_buffer_parts(node)[0])), *ordered]))
-    return _NodeDigest(names, ordered, meets)
+    tpl, named, bufs = _process_template(node.process), _named(node.process), node.buffers
+    blk = getattr(bufs[0], "_block", _NO_BLOCK) if bufs else _NO_BLOCK
+    live = blk.others + tuple(range(len(blk.sel), len(bufs)))  # appended ones are live too
+    if not (len(blk.sel) <= len(bufs) and blk.bufs == tuple(compress(bufs, blk.sel))
+            and named.issuperset(map(_SESSION, map(bufs.__getitem__, live)))):
+        flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
+        blk, live = _block(bufs, flags), tuple(compress(range(len(bufs)), flags))
+    return _record(tpl or node.process, named, blk, live, tuple(map(bufs.__getitem__, live)))
 
 
-def _fill(text: str, ren: dict) -> str:
-    """A template text with each hole filled by its name renamed by
-    ``ren``."""
-    parts = text.split(_HOLE)  # names at the odd indices
-    parts[1::2] = [ren.get(n, n) for n in parts[1::2]]
-    return "".join(parts)
+@lru_cache(maxsize=64)
+def _record(process, named: frozenset, blk: _Block, live: tuple, bufs: tuple) -> _NodeDigest:
+    """The record of the nodes with this process template (or process
+    without one) and block, and the live ``bufs`` at ``live``: equal nodes
+    built apart, as a search builds them, share it."""
+    f = _NodeDigest()
+    f.named, f.block, f.last, f.texts = named, blk, [(None, None), (None, None)], {}
+    f.live = [(b.ep.session, "*" if b.ep.aggr else "", i - k - 1, i + 1, _buffer_tail(b))
+              for k, (i, b) in enumerate(zip(live, bufs))]
+    on = [p[0] for p in f.live]
+    f.meets = (*sorted(chain(blk.sorted, on)), *sorted(named.difference(on)))
+    return f
+
+
+def _named(p: t.Process) -> frozenset:
+    """The session and shared names in ``p``: its template's holes, if any."""
+    tpl = _process_template(p)
+    return tpl[1] if tpl else frozenset().union(*t.process_facts(p)[:2])
+
+
+def _render(node: t.NetworkNode, live: list, ren: dict, ents: list) -> str:
+    """Canonical text of ``node`` under ``ren``: its process template filled
+    (or its process renamed and canonicalised), then its sorted buffers:
+    ``ents`` merged with the ``live`` parts, rendered here one at a time."""
+    if (tpl := _process_template(node.process)) is None:
+        proc = canon_process(t.rename_node_sessions(node, ren).process)
+    else:
+        parts = list(tpl[0])
+        parts[1::2] = map(ren.get, parts[1::2], parts[1::2])
+        proc = "".join(parts)
+    bufs = ents + [((nm := ren.get(s, s)), m, r, i, m + nm + tail) for s, m, r, i, tail in live]
+    bufs.sort()
+    return "[ " + " | ".join([proc, *map(_TEXT, bufs)]) + " ]"
+
+
+def _renamed(node: t.NetworkNode, f: _NodeDigest, ren: dict, slot: int) -> str:
+    """The node's text under ``ren`` (slot 0 the mask, 1 the assignment),
+    kept by what ``ren`` makes of its names, eight at most, as a search
+    revisits a node under a few maps; its block keeps the slot's last."""
+    key, blk = tuple(map(ren.get, f.meets)), f.block
+    if (text := f.texts.get(key)) is None:
+        if blk.outs[slot][0] != (bkey := tuple(map(ren.get, blk.sorted))):
+            blk.outs[slot] = bkey, blk.fill(ren)
+        if len(f.texts) >= 8:
+            del f.texts[next(iter(f.texts))]
+        text = f.texts[key] = _render(node, f.live, ren, blk.outs[slot][1])
+    f.last[slot] = ren, text
+    return text
+
+
+@lru_cache(maxsize=2048)  # with _node_render, bounds how long old nodes and their facts live
+def _node_names(node: t.NetworkNode) -> frozenset:
+    """Session and shared names of a node: its process's and its buffers'."""
+    return _named(node.process).union(map(_SESSION, node.buffers))
 
 
 @lru_cache(maxsize=4096)
 def _node_render(node: t.NetworkNode, ren_items: tuple) -> str:
-    """Canonical rendering of ``node`` with its names renamed by
-    ``ren_items``: a fill of the process template, or the renamed node
-    canonicalised and rendered when the process has no template."""
-    tpl = _process_template(node.process)
-    ren = dict(ren_items)
-    if tpl is None:
-        proc = canon_process(t.rename_node_sessions(node, ren).process)
-    else:
-        proc = _fill(tpl[0], ren) + _fill(tpl[1], ren)
-    sessions, marks, tails = _buffer_parts(node)
-    names = [ren.get(s, s) for s in sessions] if ren else sessions
-    # by (renamed session, polarity); the index keeps ties in node order
-    bufs = sorted(zip(names, marks, range(len(names)), tails))
-    texts = [proc] + [m + s + tail for s, m, _, tail in bufs]
-    return "[ " + " | ".join(texts) + " ]"
+    """Canonical text of ``node`` renamed by ``ren_items``, every buffer
+    rendered; :func:`canonical_text` reads it only to break ties."""
+    live = [(b.ep.session, "*" if b.ep.aggr else "", 0, i, _buffer_tail(b))
+            for i, b in enumerate(node.buffers)]
+    return _render(node, live, dict(ren_items), [])
 
 
 def normalize(n: t.Network) -> t.Network:
@@ -223,12 +278,8 @@ def normal_parts(n: t.Network) -> tuple:
     as ``flatten_nodes`` would read them back, without building it."""
     restricted, nodes = t.flatten_nodes(n)
     kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
-    if not kept:
-        kept = [t.NetworkNode(t.Inact(), ())]
-    keyed = sorted(kept, key=lambda nd: _node_render(nd, ()))
-    live = set()
-    for nd in keyed:
-        live |= _node_names(nd)
+    keyed = sorted(kept or [t.NetworkNode(t.Inact(), ())], key=lambda nd: _node_render(nd, ()))
+    live = frozenset().union(*map(_node_names, keyed))
     return tuple(r for r in restricted if r in live), tuple(keyed)
 
 
@@ -237,24 +288,18 @@ def canonical_text(restricted, nodes) -> str:
     restrictions dropped, nodes sorted by a name-insensitive key, restricted
     names assigned canonically by first appearance (iterated to a fixpoint so
     the result does not depend on the input naming)."""
-    kept = [nd for nd in nodes
-            if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
-    if not kept:
-        kept = [t.NetworkNode(t.Inact(), ())]
+    kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
+    kept = kept or [t.NetworkNode(t.Inact(), ())]
     recs = list(map(_node_digest, kept))
-    rset = frozenset(restricted).intersection(frozenset().union(*[f.names for f in recs]))
-    for nd, f in zip(kept, recs):  # each node masked: its restricted names as "?"
-        if f.free != (free := tuple(filterfalse(rset.__contains__, f.sorted))):
-            mask = tuple(zip(filter(rset.__contains__, f.sorted), repeat("?")))
-            f.free, f.masked = free, _node_render(nd, mask)
-    keys = [f.masked for f in recs]
+    rset, mask = _restricted(tuple(restricted))
+    keys = [f.last[0][1] if f.last[0][0] is mask else _renamed(nd, f, mask, 0)  # "?" each
+            for nd, f in zip(kept, recs)]
     if len(set(keys)) < len(keys):  # ties under the mask fall to the plain text
         keys = [(k, _node_render(nd, ())) for k, nd in zip(keys, kept)]
     order = [(kept[i], recs[i]) for i in sorted(range(len(keys)), key=keys.__getitem__)]
     for _ in range(4):
-        met = dict.fromkeys(chain.from_iterable([f.meets for _, f in order]))
-        assigned, binders = _assignment(tuple(filter(rset.__contains__, met)))
-        texts = [f.text if f.assigned is assigned else _renamed(nd, f, assigned)
+        assigned, binders = _assignment(rset, tuple(f.meets for _, f in order))
+        texts = [f.last[1][1] if f.last[1][0] is assigned else _renamed(nd, f, assigned, 1)
                  for nd, f in order]
         if (ranked := sorted(texts)) == texts:
             break
@@ -263,21 +308,20 @@ def canonical_text(restricted, nodes) -> str:
     return binders + (f"({body})" if binders and len(ranked) > 1 else body)
 
 
-def _renamed(node: t.NetworkNode, f: _NodeDigest, assigned: dict) -> str:
-    """The node's text under ``assigned``, kept on its record ``f``."""
-    rn = list(filter(assigned.__contains__, f.sorted))
-    f.assigned, f.text = assigned, _node_render(node, tuple(zip(rn, map(assigned.__getitem__, rn))))
-    return f.text
+@lru_cache(maxsize=8)
+def _restricted(restricted: tuple) -> tuple:
+    """The restricted names as a set, and the mask writing each as ``?``."""
+    rset = frozenset(restricted)
+    return rset, dict.fromkeys(rset, "?")
 
 
 @lru_cache(maxsize=8)
-def _assignment(met: tuple) -> tuple:
-    """The canonical names r0 ... of the restricted names ``met`` in the
-    order met, and their binders as text.  One shared map per order, so a
-    node's text rendered under it is reused while states meet their names
-    in the same order."""
+def _assignment(rset: frozenset, meets: tuple) -> tuple:
+    """The canonical names r0 ... of the names of ``rset`` in the order the
+    nodes' ``meets`` meet them, and their binders as text."""
+    met = tuple(filter(rset.__contains__, dict.fromkeys(chain.from_iterable(meets))))
     names = [f"r{i}" for i in range(len(met))]
-    return dict(zip(met, names)), "".join(f"new {nm}. " for nm in names)
+    return dict(zip(met, names)), "new " + ". new ".join(names) + ". " if names else ""
 
 
 def canonical_render(n: t.Network) -> str:

@@ -56,13 +56,15 @@ def test_every_lru_cache_is_bounded():
 def test_tracer_round_trip(tracing):
     """Install the tracer, run a short traced scheduler run, uninstall: the
     digest layer and the node-render cache are seen, and every wrapped
-    function is restored."""
+    function is restored.  Digests read node records, not the node-render
+    cache, so the run also renders each state's normal form, which does."""
     before = {(id(o), a): o.__dict__[a] for o, a, _ in tracing.LAYERS}
     tracer = tracing.Tracer()
     tracer.install()
     try:
         net = cp.load_program("paxos3.ubsc").network
-        eng.run_scheduler(net, eng.SchedulerConfig(seed=1, loss_rate=0.3, max_steps=20))
+        eng.run_scheduler(net, eng.SchedulerConfig(seed=1, loss_rate=0.3, max_steps=20),
+                          networks=True)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()

@@ -124,10 +124,11 @@ def test_def_channel_param():
 
 
 def test_call_leftover_live_channel_fails():
+    """A channel the call does not pass is shed before the call, by SWk."""
     p = parse_process("def D() = 0 in s?(x). D()")
     d = {Endpoint("s", False): parse_type("?int.?int.end")}
     res = ck.type_process(G, d, p)
-    assert not res.ok
+    assert res.render() == "Fail SWk: unused channel s has type ?int.end, not end"
 
 
 def _context(entries: dict) -> dict:

@@ -228,3 +228,105 @@ def test_caches_are_bounded(module):
     for obj in vars(module).values():
         if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
             assert obj.cache_parameters()["maxsize"] is not None, obj
+
+
+class _LongRun:
+    """A 3000-step paxos5 run (seed 26508), digested step by step as the
+    scheduler digests it, with two work counts per step: buffers rendered
+    one at a time (the live ones, in ``_render``) and block fills.  It keeps
+    every 50th state, the states just after the fresh counter reaches
+    ``s#10`` and ``s#100``, and the states around a True/False/BRec step
+    that shrinks the acting node's block."""
+
+    STEPS = 3000
+
+    def __init__(self):
+        self.rendered, self.fills = [0], [0]
+        self.kept, self.crossings, self.shrinks = [], [], []
+        render, fill = eng._render, eng._Block.fill
+
+        def counted_render(node, live, ren, ents):
+            self.rendered[-1] += len(live)
+            return render(node, live, ren, ents)
+
+        def counted_fill(blk, ren):
+            self.fills[-1] += 1
+            return fill(blk, ren)
+
+        prev = [None]
+
+        def on_step(state, step):
+            i, before = step.index, prev[0]
+            if i % 50 == 0:
+                self.kept.append(state)
+            if before is not None and (before.fresh, state.fresh) in ((10, 11), (100, 101)):
+                self.crossings.append(state)
+            if step.rule in ("True", "False", "BRec") and not self.shrinks:
+                old = eng._node_digest(before.nodes[step.sender]).block.bufs
+                if len(eng._node_digest(state.nodes[step.sender]).block.bufs) < len(old):
+                    self.shrinks += [before, state]
+            prev[0] = state
+            self.rendered.append(0)
+            self.fills.append(0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "_render", counted_render)
+            mp.setattr(eng._Block, "fill", counted_fill)
+            cfg = eng.SchedulerConfig(seed=26508, loss_rate=0.3, recovery_bias=0.2,
+                                      max_steps=self.STEPS)
+            eng.run_scheduler(_network("paxos5.ubsc"), cfg, on_step=on_step)
+        # the initial digest counts with step 0; the entry after the last step is empty
+        self.rendered, self.fills = self.rendered[:self.STEPS], self.fills[:self.STEPS]
+
+    def per_step(self, counts: list, lo: int, hi: int) -> float:
+        return sum(counts[lo:hi]) / (hi - lo)
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    return _LongRun()
+
+
+def test_long_run_digest_work_stays_flat(long_run):
+    """Buffers rendered one at a time per digested step, and block fills per
+    step, in the last 500 steps of the run stay within 1.2x of the first
+    500: finished buffers are never rendered one at a time, and a block is
+    filled only when it forms or a map renames one of its names."""
+    assert len(long_run.rendered) == _LongRun.STEPS
+    for counts in (long_run.rendered, long_run.fills):
+        early, late = long_run.per_step(counts, 0, 500), long_run.per_step(counts, 2500, 3000)
+        assert 0 < late <= 1.2 * early, (early, late)
+
+
+def test_long_run_states_match_oracle(long_run):
+    """The kept states of the long run against the oracle: canonical text,
+    normal form, and equivalence with an alpha-variant, which is made for
+    every fifth kept state and each special one (the oracle re-renders
+    every node, which dominates this test's time).  A variant is not always
+    equivalent to its state: within a node, restricted names are met in
+    the order of their names, so both canonicalisers can assign them
+    differently."""
+    assert len(long_run.kept) == _LongRun.STEPS // 50
+    assert [s.fresh for s in long_run.crossings] == [11, 101]
+    assert len(long_run.shrinks) == 2
+    rng = random.Random(7)
+    for k, state in enumerate(long_run.kept + long_run.crossings + long_run.shrinks):
+        net = state.to_network()
+        variant = k % 5 == 0 or k >= len(long_run.kept)
+        nets = (net, _alpha_variant(state, rng)) if variant else (net,)
+        texts = list(map(oracle.canonical_render, nets))
+        for n, text in zip(nets, texts):
+            assert eng.canonical_render(n) == text
+            _assert_normal_form_matches_oracle(n)
+        if variant:
+            assert eng.networks_equivalent(*nets) == (texts[0] == texts[1])
+
+
+def _assert_normal_form_matches_oracle(net: t.Network) -> None:
+    """``normalize``'s parts against the oracle's normal form, node by node:
+    comparing the two networks whole recurses once per restriction, past
+    the recursion limit on a long run's state."""
+    names, nodes = eng.normal_parts(net)
+    want_names, want_nodes = t.flatten_nodes(oracle.normalize(net))
+    assert names == tuple(want_names) and len(nodes) == len(want_nodes)
+    assert all(a is b for a, b in zip(nodes, want_nodes))
