@@ -91,6 +91,12 @@ def has_recover(p: t.Process) -> bool:
 # al., "Hashing Modulo Alpha-Equivalence" (PLDI 2021): a term's template
 # depends on its structure, and names enter only through the fill.
 
+def _checked(text: str, holes: _Holes) -> Optional[str]:
+    """``text`` when it holds exactly the hole marks its holes made; None
+    when it holds more (a string value holding one)."""
+    return text if text.count(_HOLE) == 2 * holes.count else None
+
+
 @lru_cache(maxsize=256)
 def _defs_block(defs: tuple) -> Optional[tuple]:
     """Template of the canonical ``def ... in `` text of a top-level
@@ -101,7 +107,8 @@ def _defs_block(defs: tuple) -> Optional[tuple]:
         text, env = _canon_defs(defs, {}, counter, holes)
     except _NameOrder:
         return None
-    return (text, env, counter[0]) if text.count(_HOLE) == 2 * holes.count else None
+    text = _checked(text, holes)
+    return None if text is None else (text, env, counter[0])
 
 
 @lru_cache(maxsize=2048)
@@ -120,10 +127,10 @@ def _process_template(p: t.Process) -> Optional[tuple]:
         head, env, n, canon, body = "", _NO_BINDERS, 0, _canon_text, p
     holes = _Holes(env)
     try:
-        text = canon(body, env, [n], holes)
+        text = _checked(canon(body, env, [n], holes), holes)
     except _NameOrder:
         return None
-    if text.count(_HOLE) != 2 * holes.count:  # more marks than holes: a string holds one
+    if text is None:
         return None
     parts = tuple((head + text).split(_HOLE))
     return parts, frozenset(parts[1::2])
@@ -135,7 +142,7 @@ def _buffer_tail(b: t.Buffer) -> str:
     return render_buffer(b)[b.ep.aggr + len(b.ep.session):]
 
 
-_SESSION, _TEXT = attrgetter("ep.session"), itemgetter(4)
+_SESSION, _AGGR, _TEXT = attrgetter("ep.session"), attrgetter("ep.aggr"), itemgetter(4)
 
 
 class _Block:
@@ -143,16 +150,17 @@ class _Block:
     in node order, with their ``sorted`` names and, per slot of
     :func:`_renamed`, their sort entries.  Shared by the node's versions."""
 
-    __slots__ = ("bufs", "sessions", "marks", "tails", "sorted", "sel", "others", "outs")
+    __slots__ = ("bufs", "sessions", "marks", "tails", "sorted", "outs")
 
     def __init__(self, bufs: tuple, old: Optional["_Block"] = None):
         new = bufs[len(old.bufs):] if old else bufs
-        self.bufs, self.sessions, self.marks, self.tails = bufs, *map(add, (
-            (old.sessions, old.marks, old.tails) if old else ((), (), ())),
-            (tuple(map(_SESSION, new)), tuple("*" if b.ep.aggr else "" for b in new),
-             tuple(map(_buffer_tail, new))))
+        sessions, marks, tails = (old.sessions, old.marks, old.tails) if old else ((), (), ())
+        self.bufs = bufs
+        self.sessions = sessions + tuple(map(_SESSION, new))
+        self.marks = marks + tuple(map(("", "*").__getitem__, map(_AGGR, new)))
+        self.tails = tails + tuple(map(_buffer_tail, new))
         self.sorted = tuple(sorted(set(self.sessions)))
-        self.sel, self.others, self.outs = (), (), [(None, None), (None, None)]
+        self.outs = [(None, None), (None, None)]
 
     def fill(self, ren: dict) -> list:
         """The sorted (renamed session, mark, j, 0, text) of each j-th buffer."""
@@ -166,15 +174,12 @@ _NO_BLOCK = _Block(())
 
 def _block(bufs: tuple, live: tuple) -> _Block:
     """The block of the node buffers ``bufs`` not ``live``: the one kept on
-    the first if it holds them, else made, extending it if it holds a prefix.
-    It notes which it holds (``sel``) and the ``others``, all live."""
+    the first if it holds them, else made, extending it if it holds a prefix."""
     fin = tuple(compress(bufs, map(not_, live)))
     old = getattr(fin[0], "_block", None) if fin else _NO_BLOCK
     if old is None or old.bufs != fin:
         old = _Block(fin, old if old is not None and old.bufs == fin[:len(old.bufs)] else None)
         object.__setattr__(fin[0], "_block", old)
-    if fin:
-        old.sel, old.others = tuple(map(not_, live)), tuple(compress(range(len(bufs)), live))
     return old
 
 
@@ -182,21 +187,17 @@ class _NodeDigest:
     """What digesting reads from a node: its process's ``named`` names; its
     ``block``; each ``live`` buffer's (session, mark, r, i + 1, tail), the
     i-th after the block's r-th; its names in the order the assignment
-    ``meets`` them; its ``texts``, the ``last`` per slot of :func:`_renamed`."""
+    ``meets`` them; per slot of :func:`_renamed`, the ``last`` (map, image, text)."""
 
-    __slots__ = ("named", "block", "live", "meets", "last", "texts")
+    __slots__ = ("named", "block", "live", "meets", "last")
 
 
 @v.memo_on_term
 def _node_digest(node: t.NetworkNode) -> _NodeDigest:
-    tpl, named, bufs = _process_template(node.process), _named(node.process), node.buffers
-    blk = getattr(bufs[0], "_block", _NO_BLOCK) if bufs else _NO_BLOCK
-    live = blk.others + tuple(range(len(blk.sel), len(bufs)))  # appended ones are live too
-    if not (len(blk.sel) <= len(bufs) and blk.bufs == tuple(compress(bufs, blk.sel))
-            and named.issuperset(map(_SESSION, map(bufs.__getitem__, live)))):
-        flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
-        blk, live = _block(bufs, flags), tuple(compress(range(len(bufs)), flags))
-    return _record(tpl or node.process, named, blk, live, tuple(map(bufs.__getitem__, live)))
+    named, bufs = _named(node.process), node.buffers
+    flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
+    return _record(_process_template(node.process) or node.process, named, _block(bufs, flags),
+                   tuple(compress(range(len(bufs)), flags)), tuple(compress(bufs, flags)))
 
 
 @lru_cache(maxsize=64)
@@ -205,7 +206,7 @@ def _record(process, named: frozenset, blk: _Block, live: tuple, bufs: tuple) ->
     without one) and block, and the live ``bufs`` at ``live``: equal nodes
     built apart, as a search builds them, share it."""
     f = _NodeDigest()
-    f.named, f.block, f.last, f.texts = named, blk, [(None, None), (None, None)], {}
+    f.named, f.block, f.last = named, blk, [(None, None, None), (None, None, None)]
     f.live = [(b.ep.session, "*" if b.ep.aggr else "", i - k - 1, i + 1, _buffer_tail(b))
               for k, (i, b) in enumerate(zip(live, bufs))]
     on = [p[0] for p in f.live]
@@ -236,16 +237,15 @@ def _render(node: t.NetworkNode, live: list, ren: dict, ents: list) -> str:
 
 def _renamed(node: t.NetworkNode, f: _NodeDigest, ren: dict, slot: int) -> str:
     """The node's text under ``ren`` (slot 0 the mask, 1 the assignment),
-    kept by what ``ren`` makes of its names, eight at most, as a search
-    revisits a node under a few maps; its block keeps the slot's last."""
+    kept in the slot by what ``ren`` makes of the node's ``meets``, as the
+    block keeps its entries by what it makes of the block's names."""
     key, blk = tuple(map(ren.get, f.meets)), f.block
-    if (text := f.texts.get(key)) is None:
+    text = f.last[slot][2]
+    if f.last[slot][1] != key:
         if blk.outs[slot][0] != (bkey := tuple(map(ren.get, blk.sorted))):
             blk.outs[slot] = bkey, blk.fill(ren)
-        if len(f.texts) >= 8:
-            del f.texts[next(iter(f.texts))]
-        text = f.texts[key] = _render(node, f.live, ren, blk.outs[slot][1])
-    f.last[slot] = ren, text
+        text = _render(node, f.live, ren, blk.outs[slot][1])
+    f.last[slot] = ren, key, text
     return text
 
 
@@ -292,14 +292,14 @@ def canonical_text(restricted, nodes) -> str:
     kept = kept or [t.NetworkNode(t.Inact(), ())]
     recs = list(map(_node_digest, kept))
     rset, mask = _restricted(tuple(restricted))
-    keys = [f.last[0][1] if f.last[0][0] is mask else _renamed(nd, f, mask, 0)  # "?" each
+    keys = [f.last[0][2] if f.last[0][0] is mask else _renamed(nd, f, mask, 0)  # "?" each
             for nd, f in zip(kept, recs)]
     if len(set(keys)) < len(keys):  # ties under the mask fall to the plain text
         keys = [(k, _node_render(nd, ())) for k, nd in zip(keys, kept)]
     order = [(kept[i], recs[i]) for i in sorted(range(len(keys)), key=keys.__getitem__)]
     for _ in range(4):
         assigned, binders = _assignment(rset, tuple(f.meets for _, f in order))
-        texts = [f.last[1][1] if f.last[1][0] is assigned else _renamed(nd, f, assigned, 1)
+        texts = [f.last[1][2] if f.last[1][0] is assigned else _renamed(nd, f, assigned, 1)
                  for nd, f in order]
         if (ranked := sorted(texts)) == texts:
             break
@@ -321,7 +321,7 @@ def _assignment(rset: frozenset, meets: tuple) -> tuple:
     nodes' ``meets`` meet them, and their binders as text."""
     met = tuple(filter(rset.__contains__, dict.fromkeys(chain.from_iterable(meets))))
     names = [f"r{i}" for i in range(len(met))]
-    return dict(zip(met, names)), "new " + ". new ".join(names) + ". " if names else ""
+    return dict(zip(met, names)), "".join(f"new {nm}. " for nm in names)
 
 
 def canonical_render(n: t.Network) -> str:

@@ -55,19 +55,21 @@ def test_every_lru_cache_is_bounded():
 
 def test_tracer_round_trip(tracing):
     """Install the tracer, run a short traced scheduler run, uninstall: the
-    digest layer and the node-render cache are seen, and every wrapped
-    function is restored.  Digests read node records, not the node-render
-    cache, so the run also renders each state's normal form, which does."""
+    digest layer is seen, the hit ratio of a cache the run reads is
+    reported, and every wrapped function is restored.  The run's digests
+    read node records and look up no lru keyed on a node, so the
+    node-render and node-name ratios the tracer reports read 0 on it."""
     before = {(id(o), a): o.__dict__[a] for o, a, _ in tracing.LAYERS}
     tracer = tracing.Tracer()
     tracer.install()
     try:
         net = cp.load_program("paxos3.ubsc").network
-        eng.run_scheduler(net, eng.SchedulerConfig(seed=1, loss_rate=0.3, max_steps=20),
-                          networks=True)
+        eng.run_scheduler(net, eng.SchedulerConfig(seed=1, loss_rate=0.3, max_steps=20))
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["engine.digest.calls"][0] == 21
-    assert metrics["engine.node_render.hit_ratio"][0] > 0
+    assert metrics["engine.alternatives.hit_ratio"][0] > 0
+    assert metrics["engine.node_render.hit_ratio"][0] == 0
+    assert metrics["engine.node_names.hit_ratio"][0] == 0
     assert {(id(o), a): o.__dict__[a] for o, a, _ in tracing.LAYERS} == before

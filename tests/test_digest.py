@@ -234,11 +234,11 @@ class _LongRun:
     """A 3000-step paxos5 run (seed 26508), digested step by step as the
     scheduler digests it, with two work counts per step: buffers rendered
     one at a time (the live ones, in ``_render``) and block fills.  It keeps
-    every 50th state, the states just after the fresh counter reaches
+    every ``KEEP``-th state, the states just after the fresh counter reaches
     ``s#10`` and ``s#100``, and the states around a True/False/BRec step
     that shrinks the acting node's block."""
 
-    STEPS = 3000
+    STEPS, KEEP = 3000, 100
 
     def __init__(self):
         self.rendered, self.fills = [0], [0]
@@ -257,7 +257,7 @@ class _LongRun:
 
         def on_step(state, step):
             i, before = step.index, prev[0]
-            if i % 50 == 0:
+            if i % self.KEEP == 0:
                 self.kept.append(state)
             if before is not None and (before.fresh, state.fresh) in ((10, 11), (100, 101)):
                 self.crossings.append(state)
@@ -301,12 +301,12 @@ def test_long_run_digest_work_stays_flat(long_run):
 def test_long_run_states_match_oracle(long_run):
     """The kept states of the long run against the oracle: canonical text,
     normal form, and equivalence with an alpha-variant, which is made for
-    every fifth kept state and each special one (the oracle re-renders
-    every node, which dominates this test's time).  A variant is not always
-    equivalent to its state: within a node, restricted names are met in
-    the order of their names, so both canonicalisers can assign them
-    differently."""
-    assert len(long_run.kept) == _LongRun.STEPS // 50
+    every fifth kept state and each special one.  The oracle canonicalises
+    and renders every node of a state again, so states are kept 100 steps
+    apart to bound this test's time.  A variant is not always equivalent to
+    its state: within a node, restricted names are met in the order of
+    their names, so both canonicalisers can assign them differently."""
+    assert len(long_run.kept) == _LongRun.STEPS // _LongRun.KEEP
     assert [s.fresh for s in long_run.crossings] == [11, 101]
     assert len(long_run.shrinks) == 2
     rng = random.Random(7)
