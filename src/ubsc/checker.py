@@ -76,16 +76,12 @@ class Gamma:
     vars: dict = field(default_factory=dict)
     shared: dict = field(default_factory=dict)
 
-    def with_shared(self, name, ty) -> "Gamma":
-        ns = dict(self.shared)
-        ns[name] = ty
-        return Gamma(self.vars, ns)
-
 
 def _lookup_def(env: tuple, name: str) -> Optional[_DefEntry]:
-    for frame in reversed(env):
-        if name in frame and name != "__defs__":
-            return frame[name]
+    """The innermost entry for ``name`` in ``env``'s (defs, entries) frames."""
+    for _, entries in reversed(env):
+        if name in entries:
+            return entries[name]
     return None
 
 
@@ -101,19 +97,8 @@ def _def_slot(key: tuple) -> list:
     return []
 
 
-def _sig_key(sig) -> tuple:
-    return tuple(
-        (k[0], k[1]) if k[0] == "expr" else (k[0], k[1], k[2]) for k in sig
-    )
-
-
 def _is_end(ty: st.SessionType) -> bool:
     return isinstance(st.unfold(ty), st.End)
-
-
-def type_expr(gamma: Gamma, e) -> v.BaseType:
-    """Principal base type of an expression under the shared context."""
-    return v.type_expr(gamma.vars, e)
 
 
 # ===================================================================== buffers
@@ -200,10 +185,15 @@ class _ProcessChecker:
                                       f"{render_type(ty)}, not end")
         return kept
 
-    def _take(self, delta: dict, ch: t.Chan, rule: str) -> st.SessionType:
+    def _take(self, delta: dict, ch: t.Chan, rule: str, shape: type, verb: str):
+        """The unfolded type of ``ch``, which ``rule`` needs to be a ``shape``."""
         if ch not in delta:
             raise TypeFail(rule, f"channel {render_chan(ch)} not in the linear context")
-        return st.unfold(delta[ch])
+        ty = st.unfold(delta[ch])
+        if not isinstance(ty, shape):
+            raise TypeFail(rule, f"{render_chan(ch)} has type {render_type(ty)}, "
+                                 f"cannot {verb}")
+        return ty
 
     def _rebind(self, body: t.Process, bind: str, aggr: bool, delta: dict):
         """Alpha-rename a channel binder that clashes with the context."""
@@ -223,10 +213,7 @@ class _ProcessChecker:
                 raise TypeFail("TExpr", str(exc), render_process(p))
 
         def expr_check(e, beta):
-            try:
-                v_ty = v.type_expr(vars_ctx, e)
-            except v.ExprTypeError as exc:
-                raise TypeFail("TExpr", str(exc), render_process(p))
+            v_ty = expr_type(e)
             if not v.base_compatible(beta, v_ty):
                 raise TypeFail("TExpr", f"expected payload type {beta!r}, "
                                         f"got {v_ty!r}", render_process(p))
@@ -235,78 +222,52 @@ class _ProcessChecker:
             case t.Inact():
                 self.trace.append(RuleApp("TInact", "0", len(delta)))
                 return
-            case t.Request(a, x, body):
+            case t.Request(a, x, body) | t.Accept(a, x, body):
+                # the requester binds the aggregator end, of the dual type
+                aggr = type(p) is t.Request
+                rule = "TReq" if aggr else "TAcc"
                 if a not in self.gamma.shared:
-                    raise TypeFail("TReq", f"undeclared shared channel {a}")
-                self.trace.append(RuleApp("TReq", a, len(delta)))
-                body, x = self._rebind(body, x, True, delta)
-                d2 = dict(delta)
-                d2[t.ChanVar(x, True)] = st.dual(self.gamma.shared[a])
-                return self.check(vars_ctx, defenv, d2, body)
-            case t.Accept(a, x, body):
-                if a not in self.gamma.shared:
-                    raise TypeFail("TAcc", f"undeclared shared channel {a}")
-                self.trace.append(RuleApp("TAcc", a, len(delta)))
-                body, x = self._rebind(body, x, False, delta)
-                d2 = dict(delta)
-                d2[t.ChanVar(x, False)] = self.gamma.shared[a]
-                return self.check(vars_ctx, defenv, d2, body)
+                    raise TypeFail(rule, f"undeclared shared channel {a}")
+                self.trace.append(RuleApp(rule, a, len(delta)))
+                body, x = self._rebind(body, x, aggr, delta)
+                ty = self.gamma.shared[a]
+                ty = st.dual(ty) if aggr else ty
+                return self.check(vars_ctx, defenv, {**delta, t.ChanVar(x, aggr): ty}, body)
             case t.Send(ch, e, body):
-                ty = self._take(delta, ch, "TSnd")
-                if not isinstance(ty, st.Out):
-                    raise TypeFail("TSnd", f"{render_chan(ch)} has type "
-                                           f"{render_type(ty)}, cannot send")
+                ty = self._take(delta, ch, "TSnd", st.Out, "send")
                 expr_check(e, ty.beta)
                 self.trace.append(RuleApp("TSnd", render_chan(ch), len(delta)))
-                d2 = dict(delta)
-                d2[ch] = ty.cont
-                return self.check(vars_ctx, defenv, d2, body)
+                return self.check(vars_ctx, defenv, {**delta, ch: ty.cont}, body)
             case t.Recv(ch, x, d, body):
-                ty = self._take(delta, ch, "TRcv")
-                if not isinstance(ty, st.In):
-                    raise TypeFail("TRcv", f"{render_chan(ch)} has type "
-                                           f"{render_type(ty)}, cannot receive")
+                ty = self._take(delta, ch, "TRcv", st.In, "receive")
                 expr_check(d, ty.beta)
                 self.trace.append(RuleApp("TRcv", render_chan(ch), len(delta)))
-                d2 = dict(delta)
-                d2[ch] = ty.cont
-                v2 = dict(vars_ctx)
-                v2[x] = ty.beta
-                return self.check(v2, defenv, d2, body)
+                v2 = {**vars_ctx, x: ty.beta}
+                return self.check(v2, defenv, {**delta, ch: ty.cont}, body)
             case t.Select(ch, label, body):
                 if not ch.aggr:
                     raise TypeFail("TSel", f"select on plain endpoint "
                                            f"{render_chan(ch)}")
-                ty = self._take(delta, ch, "TSel")
-                if not isinstance(ty, st.SelT):
-                    raise TypeFail("TSel", f"{render_chan(ch)} has type "
-                                           f"{render_type(ty)}, cannot select")
-                arms = st.arms_dict(ty.arms)
+                ty = self._take(delta, ch, "TSel", st.SelT, "select")
+                arms = dict(ty.arms)
                 if label not in arms:
                     raise TypeFail("TSel", f"label {label} not offered by "
                                            f"{render_type(ty)}")
                 self.trace.append(RuleApp("TSel", render_chan(ch), len(delta)))
-                d2 = dict(delta)
-                d2[ch] = arms[label]
-                return self.check(vars_ctx, defenv, d2, body)
+                return self.check(vars_ctx, defenv, {**delta, ch: arms[label]}, body)
             case t.Branch(ch, arms, default_arm):
                 if ch.aggr:
                     raise TypeFail("TBr", f"branch on aggregator endpoint "
                                           f"{render_chan(ch)}")
-                ty = self._take(delta, ch, "TBr")
-                if not isinstance(ty, st.BraT):
-                    raise TypeFail("TBr", f"{render_chan(ch)} has type "
-                                          f"{render_type(ty)}, cannot branch")
-                tarms = st.arms_dict(ty.arms)
+                ty = self._take(delta, ch, "TBr", st.BraT, "branch")
+                tarms = dict(ty.arms)
                 plabels = [l for l, _ in arms]
                 if set(plabels) != set(tarms):
                     raise TypeFail("TBr", f"branch labels {sorted(plabels)} do not "
                                           f"match type labels {sorted(tarms)}")
                 self.trace.append(RuleApp("TBr", render_chan(ch), len(delta)))
                 for l, ap in arms:
-                    d2 = dict(delta)
-                    d2[ch] = tarms[l]
-                    self.check(dict(vars_ctx), defenv, d2, ap)
+                    self.check(dict(vars_ctx), defenv, {**delta, ch: tarms[l]}, ap)
                 rest = {k: ty2 for k, ty2 in delta.items() if k != ch}
                 keep = _free_chans(default_arm)
                 dropped = [k for k in rest if k not in keep and k.aggr]
@@ -330,28 +291,24 @@ class _ProcessChecker:
                 d_then, d_else = {}, {}
                 for k, ty in delta.items():
                     in_t, in_e = k in fc_t, k in fc_e
-                    if in_t and not in_e:
-                        if k.aggr:
-                            raise TypeFail("TCond", "aggregator endpoint "
-                                           f"{render_chan(k)} dropped by else-branch")
+                    # a branch may drop a plain endpoint the other uses
+                    if in_t != in_e and k.aggr:
+                        dropper = "else" if in_t else "then"
+                        raise TypeFail("TCond", "aggregator endpoint "
+                                       f"{render_chan(k)} dropped by {dropper}-branch")
+                    if in_t or not in_e:
                         d_then[k] = ty
-                    elif in_e and not in_t:
-                        if k.aggr:
-                            raise TypeFail("TCond", "aggregator endpoint "
-                                           f"{render_chan(k)} dropped by then-branch")
-                        d_else[k] = ty
-                    else:
-                        d_then[k] = ty
+                    if in_e or not in_t:
                         d_else[k] = ty
                 self.trace.append(RuleApp("TCond", "if", len(delta)))
                 self.check(dict(vars_ctx), defenv, d_then, tp)
                 self.check(dict(vars_ctx), defenv, d_else, ep)
                 return
             case t.Defs(defs, body):
-                frame = {"__defs__": defs}
-                env2 = defenv + (frame,)
+                entries = {}
+                env2 = defenv + ((defs, entries),)
                 for name, params, dbody in defs:
-                    frame[name] = _DefEntry(name, params, dbody, env2)
+                    entries[name] = _DefEntry(name, params, dbody, env2)
                 self.trace.append(RuleApp("TRec", ",".join(n for n, _, _ in defs),
                                           len(delta)))
                 return self.check(vars_ctx, env2, delta, body)
@@ -404,11 +361,10 @@ class _ProcessChecker:
             case t.Recover():
                 raise TypeFail("TRec", "recovery term must be encoded before "
                                        "typechecking")
-        raise TypeFail("T?", f"unhandled process form {render_process(p)}")
 
     def _check_def_body(self, entry: _DefEntry):
-        scope = tuple(fr["__defs__"] for fr in entry.env if "__defs__" in fr)
-        key = (entry.body, entry.params, _sig_key(entry.sig), scope,
+        scope = tuple(defs for defs, _ in entry.env)
+        key = (entry.body, entry.params, tuple(entry.sig), scope,
                tuple(sorted(self.gamma.vars.items(), key=lambda kv: kv[0])))
         slot = _def_slot(key)
         if slot:
@@ -451,73 +407,57 @@ class _SynthFail(Exception):
     pass
 
 
+def _synth_send(p: t.Send, gamma: Gamma, conts: list) -> st.SessionType:
+    try:
+        beta = v.type_expr(gamma.vars, p.expr)
+    except v.ExprTypeError as exc:
+        raise _SynthFail(str(exc))
+    return st.Out(beta, conts[0])
+
+
+# a prefix's type on its channel, from its continuations' types there in
+# ``layer`` order; a branch's recovery arm, last, does not take part
+_SYNTH_PREFIX = {
+    t.Send: _synth_send,
+    t.Recv: lambda p, gamma, conts: st.In(v.ANY_T, conts[0]),
+    t.Select: lambda p, gamma, conts: st.SelT(((p.label, conts[0]),)),
+    t.Branch: lambda p, gamma, conts: st.BraT(
+        st.mkarms(zip((l for l, _ in p.arms), conts))),
+}
+
+
 def synth_process(gamma: Gamma, p: t.Process) -> dict:
     """Synthesise the session types a definition-free runtime process assigns
     to its endpoints.  Receive payloads synthesise as wildcards; selects
-    synthesise the single chosen arm."""
-    vars_ctx = dict(gamma.vars)
+    synthesise the single chosen arm.
 
-    def go(p: t.Process, vars_ctx: dict) -> dict:
-        match p:
-            case t.Inact():
-                return {}
-            case t.Send(ch, e, body):
-                d = go(body, vars_ctx)
-                try:
-                    beta = v.type_expr(vars_ctx, e)
-                except v.ExprTypeError as exc:
-                    raise _SynthFail(str(exc))
-                d[ch] = st.Out(beta, d.get(ch, st.END))
-                return d
-            case t.Recv(ch, x, _, body):
-                v2 = dict(vars_ctx)
-                v2[x] = v.ANY_T
-                d = go(body, v2)
-                d[ch] = st.In(v.ANY_T, d.get(ch, st.END))
-                return d
-            case t.Select(ch, label, body):
-                d = go(body, vars_ctx)
-                d[ch] = st.SelT(((label, d.get(ch, st.END)),))
-                return d
-            case t.Branch(ch, arms, default_arm):
-                conts = {}
-                merged: dict = {}
-                for l, ap in arms:
-                    d = go(ap, dict(vars_ctx))
-                    conts[l] = d.pop(ch, st.END)
-                    merged = _merge_branch_ctx(merged, d) if merged else d
-                dd = go(default_arm, dict(vars_ctx))
-                dd.pop(ch, None)
-                merged = _merge_branch_ctx(merged, dd) if merged else dd
-                merged[ch] = st.BraT(st.mkarms(conts.items()))
-                return merged
-            case t.Cond(_, a, b):
-                da = go(a, dict(vars_ctx))
-                db = go(b, dict(vars_ctx))
-                return _merge_branch_ctx(da, db)
-            case t.Sum(l, r):
-                dl = go(l, dict(vars_ctx))
-                dr = go(r, dict(vars_ctx))
-                return _merge_branch_ctx(dl, dr, "sum alternatives")
-            case t.Request() | t.Accept() | t.Defs() | t.Call() | t.Recover():
-                raise _SynthFail(f"cannot synthesise a type for "
-                                 f"{type(p).__name__}; a protocol declaration "
-                                 f"is required")
-        raise _SynthFail(f"unhandled form {render_process(p)}")
-
-    def _merge_branch_ctx(a: dict, b: dict, noun: str = "branches") -> dict:
-        out = dict(a)
-        for k, ty in b.items():
-            if k in out:
-                m = st.refine_session(out[k], ty)
+    One walk over ``terms.layer``: the kids are synthesised in order and
+    their contexts merged as they come, each less its type on a prefix's
+    channel, from which :data:`_SYNTH_PREFIX` builds the prefix's."""
+    if isinstance(p, (t.Request, t.Accept, t.Defs, t.Call, t.Recover)):
+        raise _SynthFail(f"cannot synthesise a type for {type(p).__name__}; "
+                         f"a protocol declaration is required")
+    chans, _, kids = t.layer(p)
+    noun = "sum alternatives" if type(p) is t.Sum else "branches"
+    merged: dict = {}
+    conts = []
+    for bound, kid in kids:
+        # only a receive binds a name here: its payload, typed as a wildcard
+        g = Gamma({**gamma.vars, **dict.fromkeys(bound, v.ANY_T)}) if bound else gamma
+        d = synth_process(g, kid)
+        if chans:
+            conts.append(d.pop(chans[0], st.END))
+        for k, ty in d.items():
+            if k in merged:
+                m = st.refine_session(merged[k], ty)
                 if m is None:
                     raise _SynthFail(f"{noun} disagree on {render_chan(k)}")
-                out[k] = m
+                merged[k] = m
             else:
-                out[k] = ty
-        return out
-
-    return go(p, vars_ctx)
+                merged[k] = ty
+    if chans:
+        merged[chans[0]] = _SYNTH_PREFIX[type(p)](p, gamma, conts)
+    return merged
 
 
 # ===================================================================== networks
@@ -585,7 +525,7 @@ def type_network(gamma: Gamma, net: t.Network, declared: Optional[dict] = None,
         for name in restricted:
             if name in shared_names:
                 if name in protocols:
-                    g = g.with_shared(name, protocols[name])
+                    g = Gamma(g.vars, {**g.shared, name: protocols[name]})
                     trace.append(RuleApp("TCRes", name))
                 else:
                     raise TypeFail("TCRes", f"no protocol for restricted shared "
@@ -758,6 +698,13 @@ def _type_node_body(gamma: Gamma, node: t.NetworkNode, idx: int, where: str,
     raise TypeFail(err.rule, err.reason, err.where or where)
 
 
+def _synch_app(subject: str, ep: t.Endpoint, entry: tuple, target: tuple) -> RuleApp:
+    """The TSynch step of ``ep`` from its (c, T) entry to the (c', T') one."""
+    (c, ty), (ct, tt) = entry, target
+    judgment = f"{render_chan(ep)}: ({c}, {render_type(ty)}) => ({ct}, {render_type(tt)})"
+    return RuleApp("TSynch", subject, judgment=judgment)
+
+
 def _merge_contexts(node_ctxs: list, declared: dict, pin: dict,
                     trace: list) -> dict:
     merged: dict = {}
@@ -833,11 +780,7 @@ def _merge_contexts(node_ctxs: list, declared: dict, pin: dict,
             )
         for i, c, ty in entries:
             if (c, ty) != chosen:
-                trace.append(RuleApp(
-                    "TSynch", f"node#{i}",
-                    judgment=f"{render_chan(ep)}: ({c}, {render_type(ty)}) => "
-                             f"({chosen[0]}, {render_type(chosen[1])})",
-                ))
+                trace.append(_synch_app(f"node#{i}", ep, (c, ty), chosen))
         merged[ep] = chosen
     trace.append(RuleApp("TPar", "merge", judgment=render_stated_context(merged)))
     return merged
@@ -860,11 +803,7 @@ def _match_declared(residual: dict, declared: dict, trace: list):
                                f"{render_type(ty)}) does not synchronise to "
                                f"({cd}, {render_type(td)})")
             if (c, ty) != (cd, td):
-                trace.append(RuleApp(
-                    "TSynch", "residual",
-                    judgment=f"{render_chan(ep)}: ({c}, {render_type(ty)}) => "
-                             f"({cd}, {render_type(td)})",
-                ))
+                trace.append(_synch_app("residual", ep, (c, ty), (cd, td)))
     extra = [ep for ep in residual if ep not in declared]
     if extra:
         raise TypeFail("TPar", "residual context has undeclared entries: "

@@ -351,7 +351,9 @@ class RunState:
         state's parts, so flattening it again walks nothing."""
         return t.assemble(self.restricted, self.nodes)
 
+    @v.memo_on_term
     def digest(self) -> str:
+        """Made once per state: replay matches a successor's, then reads it."""
         text = canonical_text(self.restricted, self.nodes)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -580,11 +582,10 @@ def _moved_value(rule: str, head: t.Process, bufs: dict) -> Optional[v.Value]:
     return None
 
 
-def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
-                accept_choice: Optional[dict] = None) -> RunState:
+def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None) -> RunState:
     """Apply ``r`` with the chosen receiver subset (defaults to the full
-    eligible family).  ``accept_choice`` optionally picks an accept
-    alternative per receiver node for Conn.  Every rule has one shape: the
+    eligible family).  A Conn receiver opens the session with its first
+    accept alternative on the shared name.  Every rule has one shape: the
     acting node replaces its head with a continuation and updates its own
     buffer, and the receivers' buffers gain the message."""
     nodes = state.nodes
@@ -610,7 +611,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None,
                 cand = j_facts.accepts.get(head.shared)
                 if not cand:
                     raise EngineError(f"node {j} has no accept alternative on {head.shared}")
-                h, rb = j_facts.alts[(accept_choice or {}).get(j, cand[0])]
+                h, rb = j_facts.alts[cand[0]]
             ep = t.Endpoint(sname, not k)
             body = rb(t.subst_channel(h.body, h.bind, ep))
             new_nodes[j] = t.NetworkNode(body, nodes[j].buffers + (t.Buffer(ep, 0, ()),),

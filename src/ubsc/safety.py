@@ -151,8 +151,8 @@ def is_deadlocked(n: t.Network) -> bool:
     """True iff the network is a parallel composition of nodes whose processes
     are sums of accept-prefixed processes only: every head alternative of a
     non-inactive node is an accept.  A terminal network (every process
-    inactive) is not deadlocked."""
-    _, nodes = eng.normal_parts(n)
+    inactive) is not deadlocked; neither node order nor unit nodes matter."""
+    nodes = t.flatten_nodes(n)[1]
     live = [nd.process for nd in nodes if not isinstance(nd.process, t.Inact)]
     return bool(live) and all(isinstance(head, t.Accept)
                               for p in live for head, _ in eng.alternatives(p))

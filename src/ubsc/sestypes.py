@@ -75,10 +75,6 @@ def mkarms(pairs) -> tuple:
     return tuple(pairs)
 
 
-def arms_dict(arms: tuple) -> dict:
-    return dict(arms)
-
-
 # ---------------------------------------------------------------- buffer types
 
 @dataclass(frozen=True)
@@ -237,7 +233,7 @@ def combine(t: SessionType, m: BufferType) -> Optional[SessionType]:
                     return None
                 t = cont
             case (SelItem(label), BraT(arms)):
-                d = arms_dict(arms)
+                d = dict(arms)
                 if label not in d:
                     return None
                 t = d[label]
@@ -339,7 +335,7 @@ def _dual_steps(ctx: dict, session: str):
         yield {**ctx, ag: (ca + 1, ua.cont), pl: (cp + 1, up.cont)}
     # selection
     if isinstance(ua, SelT) and isinstance(up, BraT):
-        da, dp = arms_dict(ua.arms), arms_dict(up.arms)
+        da, dp = dict(ua.arms), dict(up.arms)
         for l in da:
             if l in dp:
                 yield {**ctx, ag: (ca + 1, da[l]), pl: (cp + 1, dp[l])}

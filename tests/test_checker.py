@@ -164,6 +164,14 @@ def _context(entries: dict) -> dict:
     ("def D(n) = D(*s) in D(1)", {}, "Fail TVar: D: expected an expression argument, got channel"),
     ("def D(n) = D(true) in D(1)", {}, "Fail TVar: D: argument type bool does not match int"),
     ("0 >r 0", {}, "Fail TRec: recovery term must be encoded before typechecking"),
+    ("s?(x). 0", {}, "Fail TRcv: channel s not in the linear context"),
+    ("s!<1>. 0", {"s": "?int.end"}, "Fail TSnd: s has type ?int.end, cannot send"),
+    ("s?(x). 0", {"s": "!int.end"}, "Fail TRcv: s has type !int.end, cannot receive"),
+    ("*s<<a. 0", {"*s": "!int.end"}, "Fail TSel: *s has type !int.end, cannot select"),
+    ("s>>{a: 0, df: 0}", {"s": "!int.end"}, "Fail TBr: s has type !int.end, cannot branch"),
+    ("s<<a. 0", {"s": "+{a: end}"}, "Fail TSel: select on plain endpoint s"),
+    ("s!<true>. 0", {"s": "!int.end"},
+     "Fail TExpr: expected payload type int, got bool (at s!<true>. 0)"),
 ])
 def test_process_rule_rejections(text, entries, expect):
     """One ill-typed process per rejection of a process typing rule.  A
@@ -234,6 +242,14 @@ def test_node_domain_conditions():
      "Fail TNode: cannot synthesise a type for Accept; a protocol declaration is "
      "required (at node#0 (line 1))"),
     ("[ s!<1>. 0 + s!<2>. 0 | s~0:[] ]", "Ok, residual: s: (0, !int.end)"),
+    ("[ s>>{a: u!<1>. 0, b: u?(x). 0, df: 0} | s~0:[] | u~0:[] ]",
+     "Fail TNode: branches disagree on u (at node#0 (line 1))"),
+    ("[ *s<<a. 0 | *s~0:[] ]", "Ok, residual: *s: (0, +{a: end})"),
+    ("[ s!<1 + true>. 0 | s~0:[] ]",
+     "Fail TNode: arithmetic over int, bool (at node#0 (line 1))"),
+    ("[ D(1) | s~0:[] ]",
+     "Fail TNode: cannot synthesise a type for Call; a protocol declaration is "
+     "required (at node#0 (line 1))"),
 ])
 def test_synthesis_without_protocols(text, expect):
     """With no protocol for its session, a node's types are synthesised

@@ -61,3 +61,27 @@ def test_trace_replays_from_its_records_like_the_oracle(name, seed, tmp_path, ca
     for recs, want in expected:
         assert replay_trace(network, recs) == want
         assert _replay(tmp_path / "r.jsonl", prog, recs, capsys, monkeypatch) == want
+
+
+def test_replay_digests_each_successor_once(monkeypatch):
+    """Replay digests a successor to match its recorded digest, and
+    ``run_script`` reads that digest again: a paxos5 trace replays with no
+    more ``canonical_text`` calls than ``apply_redex`` calls."""
+    network = load_program("paxos5.ubsc").network
+    trace = eng.run_scheduler(network, eng.SchedulerConfig(
+        seed=26508, loss_rate=0.3, recovery_bias=0.2, max_steps=200))
+    calls = {"canonical_text": 0, "apply_redex": 0}
+
+    def counted(name):
+        real = getattr(eng, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(eng, name, counted(name))
+    _, digests = eng.run_script(network, [s.to_json() for s in trace.steps])
+    assert digests == [s.digest for s in trace.steps]
+    assert 200 <= calls["canonical_text"] <= calls["apply_redex"]

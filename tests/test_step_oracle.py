@@ -6,7 +6,7 @@ buffer map on every call.  On scheduler-reached states of every corpus
 program (encoded and raw) and of generated programs, each state must give
 the same redexes in the same order, and each redex the same payload and an
 equal next state, node lines included, under the full, an empty and a
-random receiver subset, and under each accept choice for Conn."""
+random receiver subset."""
 
 import dataclasses
 import functools
@@ -43,18 +43,10 @@ def _outcome(fn, *args, **kwargs):
     return state, tuple(nd.pos for nd in state.nodes)
 
 
-def _choices(state: eng.RunState, r: eng.Redex, rng: random.Random) -> list:
-    """(chosen, accept_choice) pairs to apply ``r`` under: the default, none,
-    a random subset, and for Conn every receiver on each of its accepts."""
-    subset = tuple(j for j in r.receivers if rng.random() < 0.5)
-    out = [(None, None), ((), None), (subset, None)]
-    if r.rule == "Conn" and r.receivers:
-        accepts = {j: [ai for ai, (h, _) in enumerate(eng.alternatives(state.nodes[j].process))
-                       if isinstance(h, t.Accept) and h.shared == r.session]
-                   for j in r.receivers}
-        for k in range(max(len(a) for a in accepts.values())):
-            out.append((r.receivers, {j: a[k % len(a)] for j, a in accepts.items()}))
-    return out
+def _choices(r: eng.Redex, rng: random.Random) -> list:
+    """The receiver subsets to apply ``r`` under: the default, none and a
+    random subset."""
+    return [None, (), tuple(j for j in r.receivers if rng.random() < 0.5)]
 
 
 def _assert_step_matches(state: eng.RunState, rng: random.Random) -> list:
@@ -62,9 +54,9 @@ def _assert_step_matches(state: eng.RunState, rng: random.Random) -> list:
     assert redexes == oracle.enabled_redexes(state)
     for r in redexes:
         assert eng.redex_payload(state, r) == oracle.redex_payload(state, r)
-        for chosen, accept_choice in _choices(state, r, rng):
-            assert (_outcome(eng.apply_redex, state, r, chosen, accept_choice)
-                    == _outcome(oracle.apply_redex, state, r, chosen, accept_choice))
+        for chosen in _choices(r, rng):
+            assert (_outcome(eng.apply_redex, state, r, chosen)
+                    == _outcome(oracle.apply_redex, state, r, chosen))
     return redexes
 
 

@@ -7,7 +7,11 @@ own and takes the product over the used endpoints only.  On scheduler-reached
 states of the criterion-4 families, of generated programs and of a long
 paxos5 run, each typed under its own protocol map, the paxos one and none,
 ``type_network`` must give the same verdict, contexts, trace and error under
-both bodies.  The second half bounds the ``type_process`` calls per node."""
+both bodies.  The second half bounds the ``type_process`` calls per node,
+and the last part compares ``synth_process`` with the oracle's copy of the
+``match``-per-constructor synthesis it replaced."""
+
+import os
 
 import pytest
 
@@ -17,7 +21,8 @@ from test_type_memo import DECLARED_CASES, FAMILIES, P3_T, _fields, _fixed, _run
 from ubsc import checker as ck
 from ubsc import corpus as cp
 from ubsc import sestypes as st
-from ubsc.syntax import parse, parse_network, parse_type
+from ubsc import terms as t
+from ubsc.syntax import parse, parse_network, parse_process, parse_type
 
 PAXOS = _fixed(P3_T)
 
@@ -163,3 +168,81 @@ def test_long_paxos5_run_types_each_node_once(monkeypatch):
     assert calls[0] == len(at350.nodes)
     ck._node_typing.cache_clear()
     assert ck.type_network(g, at1500.to_network(), protocols=PAXOS(at1500)).ok
+
+
+# ------------------------------------------------------------------ synthesis
+
+def _synthesised(synth, p):
+    """The context ``synth`` gives ``p``, or its failure message."""
+    try:
+        return synth(ck.Gamma(), p)
+    except ck._SynthFail as e:
+        return str(e)
+
+
+def _subprocesses(nodes) -> list:
+    """Every subprocess of the nodes' processes, each object once."""
+    seen: dict = {}
+    stack = [nd.process for nd in nodes]
+    while stack:
+        p = stack.pop()
+        if id(p) not in seen:
+            seen[id(p)] = p
+            stack.extend(k for _, k in t.layer(p)[2])
+    return list(seen.values())
+
+
+def _synthesis_programs():
+    """The corpus programs and generated programs 0-39, with scheduler runs."""
+    names = sorted(f for f in os.listdir(cp.corpus_dir()) if f.endswith(".ubsc"))
+    assert len(names) == 12
+    progs = [cp.load_program(f) for f in names]
+    progs += [parse(generate_program(gseed)) for gseed in range(40)]
+    for prog in progs:
+        yield prog.network
+        yield from (s.to_network() for s in _runs(prog, range(2), 25, 0.3, 0.25))
+
+
+def _type_oracle_networks():
+    """The states the node-typing tests above reach, less the generated
+    programs' runs, which :func:`_synthesis_programs` makes."""
+    for fname, seeds, steps, loss, bias, _ in FAMILIES:
+        yield from (s.to_network() for s in _runs(cp.load_program(fname), seeds, steps,
+                                                  loss, bias))
+    yield from (parse_network(text) for text, _ in DECLARED_CASES)
+    yield parse_network("[ s?(x) def true. 0 | s~2:[7] ]")
+    yield from (s.to_network() for s in _paxos5_states(range(0, 351, 10))[1])
+
+
+# written processes for the failures no reached state gives: merges that
+# disagree, payloads that do not type, and which failure comes first
+SYNTHESIS_TEXTS = [
+    "s!<1>. 0 + s?(x). 0",
+    "if true then s!<1>. 0 else s?(x). 0",
+    "s>>{a: u!<1>. 0, b: u?(x). 0, df: 0}",
+    "s>>{a: u!<1>. 0, df: u?(x). 0}",
+    "s>>{a: s!<1>. 0, b: s?(x). 0, df: s!<2>. 0}",
+    "s!<1 + true>. 0",
+    "s?(x). s!<x>. 0",
+    "s!<y>. 0",
+    "u!<true>. s!<1 + true>. 0",
+    "s!<1 + true>. 0 + s?(x). 0",
+    "s!<1>. 0 + s!<1 + true>. 0",
+    "*s<<a. *s<<b. u?(x). 0",
+]
+
+
+def test_synthesis_matches_oracle():
+    """On every node process, and every subprocess of one, of the corpus
+    programs, generated programs 0-39, the states the tests above reach and
+    the written processes, ``synth_process`` gives the oracle's context or
+    the oracle's failure."""
+    outcomes = set()
+    written = [t.NetworkNode(parse_process(text)) for text in SYNTHESIS_TEXTS]
+    for nodes in [*(t.flatten_nodes(net)[1] for net in _synthesis_programs()),
+                  *(t.flatten_nodes(net)[1] for net in _type_oracle_networks()), written]:
+        for p in _subprocesses(nodes):
+            new = _synthesised(ck.synth_process, p)
+            assert new == _synthesised(oracle.synth_process, p), p
+            outcomes.add(type(new))
+    assert outcomes == {dict, str}

@@ -1,8 +1,10 @@
 """``checker._type_node_body`` as it was before each endpoint's candidate
 was chosen on its own, kept verbatim as a differential oracle: it runs
 ``type_process`` over the whole Cartesian product of the candidate lists
-and checks every endpoint's buffer after each success.  Only the imports
-are new."""
+and checks every endpoint's buffer after each success.  It synthesises
+through ``synth_process`` as it was before synthesis became one walk over
+``terms.layer``, also kept verbatim: one ``match`` case per constructor.
+Only the imports are new."""
 
 from __future__ import annotations
 
@@ -10,9 +12,10 @@ import itertools
 
 from ubsc import sestypes as st
 from ubsc import terms as t
+from ubsc import values as v
 from ubsc.checker import (Gamma, RuleApp, TypeFail, _SynthFail, _candidate_start_types,
-                          _free_chans, _node_theta, synth_process, type_process)
-from ubsc.render import render_chan, render_stated_context, render_type
+                          _free_chans, _node_theta, type_process)
+from ubsc.render import render_chan, render_process, render_stated_context, render_type
 
 
 def _type_node_body(gamma: Gamma, node: t.NetworkNode, idx: int, where: str,
@@ -90,3 +93,72 @@ def _type_node_body(gamma: Gamma, node: t.NetworkNode, idx: int, where: str,
     if last_err is not None:
         raise TypeFail(last_err.rule, last_err.reason, last_err.where or where)
     raise TypeFail("TNode", "no admissible typing", where)
+
+
+def synth_process(gamma: Gamma, p: t.Process) -> dict:
+    """Synthesise the session types a definition-free runtime process assigns
+    to its endpoints.  Receive payloads synthesise as wildcards; selects
+    synthesise the single chosen arm."""
+    vars_ctx = dict(gamma.vars)
+
+    def go(p: t.Process, vars_ctx: dict) -> dict:
+        match p:
+            case t.Inact():
+                return {}
+            case t.Send(ch, e, body):
+                d = go(body, vars_ctx)
+                try:
+                    beta = v.type_expr(vars_ctx, e)
+                except v.ExprTypeError as exc:
+                    raise _SynthFail(str(exc))
+                d[ch] = st.Out(beta, d.get(ch, st.END))
+                return d
+            case t.Recv(ch, x, _, body):
+                v2 = dict(vars_ctx)
+                v2[x] = v.ANY_T
+                d = go(body, v2)
+                d[ch] = st.In(v.ANY_T, d.get(ch, st.END))
+                return d
+            case t.Select(ch, label, body):
+                d = go(body, vars_ctx)
+                d[ch] = st.SelT(((label, d.get(ch, st.END)),))
+                return d
+            case t.Branch(ch, arms, default_arm):
+                conts = {}
+                merged: dict = {}
+                for l, ap in arms:
+                    d = go(ap, dict(vars_ctx))
+                    conts[l] = d.pop(ch, st.END)
+                    merged = _merge_branch_ctx(merged, d) if merged else d
+                dd = go(default_arm, dict(vars_ctx))
+                dd.pop(ch, None)
+                merged = _merge_branch_ctx(merged, dd) if merged else dd
+                merged[ch] = st.BraT(st.mkarms(conts.items()))
+                return merged
+            case t.Cond(_, a, b):
+                da = go(a, dict(vars_ctx))
+                db = go(b, dict(vars_ctx))
+                return _merge_branch_ctx(da, db)
+            case t.Sum(l, r):
+                dl = go(l, dict(vars_ctx))
+                dr = go(r, dict(vars_ctx))
+                return _merge_branch_ctx(dl, dr, "sum alternatives")
+            case t.Request() | t.Accept() | t.Defs() | t.Call() | t.Recover():
+                raise _SynthFail(f"cannot synthesise a type for "
+                                 f"{type(p).__name__}; a protocol declaration "
+                                 f"is required")
+        raise _SynthFail(f"unhandled form {render_process(p)}")
+
+    def _merge_branch_ctx(a: dict, b: dict, noun: str = "branches") -> dict:
+        out = dict(a)
+        for k, ty in b.items():
+            if k in out:
+                m = st.refine_session(out[k], ty)
+                if m is None:
+                    raise _SynthFail(f"{noun} disagree on {render_chan(k)}")
+                out[k] = m
+            else:
+                out[k] = ty
+        return out
+
+    return go(p, vars_ctx)
