@@ -36,12 +36,40 @@ class TypeFail(Exception):
         super().__init__(f"{rule}: {reason}" + (f" (at {where})" if where else ""))
 
 
-@dataclass(frozen=True)
 class RuleApp:
-    rule: str
-    subject: str
-    delta_size: Optional[int] = None
-    judgment: Optional[str] = None
+    """One rule application of a derivation.  A judgment given as
+    ``source``, a formatter and its arguments, is formatted the first time
+    ``judgment`` is read and then kept: a checked step reads none.
+    Equality, hash and repr read the text."""
+
+    __slots__ = ("rule", "subject", "delta_size", "_judgment", "_source")
+
+    def __init__(self, rule: str, subject: str, delta_size: Optional[int] = None,
+                 judgment: Optional[str] = None, source: Optional[tuple] = None):
+        self.rule, self.subject, self.delta_size = rule, subject, delta_size
+        self._judgment, self._source = judgment, source
+
+    @property
+    def judgment(self) -> Optional[str]:
+        if self._source is not None:
+            fmt, *args = self._source
+            self._judgment, self._source = fmt(*args), None
+        return self._judgment
+
+    def _key(self) -> tuple:
+        return self.rule, self.subject, self.delta_size, self.judgment
+
+    def __eq__(self, other):
+        if other.__class__ is not RuleApp:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"RuleApp(rule={self.rule!r}, subject={self.subject!r}, "
+                f"delta_size={self.delta_size!r}, judgment={self.judgment!r})")
 
 
 @dataclass
@@ -559,36 +587,8 @@ def type_network(gamma: Gamma, net: t.Network, declared: Optional[dict] = None,
                 except TypeFail:
                     raise first_error
 
-        merged = _merge_contexts(node_ctxs, declared, pin, trace)
-
-        # TSRes: consume restricted sessions
-        full_context = dict(merged)
-        for s in restricted_sessions:
-            ag, pl = t.Endpoint(s, True), t.Endpoint(s, False)
-            has_ag, has_pl = ag in merged, pl in merged
-            if not has_ag and not has_pl:
-                trace.append(RuleApp("TSRes", s, judgment="(vacuous)"))
-                continue
-            if not has_ag:
-                raise TypeFail("TSRes", f"restricted session {s} has no "
-                                        f"aggregator endpoint in context")
-            ca, ta = merged.pop(ag)
-            if has_pl:
-                cp, tp = merged.pop(pl)
-                if cp != ca or not st.types_equal(tp, st.dual(ta)):
-                    raise TypeFail(
-                        "TSRes",
-                        f"endpoints of {s} are not dual at a common state: "
-                        f"*{s}: ({ca}, {render_type(ta)}) vs {s}: "
-                        f"({cp}, {render_type(tp)})",
-                    )
-            trace.append(RuleApp(
-                "TSRes", s,
-                judgment=f"*{s}: ({ca}, {render_type(ta)})"
-                + (f", {s}: dual at {ca}" if has_pl else ", plain side absent"),
-            ))
-
-        residual = dict(merged)
+        full_context, residual = _merge_contexts(node_ctxs, declared, pin,
+                                                 restricted_sessions, trace)
         if declared:
             _match_declared(residual, declared, trace)
             residual = dict(declared)
@@ -604,19 +604,27 @@ def _type_node(gamma: Gamma, node: t.NetworkNode, idx: int, declared: dict,
     stated context.  The work is memoised by :func:`_node_typing` on the
     slice of the inputs the node can read: a scheduler step changes a few
     nodes, and the others are typed again under the same slice."""
-    sessions = dict.fromkeys(b.ep.session for b in node.buffers)
-    shared = t.process_facts(node.process)[1]
+    sessions, eps, shared = _node_slice(node)
     ok, payload = _node_typing(
         node, node.pos, idx, tuple(gamma.vars.items()),
-        tuple((a, gamma.shared[a]) for a in sorted(shared) if a in gamma.shared),
+        tuple((a, gamma.shared[a]) for a in shared if a in gamma.shared),
         tuple((s, protocols[s]) for s in sessions if s in protocols),
         tuple((s, derived[s]) for s in sessions if s in derived),
-        tuple((b.ep, declared[b.ep]) for b in node.buffers if b.ep in declared))
+        tuple((ep, declared[ep]) for ep in eps if ep in declared))
     if not ok:
         raise TypeFail(payload.rule, payload.reason, payload.where)
     ctx_items, segment = payload
     trace.extend(segment)
     return dict(ctx_items)
+
+
+@v.memo_on_term
+def _node_slice(node: t.NetworkNode) -> tuple:
+    """The names :func:`_type_node` slices its inputs by: the node's buffer
+    sessions, its buffer endpoints, and its process's shared names, sorted."""
+    return (tuple(dict.fromkeys(b.ep.session for b in node.buffers)),
+            tuple(b.ep for b in node.buffers),
+            tuple(sorted(t.process_facts(node.process)[1])))
 
 
 @lru_cache(maxsize=128)
@@ -685,8 +693,7 @@ def _type_node_body(gamma: Gamma, node: t.NetworkNode, idx: int, where: str,
             ctx = {ep: (theta[ep][1], st.combine(ty, theta[ep][2]))
                    for ep, ty in delta_p.items()}
             trace.extend(sub_trace)
-            trace.append(RuleApp("TNode", where,
-                                 judgment=render_stated_context(ctx)))
+            trace.append(RuleApp("TNode", where, source=(render_stated_context, ctx)))
             return ctx
     # no tuple is admissible: report why the last tuple of the whole product fails
     last = {ep: cands[-1] for ep, cands in zip(eps, cand_lists)}
@@ -700,90 +707,160 @@ def _type_node_body(gamma: Gamma, node: t.NetworkNode, idx: int, where: str,
 
 def _synch_app(subject: str, ep: t.Endpoint, entry: tuple, target: tuple) -> RuleApp:
     """The TSynch step of ``ep`` from its (c, T) entry to the (c', T') one."""
+    return RuleApp("TSynch", subject, source=(_synch_text, ep, entry, target))
+
+
+def _synch_text(ep: t.Endpoint, entry: tuple, target: tuple) -> str:
     (c, ty), (ct, tt) = entry, target
-    judgment = f"{render_chan(ep)}: ({c}, {render_type(ty)}) => ({ct}, {render_type(tt)})"
-    return RuleApp("TSynch", subject, judgment=judgment)
+    return f"{render_chan(ep)}: ({c}, {render_type(ty)}) => ({ct}, {render_type(tt)})"
 
 
-def _merge_contexts(node_ctxs: list, declared: dict, pin: dict,
-                    trace: list) -> dict:
-    merged: dict = {}
-    owners: dict = {}
-    plain_entries: dict = {}
+def _merge_contexts(node_ctxs: list, declared: dict, pin: dict, restricted: list,
+                    trace: list) -> tuple:
+    """Merge the nodes' stated contexts (TSynch, TPar), then consume the
+    restricted sessions (TSRes); returns the merged context and the residual
+    one.  A session's outcome comes from its own entries alone
+    (:func:`_session_merge`), so the sessions no changed node holds are
+    looked up.  The trace keeps its order: TSynch by session, TPar, then
+    TSRes in restriction order."""
+    aggrs: dict = {}  # session -> (aggregator endpoint, node, entry), in node order
+    plains: dict = {}  # session -> (plain endpoint, [(node, c, T), ...])
     for i, ctx in enumerate(node_ctxs):
-        for ep, (c, ty) in ctx.items():
-            if ep.aggr:
-                if ep in merged:
-                    raise TypeFail("TPar", f"aggregator endpoint "
-                                           f"{render_chan(ep)} appears in nodes "
-                                           f"#{owners[ep]} and #{i}")
-                merged[ep] = (c, ty)
-                owners[ep] = i
+        for ep, entry in ctx.items():
+            if not ep.aggr:
+                plains.setdefault(ep.session, (ep, []))[1].append((i, *entry))
+            elif ep.session in aggrs:
+                raise TypeFail("TPar", f"aggregator endpoint {render_chan(ep)} appears "
+                                       f"in nodes #{aggrs[ep.session][1]} and #{i}")
             else:
-                plain_entries.setdefault(ep, []).append((i, c, ty))
+                aggrs[ep.session] = (ep, i, entry)
+    pins: dict = {}  # session -> [pinned aggregator entry, pinned plain entry]
+    for ep, entry in pin.items():
+        pins.setdefault(ep.session, [None, None])[not ep.aggr] = entry
+    decl = {ep.session: entry for ep, entry in declared.items() if not ep.aggr}
+    rset = frozenset(restricted)
+    outcomes = {}
+    for s in sorted(aggrs.keys() | plains.keys() | pins.keys() | rset):
+        ag, pl = aggrs.get(s), plains.get(s)
+        outcomes[s] = _session_merge(s, ag and ag[2], tuple(pl[1]) if pl else (),
+                                     decl.get(s), *pins.get(s, (None, None)), s in rset)
+    # the pinned aggregators are all checked before any plain merge
+    for phase in (0, 1):
+        for synch, _, _, failed in outcomes.values():
+            if failed and failed[0] == phase:
+                raise TypeFail(*failed[1:])
+            if phase:
+                trace.extend(synch)
+    merged, residual = {}, {}
+    for s, (ep, _, _) in aggrs.items():
+        merged[ep] = outcomes[s][1][0]
+    for s in sorted(plains):
+        merged[plains[s][0]] = outcomes[s][1][1]
+    for ep, entry in merged.items():
+        if ep.session not in rset:
+            residual[ep] = entry
+    trace.append(RuleApp("TPar", "merge", source=(render_stated_context, merged)))
+    for s in restricted:
+        _, _, tsres, failed = outcomes[s]
+        if failed:
+            raise TypeFail(*failed[1:])
+        trace.append(tsres)
+    return dict(merged), residual
 
-    # pinned aggregator entries: present the aggregator at exactly the pinned
-    # state (reachable by pads) before plain merging
-    for ag in sorted([e for e in pin if e.aggr], key=lambda e: e.session):
-        if ag not in merged:
-            raise TypeFail("TSynch", f"pinned entry {render_chan(ag)} absent")
-        ca, ta = merged[ag]
-        cp, tp = pin[ag]
-        if cp < ca:
-            raise TypeFail("TSynch", f"pinned state {cp} behind {render_chan(ag)}")
-        ok_pad = any(st.types_equal(p, tp)
-                     for p in st.autonomous_advance(ta, cp - ca))
-        if not ok_pad:
-            raise TypeFail("TSynch", f"{render_chan(ag)} cannot present as "
-                                     f"({cp}, {render_type(tp)})")
-        merged[ag] = (cp, tp)
 
-    for ep, entries in sorted(plain_entries.items(), key=lambda kv: kv[0].session):
-        ag = t.Endpoint(ep.session, True)
-        if ep in pin or ag in pin:
-            if ep not in pin:
-                raise TypeFail("TSynch", f"pinned context drops {render_chan(ep)} "
+@lru_cache(maxsize=1024)
+def _session_merge(s: str, ag: Optional[tuple], plains: tuple, decl: Optional[tuple],
+                   pin_ag: Optional[tuple], pin_pl: Optional[tuple],
+                   restricted: bool) -> tuple:
+    """One session's part of the merge and of TSRes, from its aggregator's
+    (c, T) entry, its plain entries as (node, c, T), its declared plain entry
+    and its pinned entries, each None when absent.  Returns (TSynch steps,
+    (aggregator entry, plain entry), TSRes step, failure).  The failure is
+    None or (phase, rule, reason, where): phase 0 for a pinned aggregator,
+    1 for the plain merge, 2 for TSRes, which still gives the merge."""
+    ag_ep, pl_ep = t.Endpoint(s, True), t.Endpoint(s, False)
+    synch = tsres = chosen = None
+    phase = 0
+    try:
+        if pin_ag is not None:
+            # present the aggregator at exactly the pinned state (reachable
+            # by pads) before plain merging
+            if ag is None:
+                raise TypeFail("TSynch", f"pinned entry {render_chan(ag_ep)} absent")
+            (ca, ta), (cp, tp) = ag, pin_ag
+            if cp < ca:
+                raise TypeFail("TSynch", f"pinned state {cp} behind {render_chan(ag_ep)}")
+            if not any(st.types_equal(p, tp) for p in st.autonomous_advance(ta, cp - ca)):
+                raise TypeFail("TSynch", f"{render_chan(ag_ep)} cannot present as "
+                                         f"({cp}, {render_type(tp)})")
+            ag = pin_ag
+        phase = 1
+        if plains and (pin_pl is not None or pin_ag is not None):
+            if pin_pl is None:
+                raise TypeFail("TSynch", f"pinned context drops {render_chan(pl_ep)} "
                                          f"while nodes still hold it")
-            ct, tt = pin[ep]
-            if not all(st.entry_synchronizes(c, ty, ct, tt) for _, c, ty in entries):
-                raise TypeFail("TSynch", f"siblings of {render_chan(ep)} do not "
+            ct, tt = pin_pl
+            if not all(st.entry_synchronizes(c, ty, ct, tt) for _, c, ty in plains):
+                raise TypeFail("TSynch", f"siblings of {render_chan(pl_ep)} do not "
                                          f"synchronise to the pinned entry")
-            merged[ep] = (ct, tt)
-            continue
-        targets = []
-        if ag in merged:
-            # the aggregator entry may present itself padded forward by
-            # gathers of nothing, but only as far as a plain sibling proves
-            # the session advanced
-            ca, ta = merged[ag]
-            max_plain = max(c for _, c, _ in entries)
-            for k in range(max(0, max_plain - ca), -1, -1):
-                for padded in sorted(st.autonomous_advance(ta, k), key=render_type):
-                    targets.append((ca + k, st.dual(padded), (ag, ca + k, padded)))
-        if ep in declared:
-            targets.append(declared[ep] + (None,))
-        for _, c, ty in sorted(entries, key=lambda e: -e[1]):
-            targets.append((c, ty, None))
-        chosen = None
-        for (ct, tt, repad) in targets:
-            if all(st.entry_synchronizes(c, ty, ct, tt) for _, c, ty in entries):
-                chosen = (ct, tt)
-                if repad is not None:
-                    merged[repad[0]] = (repad[1], repad[2])
-                break
-        if chosen is None:
-            raise TypeFail(
-                "TSynch",
-                f"sibling entries for {render_chan(ep)} cannot be synchronised: "
-                + "; ".join(f"node#{i}: ({c}, {render_type(ty)})"
-                            for i, c, ty in entries),
-            )
-        for i, c, ty in entries:
-            if (c, ty) != chosen:
-                trace.append(_synch_app(f"node#{i}", ep, (c, ty), chosen))
-        merged[ep] = chosen
-    trace.append(RuleApp("TPar", "merge", judgment=render_stated_context(merged)))
-    return merged
+            chosen = (ct, tt)
+        elif plains:
+            targets = []
+            if ag is not None:
+                # the aggregator entry may present itself padded forward by
+                # gathers of nothing, but only as far as a plain sibling proves
+                # the session advanced
+                ca, ta = ag
+                max_plain = max(c for _, c, _ in plains)
+                for k in range(max(0, max_plain - ca), -1, -1):
+                    for padded in sorted(st.autonomous_advance(ta, k), key=render_type):
+                        targets.append((ca + k, st.dual(padded), (ca + k, padded)))
+            if decl is not None:
+                targets.append(decl + (None,))
+            for _, c, ty in sorted(plains, key=lambda e: -e[1]):
+                targets.append((c, ty, None))
+            for (ct, tt, repad) in targets:
+                if all(st.entry_synchronizes(c, ty, ct, tt) for _, c, ty in plains):
+                    chosen = (ct, tt)
+                    ag = repad or ag
+                    break
+            if chosen is None:
+                raise TypeFail(
+                    "TSynch",
+                    f"sibling entries for {render_chan(pl_ep)} cannot be synchronised: "
+                    + "; ".join(f"node#{i}: ({c}, {render_type(ty)})"
+                                for i, c, ty in plains),
+                )
+            synch = tuple(_synch_app(f"node#{i}", pl_ep, (c, ty), chosen)
+                          for i, c, ty in plains if (c, ty) != chosen)
+        phase = 2
+        if restricted:
+            if ag is None and chosen is None:
+                tsres = RuleApp("TSRes", s, judgment="(vacuous)")
+            elif ag is None:
+                raise TypeFail("TSRes", f"restricted session {s} has no "
+                                        f"aggregator endpoint in context")
+            else:
+                ca, ta = ag
+                if chosen is not None:
+                    cp, tp = chosen
+                    if cp != ca or not st.types_equal(tp, st.dual(ta)):
+                        raise TypeFail(
+                            "TSRes",
+                            f"endpoints of {s} are not dual at a common state: "
+                            f"*{s}: ({ca}, {render_type(ta)}) vs {s}: "
+                            f"({cp}, {render_type(tp)})",
+                        )
+                tsres = RuleApp("TSRes", s, source=(_tsres_text, s, ca, ta,
+                                                    chosen is not None))
+    except TypeFail as e:
+        return synch or (), (ag, chosen), None, (phase, e.rule, e.reason, e.where)
+    return synch or (), (ag, chosen), tsres, None
+
+
+def _tsres_text(s: str, ca: int, ta: st.SessionType, has_pl: bool) -> str:
+    return (f"*{s}: ({ca}, {render_type(ta)})"
+            + (f", {s}: dual at {ca}" if has_pl else ", plain side absent"))
 
 
 def _match_declared(residual: dict, declared: dict, trace: list):

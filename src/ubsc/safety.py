@@ -1,7 +1,8 @@
 """Semantic classification of networks: error networks, deadlock, simple
 networks, and the bounded progress/recovery searches.
 
-Error detection is syntactic on the congruence normal form.  A node's heads
+Error detection is syntactic: decided on the flattened nodes, and reported
+with the nodes numbered in the congruence normal form.  A node's heads
 are the engine's head alternatives (:func:`engine.alternatives`), so the
 checks see the prefixes the reduction rules fire from, behind definitions
 and calls up to the engine's one unfolding bound.  A node with more than one
@@ -15,7 +16,6 @@ order only; it returns the schedule the search without them returns.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import engine as eng
@@ -36,12 +36,40 @@ _INVALID_SAME_STATE = {frozenset(p) for p in (
 )}
 
 
-@dataclass
 class SafetyReport:
-    verdict: str  # ok | error-network | deadlocked
-    witness: Optional[tuple] = None
-    classification: dict = field(default_factory=dict)  # (node, session) -> (kind, c)
-    send_queue_violations: list = field(default_factory=list)
+    """The verdict on one network.  ``classification`` maps (node, session)
+    to (kind, c), nodes numbered in normal order.  An ok report found in
+    state order holds the flattened nodes instead and numbers them the first
+    time ``classification`` is read."""
+
+    def __init__(self, verdict: str, witness: Optional[tuple] = None,
+                 classification: Optional[dict] = None,
+                 send_queue_violations: Optional[list] = None, *, nodes: tuple = ()):
+        self.verdict = verdict  # ok | error-network | deadlocked
+        self.witness = witness
+        self.send_queue_violations = send_queue_violations or []
+        self._classification, self._nodes = classification, nodes
+
+    @property
+    def classification(self) -> dict:
+        if self._classification is None:
+            self._classification = _scan(_normal_order(self._nodes))[0]
+        return self._classification
+
+    def _key(self) -> tuple:
+        return self.verdict, self.witness, self.classification, self.send_queue_violations
+
+    def __eq__(self, other):
+        if other.__class__ is not SafetyReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"SafetyReport(verdict={self.verdict!r}, witness={self.witness!r}, "
+                f"classification={self.classification!r}, "
+                f"send_queue_violations={self.send_queue_violations!r})")
 
     def render(self) -> str:
         if self.verdict == "ok":
@@ -101,14 +129,32 @@ def _send_queue_violation(head: t.Process, bufs: dict) -> bool:
 
 
 def is_error_network(n: t.Network) -> SafetyReport:
-    """Search all node pairs per session for an invalid pair.  A node can
-    only take part on the session of its head's endpoint, so each node's
-    head is read once and visited under that session alone."""
-    _, nodes = eng.normal_parts(n)
-    sessions = set()
+    """Search all node pairs per session for an invalid pair.  Whether one
+    exists does not depend on how the nodes are numbered, so the nodes are
+    first searched in state order; only a network with a witness or a
+    send-queue violation is searched again in normal order, whose node
+    numbers the report shows."""
+    nodes = t.flatten_nodes(n)[1]
+    _, violations, witness = _scan(nodes)
+    if witness is None and not violations:
+        return SafetyReport("ok", nodes=nodes)
+    classification, violations, witness = _scan(_normal_order(nodes))
+    return SafetyReport("error-network" if witness else "ok", witness, classification,
+                        violations)
+
+
+def _normal_order(nodes: tuple) -> tuple:
+    """Flattened ``nodes`` as ``engine.normal_parts`` numbers them."""
+    return eng.normal_parts(t.assemble((), nodes))[1]
+
+
+def _scan(nodes) -> tuple:
+    """(classification, send-queue violations, first witness) of ``nodes``
+    numbered in order.  A node can only take part on the session of its
+    head's endpoint, so each node's head is read once and visited under that
+    session alone, and only sessions some head acts on are visited."""
     acting: dict = {}  # session -> [(node index, head, buffers)], by index
     for i, nd in enumerate(nodes):
-        sessions |= {b.ep.session for b in nd.buffers}
         head = _head(nd.process)
         ch = getattr(head, "chan", None)
         if type(ch) is t.Endpoint:
@@ -116,9 +162,9 @@ def is_error_network(n: t.Network) -> SafetyReport:
     classification = {}
     violations = []
     witness = None
-    for s in sorted(sessions):
+    for s in sorted(acting):
         kinds = []
-        for i, head, bufs in acting.get(s, ()):
+        for i, head, bufs in acting[s]:
             k = _classify(head, bufs, s)
             if k:
                 classification[(i, s)] = k
@@ -142,9 +188,7 @@ def is_error_network(n: t.Network) -> SafetyReport:
                     bad = True
                 if bad and witness is None:
                     witness = (s, (i, ki, ci), (j, kj, cj))
-    if witness:
-        return SafetyReport("error-network", witness, classification, violations)
-    return SafetyReport("ok", None, classification, violations)
+    return classification, violations, witness
 
 
 def is_deadlocked(n: t.Network) -> bool:

@@ -334,17 +334,22 @@ def free_names(term) -> set:
     if not isinstance(term, (NetworkNode, Par, Restrict)):
         return set().union(*process_facts(term))
     out: set = set()
-    stack = [(term, frozenset())]
+    bound: dict = {}  # name -> how many restrictions on the path bind it
+    stack = [term]
     while stack:
-        n, bound = stack.pop()
-        if type(n) is Par:
-            stack += [(n.right, bound), (n.left, bound)]
+        n = stack.pop()
+        if type(n) is str:  # leaving the restriction of ``n``
+            bound[n] -= 1
+        elif type(n) is Par:
+            stack += [n.right, n.left]
         elif type(n) is Restrict:
-            stack.append((n.body, bound | {n.name}))
+            bound[n.name] = bound.get(n.name, 0) + 1
+            stack += [n.name, n.body]
         elif type(n) is NetworkNode:
             sessions, shared, varnames = process_facts(n.process)
-            out.update(sessions.union(shared, (b.ep.session for b in n.buffers)) - bound,
-                       varnames)
+            out.update(x for x in sessions.union(shared, (b.ep.session for b in n.buffers))
+                       if not bound.get(x))
+            out.update(varnames)
         else:
             raise TypeError(f"not a network: {n!r}")
     return out
@@ -499,13 +504,15 @@ def flatten_nodes(n: Network) -> tuple:
         used.add(cand)
         return cand
 
-    def go(n: Network, ren: dict):
+    # a loop, not a recursion: restriction chains grow with a run
+    stack = [(n, {})]
+    while stack:
+        n, ren = stack.pop()
         match n:
             case NetworkNode():
                 nodes.append(rename_node_sessions(n, ren))
             case Par(l, r):
-                go(l, ren)
-                go(r, ren)
+                stack += [(r, ren), (l, ren)]
             case Restrict(name, body):
                 if name in used or name in ren:
                     nn = fresh(name)
@@ -515,11 +522,9 @@ def flatten_nodes(n: Network) -> tuple:
                 else:
                     used.add(name)
                     restricted.append(name)
-                go(body, ren)
+                stack.append((body, ren))
             case _:
                 raise TypeError(f"not a network: {n!r}")
-
-    go(n, {})
     return tuple(restricted), tuple(nodes)
 
 
@@ -574,6 +579,53 @@ def assemble(restricted: tuple, nodes: tuple) -> Network:
         object.__setattr__(net, "_flat", (tuple(restricted), tuple(nodes)))
     return net
 
+
+def _composite_kids(n) -> tuple:
+    return (n.left, n.right) if type(n) is Par else (n.body,)
+
+
+def _composite_eq(a, b):
+    """``==`` of two Par or Restrict terms, walking their Par and Restrict
+    levels with a loop."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if type(x) is Restrict:
+            if x.name != y.name:
+                return False
+        elif type(x) is not Par:
+            if x != y:
+                return False
+            continue
+        stack += zip(_composite_kids(x), _composite_kids(y))
+    return True
+
+
+def _spine_first(field_hash):
+    """The generated hash of a Par or Restrict term, made after every Par
+    and Restrict level below it has its hash cached, in a loop from the
+    bottom: each level then reads its children's cached hashes."""
+    def __hash__(self):
+        below, stack = [], list(_composite_kids(self))
+        while stack:
+            x = stack.pop()
+            if type(x) in (Par, Restrict) and "_hash" not in vars(x):
+                below.append(x)
+                stack += _composite_kids(x)
+        for x in reversed(below):
+            hash(x)
+        return field_hash(self)
+    return __hash__
+
+
+for _cls in (Par, Restrict):
+    _cls.__eq__, _cls.__hash__ = _composite_eq, _spine_first(_cls.__hash__)
 
 from .values import install_cached_hash as _install_cached_hash
 

@@ -345,3 +345,56 @@ def test_definition_slots_are_bounded():
     for k in range(maxsize + 5):
         _def_checks(f"def D(c) = *c!<{k}>. 0 in D(*s)")
     assert ck._def_slot.cache_info().currsize == maxsize
+
+
+# ------------------------------------------------------------ work gauge
+
+def test_checked_steps_render_nothing_until_read(monkeypatch):
+    """A criterion-4 paxos5 job (seed 7, which takes the pinned retry),
+    50 checked steps of ``type_network``, ``advances_to`` and
+    ``is_error_network`` on ``state.to_network()``, formats no stated
+    context in the checker and renders no node for the normal order.  Read
+    afterwards, every judgment and every report equals the oracles'."""
+    import safety_oracle
+    import type_oracle
+
+    formatted = []
+    fmt = ck.render_stated_context
+    monkeypatch.setattr(ck, "render_stated_context",
+                        lambda ctx: formatted.append(ctx) or fmt(ctx))
+    prog = cp.load_program("paxos5.ubsc")
+    g, T = ck.Gamma(shared=prog.shared_types()), parse_type(P3_T)
+    checked = []  # (network, protocols, pin, typing, report)
+
+    def check(state, step):
+        net, protos = state.to_network(), {**{s: T for s in state.restricted}, "a": T}
+        cur, pin = ck.type_network(g, net, protocols=protos), None
+        assert cur.ok
+        if checked and not st.advances_to(checked[-1][3].full_context, cur.full_context):
+            prev = checked[-1][3].full_context
+            for pin in [dict(prev)] + st.context_advance(prev):
+                cur = ck.type_network(g, net, protocols=protos, pin=pin)
+                if cur.ok:
+                    break
+            assert cur.ok
+        report = sf.is_error_network(net)
+        assert report.verdict == "ok"
+        checked.append((net, protos, pin, cur, report))
+
+    ck._node_typing.cache_clear()
+    rendered = eng._node_render.cache_info()
+    eng.run_scheduler(prog.network, eng.SchedulerConfig(
+        seed=7, loss_rate=0.3, recovery_bias=0.2, max_steps=50),
+        digests=False, on_step=check)
+    assert len(checked) == 50 and any(pin is not None for _, _, pin, _, _ in checked)
+    assert formatted == []
+    info = eng._node_render.cache_info()
+    assert (info.hits, info.misses) == (rendered.hits, rendered.misses)
+    for net, protos, pin, cur, report in checked:
+        want = type_oracle.type_network(g, net, protocols=protos, pin=pin)
+        assert ([(a.rule, a.subject, a.delta_size, a.judgment) for a in cur.trace]
+                == [(a.rule, a.subject, a.delta_size, a.judgment) for a in want.trace])
+        assert (cur.residual, cur.full_context) == (want.residual, want.full_context)
+        assert report.classification == safety_oracle.is_error_network(net).classification
+        assert report == safety_oracle.is_error_network(net)
+    assert formatted

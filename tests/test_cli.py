@@ -284,3 +284,24 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert rc == 2
     assert len((captured.out + captured.err).strip().splitlines()) == 1
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("args, golden, code", [
+    (["check", "--derivation", "heartbeat_runtime1.ubsc"],
+     "check_derivation_heartbeat_runtime1.txt", 0),
+    (["check", "--derivation", "paxos5.ubsc"], "check_derivation_paxos5.txt", 0),
+    (["run", "error_brc_bra.ubsc", "--safety", "--seed", "1", "--max-steps", "20"],
+     "run_safety_error_brc_bra.txt", 1),
+])
+def test_output_matches_golden(args, golden, code, capsys, monkeypatch):
+    """Derivations and a safety witness with node numbers print byte for
+    byte as recorded before judgments were formatted on read and before
+    the safety check decided in state order."""
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    args = [corpus(a) if a.endswith(".ubsc") else a for a in args]
+    assert main(args) == code
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import glob
 import os
 
@@ -459,3 +460,48 @@ def test_rebuild_from_own_layer(corpus_terms):
                           [copy.copy(k) for _, k in kids])
         assert fresh == p
         assert fresh is not p or not (chans or exprs or kids)
+
+
+# ---------------------------------------------------------------- long chains
+
+@functools.lru_cache(maxsize=None)
+def _node(i):
+    """``[ s<i>!<i>. 0 | s<i>~0:[] ]``, one object per ``i``."""
+    ep = t.Endpoint(f"s{i}", False)
+    return t.NetworkNode(t.Send(ep, v.Lit(v.IntV(i)), t.Inact()), (t.Buffer(ep, 0, ()),))
+
+
+def _restriction_chain(first="s0"):
+    """3,000 restrictions over one node, a new chain carrying no parts;
+    ``first`` names the innermost restriction."""
+    return t.restrict_all([f"s{i}" for i in range(2999, 0, -1)] + [first],
+                          t.par_all([_node(0)]))
+
+
+def _par_chain(first=0):
+    """3,000 nodes in a left-nested composition under one restriction, the
+    first node on session ``s<first>``."""
+    return t.Restrict("s1", t.par_all([_node(first)] + [_node(i) for i in range(1, 3000)]))
+
+
+@pytest.mark.parametrize("build, other, names, nodes, short", [
+    (_restriction_chain, lambda: _restriction_chain("z"), 3000, 1,
+     "new s0. [ s0!<0>. 0 | s0~0:[] ]"),
+    (_par_chain, lambda: _par_chain(3000), 1, 3000, None),
+], ids=["restrictions", "parallel"])
+def test_long_chains_hash_compare_flatten_and_digest(build, other, names, nodes, short):
+    """Equality and hash loop down Par and Restrict levels, and so does the
+    flattening walk: a 3,000-level network hashes, equals a copy whose
+    levels are built apart, differs from one whose innermost name differs,
+    and flattens, normalises and digests."""
+    net, copy_, changed = build(), build(), other()
+    assert net is not copy_ and hash(net) == hash(copy_) and net == copy_
+    assert net != changed and not net == changed
+    restricted, flat = t.flatten_nodes(net)
+    assert (len(restricted), len(flat)) == (names, nodes)
+    normal = eng.normalize(net)
+    assert normal == eng.normalize(copy_)
+    assert t.flatten_nodes(normal) == eng.normal_parts(net)
+    assert eng.digest(net) == eng.digest(copy_) != eng.digest(changed)
+    if short:
+        assert eng.digest(net) == eng.digest(parse_network(short))

@@ -23,6 +23,7 @@ from ubsc import corpus as cp
 from ubsc import sestypes as st
 from ubsc import terms as t
 from ubsc.syntax import parse, parse_network, parse_process, parse_type
+from ubsc.terms import Endpoint
 
 PAXOS = _fixed(P3_T)
 
@@ -246,3 +247,132 @@ def test_synthesis_matches_oracle():
             assert new == _synthesised(oracle.synth_process, p), p
             outcomes.add(type(new))
     assert outcomes == {dict, str}
+
+
+# ------------------------------------------------------------------ merge
+
+def _merged_fields(res) -> tuple:
+    """What a reader of a typing sees: verdict, contexts, error, and each
+    rule application as (rule, subject, delta size, judgment text)."""
+    err = res.error
+    return (res.ok, res.residual, res.full_context,
+            None if err is None else (err.rule, err.reason, err.where),
+            [(a.rule, a.subject, a.delta_size, a.judgment) for a in res.trace])
+
+
+def _assert_merge_same(gamma, net, **kwargs):
+    new = ck.type_network(gamma, net, **kwargs)
+    assert _merged_fields(new) == _merged_fields(oracle.type_network(gamma, net, **kwargs))
+    return new
+
+
+def _pins(prev) -> list:
+    """The contexts criterion 4 pins after ``prev``: its full context and its
+    one-step advances, the first eight."""
+    return ([dict(prev.full_context)] + st.context_advance(prev.full_context))[:8]
+
+
+def _check_merge_run(prog, states, protocol_of) -> set:
+    g = ck.Gamma(shared=prog.shared_types())
+    prev, verdicts = None, set()
+    for state in states:
+        net, protos = state.to_network(), protocol_of(state)
+        cur = _assert_merge_same(g, net, protocols=protos)
+        if prev is not None and prev.ok:
+            for cand in _pins(prev):
+                verdicts.add(_assert_merge_same(g, net, protocols=protos, pin=cand).ok)
+        if cur.ok:
+            _assert_merge_same(g, net, protocols=protos,
+                               declared={**cur.residual, **dict(list(cur.residual.items())[:1])})
+        verdicts.add(cur.ok)
+        prev = cur
+    return verdicts
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+def test_merge_matches_oracle_on_corpus_runs(family):
+    """Each reached state of a criterion-4 family under its protocols, then
+    pinned to the previous state's context and its advances, then declared
+    to its own residual: ``type_network`` gives the oracle's contexts,
+    error and rule applications."""
+    fname, seeds, steps, loss, bias, protocol_of = family
+    prog = cp.load_program(fname)
+    assert True in _check_merge_run(prog, _runs(prog, seeds, steps, loss, bias), protocol_of)
+
+
+def test_merge_matches_oracle_on_generated_programs():
+    verdicts = set()
+    for gseed in range(8):
+        prog = parse(generate_program(gseed))
+        T = prog.shared_types()["a"]
+        verdicts |= _check_merge_run(
+            prog, _runs(prog, range(2), 25, 0.3, 0.25),
+            lambda state, T=T: {**{s: T for s in state.restricted}, "a": T})
+    assert verdicts == {True, False}
+
+
+def test_merge_matches_oracle_on_long_paxos5_run():
+    """Every 100th state up to step 1500, where over 200 restricted sessions
+    are merged and consumed."""
+    prog, states = _paxos5_states(range(0, 1501, 100))
+    assert True in _check_merge_run(prog, states, PAXOS)
+
+
+def _ctx(**kw):
+    return {Endpoint(name[2:] if name.startswith("a_") else name, name.startswith("a_")):
+            (c, parse_type(ty)) for name, (c, ty) in kw.items()}
+
+
+HB2 = "[ *s!<1>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]"
+
+# written networks, declared and pinned contexts, each reaching one line of
+# the merge or of TSRes
+MERGE_CASES = [
+    ("new s. (" + HB2 + ")", {}, "Ok"),
+    ("new s. ([ 0 | *s~0:[] ] || [ *s!<1>. 0 | *s~0:[] ])", {}, "aggregator endpoint *s appears"),
+    ("new s. [ s?(x). 0 | s~0:[] ]", {}, "restricted session s has no aggregator"),
+    ("new s. ([ *s!<1>. 0 | *s~0:[] ] || [ s!<1>. 0 | s~0:[] ])", {}, "endpoints of s are not dual"),
+    ("new u. new s. ([ *s!<1>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ])", {}, "Ok"),
+    ("[ *s!<1>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ] || [ s?(x). s?(y). 0 | s~0:[] ]", {},
+     "sibling entries for s cannot be synchronised"),
+    ("[ 0 | *s~1:[] ] || [ 0 | s~1:[] ] || [ s?(x). 0 | s~0:[] ]", {}, "Ok"),
+    ("[ *s!<1>. 0 | *s~0:[] ] || [ 0 | s~2:[] ]", {}, "Ok, residual: *s: (0, !int.end)"),
+    ("new s. ([ *s?(x). 0 | *s~0:[] ] || [ 0 | s~1:[] ])", {}, "Ok"),  # re-padded
+    ("[ *s?(x). 0 | *s~0:[] ] || [ 0 | s~1:[] ]", {}, "Ok, residual: *s: (1, end)"),
+    ("new s. ([ 0 | *s~0:[] ] || [ 0 | s~1:[] ])", {}, "*s: (0, end) vs s: (1, end)"),
+    (HB2, {"pin": _ctx(a_u=(0, "end"))}, "pinned entry *u absent"),
+    (HB2, {"pin": _ctx(a_s=(0, "!int.end"), s=(0, "?int.end"))}, "Ok"),
+    ("[ 0 | *s~1:[] ] || [ 0 | s~1:[] ]", {"pin": _ctx(a_s=(0, "end"), s=(0, "end"))},
+     "pinned state 0 behind *s"),
+    (HB2, {"pin": _ctx(a_s=(1, "end"), s=(1, "end"))}, "Ok"),
+    (HB2, {"pin": _ctx(a_s=(1, "?int.end"), s=(1, "end"))}, "*s cannot present as (1, ?int.end)"),
+    (HB2, {"pin": _ctx(a_s=(0, "!int.end"))}, "pinned context drops s"),
+    (HB2, {"pin": _ctx(s=(0, "!int.end"))}, "siblings of s do not synchronise"),
+    (HB2, {"pin": _ctx(s=(1, "end"))}, "Ok"),
+    (HB2, {"declared": _ctx(a_s=(0, "!int.end"), s=(1, "end"))}, "Ok"),
+    (HB2, {"declared": _ctx(a_s=(0, "!int.end"), s=(0, "?int.end"), u=(0, "end"))},
+     "declared entry u has no counterpart"),
+]
+
+
+def test_merge_matches_oracle_on_written_networks():
+    """Every merge and TSRes line, reached by hand, gives the oracle's
+    result, and the one each case is written for."""
+    for text, kwargs, expected in MERGE_CASES:
+        res = _assert_merge_same(ck.Gamma(), parse_network(text), **kwargs)
+        assert expected in res.render(), (text, kwargs, res.render())
+
+
+def test_merge_outcomes_are_memoised_per_session():
+    """A session's outcome is worked out once: typing the same state again
+    looks every session up, and so does a state that moved one node."""
+    prog, (s1, s2) = _paxos5_states([300, 301])
+    g = ck.Gamma(shared=prog.shared_types())
+    ck._session_merge.cache_clear()
+    ck.type_network(g, s1.to_network(), protocols=PAXOS(s1))
+    first = ck._session_merge.cache_info()
+    assert first.misses >= len(s1.restricted)
+    ck.type_network(g, s1.to_network(), protocols=PAXOS(s1))
+    assert ck._session_merge.cache_info().misses == first.misses
+    ck.type_network(g, s2.to_network(), protocols=PAXOS(s2))
+    assert ck._session_merge.cache_info().misses - first.misses <= 3
