@@ -170,20 +170,7 @@ def _hole(name: str, holes: Optional[_Holes]) -> str:
 
 
 def _canon_expr(e: v.Expr, env: dict) -> v.Expr:
-    if not env or env.keys().isdisjoint(v.fv_expr(e)):
-        return e  # closed under env: shared, not rebuilt
-    match e:
-        case v.Var(x):
-            return v.Var(env.get(x, x))
-        case v.BinOp(op, l, r):
-            return v.BinOp(op, _canon_expr(l, env), _canon_expr(r, env))
-        case v.TupleE(a, b):
-            return v.TupleE(_canon_expr(a, env), _canon_expr(b, env))
-        case v.SetE(items):
-            return v.SetE(tuple(_canon_expr(i, env) for i in items))
-        case v.Builtin(f, args):
-            return v.Builtin(f, tuple(_canon_expr(a, env) for a in args))
-    raise TypeError(f"not an expression: {e!r}")
+    return v.map_vars(e, env.keys(), lambda x: v.Var(env[x]))
 
 
 def _bind(name: str, env: dict, counter: Optional[list], prefix: str = "v") -> tuple:
@@ -349,17 +336,22 @@ def render_node(n: t.NetworkNode) -> str:
 
 
 def render_network(n: t.Network) -> str:
-    match n:
-        case t.NetworkNode():
-            return render_node(n)
-        case t.Par(l, r):
-            return f"{render_network(l)} || {render_network(r)}"
-        case t.Restrict(name, body):
-            inner = render_network(body)
-            if isinstance(body, t.Par):
-                inner = f"({inner})"
-            return f"new {name}. {inner}"
-    raise TypeError(f"not a network: {n!r}")
+    """``n`` as text, in a loop: its restriction chain grows with a run."""
+    out, stack = [], [n]
+    while stack:
+        n = stack.pop()
+        if type(n) is str:
+            out.append(n)
+        elif type(n) is t.NetworkNode:
+            out.append(render_node(n))
+        elif type(n) is t.Par:
+            stack += [n.right, " || ", n.left]
+        elif type(n) is t.Restrict:
+            out.append(f"new {n.name}. ")
+            stack += [")", n.body, "("] if type(n.body) is t.Par else [n.body]
+        else:
+            raise TypeError(f"not a network: {n!r}")
+    return "".join(out)
 
 
 def render_stated_context(ctx: dict) -> str:

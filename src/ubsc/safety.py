@@ -81,8 +81,7 @@ class SafetyReport:
         else:
             out = "deadlocked: every summand is an accept prefix"
         for node, sess, c in self.send_queue_violations:
-            out += (f"\n  note: node#{node} sends on {sess} with a non-empty "
-                    f"own queue (unreachable for well-typed networks)")
+            out += f"\n  note: node#{node} sends on {sess} with a non-empty own queue"
         return out
 
 

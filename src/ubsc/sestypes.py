@@ -9,6 +9,7 @@ relations here are decidable by bounded unfolding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Optional, Union
 
 from .terms import Endpoint
@@ -97,44 +98,60 @@ class PadItem:
 BufferType = tuple  # ordered sequence of OutItem | SelItem; () is the empty type
 
 
+# ---------------------------------------------------------------- one layer
+# ``conts`` and ``rebuild_type`` are the one generic view of a session type
+# constructor, as :func:`terms.layer` and :func:`terms.rebuild` are of a
+# process; unfolding, rendering and buffer consumption stay per constructor.
+
+_DUAL = {End: End, TVar: TVar, Out: In, In: Out, SelT: BraT, BraT: SelT, Rec: Rec}
+
+
+def conts(t: SessionType):
+    """The continuations ``t`` holds directly, arms in label order."""
+    if type(t) is Out or type(t) is In:
+        return (t.cont,)
+    if type(t) is SelT or type(t) is BraT:
+        return [x for _, x in t.arms]
+    if type(t) is Rec:
+        return (t.body,)
+    if type(t) is End or type(t) is TVar:
+        return ()
+    raise TypeSyntaxError(f"not a session type: {t!r}")
+
+
+def rebuild_type(t: SessionType, kids, flip: bool = False) -> SessionType:
+    """``t``'s constructor, or with ``flip`` its dual's, over new
+    continuations in :func:`conts` order; ``t`` itself when that changes
+    nothing, so unchanged subterms stay shared."""
+    cls = _DUAL[type(t)] if flip else type(t)
+    if cls is type(t) and all(map(is_, kids, conts(t))):
+        return t
+    if cls is Out or cls is In:
+        return cls(t.beta, kids[0])
+    if cls is Rec:
+        return Rec(t.name, kids[0])
+    return cls(tuple((l, k) for (l, _), k in zip(t.arms, kids)))
+
+
+def _tag(t: SessionType):
+    """A type variable's name, or the labels of a type's arms."""
+    if type(t) is SelT or type(t) is BraT:
+        return [l for l, _ in t.arms]
+    return t.name if type(t) is TVar else None
+
+
 # ---------------------------------------------------------------- operations
 
 def dual(t: SessionType) -> SessionType:
-    match t:
-        case End():
-            return t
-        case TVar():
-            return t
-        case Out(b, c):
-            return In(b, dual(c))
-        case In(b, c):
-            return Out(b, dual(c))
-        case SelT(arms):
-            return BraT(tuple((l, dual(x)) for l, x in arms))
-        case BraT(arms):
-            return SelT(tuple((l, dual(x)) for l, x in arms))
-        case Rec(n, b):
-            return Rec(n, dual(b))
-    raise TypeSyntaxError(f"not a session type: {t!r}")
+    return rebuild_type(t, [dual(k) for k in conts(t)], flip=True)
 
 
 def _subst_tvar(t: SessionType, name: str, repl: SessionType) -> SessionType:
-    match t:
-        case End():
-            return t
-        case TVar(n):
-            return repl if n == name else t
-        case Out(b, c):
-            return Out(b, _subst_tvar(c, name, repl))
-        case In(b, c):
-            return In(b, _subst_tvar(c, name, repl))
-        case SelT(arms):
-            return SelT(tuple((l, _subst_tvar(x, name, repl)) for l, x in arms))
-        case BraT(arms):
-            return BraT(tuple((l, _subst_tvar(x, name, repl)) for l, x in arms))
-        case Rec(n, b):
-            return t if n == name else Rec(n, _subst_tvar(b, name, repl))
-    raise TypeSyntaxError(f"not a session type: {t!r}")
+    if type(t) is TVar:
+        return repl if t.name == name else t
+    if type(t) is Rec and t.name == name:
+        return t
+    return rebuild_type(t, [_subst_tvar(k, name, repl) for k in conts(t)])
 
 
 def unfold(t: SessionType) -> SessionType:
@@ -149,18 +166,11 @@ def unfold(t: SessionType) -> SessionType:
 
 
 def contractive(t: SessionType, bound=frozenset(), guarded=True) -> bool:
-    match t:
-        case End():
-            return True
-        case TVar(n):
-            return guarded or n not in bound
-        case Out(_, c) | In(_, c):
-            return contractive(c, bound, True)
-        case SelT(arms) | BraT(arms):
-            return all(contractive(x, bound, True) for _, x in arms)
-        case Rec(n, b):
-            return contractive(b, bound | {n}, False)
-    return False
+    if type(t) is TVar:
+        return guarded or t.name not in bound
+    if type(t) is Rec:
+        return contractive(t.body, bound | {t.name}, False)
+    return type(t) in _DUAL and all(contractive(k, bound, True) for k in conts(t))
 
 
 def types_equal(a: SessionType, b: SessionType, assumed=None) -> bool:
@@ -177,18 +187,11 @@ def types_equal(a: SessionType, b: SessionType, assumed=None) -> bool:
     if isinstance(a, Rec) or isinstance(b, Rec):
         assumed = assumed | {key}
         return types_equal(unfold(a), unfold(b), assumed)
-    match a, b:
-        case (End(), End()):
-            return True
-        case (TVar(x), TVar(y)):
-            return x == y
-        case (Out(b1, c1), Out(b2, c2)) | (In(b1, c1), In(b2, c2)):
-            return base_compatible(b1, b2) and types_equal(c1, c2, assumed)
-        case (SelT(a1), SelT(a2)) | (BraT(a1), BraT(a2)):
-            if [l for l, _ in a1] != [l for l, _ in a2]:
-                return False
-            return all(types_equal(x, y, assumed) for (_, x), (_, y) in zip(a1, a2))
-    return False
+    if type(a) is not type(b) or type(a) not in _DUAL or _tag(a) != _tag(b):
+        return False
+    if type(a) in (Out, In) and not base_compatible(a.beta, b.beta):
+        return False
+    return all(types_equal(x, y, assumed) for x, y in zip(conts(a), conts(b)))
 
 
 def refine_session(a: SessionType, b: SessionType) -> Optional[SessionType]:
@@ -196,30 +199,18 @@ def refine_session(a: SessionType, b: SessionType) -> Optional[SessionType]:
     preferring the more specific payload types.  None on shape mismatch."""
     if isinstance(a, Rec) or isinstance(b, Rec):
         return a if types_equal(a, b) else None
-    match a, b:
-        case (End(), End()):
-            return a
-        case (TVar(x), TVar(y)):
-            return a if x == y else None
-        case (Out(b1, c1), Out(b2, c2)):
-            beta = refine_base(b1, b2)
-            cont = refine_session(c1, c2)
-            return Out(beta, cont) if beta is not None and cont is not None else None
-        case (In(b1, c1), In(b2, c2)):
-            beta = refine_base(b1, b2)
-            cont = refine_session(c1, c2)
-            return In(beta, cont) if beta is not None and cont is not None else None
-        case (SelT(a1), SelT(a2)) | (BraT(a1), BraT(a2)):
-            if [l for l, _ in a1] != [l for l, _ in a2]:
-                return None
-            arms = []
-            for (l, x), (_, y) in zip(a1, a2):
-                m = refine_session(x, y)
-                if m is None:
-                    return None
-                arms.append((l, m))
-            return SelT(tuple(arms)) if isinstance(a, SelT) else BraT(tuple(arms))
-    return None
+    if type(a) is not type(b) or type(a) not in _DUAL or _tag(a) != _tag(b):
+        return None
+    kids = []
+    for x, y in zip(conts(a), conts(b)):
+        m = refine_session(x, y)
+        if m is None:
+            return None
+        kids.append(m)
+    if type(a) in (Out, In):
+        beta = refine_base(a.beta, b.beta)
+        return None if beta is None else type(a)(beta, kids[0])
+    return rebuild_type(a, kids)
 
 
 def combine(t: SessionType, m: BufferType) -> Optional[SessionType]:
@@ -252,7 +243,7 @@ def _advance(t: SessionType, n: int, kinds: tuple) -> set:
         nxt = set()
         for u in map(unfold, frontier):
             if isinstance(u, kinds):
-                nxt.update((u.cont,) if isinstance(u, (Out, In)) else (c for _, c in u.arms))
+                nxt.update(conts(u))
         frontier = nxt
     return frontier
 

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import is_
 from typing import Optional, Union
 
-from .values import Expr, Lit, Value, Var, fv_expr, subst_expr_var
+from .values import BinOp, Expr, Lit, Value, Var, fv_expr, subst_expr_var
 
 
 class SubstError(Exception):
@@ -580,42 +580,51 @@ def assemble(restricted: tuple, nodes: tuple) -> Network:
     return net
 
 
+# Terms that grow into long chains over a run: a network's restrictions and
+# parallel compositions, and a ballot's ``+ 1``s.
+_CHAINS = (Par, Restrict, BinOp)
+
+
 def _composite_kids(n) -> tuple:
-    return (n.left, n.right) if type(n) is Par else (n.body,)
+    return (n.body,) if type(n) is Restrict else (n.left, n.right)
 
 
 def _composite_eq(a, b):
-    """``==`` of two Par or Restrict terms, walking their Par and Restrict
-    levels with a loop."""
+    """``==`` of two chain terms, walking their Par, Restrict and BinOp
+    levels with a loop: down the left children, the right ones stacked."""
     if b.__class__ is not a.__class__:
         return NotImplemented
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if type(x) is Restrict:
-            if x.name != y.name:
+        while x is not y:
+            if type(x) is not type(y):
                 return False
-        elif type(x) is not Par:
-            if x != y:
-                return False
-            continue
-        stack += zip(_composite_kids(x), _composite_kids(y))
+            if type(x) is Restrict:
+                if x.name != y.name:
+                    return False
+                x, y = x.body, y.body
+            elif type(x) is Par or type(x) is BinOp:
+                if type(x) is BinOp and x.op != y.op:
+                    return False
+                stack.append((x.right, y.right))
+                x, y = x.left, y.left
+            else:
+                if x != y:
+                    return False
+                break
     return True
 
 
 def _spine_first(field_hash):
-    """The generated hash of a Par or Restrict term, made after every Par
-    and Restrict level below it has its hash cached, in a loop from the
-    bottom: each level then reads its children's cached hashes."""
+    """The generated hash of a chain term, made after every chain level
+    below it has its hash cached, in a loop from the bottom: each level then
+    reads its children's cached hashes."""
     def __hash__(self):
         below, stack = [], list(_composite_kids(self))
         while stack:
             x = stack.pop()
-            if type(x) in (Par, Restrict) and "_hash" not in vars(x):
+            if type(x) in _CHAINS and "_hash" not in vars(x):
                 below.append(x)
                 stack += _composite_kids(x)
         for x in reversed(below):
@@ -624,12 +633,13 @@ def _spine_first(field_hash):
     return __hash__
 
 
-for _cls in (Par, Restrict):
+for _cls in _CHAINS:
     _cls.__eq__, _cls.__hash__ = _composite_eq, _spine_first(_cls.__hash__)
 
 from .values import install_cached_hash as _install_cached_hash
 
+# the cached hash wraps the chain walk, so a cached hash is read before any walk
 _install_cached_hash(Endpoint, ChanVar, Inact, Request, Accept, Send, Recv,
                      Select, Branch, Sum, Cond, Defs, Call, Recover,
                      ValMsg, LabMsg, TaggedMsg, Buffer, NetworkNode, Par,
-                     Restrict)
+                     Restrict, BinOp)

@@ -292,47 +292,64 @@ OP_LEVEL = {"or": 0, "and": 1, "=": 2, "!=": 2, "<": 2, ">": 2, "<=": 2, ">=": 2
 BUILTINS = {"chooseVal", "size", "fst", "snd"}
 
 
+# ---------------------------------------------------------------- one layer
+# ``subexprs`` and ``rebuild_expr`` are the one generic view of an expression
+# constructor, as :func:`terms.layer` and :func:`terms.rebuild` are of a
+# process; evaluation, typing and printing stay written per constructor.
+
+def subexprs(e: Expr) -> tuple:
+    """The expressions ``e`` holds directly."""
+    if type(e) is BinOp:
+        return e.left, e.right
+    if type(e) is TupleE:
+        return e.first, e.second
+    if type(e) is SetE:
+        return e.items
+    if type(e) is Builtin:
+        return e.args
+    if type(e) is Lit or type(e) is Var:
+        return ()
+    raise EvalError(f"not an expression: {e!r}")
+
+
+def rebuild_expr(e: Expr, kids) -> Expr:
+    """``e``'s constructor over new subexpressions in :func:`subexprs` order;
+    ``e`` itself when each is the one ``e`` holds, so unchanged subterms
+    stay shared."""
+    if all(map(is_, kids, subexprs(e))):
+        return e
+    if type(e) is BinOp:
+        return BinOp(e.op, *kids)
+    if type(e) is TupleE:
+        return TupleE(*kids)
+    return SetE(tuple(kids)) if type(e) is SetE else Builtin(e.name, tuple(kids))
+
+
 @memo_on_term
 def fv_expr(e: Expr) -> frozenset:
     """Free variables of an expression.  Memoised per term: a run's
     expressions grow by wrapping earlier ones (a ballot gains ``+ 1`` per
     round), so a new term costs one step over its memoised parts."""
-    match e:
-        case Lit():
-            return frozenset()
-        case Var(x):
-            return frozenset((x,))
-        case BinOp(_, l, r):
-            return fv_expr(l) | fv_expr(r)
-        case TupleE(a, b):
-            return fv_expr(a) | fv_expr(b)
-        case SetE(items) | Builtin(_, items):
-            return frozenset().union(*map(fv_expr, items))
-    raise EvalError(f"not an expression: {e!r}")
+    if type(e) is Var:
+        return frozenset((e.name,))
+    return frozenset().union(*map(fv_expr, subexprs(e)))
+
+
+def map_vars(e: Expr, names, var_of) -> Expr:
+    """``e`` with ``var_of(x)`` for every free variable ``x`` in ``names`` (a
+    set, or a dict's keys); ``e`` itself when none of them occurs, so
+    unchanged subterms stay shared."""
+    if names.isdisjoint(fv_expr(e)):
+        return e
+    if type(e) is Var:
+        return var_of(e.name)
+    return rebuild_expr(e, [map_vars(k, names, var_of) for k in subexprs(e)])
 
 
 def subst_expr_var(e: Expr, name: str, repl: Expr) -> Expr:
     """``e`` with ``repl`` for the variable ``name``; ``e`` itself when the
     variable does not occur, so unchanged terms stay shared."""
-    if name not in fv_expr(e):
-        return e
-    match e:
-        case Lit():
-            return e
-        case Var(x):
-            return repl if x == name else e
-        case BinOp(op, l, r):
-            l2, r2 = subst_expr_var(l, name, repl), subst_expr_var(r, name, repl)
-            return e if l2 is l and r2 is r else BinOp(op, l2, r2)
-        case TupleE(a, b):
-            a2, b2 = subst_expr_var(a, name, repl), subst_expr_var(b, name, repl)
-            return e if a2 is a and b2 is b else TupleE(a2, b2)
-        case SetE(items) | Builtin(_, items):
-            new = tuple(subst_expr_var(i, name, repl) for i in items)
-            if all(map(is_, new, items)):
-                return e
-            return SetE(new) if isinstance(e, SetE) else Builtin(e.name, new)
-    raise EvalError(f"not an expression: {e!r}")
+    return map_vars(e, {name}, lambda x: repl)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -626,6 +643,8 @@ def _type_expr(vars_ctx: dict, e: Expr) -> BaseType:
     raise ExprTypeError(f"cannot type {e!r}")
 
 
+# a ballot grows into a long chain of BinOps, so ``terms`` makes its hash
+# and ``==`` walk the chain in a loop, with those of Par and Restrict
 install_cached_hash(UnitV, EpsV, IntV, BoolV, StrV, PairV, SetV,
                     UnitT, IntT, BoolT, StrT, PairT, SetT, AnyT,
-                    Lit, Var, BinOp, TupleE, SetE, Builtin)
+                    Lit, Var, TupleE, SetE, Builtin)

@@ -1,13 +1,29 @@
 """Shared helpers: a seeded generator of well-typed source programs used by
-the preservation/safety property suite."""
+the preservation/safety property suite, and a check that no test changes the
+recursion limit."""
 
 import random
+import sys
 
 from ubsc import values as v
 from ubsc import sestypes as st
 from ubsc.render import render_type
 
 BASES = [("int", "1"), ("bool", "true"), ("str", '"m"')]
+
+# The benchmark imports this module for ``generate_program`` alone, without
+# pytest; importing pytest there would add to its set-up time and memory.
+if "pytest" in sys.modules:
+    import pytest
+
+    @pytest.fixture(autouse=True, scope="session")
+    def recursion_limit_unchanged():
+        """The suite ends at the recursion limit it started with.  A deep
+        term must be walked in a loop; a test that raised the limit would
+        hide the ``RecursionError`` a user meets."""
+        limit = sys.getrecursionlimit()
+        yield
+        assert sys.getrecursionlimit() == limit, "a test changed the recursion limit"
 
 
 def random_protocol(rng: random.Random, depth: int) -> st.SessionType:

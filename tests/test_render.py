@@ -20,7 +20,7 @@ from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import terms as t
 from ubsc.render import canon_process, render_network, render_process
-from ubsc.syntax import parse, parse_process, pretty_print
+from ubsc.syntax import parse, parse_network, parse_process, pretty_print
 
 CORPUS = sorted(os.path.basename(f) for f in glob.glob(os.path.join(cp.corpus_dir(), "*.ubsc")))
 LEFT_NESTED = "(s!<1>. 0 + s!<2>. 0) + s!<3>. 0"
@@ -115,3 +115,42 @@ def test_pretty_print_of_left_nested_sum_is_stable():
     prog = parse(f"[ {LEFT_NESTED} | s~0:[] ]")
     once = pretty_print(prog)
     assert pretty_print(parse(once)) == once
+
+
+def _shapes():
+    """Small networks of every nesting of restriction and parallel
+    composition, and the normal forms of scheduler-reached states."""
+    a, b = parse_network("[ s!<1>. 0 | s~0:[] ]"), parse_network("[ 0 | *s~1:[(1, 2)] ]")
+    yield from (t.Par(t.Par(a, b), a), t.Par(a, t.Par(b, a)), t.Restrict("s", t.Par(a, b)),
+                t.Par(t.Restrict("s", a), t.Restrict("u", t.Par(b, t.Restrict("v", a)))),
+                t.Restrict("s", t.Restrict("u", t.Par(t.Restrict("v", a), b))))
+    for name in ("paxos5.ubsc", "drop_connections.ubsc"):
+        cfg = eng.SchedulerConfig(seed=1, loss_rate=0.3, recovery_bias=0.2, max_steps=200)
+        states = []
+        eng.run_scheduler(cp.load_program(name).network, cfg, digests=False,
+                          on_step=lambda state, step: states.append(state))
+        for state in states[::20]:
+            yield eng.normalize(state.to_network())
+            yield state.to_network()
+
+
+def test_network_printer_matches_the_recursive_printer():
+    """The network printer loops down restriction and parallel levels; its
+    text is the recursive printer's, byte for byte."""
+    import walk_oracle
+    shapes = list(_shapes())
+    assert len(shapes) > 10
+    for n in shapes:
+        assert render_network(n) == walk_oracle.render_network(n)
+
+
+def test_long_restriction_chain_renders():
+    """A long run holds over a thousand restrictions; printing its final
+    network loops, so 3,000 of them print without recursing."""
+    node = parse_network("[ s0!<0>. 0 | s0~0:[] ]")
+    names = [f"s{i}" for i in range(3000)]
+    text = render_network(t.restrict_all(names, t.par_all([node, node])))
+    one = render_network(node)
+    assert text == "".join(f"new {n}. " for n in names) + f"({one} || {one})"
+    assert render_network(t.restrict_all(names, t.par_all([node] * 3000))) == (
+        "".join(f"new {n}. " for n in names) + "(" + " || ".join([one] * 3000) + ")")

@@ -289,3 +289,19 @@ def test_safety_checks_flatten_once(monkeypatch):
     sf.is_error_network(net)
     sf.is_deadlocked(net)
     assert len(calls) == 2
+
+
+def test_send_queue_note_on_a_well_typed_state():
+    """drop_connections, seed 3, loss 0.3, bias 0.25: after its second step
+    (a Ucast to the aggregator, which is about to broadcast) the aggregator
+    holds a tagged message in its own queue.  The state types under
+    criterion 4's protocols, so the note states the fact and makes no claim
+    about typing."""
+    from test_type_memo import _drop_protocols, _runs
+    prog = load_program("drop_connections.ubsc")
+    state = list(_runs(prog, [3], 2, 0.3, 0.25))[-1]
+    net = state.to_network()
+    assert ck.type_network(ck.Gamma(shared=prog.shared_types()), net,
+                           protocols=_drop_protocols(state)).ok
+    assert sf.is_error_network(net).render() == (
+        "ok\n  note: node#0 sends on s with a non-empty own queue")

@@ -505,3 +505,31 @@ def test_long_chains_hash_compare_flatten_and_digest(build, other, names, nodes,
     assert eng.digest(net) == eng.digest(copy_) != eng.digest(changed)
     if short:
         assert eng.digest(net) == eng.digest(parse_network(short))
+
+
+def _ballot(rounds, seed=4, step=1, first="+"):
+    """``fst((1, seed)) + 1 + ... + step``: a ballot after ``rounds`` rounds,
+    a left-nested chain of ``rounds`` BinOps built afresh, the innermost
+    with the operator ``first`` and the last adding ``step``."""
+    e = v.Builtin("fst", (v.TupleE(v.Lit(v.IntV(1)), v.Lit(v.IntV(seed))),))
+    for i in range(rounds):
+        e = v.BinOp(first if i == 0 else "+", e,
+                    v.Lit(v.IntV(step if i == rounds - 1 else 1)))
+    return e
+
+
+def test_long_ballot_chains_hash_and_compare():
+    """A ballot grows one ``+ 1`` per round.  Two 5,000-level chains built
+    apart hash and compare equal, in a loop; a chain differs from one whose
+    innermost leaf, innermost operator or outermost operand differs.  A process that sends the
+    ballot finds an equal process built apart in a dict, as a lookup in the
+    lru of free names does, comparing them field by field."""
+    a, b = _ballot(5000), _ballot(5000)
+    assert a is not b and hash(a) == hash(b) and a == b and not a != b
+    for other in (_ballot(5000, seed=5), _ballot(5000, step=2), _ballot(4999),
+                  _ballot(5000, first="-"), v.BinOp("-", a.left, a.right)):
+        assert a != other and not a == other
+    assert v.TupleE(a, a) == v.TupleE(b, b)
+    ep = t.Endpoint("s", True)
+    p, q = t.Send(ep, a, t.Inact()), t.Send(ep, b, t.Inact())
+    assert hash(p) == hash(q) and p == q and {p: 1}[q] == 1
