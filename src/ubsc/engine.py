@@ -558,9 +558,7 @@ _HEAD_TYPES = {"Conn": t.Request, "Bcast": t.Send, "Sel": t.Select, "Ucast": t.S
 
 
 def _set_buffer(node: t.NetworkNode, buf: t.Buffer) -> t.NetworkNode:
-    # endpoints compared field by field: Endpoint's == runs as Python code
-    s, aggr = buf.ep.session, buf.ep.aggr
-    bufs = tuple(buf if b.ep.session == s and b.ep.aggr == aggr else b for b in node.buffers)
+    bufs = tuple(buf if b.ep is buf.ep else b for b in node.buffers)
     return t.NetworkNode(node.process, bufs, pos=node.pos)
 
 

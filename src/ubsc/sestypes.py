@@ -9,11 +9,10 @@ relations here are decidable by bounded unfolding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 from typing import Optional, Union
 
 from .terms import Endpoint
-from .values import BaseType, base_compatible, refine_base
+from .values import BaseType, Term, base_compatible, refine_base
 
 
 class TypeSyntaxError(Exception):
@@ -22,41 +21,41 @@ class TypeSyntaxError(Exception):
 
 # ---------------------------------------------------------------- syntax
 
-@dataclass(frozen=True)
-class Out:
+@dataclass(frozen=True, eq=False)
+class Out(Term):
     beta: BaseType
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
-class In:
+@dataclass(frozen=True, eq=False)
+class In(Term):
     beta: BaseType
     cont: "SessionType"
 
 
-@dataclass(frozen=True)
-class SelT:
+@dataclass(frozen=True, eq=False)
+class SelT(Term):
     arms: tuple  # ((label, SessionType), ...) sorted by label
 
 
-@dataclass(frozen=True)
-class BraT:
+@dataclass(frozen=True, eq=False)
+class BraT(Term):
     arms: tuple
 
 
-@dataclass(frozen=True)
-class End:
+@dataclass(frozen=True, eq=False)
+class End(Term):
     def __repr__(self):
         return "end"
 
 
-@dataclass(frozen=True)
-class TVar:
+@dataclass(frozen=True, eq=False)
+class TVar(Term):
     name: str
 
 
-@dataclass(frozen=True)
-class Rec:
+@dataclass(frozen=True, eq=False)
+class Rec(Term):
     name: str
     body: "SessionType"
 
@@ -78,18 +77,18 @@ def mkarms(pairs) -> tuple:
 
 # ---------------------------------------------------------------- buffer types
 
-@dataclass(frozen=True)
-class OutItem:
+@dataclass(frozen=True, eq=False)
+class OutItem(Term):
     beta: BaseType
 
 
-@dataclass(frozen=True)
-class SelItem:
+@dataclass(frozen=True, eq=False)
+class SelItem(Term):
     label: str
 
 
-@dataclass(frozen=True)
-class PadItem:
+@dataclass(frozen=True, eq=False)
+class PadItem(Term):
     """A state the aggregator buffer folds through without any message: a
     vacuous broadcast or an empty gather, depending on the protocol's
     direction at that position."""
@@ -121,16 +120,15 @@ def conts(t: SessionType):
 
 def rebuild_type(t: SessionType, kids, flip: bool = False) -> SessionType:
     """``t``'s constructor, or with ``flip`` its dual's, over new
-    continuations in :func:`conts` order; ``t`` itself when that changes
-    nothing, so unchanged subterms stay shared."""
+    continuations in :func:`conts` order."""
     cls = _DUAL[type(t)] if flip else type(t)
-    if cls is type(t) and all(map(is_, kids, conts(t))):
-        return t
     if cls is Out or cls is In:
         return cls(t.beta, kids[0])
     if cls is Rec:
         return Rec(t.name, kids[0])
-    return cls(tuple((l, k) for (l, _), k in zip(t.arms, kids)))
+    if cls is SelT or cls is BraT:
+        return cls(tuple((l, k) for (l, _), k in zip(t.arms, kids)))
+    return t
 
 
 def _tag(t: SessionType):
@@ -344,8 +342,7 @@ def context_advance(ctx: dict) -> list:
     seen = set()
 
     def emit(d: dict):
-        key = tuple(sorted(((ep, c, repr(t)) for ep, (c, t) in d.items()),
-                           key=lambda x: (x[0].session, x[0].aggr)))
+        key = frozenset(d.items())
         if key not in seen:
             seen.add(key)
             out.append(d)
@@ -430,9 +427,3 @@ def advances_to(before: dict, after: dict, allow_fresh=True) -> bool:
                 if cb == ca + 1 and any(types_equal(u, tb) for u in advance(ta, 1)):
                     return True
     return False
-
-
-from .values import install_cached_hash as _install_cached_hash
-
-_install_cached_hash(Out, In, SelT, BraT, End, TVar, Rec, OutItem, SelItem,
-                     PadItem)

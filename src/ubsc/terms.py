@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from operator import is_
 from typing import Optional, Union
 
-from .values import BinOp, Expr, Lit, Value, Var, fv_expr, subst_expr_var
+from .values import Expr, Lit, Term, Value, Var, fv_expr, subst_expr_var
 
 
 class SubstError(Exception):
@@ -25,8 +24,8 @@ class SubstError(Exception):
 
 # ---------------------------------------------------------------- channels
 
-@dataclass(frozen=True)
-class Endpoint:
+@dataclass(frozen=True, eq=False)
+class Endpoint(Term):
     session: str
     aggr: bool
 
@@ -34,8 +33,8 @@ class Endpoint:
         return ("*" if self.aggr else "") + self.session
 
 
-@dataclass(frozen=True)
-class ChanVar:
+@dataclass(frozen=True, eq=False)
+class ChanVar(Term):
     name: str
     aggr: bool
 
@@ -48,69 +47,69 @@ Chan = Union[Endpoint, ChanVar]
 
 # ---------------------------------------------------------------- processes
 
-@dataclass(frozen=True)
-class Inact:
+@dataclass(frozen=True, eq=False)
+class Inact(Term):
     pass
 
 
-@dataclass(frozen=True)
-class Request:
+@dataclass(frozen=True, eq=False)
+class Request(Term):
     shared: str
     bind: str  # bound aggregator-polarity variable
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Accept:
+@dataclass(frozen=True, eq=False)
+class Accept(Term):
     shared: str
     bind: str  # bound plain-polarity variable
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Send:
+@dataclass(frozen=True, eq=False)
+class Send(Term):
     chan: Chan
     expr: Expr
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Recv:
+@dataclass(frozen=True, eq=False)
+class Recv(Term):
     chan: Chan
     bind: str
     default: Expr
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Select:
+@dataclass(frozen=True, eq=False)
+class Select(Term):
     chan: Chan
     label: str
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Branch:
+@dataclass(frozen=True, eq=False)
+class Branch(Term):
     chan: Chan
     arms: tuple  # ((label, Process), ...) labels pairwise distinct
     default_arm: "Process"
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False)
+class Sum(Term):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
-class Cond:
+@dataclass(frozen=True, eq=False)
+class Cond(Term):
     guard: Expr
     then_p: "Process"
     else_p: "Process"
 
 
-@dataclass(frozen=True)
-class Defs:
+@dataclass(frozen=True, eq=False)
+class Defs(Term):
     defs: tuple  # ((name, (param, ...), Process), ...)
     body: "Process"
 
@@ -118,14 +117,14 @@ class Defs:
         return [n for n, _, _ in self.defs]
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(Term):
     name: str
     args: tuple  # Expr | Chan
 
 
-@dataclass(frozen=True)
-class Recover:
+@dataclass(frozen=True, eq=False)
+class Recover(Term):
     body: "Process"
     handler: "Process"
 
@@ -137,24 +136,24 @@ Process = Union[
 
 # ---------------------------------------------------------------- buffers
 
-@dataclass(frozen=True)
-class ValMsg:
+@dataclass(frozen=True, eq=False)
+class ValMsg(Term):
     value: Value
 
 
-@dataclass(frozen=True)
-class LabMsg:
+@dataclass(frozen=True, eq=False)
+class LabMsg(Term):
     label: str
 
 
-@dataclass(frozen=True)
-class TaggedMsg:
+@dataclass(frozen=True, eq=False)
+class TaggedMsg(Term):
     tag: int
     value: Value
 
 
-@dataclass(frozen=True)
-class Buffer:
+@dataclass(frozen=True, eq=False)
+class Buffer(Term):
     ep: Endpoint
     state: int
     queue: tuple  # ValMsg/LabMsg for plain endpoints, TaggedMsg for aggregators
@@ -216,21 +215,8 @@ def _call_layer(p: Call) -> tuple:
 
 def _call_rebuild(p: Call, chans, exprs, kids) -> Call:
     chans, exprs = iter(chans), iter(exprs)
-    args = tuple(next(chans) if isinstance(a, _CHAN_TYPES) else next(exprs) for a in p.args)
-    return p if all(map(is_, args, p.args)) else Call(p.name, args)
-
-
-def _branch_rebuild(p: Branch, chans, exprs, kids) -> Branch:
-    if (chans[0] is p.chan and kids[-1] is p.default_arm
-            and all(map(is_, kids, (q for _, q in p.arms)))):
-        return p
-    return Branch(chans[0], tuple((l, q) for (l, _), q in zip(p.arms, kids)), kids[-1])
-
-
-def _defs_rebuild(p: Defs, chans, exprs, kids) -> Defs:
-    if kids[-1] is p.body and all(map(is_, kids, (q for _, _, q in p.defs))):
-        return p
-    return Defs(tuple((n, params, q) for (n, params, _), q in zip(p.defs, kids)), kids[-1])
+    return Call(p.name, tuple(next(chans) if isinstance(a, _CHAN_TYPES) else next(exprs)
+                              for a in p.args))
 
 
 _LAYER = {
@@ -251,22 +237,19 @@ _LAYER = {
 
 _REBUILD = {
     Inact: lambda p, c, e, k: p,
-    Request: lambda p, c, e, k: p if k[0] is p.body else Request(p.shared, p.bind, k[0]),
-    Accept: lambda p, c, e, k: p if k[0] is p.body else Accept(p.shared, p.bind, k[0]),
-    Send: lambda p, c, e, k: (p if c[0] is p.chan and e[0] is p.expr and k[0] is p.body
-                              else Send(c[0], e[0], k[0])),
-    Recv: lambda p, c, e, k: (p if c[0] is p.chan and e[0] is p.default and k[0] is p.body
-                              else Recv(c[0], p.bind, e[0], k[0])),
-    Select: lambda p, c, e, k: (p if c[0] is p.chan and k[0] is p.body
-                                else Select(c[0], p.label, k[0])),
-    Branch: _branch_rebuild,
-    Sum: lambda p, c, e, k: p if k[0] is p.left and k[1] is p.right else Sum(k[0], k[1]),
-    Cond: lambda p, c, e, k: (p if e[0] is p.guard and k[0] is p.then_p and k[1] is p.else_p
-                              else Cond(e[0], k[0], k[1])),
-    Defs: _defs_rebuild,
+    Request: lambda p, c, e, k: Request(p.shared, p.bind, k[0]),
+    Accept: lambda p, c, e, k: Accept(p.shared, p.bind, k[0]),
+    Send: lambda p, c, e, k: Send(c[0], e[0], k[0]),
+    Recv: lambda p, c, e, k: Recv(c[0], p.bind, e[0], k[0]),
+    Select: lambda p, c, e, k: Select(c[0], p.label, k[0]),
+    Branch: lambda p, c, e, k: Branch(c[0], tuple((l, q) for (l, _), q in zip(p.arms, k)),
+                                      k[-1]),
+    Sum: lambda p, c, e, k: Sum(k[0], k[1]),
+    Cond: lambda p, c, e, k: Cond(e[0], k[0], k[1]),
+    Defs: lambda p, c, e, k: Defs(tuple((n, params, q) for (n, params, _), q
+                                        in zip(p.defs, k)), k[-1]),
     Call: _call_rebuild,
-    Recover: lambda p, c, e, k: (p if k[0] is p.body and k[1] is p.handler
-                                 else Recover(k[0], k[1])),
+    Recover: lambda p, c, e, k: Recover(k[0], k[1]),
 }
 
 
@@ -281,9 +264,7 @@ def layer(p: Process) -> tuple:
 
 def rebuild(p: Process, chans, exprs, kids) -> Process:
     """``p``'s constructor applied to new fields given in ``layer`` order,
-    subprocesses without their bound names.  Returns ``p`` itself when every
-    field is the object ``p`` already holds, so unchanged subterms stay
-    shared."""
+    subprocesses without their bound names."""
     return _REBUILD[type(p)](p, chans, exprs, kids)
 
 
@@ -318,8 +299,8 @@ def free_chans(p: Process, shared: Optional[set] = None,
 @lru_cache(maxsize=65536)
 def process_facts(p: Process) -> tuple:
     """Free (sessions, shared names, variables) of a process, as frozensets.
-    Terms are immutable and cache their hashes, so this is worked out once
-    per process and then looked up."""
+    Terms are interned, so this is worked out once per process and then
+    looked up."""
     shared: set = set()
     names: set = set()
     chans = free_chans(p, shared, names)
@@ -580,18 +561,14 @@ def assemble(restricted: tuple, nodes: tuple) -> Network:
     return net
 
 
-# Terms that grow into long chains over a run: a network's restrictions and
-# parallel compositions, and a ballot's ``+ 1``s.
-_CHAINS = (Par, Restrict, BinOp)
-
-
-def _composite_kids(n) -> tuple:
-    return (n.body,) if type(n) is Restrict else (n.left, n.right)
+# A network's restrictions and parallel compositions grow into long chains
+# over a run, so their ``==`` and hash walk the chain in a loop.
+_CHAINS = (Par, Restrict)
 
 
 def _composite_eq(a, b):
-    """``==`` of two chain terms, walking their Par, Restrict and BinOp
-    levels with a loop: down the left children, the right ones stacked."""
+    """``==`` of two networks, walking their Par and Restrict levels with a
+    loop: down the left children, the right ones stacked."""
     if b.__class__ is not a.__class__:
         return NotImplemented
     stack = [(a, b)]
@@ -604,9 +581,7 @@ def _composite_eq(a, b):
                 if x.name != y.name:
                     return False
                 x, y = x.body, y.body
-            elif type(x) is Par or type(x) is BinOp:
-                if type(x) is BinOp and x.op != y.op:
-                    return False
+            elif type(x) is Par:
                 stack.append((x.right, y.right))
                 x, y = x.left, y.left
             else:
@@ -616,30 +591,22 @@ def _composite_eq(a, b):
     return True
 
 
-def _spine_first(field_hash):
-    """The generated hash of a chain term, made after every chain level
-    below it has its hash cached, in a loop from the bottom: each level then
-    reads its children's cached hashes."""
-    def __hash__(self):
-        below, stack = [], list(_composite_kids(self))
+def _composite_hash(n) -> int:
+    """The hash of a Par or Restrict's fields, kept on it.  The chain levels
+    below it without one get theirs first, in a loop from the bottom, so
+    that each reads its children's."""
+    if "_hash" not in vars(n):
+        below, stack = [], [n]
         while stack:
             x = stack.pop()
             if type(x) in _CHAINS and "_hash" not in vars(x):
                 below.append(x)
-                stack += _composite_kids(x)
+                stack += (x.body,) if type(x) is Restrict else (x.left, x.right)
         for x in reversed(below):
-            hash(x)
-        return field_hash(self)
-    return __hash__
+            object.__setattr__(x, "_hash", hash((x.name, x.body) if type(x) is Restrict
+                                                else (x.left, x.right)))
+    return n._hash
 
 
-for _cls in _CHAINS:
-    _cls.__eq__, _cls.__hash__ = _composite_eq, _spine_first(_cls.__hash__)
-
-from .values import install_cached_hash as _install_cached_hash
-
-# the cached hash wraps the chain walk, so a cached hash is read before any walk
-_install_cached_hash(Endpoint, ChanVar, Inact, Request, Accept, Send, Recv,
-                     Select, Branch, Sum, Cond, Defs, Call, Recover,
-                     ValMsg, LabMsg, TaggedMsg, Buffer, NetworkNode, Par,
-                     Restrict, BinOp)
+Par.__eq__ = Restrict.__eq__ = _composite_eq
+Par.__hash__ = Restrict.__hash__ = _composite_hash

@@ -9,8 +9,8 @@ integer-typed value ordered below every integer.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from operator import is_
 from typing import Union
 
 
@@ -19,29 +19,62 @@ class EvalError(Exception):
     operand mismatch).  Well-typed programs never trigger it."""
 
 
-def install_cached_hash(*classes):
-    """Replace the generated dataclass hash with one memoised per instance.
-    Terms are deep immutable trees shared across caches, so recomputing the
-    structural hash on every lookup dominates runtime without this."""
-    for cls in classes:
-        base = cls.__hash__
+class Interned(type):
+    """The metaclass of the term classes, which hash-cons them (Filliâtre &
+    Conchon, "Type-Safe Modular Hash-Consing", ML 2006): building a term
+    gives back the live term of the same class and fields when there is
+    one.  Equal terms are then one object, so ``==`` and hash are object
+    identity, checked in C, and stay stack-safe however deep a term is.
 
-        def __hash__(self, _base=base):
-            try:
-                return self._hash
-            except AttributeError:
-                h = _base(self)
-                object.__setattr__(self, "_hash", h)
-                return h
+    A term is keyed on its class and its fields, whose child terms compare
+    by identity.  A class with an ``int`` or ``bool`` field is keyed on the
+    types of its fields as well, as ``True == 1``.  The table holds its
+    terms weakly, and a term's entry goes when the term does."""
 
-        cls.__hash__ = __hash__
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        cls._typed = not {"int", "bool"}.isdisjoint(ns.get("__annotations__", {}).values())
+
+    def __call__(cls, *fields):
+        key = (cls, *fields, *map(type, fields)) if cls._typed else (cls, *fields)
+        ref = _TABLE.get(key)
+        if ref is not None and (term := ref()) is not None:
+            return term
+        term = type.__call__(cls, *fields)
+        ref = _TABLE[key] = _Ref(term, _drop)
+        ref.key = key
+        return term
+
+
+_TABLE: dict = {}
+
+
+class _Ref(weakref.ref):
+    """A table entry's weak reference to its term, knowing its key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    """Drop a dead term's entry, unless a newer term has taken its key."""
+    other = _TABLE.pop(ref.key, ref)
+    if other is not ref:
+        _TABLE[ref.key] = other
+
+
+class Term(metaclass=Interned):
+    """Base of the interned term classes: a copy of a term is the term."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 def memo_on_term(fn):
-    """Memoise a function of one term on the term itself, as the cached hash
-    is.  The value lives exactly as long as the term, and a lookup never
-    compares terms: equal terms built apart (say, the same ballot in two
-    nodes) would make a dict lookup compare them field by field."""
+    """Memoise a function of one term on the term itself.  The value lives
+    exactly as long as the term, and a lookup reads an attribute."""
     attr = "_" + fn.__name__.lstrip("_")
 
     def memo(term):
@@ -62,41 +95,41 @@ class AggregationError(EvalError):
 
 # ---------------------------------------------------------------- values
 
-@dataclass(frozen=True)
-class UnitV:
+@dataclass(frozen=True, eq=False)
+class UnitV(Term):
     def __repr__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
-class EpsV:
+@dataclass(frozen=True, eq=False)
+class EpsV(Term):
     def __repr__(self):
         return "eps"
 
 
-@dataclass(frozen=True)
-class IntV:
+@dataclass(frozen=True, eq=False)
+class IntV(Term):
     n: int
 
 
-@dataclass(frozen=True)
-class BoolV:
+@dataclass(frozen=True, eq=False)
+class BoolV(Term):
     b: bool
 
 
-@dataclass(frozen=True)
-class StrV:
+@dataclass(frozen=True, eq=False)
+class StrV(Term):
     s: str
 
 
-@dataclass(frozen=True)
-class PairV:
+@dataclass(frozen=True, eq=False)
+class PairV(Term):
     first: "Value"
     second: "Value"
 
 
-@dataclass(frozen=True)
-class SetV:
+@dataclass(frozen=True, eq=False)
+class SetV(Term):
     items: frozenset
 
     def sorted_items(self):
@@ -137,43 +170,43 @@ def mkset(items) -> SetV:
 
 # ---------------------------------------------------------------- base types
 
-@dataclass(frozen=True)
-class UnitT:
+@dataclass(frozen=True, eq=False)
+class UnitT(Term):
     def __repr__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
-class IntT:
+@dataclass(frozen=True, eq=False)
+class IntT(Term):
     def __repr__(self):
         return "int"
 
 
-@dataclass(frozen=True)
-class BoolT:
+@dataclass(frozen=True, eq=False)
+class BoolT(Term):
     def __repr__(self):
         return "bool"
 
 
-@dataclass(frozen=True)
-class StrT:
+@dataclass(frozen=True, eq=False)
+class StrT(Term):
     def __repr__(self):
         return "str"
 
 
-@dataclass(frozen=True)
-class PairT:
+@dataclass(frozen=True, eq=False)
+class PairT(Term):
     first: "BaseType"
     second: "BaseType"
 
 
-@dataclass(frozen=True)
-class SetT:
+@dataclass(frozen=True, eq=False)
+class SetT(Term):
     elem: "BaseType"
 
 
-@dataclass(frozen=True)
-class AnyT:
+@dataclass(frozen=True, eq=False)
+class AnyT(Term):
     """Wildcard produced when a payload type is unconstrained (e.g. a receive
     binder that the continuation never inspects)."""
 
@@ -249,36 +282,36 @@ def base_compatible(expected: BaseType, actual: BaseType) -> bool:
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
-class Lit:
+@dataclass(frozen=True, eq=False)
+class Lit(Term):
     value: Value
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(Term):
     op: str  # + - * > < >= <= = != and or union
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class TupleE:
+@dataclass(frozen=True, eq=False)
+class TupleE(Term):
     first: "Expr"
     second: "Expr"
 
 
-@dataclass(frozen=True)
-class SetE:
+@dataclass(frozen=True, eq=False)
+class SetE(Term):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Builtin:
+@dataclass(frozen=True, eq=False)
+class Builtin(Term):
     name: str  # chooseVal size fst snd
     args: tuple
 
@@ -313,23 +346,31 @@ def subexprs(e: Expr) -> tuple:
 
 
 def rebuild_expr(e: Expr, kids) -> Expr:
-    """``e``'s constructor over new subexpressions in :func:`subexprs` order;
-    ``e`` itself when each is the one ``e`` holds, so unchanged subterms
-    stay shared."""
-    if all(map(is_, kids, subexprs(e))):
-        return e
+    """``e``'s constructor over new subexpressions in :func:`subexprs` order."""
     if type(e) is BinOp:
         return BinOp(e.op, *kids)
     if type(e) is TupleE:
         return TupleE(*kids)
-    return SetE(tuple(kids)) if type(e) is SetE else Builtin(e.name, tuple(kids))
+    if type(e) is SetE:
+        return SetE(tuple(kids))
+    return Builtin(e.name, tuple(kids)) if type(e) is Builtin else e
 
 
 @memo_on_term
 def fv_expr(e: Expr) -> frozenset:
     """Free variables of an expression.  Memoised per term: a run's
     expressions grow by wrapping earlier ones (a ballot gains ``+ 1`` per
-    round), so a new term costs one step over its memoised parts."""
+    round), so a new term costs one step over its memoised parts.  Parts
+    not memoised yet are filled first, from the bottom, in a loop."""
+    below, seen, stack = [], set(), list(subexprs(e))
+    while stack:
+        x = stack.pop()
+        if x not in seen and getattr(x, "_fv_expr", None) is None:
+            seen.add(x)
+            below.append(x)
+            stack += subexprs(x)
+    for x in reversed(below):
+        fv_expr(x)
     if type(e) is Var:
         return frozenset((e.name,))
     return frozenset().union(*map(fv_expr, subexprs(e)))
@@ -337,8 +378,7 @@ def fv_expr(e: Expr) -> frozenset:
 
 def map_vars(e: Expr, names, var_of) -> Expr:
     """``e`` with ``var_of(x)`` for every free variable ``x`` in ``names`` (a
-    set, or a dict's keys); ``e`` itself when none of them occurs, so
-    unchanged subterms stay shared."""
+    set, or a dict's keys); ``e`` itself when none of them occurs."""
     if names.isdisjoint(fv_expr(e)):
         return e
     if type(e) is Var:
@@ -348,7 +388,7 @@ def map_vars(e: Expr, names, var_of) -> Expr:
 
 def subst_expr_var(e: Expr, name: str, repl: Expr) -> Expr:
     """``e`` with ``repl`` for the variable ``name``; ``e`` itself when the
-    variable does not occur, so unchanged terms stay shared."""
+    variable does not occur."""
     return map_vars(e, {name}, lambda x: repl)
 
 
@@ -641,10 +681,3 @@ def _type_expr(vars_ctx: dict, e: Expr) -> BaseType:
                     raise ExprTypeError(f"union of mismatched sets {tl!r}, {tr!r}")
                 return m
     raise ExprTypeError(f"cannot type {e!r}")
-
-
-# a ballot grows into a long chain of BinOps, so ``terms`` makes its hash
-# and ``==`` walk the chain in a loop, with those of Par and Restrict
-install_cached_hash(UnitV, EpsV, IntV, BoolV, StrV, PairV, SetV,
-                    UnitT, IntT, BoolT, StrT, PairT, SetT, AnyT,
-                    Lit, Var, TupleE, SetE, Builtin)

@@ -25,6 +25,20 @@ if "pytest" in sys.modules:
         yield
         assert sys.getrecursionlimit() == limit, "a test changed the recursion limit"
 
+    def in_fresh_process(module: str, call: str):
+        """The value of ``module.call``, a literal, worked out in a new
+        Python process: its caches and interned terms start empty."""
+        import ast
+        import os
+        import subprocess
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(v.__file__)), here])
+        out = subprocess.run([sys.executable, "-c", f"import {module} as m; print(m.{call})"],
+                             cwd=here, env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        return ast.literal_eval(out.stdout)
+
 
 def random_protocol(rng: random.Random, depth: int) -> st.SessionType:
     """Plain-side protocol: inputs, outputs and branches (selection lives on

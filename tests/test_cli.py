@@ -184,12 +184,13 @@ def test_stepper_undo(capsys, monkeypatch):
     assert rc == 0
 
 
-def _run_module(module, args, stdin_text=None, stdout=subprocess.PIPE):
+def _run_module(module, args, stdin_text=None, stdout=subprocess.PIPE, **env_vars):
     """``python -m module args`` in a child process, which finds the
-    package where this process did, installed or not."""
+    package where this process did, installed or not, with ``env_vars``
+    added to its environment."""
     src = os.path.dirname(os.path.dirname(ubsc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
     return subprocess.run([sys.executable, "-m", module, *args], input=stdin_text,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
@@ -200,6 +201,22 @@ def test_console_entry_point():
     # ``python -m ubsc`` runs the same command line
     out = _run_module("ubsc", ["check", corpus("heartbeat_simple.ubsc")])
     assert out.returncode == 0 and "Ok" in out.stdout
+
+
+def test_run_output_does_not_follow_hash_order(tmp_path):
+    """Terms hash by identity, so a set of terms iterates in the order of
+    their addresses, and a set of names in that of the string hash seed.  A
+    traced, safety-checked paxos5 run writes the same bytes to stdout and
+    to its trace under two string hash seeds."""
+    outs = []
+    for seed in ("0", "1"):
+        trace = tmp_path / f"trace{seed}.jsonl"
+        out = _run_module("ubsc", ["run", corpus("paxos5.ubsc"), "--seed", "26508",
+                                   "--max-steps", "300", "--trace", str(trace),
+                                   "--trace-networks", "--safety"], PYTHONHASHSEED=seed)
+        assert out.returncode == 0, out.stderr
+        outs.append((out.stdout, trace.read_bytes()))
+    assert outs[0] == outs[1]
 
 
 def test_stepper_asks_again_on_bad_input():

@@ -1,15 +1,17 @@
 import copy
 import dataclasses
 import functools
+import gc
 import glob
 import os
 
 import pytest
 
-from conftest import generate_program
+from conftest import generate_program, in_fresh_process
 from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import render
+from ubsc import sestypes as st
 from ubsc import terms as t
 from ubsc import values as v
 from ubsc.syntax import parse, parse_network, parse_process
@@ -458,8 +460,7 @@ def test_rebuild_from_own_layer(corpus_terms):
         assert t.rebuild(p, chans, exprs, [k for _, k in kids]) is p
         fresh = t.rebuild(p, [copy.copy(c) for c in chans], [copy.copy(e) for e in exprs],
                           [copy.copy(k) for _, k in kids])
-        assert fresh == p
-        assert fresh is not p or not (chans or exprs or kids)
+        assert fresh is p
 
 
 # ---------------------------------------------------------------- long chains
@@ -520,16 +521,100 @@ def _ballot(rounds, seed=4, step=1, first="+"):
 
 def test_long_ballot_chains_hash_and_compare():
     """A ballot grows one ``+ 1`` per round.  Two 5,000-level chains built
-    apart hash and compare equal, in a loop; a chain differs from one whose
-    innermost leaf, innermost operator or outermost operand differs.  A process that sends the
-    ballot finds an equal process built apart in a dict, as a lookup in the
-    lru of free names does, comparing them field by field."""
+    apart are one object, which hashes and compares without recursion; a
+    chain whose innermost leaf, innermost operator or outermost operand
+    differs is another.  The free names of a process that sends a 6,000-level
+    ballot, built afresh, are worked out in a loop."""
     a, b = _ballot(5000), _ballot(5000)
-    assert a is not b and hash(a) == hash(b) and a == b and not a != b
+    assert a is b and hash(a) == hash(b) and a == b and not a != b
     for other in (_ballot(5000, seed=5), _ballot(5000, step=2), _ballot(4999),
                   _ballot(5000, first="-"), v.BinOp("-", a.left, a.right)):
-        assert a != other and not a == other
-    assert v.TupleE(a, a) == v.TupleE(b, b)
+        assert other is not a and a != other and not a == other
+    assert v.TupleE(a, a) is v.TupleE(b, b)
     ep = t.Endpoint("s", True)
     p, q = t.Send(ep, a, t.Inact()), t.Send(ep, b, t.Inact())
-    assert hash(p) == hash(q) and p == q and {p: 1}[q] == 1
+    assert p is q and {p: 1}[q] == 1
+    deep = t.Send(ep, _ballot(6000, seed=6), t.Inact())
+    assert t.process_facts(deep) == (frozenset({"s"}), frozenset(), frozenset())
+
+
+def test_long_send_chains_are_one_object():
+    """A 400-prefix send chain built twice apart is one object, which hashes
+    and compares without recursion."""
+    def chain():
+        p = t.Inact()
+        for i in range(400):
+            p = t.Send(t.Endpoint("s", False), v.Lit(v.IntV(i)), p)
+        return p
+
+    a, b = chain(), chain()
+    assert a is b and hash(a) == hash(b) and a == b and {a: 1}[b] == 1
+
+
+# ---------------------------------------------------------------- interning
+
+# a field value per annotation, to build one term of every class
+SAMPLE_FIELDS = {"str": "x", "int": 1, "bool": False, "tuple": (), "frozenset": frozenset(),
+                 "Value": v.IntV(1), "BaseType": v.INT_T, "Expr": v.Lit(v.IntV(1)),
+                 "Chan": t.Endpoint("s", False), "Endpoint": t.Endpoint("s", False),
+                 "Process": t.Inact(), "SessionType": st.END}
+NETWORK_CLASSES = {t.NetworkNode, t.Par, t.Restrict}
+
+
+def test_every_term_class_is_interned():
+    """Every dataclass of ``values``, ``terms`` and ``sestypes`` but the
+    network classes is interned: built twice it is one object, it has no
+    generated ``==``, and a copy or a deep copy of it is it.  The network
+    classes keep their structural ``==``."""
+    classes = [c for m in (v, t, st) for c in vars(m).values() if isinstance(c, type)
+               and dataclasses.is_dataclass(c) and c.__module__ == m.__name__]
+    assert len(classes) == 51 and NETWORK_CLASSES < set(classes)
+    for cls in classes:
+        if cls in NETWORK_CLASSES:
+            assert type(cls) is not v.Interned and "__eq__" in vars(cls)
+            continue
+        args = [SAMPLE_FIELDS[f.type.strip("'\"")] for f in dataclasses.fields(cls)]
+        a = cls(*args)
+        assert type(cls) is v.Interned and "__eq__" not in vars(cls), cls
+        assert cls(*args) is a and copy.copy(a) is a and copy.deepcopy(a) is a, cls
+
+
+def test_scalar_fields_are_keyed_by_type():
+    """``True == 1``, but an integer built after a boolean stays an integer."""
+    one, true = v.IntV(1), v.IntV(True)
+    assert true is not one and type(true.n) is bool and type(v.IntV(1).n) is int
+    assert t.TaggedMsg(0, v.UNIT) is not t.TaggedMsg(False, v.UNIT)
+
+
+def _table_counts(steps: int = 3000, every: int = 500) -> tuple:
+    """(step, live entries, dead entries) of the interning table at every
+    ``every``-th step of a paxos5 run, and the table's size before the run
+    and after it, once the run and the lru caches have let go of it."""
+    net, rows = cp.load_program("paxos5.ubsc").network, []
+    before = len(v._TABLE)
+
+    def count(state, step):
+        if (step.index + 1) % every == 0:
+            dead = sum(ref() is None for ref in v._TABLE.values())
+            rows.append((step.index + 1, len(v._TABLE) - dead, dead))
+
+    eng.run_scheduler(net, eng.SchedulerConfig(
+        seed=26508, loss_rate=0.3, recovery_bias=0.2, max_steps=steps),
+        digests=False, on_step=count)
+    for module in (eng, t, render, v, st):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                obj.cache_clear()
+    gc.collect()
+    return rows, before, len(v._TABLE)
+
+
+def test_interning_table_stays_bounded_over_a_long_run():
+    """Over a 3,000-step paxos5 run, in a process of its own, the interning
+    table never holds more dead entries than live ones plus 4,096; once the
+    run is over and the caches are emptied, it is back near its size before
+    the run."""
+    rows, before, after = in_fresh_process("test_terms", "_table_counts()")
+    assert [step for step, _, _ in rows] == [500, 1000, 1500, 2000, 2500, 3000]
+    assert all(dead <= live + 4096 for _, live, dead in rows), rows
+    assert rows[-1][1] > 10_000 and after <= before + 100, (rows, before, after)

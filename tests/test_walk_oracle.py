@@ -7,13 +7,19 @@ The inputs are every expression and session type of the corpus programs
 (raw and recovery-encoded), of generated programs, of the states seeded
 scheduler runs reach and of their typings' full contexts, and
 hypothesis-generated types with recursion, type variables and nested
-arms."""
+arms.
+
+The last part checks interning against ``walk_oracle.term_eq``, the ``==``
+terms had before: two terms of one class are one object exactly when that
+``==`` calls them equal, on every term of those inputs and on a one-field
+change of each."""
 
 import functools
 import glob
 import itertools
 import os
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -312,3 +318,120 @@ def test_generated_type_and_its_copy_match_oracle(a):
     copy = oracle._subst_tvar(a, "unused", st.END)
     _check_pair(a, copy)
     _check_pair(_wildcarded(a), copy)
+
+
+# ------------------------------------------------------------ interned terms
+
+def _all_terms(roots) -> list:
+    """Every term in ``roots`` and below, found through dataclass fields,
+    tuples and sets; each object once."""
+    seen, stack = {}, list(roots)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, v.Term):
+            if id(x) not in seen:
+                seen[id(x)] = x
+                stack += oracle.fields_of(x)
+        elif type(x) in (tuple, frozenset):
+            stack += x
+    return list(seen.values())
+
+
+def _program_roots(prog) -> list:
+    nodes = [nd for net in (prog.network, eng.encode_network(prog.network))
+             for nd in t.flatten_nodes(net)[1]]
+    return ([nd.process for nd in nodes] + [nd.buffers for nd in nodes]
+            + list(prog.type_decls.values()) + list(prog.shared_types().values()))
+
+
+@functools.lru_cache(maxsize=None)
+def _term_inputs() -> dict:
+    """Every term per input family: nodes' processes and buffers, declared
+    and shared types, and for reached states their typings' full contexts."""
+    out = {"corpus": _all_terms(r for name in CORPUS
+                                for r in _program_roots(cp.load_program(name))),
+           "generated": _all_terms(r for seed in range(40)
+                                   for r in _program_roots(parse(generate_program(seed))))}
+    roots = []
+    for fname, seeds, steps, loss, bias, protocol_of in FAMILIES:
+        prog = cp.load_program(fname)
+        g = ck.Gamma(shared=prog.shared_types())
+        for state in _runs(prog, seeds, steps, loss, bias):
+            protos = protocol_of(state)
+            roots += [nd.process for nd in state.nodes] + [nd.buffers for nd in state.nodes]
+            roots += protos.values()
+            res = ck.type_network(g, state.to_network(), protocols=protos)
+            roots += [ty for _, ty in (res.full_context or {}).values()]
+    out["reached"] = _all_terms(roots)
+    return out
+
+
+def _changed(f):
+    """A field value changed in one place: a string primed, an integer plus
+    one, a boolean negated, a term by :func:`_mutant`, a tuple or a set in
+    its first part; None when nothing in it can change."""
+    if type(f) is str:
+        return f + "'"
+    if type(f) is bool:
+        return not f
+    if type(f) is int:
+        return f + 1
+    if isinstance(f, v.Term):
+        m = _mutant(f)
+        return m and m[0]
+    if type(f) is tuple and f:
+        g = _changed(f[0])
+        return None if g is None else (g, *f[1:])
+    if type(f) is frozenset and f:
+        first = min(f, key=repr)
+        g = _changed(first)
+        return None if g is None else (f - {first}) | {g}
+    return None
+
+
+def _mutant(x):
+    """(``x`` with its first field that can change changed, its fields as
+    given), or None when none can."""
+    fs = oracle.fields_of(x)
+    for i, f in enumerate(fs):
+        g = _changed(f)
+        if g is not None:
+            given = (*fs[:i], g, *fs[i + 1:])
+            return type(x)(*given), given
+    return None
+
+
+def _rebuilt(x):
+    """``x`` built again from its fields, down to the leaves, in new tuples
+    and sets."""
+    if isinstance(x, v.Term):
+        return type(x)(*map(_rebuilt, oracle.fields_of(x)))
+    if type(x) in (tuple, frozenset):
+        return type(x)(map(_rebuilt, x))
+    return x
+
+
+@pytest.mark.parametrize("family", FAMILIES_OF_INPUTS)
+def test_terms_are_one_object_exactly_when_equal(family):
+    """Pairs of one class: each term and its rebuilding, each term and its
+    one-field change, each change and its rebuilding, and neighbours in
+    ``repr`` order.  A change also keeps the fields it was given."""
+    terms = _term_inputs()[family]
+    pairs, by_class = [], defaultdict(list)
+    for x in terms:
+        by_class[type(x)].append(x)
+        pairs.append((x, _rebuilt(x)))
+        m = _mutant(x)
+        if m is not None:
+            mutant, given = m
+            assert all(type(a) is type(b) and oracle._field_eq(a, b)
+                       for a, b in zip(oracle.fields_of(mutant), given)), (x, mutant)
+            pairs += [(x, mutant), (mutant, _rebuilt(mutant))]
+    for xs in by_class.values():
+        xs.sort(key=repr)
+        pairs += zip(xs, xs[1:])
+    same = 0
+    for a, b in pairs:
+        assert (a is b) == oracle.term_eq(a, b), (a, b)
+        same += a is b
+    assert len(by_class) >= 20 and same > 500 and len(pairs) - same > 500

@@ -11,16 +11,18 @@ compared against.  The copies call one another, and ``types_equal`` and
 takes part in them.  ``_canon_expr`` builds terms from the expression classes directly,
 which ``render`` reached as ``v.Var`` and so on.  ``render_network``, the
 recursive printer the network printer's loop replaced, prints each node with
-``render.render_node``."""
+``render.render_node``.  ``term_eq`` is the ``==`` terms had before they were
+interned."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from operator import is_
 
 from ubsc import terms as t
 from ubsc.render import render_node
 from ubsc.sestypes import BraT, End, In, Out, Rec, SelT, TVar, TypeSyntaxError
-from ubsc.values import (Builtin, BinOp, EvalError, Lit, SetE, TupleE, Var,
+from ubsc.values import (Builtin, BinOp, EvalError, Lit, SetE, Term, TupleE, Var,
                          base_compatible, refine_base)
 
 
@@ -245,3 +247,60 @@ def render_network(n: t.Network) -> str:
                 inner = f"({inner})"
             return f"new {name}. {inner}"
     raise TypeError(f"not a network: {n!r}")
+
+
+# ---------------------------------------------------------------- term ==
+# Every term class had the dataclass-generated ``__eq__``
+#
+#     def __eq__(self, other):
+#         if other.__class__ is self.__class__:
+#             return (self.f1, self.f2, ...) == (other.f1, other.f2, ...)
+#         return NotImplemented
+#
+# and ``terms._composite_eq`` walked BinOp chains in a loop.  Here the field
+# tuples compare the terms in them with ``term_eq``, as their own ``==`` is
+# now identity.
+
+def fields_of(x) -> tuple:
+    """The fields the generated ``__eq__`` compared, in order."""
+    return tuple(getattr(x, f.name) for f in fields(x) if f.compare)
+
+
+def term_eq(a, b) -> bool:
+    """``==`` of two terms before interning."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        while x is not y:
+            if type(x) is not type(y):
+                return False
+            if type(x) is BinOp:
+                if x.op != y.op:
+                    return False
+                stack.append((x.right, y.right))
+                x, y = x.left, y.left
+            else:
+                if not _generated_eq(x, y):
+                    return False
+                break
+    return True
+
+
+def _generated_eq(self, other) -> bool:
+    if other.__class__ is self.__class__:
+        return _field_eq(fields_of(self), fields_of(other))
+    return self is other  # NotImplemented both ways: Python falls back to identity
+
+
+def _field_eq(u, w) -> bool:
+    """``u == w`` of two field values, parts compared as a tuple, a
+    frozenset and a term compared them."""
+    if u is w:
+        return True
+    if isinstance(u, Term) and isinstance(w, Term):
+        return term_eq(u, w)
+    if type(u) is tuple and type(w) is tuple:
+        return len(u) == len(w) and all(map(_field_eq, u, w))
+    if type(u) is frozenset and type(w) is frozenset:
+        return len(u) == len(w) and all(any(_field_eq(x, y) for y in w) for x in u)
+    return u == w
