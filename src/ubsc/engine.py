@@ -1,13 +1,15 @@
 """Small-step reduction engine.
 
-The working representation of a run keeps the node list in a fixed order so
-node indices are stable identities for traces and replay scripts; congruence
-normalisation and digests are computed on demand from the assembled term.
+The working representation of a run keeps its restricted names and its node
+list in a fixed order so node indices are stable identities for traces and
+replay scripts; its network is one restriction over one parallel
+composition, carrying those parts, and digests are computed on demand from
+the parts.
 
 Structural congruence is realised by :func:`normalize` (flatten, hoist
-restrictions, drop unit nodes, sort deterministically) together with
-alpha-canonicalisation for digest comparison.  Sum alternatives and
-definition unfolding are resolved at redex discovery.
+restrictions, drop unit nodes, sort deterministically, and carry the parts
+on the result) together with alpha-canonicalisation for digest comparison.
+Sum alternatives and definition unfolding are resolved at redex discovery.
 """
 
 from __future__ import annotations
@@ -268,19 +270,13 @@ def normalize(n: t.Network) -> t.Network:
     """Congruence normal form: restrictions hoisted, parallel flattened,
     unit nodes and dead restrictions dropped, and the nodes sorted by their
     canonical text.  The nodes are the input's own objects: their buffers
-    and sums stay in the order written."""
-    names, nodes = normal_parts(n)
-    return t.restrict_all(names, t.par_all(nodes))
-
-
-def normal_parts(n: t.Network) -> tuple:
-    """The live restricted names and the sorted nodes of ``normalize(n)``,
-    as ``flatten_nodes`` would read them back, without building it."""
+    and sums stay in the order written.  The network carries its parts, so
+    ``flatten_nodes`` reads them back without a walk."""
     restricted, nodes = t.flatten_nodes(n)
     kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
     keyed = sorted(kept or [t.NetworkNode(t.Inact(), ())], key=lambda nd: _node_render(nd, ()))
     live = frozenset().union(*map(_node_names, keyed))
-    return tuple(r for r in restricted if r in live), tuple(keyed)
+    return t.assemble(tuple(r for r in restricted if r in live), tuple(keyed))
 
 
 def canonical_text(restricted, nodes) -> str:

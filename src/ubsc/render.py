@@ -336,22 +336,16 @@ def render_node(n: t.NetworkNode) -> str:
 
 
 def render_network(n: t.Network) -> str:
-    """``n`` as text, in a loop: its restriction chain grows with a run."""
-    out, stack = [], [n]
-    while stack:
-        n = stack.pop()
-        if type(n) is str:
-            out.append(n)
-        elif type(n) is t.NetworkNode:
-            out.append(render_node(n))
-        elif type(n) is t.Par:
-            stack += [n.right, " || ", n.left]
-        elif type(n) is t.Restrict:
-            out.append(f"new {n.name}. ")
-            stack += [")", n.body, "("] if type(n.body) is t.Par else [n.body]
-        else:
-            raise TypeError(f"not a network: {n!r}")
-    return "".join(out)
+    match n:
+        case t.NetworkNode():
+            return render_node(n)
+        case t.Par(parts):
+            return " || ".join(map(render_network, parts))
+        case t.Restrict(names, body):
+            inner = render_network(body)
+            return "".join(f"new {x}. " for x in names) + (
+                f"({inner})" if type(body) is t.Par else inner)
+    raise TypeError(f"not a network: {n!r}")
 
 
 def render_stated_context(ctx: dict) -> str:

@@ -143,8 +143,8 @@ def is_error_network(n: t.Network) -> SafetyReport:
 
 
 def _normal_order(nodes: tuple) -> tuple:
-    """Flattened ``nodes`` as ``engine.normal_parts`` numbers them."""
-    return eng.normal_parts(t.assemble((), nodes))[1]
+    """Flattened ``nodes`` as ``engine.normalize`` numbers them."""
+    return t.flatten_nodes(eng.normalize(t.assemble((), nodes)))[1]
 
 
 def _scan(nodes) -> tuple:

@@ -230,25 +230,25 @@ class _Parser:
 
     # -- networks --------------------------------------------------------
     def network(self) -> t.Network:
-        left = self.atom_network()
+        parts = [self.atom_network()]
         while self.at("||"):
             self.next()
-            right = self.atom_network()
-            left = t.Par(left, right)
-        return left
+            parts.append(self.atom_network())
+        return t.par_all(parts)
 
     def atom_network(self) -> t.Network:
-        if self.at("new"):
+        names = []
+        while self.at("new"):
             self.next()
-            n = self.name()
+            names.append(self.name())
             self.expect(".")
-            return t.Restrict(n, self.atom_network())
         if self.at("("):
             self.next()
             inner = self.network()
             self.expect(")")
-            return inner
-        return self.node()
+        else:
+            inner = self.node()
+        return t.restrict_all(names, inner)
 
     def node(self) -> t.NetworkNode:
         tok = self.expect("[")

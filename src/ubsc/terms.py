@@ -179,13 +179,12 @@ class NetworkNode:
 
 @dataclass(frozen=True)
 class Par:
-    left: "Network"
-    right: "Network"
+    parts: tuple  # two or more networks, left to right
 
 
 @dataclass(frozen=True)
 class Restrict:
-    name: str
+    names: tuple  # one or more restricted names, outermost first
     body: "Network"
 
 
@@ -319,13 +318,15 @@ def free_names(term) -> set:
     stack = [term]
     while stack:
         n = stack.pop()
-        if type(n) is str:  # leaving the restriction of ``n``
-            bound[n] -= 1
+        if type(n) is tuple:  # leaving the restriction of these names
+            for x in n:
+                bound[x] -= 1
         elif type(n) is Par:
-            stack += [n.right, n.left]
+            stack += n.parts
         elif type(n) is Restrict:
-            bound[n.name] = bound.get(n.name, 0) + 1
-            stack += [n.name, n.body]
+            for x in n.names:
+                bound[x] = bound.get(x, 0) + 1
+            stack += [n.names, n.body]
         elif type(n) is NetworkNode:
             sessions, shared, varnames = process_facts(n.process)
             out.update(x for x in sessions.union(shared, (b.ep.session for b in n.buffers))
@@ -458,9 +459,9 @@ def map_nodes(n: Network, f) -> Network:
     if type(n) is NetworkNode:
         return f(n)
     if type(n) is Par:
-        return Par(map_nodes(n.left, f), map_nodes(n.right, f))
+        return Par(tuple(map_nodes(part, f) for part in n.parts))
     if type(n) is Restrict:
-        return Restrict(n.name, map_nodes(n.body, f))
+        return Restrict(n.names, map_nodes(n.body, f))
     raise TypeError(f"not a network: {n!r}")
 
 
@@ -485,24 +486,22 @@ def flatten_nodes(n: Network) -> tuple:
         used.add(cand)
         return cand
 
-    # a loop, not a recursion: restriction chains grow with a run
     stack = [(n, {})]
     while stack:
         n, ren = stack.pop()
         match n:
             case NetworkNode():
                 nodes.append(rename_node_sessions(n, ren))
-            case Par(l, r):
-                stack += [(r, ren), (l, ren)]
-            case Restrict(name, body):
-                if name in used or name in ren:
-                    nn = fresh(name)
-                    ren = dict(ren)
-                    ren[name] = nn
-                    restricted.append(nn)
-                else:
-                    used.add(name)
-                    restricted.append(name)
+            case Par(parts):
+                stack += [(part, ren) for part in reversed(parts)]
+            case Restrict(names, body):
+                for name in names:
+                    if name in used or name in ren:
+                        ren = {**ren, name: fresh(name)}
+                        restricted.append(ren[name])
+                    else:
+                        used.add(name)
+                        restricted.append(name)
                 stack.append((body, ren))
             case _:
                 raise TypeError(f"not a network: {n!r}")
@@ -531,21 +530,20 @@ def rename_node_sessions(node: NetworkNode, ren: dict) -> NetworkNode:
     return NetworkNode(go(node.process), bufs, pos=node.pos)
 
 
-def par_all(nodes) -> Network:
-    nodes = list(nodes)
-    if not nodes:
-        return NetworkNode(Inact(), ())
-    out = nodes[0]
-    for n in nodes[1:]:
-        out = Par(out, n)
-    return out
+def par_all(parts) -> Network:
+    """The parallel composition of ``parts``: the inactive node when there
+    are none, the part itself when there is one."""
+    parts = tuple(parts)
+    if len(parts) > 1:
+        return Par(parts)
+    return parts[0] if parts else NetworkNode(Inact(), ())
 
 
 def restrict_all(names, body: Network) -> Network:
-    out = body
-    for n in reversed(list(names)):
-        out = Restrict(n, out)
-    return out
+    """``names``, outermost first, restricted over ``body``; ``body`` itself
+    when there are none."""
+    names = tuple(names)
+    return Restrict(names, body) if names else body
 
 
 def assemble(restricted: tuple, nodes: tuple) -> Network:
@@ -559,54 +557,3 @@ def assemble(restricted: tuple, nodes: tuple) -> Network:
                 chain.from_iterable(process_facts(nd.process)[2] for nd in nodes))):
         object.__setattr__(net, "_flat", (tuple(restricted), tuple(nodes)))
     return net
-
-
-# A network's restrictions and parallel compositions grow into long chains
-# over a run, so their ``==`` and hash walk the chain in a loop.
-_CHAINS = (Par, Restrict)
-
-
-def _composite_eq(a, b):
-    """``==`` of two networks, walking their Par and Restrict levels with a
-    loop: down the left children, the right ones stacked."""
-    if b.__class__ is not a.__class__:
-        return NotImplemented
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        while x is not y:
-            if type(x) is not type(y):
-                return False
-            if type(x) is Restrict:
-                if x.name != y.name:
-                    return False
-                x, y = x.body, y.body
-            elif type(x) is Par:
-                stack.append((x.right, y.right))
-                x, y = x.left, y.left
-            else:
-                if x != y:
-                    return False
-                break
-    return True
-
-
-def _composite_hash(n) -> int:
-    """The hash of a Par or Restrict's fields, kept on it.  The chain levels
-    below it without one get theirs first, in a loop from the bottom, so
-    that each reads its children's."""
-    if "_hash" not in vars(n):
-        below, stack = [], [n]
-        while stack:
-            x = stack.pop()
-            if type(x) in _CHAINS and "_hash" not in vars(x):
-                below.append(x)
-                stack += (x.body,) if type(x) is Restrict else (x.left, x.right)
-        for x in reversed(below):
-            object.__setattr__(x, "_hash", hash((x.name, x.body) if type(x) is Restrict
-                                                else (x.left, x.right)))
-    return n._hash
-
-
-Par.__eq__ = Restrict.__eq__ = _composite_eq
-Par.__hash__ = Restrict.__hash__ = _composite_hash

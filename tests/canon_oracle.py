@@ -1,13 +1,16 @@
 """The digest canonicaliser as it was before node templates, kept verbatim
 as a differential oracle: ``canonical_text``, ``normalize`` and their
 helpers re-canonicalise and re-render every node under every renaming.
-Only the imports and ``canonical_render`` below the copied code are new."""
+Only the imports and ``canonical_render`` below the copied code are new.
+At the end, ``engine.normal_parts`` as it was before ``normalize`` carried
+its parts on the network it returns, kept the same way."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 from render_oracle import render_network, render_process
+from ubsc import engine as eng
 from ubsc import terms as t
 from ubsc import values as v
 
@@ -211,3 +214,18 @@ def canonical_text(restricted, nodes) -> str:
 def canonical_render(n: t.Network) -> str:
     restricted, nodes = t.flatten_nodes(n)
     return canonical_text(restricted, nodes)
+
+
+# ------------------------------------------------------------- engine.normal_parts
+# Verbatim but for the ``eng.`` on the engine's two lrus, which this module
+# has older copies of.
+
+def normal_parts(n: t.Network) -> tuple:
+    """The live restricted names and the sorted nodes of ``normalize(n)``,
+    as ``flatten_nodes`` would read them back, without building it."""
+    restricted, nodes = t.flatten_nodes(n)
+    kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
+    keyed = sorted(kept or [t.NetworkNode(t.Inact(), ())],
+                   key=lambda nd: eng._node_render(nd, ()))
+    live = frozenset().union(*map(eng._node_names, keyed))
+    return tuple(r for r in restricted if r in live), tuple(keyed)

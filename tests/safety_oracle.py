@@ -128,7 +128,7 @@ def is_deadlocked(n: t.Network) -> bool:
     """True iff the network is a parallel composition of nodes whose processes
     are sums of accept-prefixed processes only.  A terminal network (every
     process inactive) is not deadlocked."""
-    _, nodes = eng.normal_parts(n)
+    _, nodes = t.flatten_nodes(eng.normalize(n))
     if all(isinstance(nd.process, t.Inact) for nd in nodes):
         return False
     for nd in nodes:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -184,15 +185,18 @@ def test_stepper_undo(capsys, monkeypatch):
     assert rc == 0
 
 
-def _run_module(module, args, stdin_text=None, stdout=subprocess.PIPE, **env_vars):
+def _run_module(module, args, stdin_text=None, stdout=subprocess.PIPE, timeout=None,
+                **env_vars):
     """``python -m module args`` in a child process, which finds the
     package where this process did, installed or not, with ``env_vars``
-    added to its environment."""
+    added to its environment.  A child still running after ``timeout``
+    seconds is killed and the call raises."""
     src = os.path.dirname(os.path.dirname(ubsc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
     return subprocess.run([sys.executable, "-m", module, *args], input=stdin_text,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=timeout)
 
 
 def test_console_entry_point():
@@ -322,3 +326,83 @@ def test_output_matches_golden(args, golden, code, capsys, monkeypatch):
     assert main(args) == code
     with open(os.path.join(GOLDEN, golden), encoding="utf-8", newline="") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+CORPUS_FILES = sorted(f for f in os.listdir(corpus_dir()) if f.endswith(".ubsc"))
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
+
+
+def test_printed_networks_match_golden(tmp_path, capsys, monkeypatch):
+    """The printed networks of every corpus program, as ``encode-recovery``
+    writes them and as a traced, safety-checked run writes them to stdout
+    and to its trace, hash as recorded when parallel composition was binary
+    and restriction bound one name."""
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    with open(os.path.join(GOLDEN, "printed_networks.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == CORPUS_FILES
+    for name in CORPUS_FILES:
+        trace = tmp_path / f"{name}.jsonl"
+        assert main(["encode-recovery", corpus(name)]) == 0
+        encoded = capsys.readouterr().out
+        code = main(["run", corpus(name), "--seed", "3", "--loss-rate", "0.3",
+                     "--recovery-bias", "0.2", "--max-steps", "200", "--trace", str(trace),
+                     "--trace-networks", "--safety"])
+        assert {"encode_recovery": _sha256(encoded), "run_exit": code,
+                "run_stdout": _sha256(capsys.readouterr().out),
+                "trace": _sha256(trace.read_bytes())} == golden[name], name
+
+
+DEEP_SOURCES = {
+    "restrictions": "".join(f"new s{i}. " for i in range(1, 3001))
+                    + "[ *s1!<1>. *s1!<2>. 0 | *s1~0:[] ]",
+    "parallel": " || ".join(["[ *s!<1>. *s!<2>. 0 | *s~0:[] ]"]
+                            + ["[ s?(x). s?(y). 0 | s~0:[] ]"] * 2999),
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_SOURCES))
+def test_long_sources_check_run_and_replay(case, tmp_path):
+    """3,000 ``new`` binders in a row parse into one restriction, and 3,000
+    nodes joined by ``||`` into one composition, so ``check``, a traced
+    ``run`` and its ``replay`` exit 0 on them.  Each runs in a child with a
+    timeout: pytest can take minutes to format a ``RecursionError``."""
+    prog, trace = tmp_path / f"{case}.ubsc", tmp_path / "trace.jsonl"
+    prog.write_text(DEEP_SOURCES[case] + "\n", encoding="utf-8")
+    for args in (["check", str(prog)],
+                 ["run", str(prog), "--max-steps", "50", "--trace", str(trace)],
+                 ["replay", str(prog), str(trace)]):
+        out = _run_module("ubsc", args, timeout=60)
+        assert out.returncode == 0, (args[0], out.stderr[-2000:])
+
+
+EVAL_ERRORS = {
+    "fst of an int": ("[ *s!<fst(1)>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]",
+                      {"rule": "Bcast", "session": "s", "sender": 0, "receivers": [1]},
+                      "fst: expected pair"),
+    "int and str gathered": ('[ *s?(x). 0 | *s~0:[(0, 1), (0, "a")] ]',
+                             {"rule": "Gthr", "session": "s", "sender": 0},
+                             "cannot aggregate"),
+}
+
+
+@pytest.mark.parametrize("case", list(EVAL_ERRORS))
+@pytest.mark.parametrize("cmd", [["run"], ["run", "--safety"], ["replay"]],
+                         ids=["run", "run-safety", "replay"])
+def test_evaluation_error_exits_2_with_one_line(case, cmd, tmp_path, capsys, monkeypatch):
+    """A step whose payload has no value (``redex_payload``) or whose
+    gathered values do not aggregate (``gather_values``) ends ``run`` and
+    ``replay`` with one line naming the command, and exit code 2."""
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    text, step, why = EVAL_ERRORS[case]
+    prog, script = tmp_path / "p.ubsc", tmp_path / "s.json"
+    prog.write_text(text + "\n", encoding="utf-8")
+    script.write_text(json.dumps([step]), encoding="utf-8")
+    argv = [cmd[0], str(prog), *cmd[1:]] + ([str(script)] if cmd[0] == "replay" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{cmd[0]}: ") and why in lines[0]

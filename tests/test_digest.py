@@ -324,9 +324,8 @@ def test_long_run_states_match_oracle(long_run):
 
 def _assert_normal_form_matches_oracle(net: t.Network) -> None:
     """``normalize``'s parts against the oracle's normal form, node by node:
-    comparing the two networks whole recurses once per restriction, past
-    the recursion limit on a long run's state."""
-    names, nodes = eng.normal_parts(net)
+    each node is the same object in both."""
+    names, nodes = t.flatten_nodes(eng.normalize(net))
     want_names, want_nodes = t.flatten_nodes(oracle.normalize(net))
     assert names == tuple(want_names) and len(nodes) == len(want_nodes)
     assert all(a is b for a, b in zip(nodes, want_nodes))

@@ -121,9 +121,11 @@ def _shapes():
     """Small networks of every nesting of restriction and parallel
     composition, and the normal forms of scheduler-reached states."""
     a, b = parse_network("[ s!<1>. 0 | s~0:[] ]"), parse_network("[ 0 | *s~1:[(1, 2)] ]")
-    yield from (t.Par(t.Par(a, b), a), t.Par(a, t.Par(b, a)), t.Restrict("s", t.Par(a, b)),
-                t.Par(t.Restrict("s", a), t.Restrict("u", t.Par(b, t.Restrict("v", a)))),
-                t.Restrict("s", t.Restrict("u", t.Par(t.Restrict("v", a), b))))
+    yield from (t.Par((t.Par((a, b)), a)), t.Par((a, t.Par((b, a)))), t.Par((a, b, a)),
+                t.Restrict(("s",), t.Par((a, b))), t.Restrict(("s", "u"), t.Par((a, b, a))),
+                t.Par((t.Restrict(("s",), a),
+                       t.Restrict(("u",), t.Par((b, t.Restrict(("v",), a)))))),
+                t.Restrict(("s",), t.Restrict(("u",), t.Par((t.Restrict(("v", "w"), a), b)))))
     for name in ("paxos5.ubsc", "drop_connections.ubsc"):
         cfg = eng.SchedulerConfig(seed=1, loss_rate=0.3, recovery_bias=0.2, max_steps=200)
         states = []
@@ -135,8 +137,9 @@ def _shapes():
 
 
 def test_network_printer_matches_the_recursive_printer():
-    """The network printer loops down restriction and parallel levels; its
-    text is the recursive printer's, byte for byte."""
+    """The network printer reads the parts of a parallel composition and
+    the names of a restriction; its text is the printer of binary
+    compositions and single restrictions, byte for byte."""
     import walk_oracle
     shapes = list(_shapes())
     assert len(shapes) > 10
@@ -145,8 +148,8 @@ def test_network_printer_matches_the_recursive_printer():
 
 
 def test_long_restriction_chain_renders():
-    """A long run holds over a thousand restrictions; printing its final
-    network loops, so 3,000 of them print without recursing."""
+    """A long run holds over a thousand restricted names, all in one
+    restriction, so 3,000 of them print without recursing."""
     node = parse_network("[ s0!<0>. 0 | s0~0:[] ]")
     names = [f"s{i}" for i in range(3000)]
     text = render_network(t.restrict_all(names, t.par_all([node, node])))

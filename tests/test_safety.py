@@ -267,18 +267,30 @@ def test_safety_checks_reuse_the_engine_heads(monkeypatch):
     report = sf.is_error_network(net)
     sf.is_deadlocked(net)
     assert calls == []
-    _, nodes = eng.normal_parts(net)
+    _, nodes = t.flatten_nodes(eng.normalize(net))
     assert len({s for _, s in report.classification}) <= len(nodes) == 5
 
 
 @pytest.mark.parametrize("name", ["paxos5.ubsc", "drop_connections.ubsc", "error_brc_bra.ubsc"])
-def test_normal_parts_are_the_flattened_normal_form(name):
-    """The safety checks read ``normal_parts`` where they used to flatten
-    ``normalize``'s network again; both give the same names and nodes."""
-    nets = [load_program(name).network] + _reached_networks(name, 1, 80)
-    nets.append(parse_network("new s. new u. ([ 0 ] || [ s!<1>. 0 | s~0:[] ])"))
+def test_normal_form_carries_its_parts(name, monkeypatch):
+    """``normalize`` returns a network that carries its names and nodes, so
+    flattening it walks nothing, and a reached state, which carries its
+    own, is normalised and flattened without a walk.  The parts are those
+    of ``normal_parts``, which the safety checks read before."""
+    import canon_oracle
+    reached = _reached_networks(name, 1, 80)
+    nets = [load_program(name).network, *reached,
+            parse_network("new s. new u. ([ 0 ] || [ s!<1>. 0 | s~0:[] ])")]
+    walked = []
+    free_names = t.free_names
+    monkeypatch.setattr(t, "free_names", lambda n: walked.append(n) or free_names(n))
     for net in nets:
-        assert eng.normal_parts(net) == t.flatten_nodes(eng.normalize(net))
+        normal, want = eng.normalize(net), canon_oracle.normal_parts(net)
+        walked.clear()
+        assert t.flatten_nodes(normal) == want and walked == []
+    for net in reached:
+        walked.clear()
+        assert t.flatten_nodes(eng.normalize(net)) and walked == []
 
 
 def test_safety_checks_flatten_once(monkeypatch):

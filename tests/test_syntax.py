@@ -104,9 +104,9 @@ new u. (
                 for b in bufs:
                     for m in b.queue:
                         seen.add(type(m))
-            case t.Par(l, r):
-                walk_n(l)
-                walk_n(r)
+            case t.Par(parts):
+                for part in parts:
+                    walk_n(part)
             case t.Restrict(_, b):
                 walk_n(b)
 

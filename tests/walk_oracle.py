@@ -239,13 +239,13 @@ def render_network(n: t.Network) -> str:
     match n:
         case t.NetworkNode():
             return render_node(n)
-        case t.Par(l, r):
-            return f"{render_network(l)} || {render_network(r)}"
-        case t.Restrict(name, body):
+        case t.Par(parts):
+            return " || ".join(render_network(part) for part in parts)
+        case t.Restrict(names, body):
             inner = render_network(body)
             if isinstance(body, t.Par):
                 inner = f"({inner})"
-            return f"new {name}. {inner}"
+            return "".join(f"new {name}. " for name in names) + inner
     raise TypeError(f"not a network: {n!r}")
 
 
