@@ -8,7 +8,8 @@ checks see the prefixes the reduction rules fire from, behind definitions
 and calls up to the engine's one unfolding bound.  A node with more than one
 alternative (a sum on its unfolded path) matches no prefix shape.
 
-The progress and recovery searches share one breadth-first search that uses
+The progress and recovery searches share one breadth-first search, keyed on
+the run states themselves and capped on the states it reaches, that uses
 sleep sets to apply two independent redexes (disjoint footprints) in one
 order only; it returns the schedule the search without them returns.
 """
@@ -255,24 +256,23 @@ def recovery_shape_sessions(state: eng.RunState) -> list:
 def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
     """Breadth-first search over full-delivery reductions restricted to
     ``allowed`` rules; returns the schedule reaching ``target`` or None.
-    ``cap`` bounds the number of explored states.
+    ``cap`` bounds the number of states reached.  A state is its own key:
+    equal run states hold the same interned processes and buffers.
 
     Two independent redexes (disjoint :func:`engine.redex_footprint`) are
     applied in one order only, by sleep sets (Godefroid, LNCS 1032).  A
     queued state's sleep set holds the redexes its parents had explored, or
     slept on, independent of the redex reaching it; they are skipped.  Each
-    skipped successor is already in ``seen``: the other order reached it
-    from a state queued earlier.  So the search returns the schedule the
-    full search returns."""
-    start = state.digest()
-    seen = {start}
-    sleep = {start: {}}  # queued state's digest -> its sleep set {redex: footprint}
-    queue = deque([(state, [], start)])
+    skipped successor is already reached: the other order reached it from
+    a state queued earlier.  So the search returns the schedule the full
+    search returns."""
+    sleep = {state: {}}  # reached state -> its sleep set {redex: footprint}, None once expanded
+    queue = deque([(state, [], sleep[state])])
     while queue:
-        if len(seen) > cap:
+        if len(sleep) > cap:
             return None
-        cur, path, key = queue.popleft()
-        done = sleep.pop(key)  # slept on or explored here -> footprint
+        cur, path, done = queue.popleft()  # done: slept on or explored here -> footprint
+        sleep[cur] = None
         if len(path) >= bound:
             continue
         for r in eng.enabled_redexes(cur):
@@ -285,17 +285,15 @@ def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
             fp = eng.redex_footprint(cur, r)
             asleep = {u: m for u, m in done.items() if not m & fp}
             done[r] = fp
-            d = nxt.digest()
-            if d in seen:
-                if d in sleep:  # still queued: sleep only on what every way there allows
-                    sleep[d] = {u: m for u, m in sleep[d].items() if u in asleep}
+            if (old := sleep.setdefault(nxt, asleep)) is not asleep:
+                if old:  # still queued: sleep only on what every way there allows
+                    for u in [u for u in old if u not in asleep]:
+                        del old[u]
                 continue
-            seen.add(d)
             npath = path + [r]
             if target(nxt):
                 return npath
-            sleep[d] = asleep
-            queue.append((nxt, npath, d))
+            queue.append((nxt, npath, asleep))
     return None
 
 
