@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         return code
     except UBSCSyntaxError as e:  # a malformed --context
         return _fail(str(e))
-    except v.EvalError as e:  # an expression of the program that has no value
+    except (v.EvalError, t.SubstError) as e:  # an expression with no value, a malformed call
         return _fail(f"{args.cmd}: {e}")
     except BrokenPipeError:  # the reader closed standard output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush

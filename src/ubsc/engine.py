@@ -198,21 +198,13 @@ class _NodeDigest:
 def _node_digest(node: t.NetworkNode) -> _NodeDigest:
     named, bufs = _named(node.process), node.buffers
     flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
-    return _record(_process_template(node.process) or node.process, named, _block(bufs, flags),
-                   tuple(compress(range(len(bufs)), flags)), tuple(compress(bufs, flags)))
-
-
-@lru_cache(maxsize=64)
-def _record(process, named: frozenset, blk: _Block, live: tuple, bufs: tuple) -> _NodeDigest:
-    """The record of the nodes with this process template (or process
-    without one) and block, and the live ``bufs`` at ``live``: equal nodes
-    built apart, as a search builds them, share it."""
     f = _NodeDigest()
-    f.named, f.block, f.last = named, blk, [(None, None, None), (None, None, None)]
+    f.named, f.block, f.last = named, _block(bufs, flags), [(None, None, None), (None, None, None)]
     f.live = [(b.ep.session, "*" if b.ep.aggr else "", i - k - 1, i + 1, _buffer_tail(b))
-              for k, (i, b) in enumerate(zip(live, bufs))]
+              for k, (i, b) in enumerate(zip(compress(range(len(bufs)), flags),
+                                             compress(bufs, flags)))]
     on = [p[0] for p in f.live]
-    f.meets = (*sorted(chain(blk.sorted, on)), *sorted(named.difference(on)))
+    f.meets = (*sorted(chain(f.block.sorted, on)), *sorted(named.difference(on)))
     return f
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 
 from . import sestypes as st
 from . import terms as t
@@ -491,103 +492,67 @@ class _Parser:
 
 
 # ------------------------------------------------------------------ call-arg
-# A bare name in call-argument position parses as an expression variable; once
-# all definitions are known, arguments in channel-parameter positions are
-# rewritten to channel references.
+# A bare name in call-argument position parses as an expression variable.
+# A parameter is a channel when its body uses it as one, or passes it where
+# a definition in scope takes a channel; bare names passed in channel
+# positions are then rewritten to channel references.  A node's marks are
+# found by walking it again until none changes: one pass per nesting level
+# inside another level's fixpoint would multiply with the depth.
 
-def _collect_defs(p: t.Process, acc: dict):
+def _resolve(p: t.Process, scope: dict, defs: dict, blocks: list, order) -> t.Process:
+    """One walk of ``p`` that marks and rewrites.  ``scope`` maps each name a
+    binder in scope binds to its parameter's (marks, position), or None for
+    other binders; ``defs`` maps each definition in scope to its
+    parameters' channel marks, None for one not (yet) known as a channel;
+    ``blocks`` keeps the marks of each ``def`` block's definitions, in walk
+    ``order``, from one walk to the next."""
     if type(p) is t.Defs:
-        for n, params, b in p.defs:
-            acc[n] = (params, b)
-            _collect_defs(b, acc)
-        _collect_defs(p.body, acc)
-        return
-    for _, k in t.layer(p)[2]:
-        _collect_defs(k, acc)
+        if (i := next(order)) == len(blocks):
+            blocks.append([[None] * len(prms) for _, prms, _ in p.defs])
+        defs = {**defs, **{n: ms for (n, _, _), ms in zip(p.defs, blocks[i])}}
+        arms = []
+        for (n, prms, q), ms in zip(p.defs, blocks[i]):
+            inner = {**scope, **{x: (ms, j) for j, x in enumerate(prms)}}
+            arms.append((n, prms, _resolve(q, inner, defs, blocks, order)))
+        return t.Defs(tuple(arms), _resolve(p.body, scope, defs, blocks, order))
+    chans, exprs, kids = t.layer(p)
+    for ch in chans:
+        if type(ch) is t.ChanVar:
+            _mark(scope.get(ch.name), ch.aggr)
+    if type(p) is t.Call and p.name in defs:
+        args = []
+        for a, k in zip(p.args, chain(defs[p.name], repeat(None))):
+            if k is not None and isinstance(a, v.Var):
+                _mark(scope.get(a.name), k)
+                a = (t.ChanVar if a.name in scope else t.Endpoint)(a.name, k)
+            args.append(a)
+        return t.Call(p.name, tuple(args))
+    return t.rebuild(p, chans, exprs, [_resolve(k, {**scope, **dict.fromkeys(b)} if b else scope,
+                                                defs, blocks, order) for b, k in kids])
 
 
-def _param_kinds(defs: dict) -> dict:
-    """Fixpoint inference of which definition parameters are channels and
-    their polarity marks."""
-    kinds = {n: [None] * len(params) for n, (params, _) in defs.items()}
+def _mark(param, aggr: bool):
+    """Mark a parameter, given as (marks, position), a channel, unless it is
+    marked already."""
+    if param is not None and param[0][param[1]] is None:
+        param[0][param[1]] = aggr
 
-    def scan(name):
-        params, body = defs[name]
-        index = {p: i for i, p in enumerate(params)}
-        changed = False
 
-        def mark(i, aggr):
-            nonlocal changed
-            cur = kinds[name][i]
-            new = ("chan", aggr)
-            if cur != new:
-                kinds[name][i] = new
-                changed = True
-
-        def walk(p):
-            if type(p) is t.Call:
-                if p.name in kinds:
-                    for i, a in enumerate(p.args):
-                        if i < len(kinds[p.name]) and kinds[p.name][i] and \
-                                isinstance(a, v.Var) and a.name in index:
-                            mark(index[a.name], kinds[p.name][i][1])
-                return
-            if type(p) is t.Defs:  # nested definition bodies are scanned on their own
-                walk(p.body)
-                return
-            chans, _, kids = t.layer(p)
-            for ch in chans:
-                if isinstance(ch, t.ChanVar) and ch.name in index:
-                    mark(index[ch.name], ch.aggr)
-            for _, k in kids:
-                walk(k)
-
-        walk(body)
-        return changed
-
-    for _ in range(len(defs) + 2):
-        if not any(scan(n) for n in defs):
-            break
-    return kinds
+def _marked(blocks: list) -> int:
+    """How many parameters ``blocks`` marks as channels."""
+    return sum(m is not None for block in blocks for marks in block for m in marks)
 
 
 def _resolve_call_args(net: t.Network) -> t.Network:
-    defs: dict = {}
+    def node(nd: t.NetworkNode) -> t.NetworkNode:
+        blocks: list = []
+        while True:
+            before = _marked(blocks)
+            p = _resolve(nd.process, {}, {}, blocks, count())
+            if _marked(blocks) == before:
+                return t.NetworkNode(p, nd.buffers, pos=nd.pos)
 
-    def collect(node):
-        _collect_defs(node.process, defs)
-        return node
-
-    t.map_nodes(net, collect)
-    if not defs:
-        return net
-    kinds = _param_kinds(defs)
-
-    def fix_process(p, bound):
-        if type(p) is t.Call:
-            if p.name not in kinds:
-                return p
-            new_args = []
-            for i, a in enumerate(p.args):
-                k = kinds[p.name][i] if i < len(kinds[p.name]) else None
-                if k and isinstance(a, v.Var):
-                    if a.name in bound:
-                        new_args.append(t.ChanVar(a.name, k[1]))
-                    else:
-                        new_args.append(t.Endpoint(a.name, k[1]))
-                else:
-                    new_args.append(a)
-            return t.Call(p.name, tuple(new_args))
-        if type(p) is t.Defs:  # parameters are bound, definition names are not
-            return t.Defs(
-                tuple((n, prms, fix_process(db, bound | set(prms))) for n, prms, db in p.defs),
-                fix_process(p.body, bound),
-            )
-        chans, exprs, kids = t.layer(p)
-        return t.rebuild(p, chans, exprs, [fix_process(k, bound | set(b)) for b, k in kids])
-
-    return t.map_nodes(net, lambda nd: t.NetworkNode(fix_process(nd.process, set()),
-                                                     nd.buffers, pos=nd.pos))
+    return t.map_nodes(net, node)
 
 
 # ------------------------------------------------------------------ entry points

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
 
-from .values import Expr, Lit, Term, Value, Var, fv_expr, subst_expr_var
+from .values import Expr, Lit, Term, Value, Var, fv_expr, map_vars
 
 
 class SubstError(Exception):
@@ -343,27 +343,19 @@ def process_sessions(p: Process) -> frozenset:
 
 # ---------------------------------------------------------------- substitution
 
-def map_process(p: Process, on_chan, on_expr, bound: frozenset = frozenset()) -> Process:
-    """Capture-aware structural map over channel references and expressions.
-    ``on_chan``/``on_expr`` receive the set of variables bound at the field."""
+def _subst_free(p: Process, sub: dict) -> Process:
+    """``p`` with every free occurrence of each name ``x`` of ``sub``
+    replaced at once: ``sub[x](ch)`` for a channel-variable occurrence
+    ``ch``, ``sub[x](None)`` for an occurrence in an expression.  A subterm
+    under binders of every name of ``sub`` is kept as it is."""
+    if not sub:
+        return p
     chans, exprs, kids = layer(p)
-    return rebuild(p, [on_chan(c, bound) for c in chans],
-                   [on_expr(e, bound) for e in exprs],
-                   [map_process(k, on_chan, on_expr, bound.union(b) if b else bound)
+    return rebuild(p, [sub[c.name](c) if type(c) is ChanVar and c.name in sub else c
+                       for c in chans],
+                   [map_vars(e, sub.keys(), lambda x: sub[x](None)) for e in exprs],
+                   [_subst_free(k, {x: f for x, f in sub.items() if x not in b} if b else sub)
                     for b, k in kids])
-
-
-def _subst_free(p: Process, name: str, chan_of, expr_of) -> Process:
-    """``p`` with ``chan_of(ch)`` for every free channel-variable occurrence
-    ``ch`` of ``name`` and ``expr_of(e)`` for every expression ``e`` in
-    which ``name`` is not bound."""
-
-    def on_chan(ch: Chan, bound) -> Chan:
-        if type(ch) is ChanVar and ch.name == name and name not in bound:
-            return chan_of(ch)
-        return ch
-
-    return map_process(p, on_chan, lambda e, bound: e if name in bound else expr_of(e))
 
 
 def subst_channel(p: Process, name: str, ep: Endpoint) -> Process:
@@ -371,56 +363,58 @@ def subst_channel(p: Process, name: str, ep: Endpoint) -> Process:
     of the session ``ep`` names.  The occurrence's polarity mark must match
     the endpoint's polarity."""
 
-    def chan_of(ch: ChanVar) -> Chan:
+    def put(ch: Optional[ChanVar]) -> Chan:
+        if ch is None:
+            raise SubstError(f"channel variable {name} used as an expression")
         if ch.aggr != ep.aggr:
             raise SubstError(f"polarity mismatch substituting {ep!r} for {ch!r}")
         return ep
 
-    def expr_of(e: Expr) -> Expr:
-        if name in fv_expr(e):
-            raise SubstError(f"channel variable {name} used as an expression")
-        return e
-
-    return _subst_free(p, name, chan_of, expr_of)
+    return _subst_free(p, {name: put})
 
 
 def subst_value(p: Process, name: str, value: Value) -> Process:
     """Substitute a closed value for an expression variable."""
     repl = Lit(value)
 
-    def chan_of(ch: ChanVar) -> Chan:
-        raise SubstError(f"value substituted for channel position {ch!r}")
+    def put(ch: Optional[ChanVar]) -> Expr:
+        if ch is not None:
+            raise SubstError(f"value substituted for channel position {ch!r}")
+        return repl
 
-    return _subst_free(p, name, chan_of, lambda e: subst_expr_var(e, name, repl))
+    return _subst_free(p, {name: put})
+
+
+def _arg_put(name: str, arg):
+    """How a call argument replaces the parameter ``name`` (see
+    :func:`_subst_free`).  Variables rename both worlds; endpoints go to
+    channel positions (keeping each occurrence's polarity mark); other
+    expressions go to expression positions."""
+
+    def put(ch: Optional[ChanVar]):
+        if isinstance(arg, (ChanVar, Var)):
+            return Var(arg.name) if ch is None else ChanVar(arg.name, ch.aggr)
+        if isinstance(arg, Endpoint):
+            if ch is None:
+                raise SubstError(f"endpoint argument used in expression position: {name}")
+            return Endpoint(arg.session, ch.aggr)
+        if ch is not None:
+            raise SubstError(f"expression argument used in channel position: {name}")
+        return arg
+
+    return put
 
 
 def subst_ident(p: Process, name: str, arg) -> Process:
-    """Substitute a call argument for a definition parameter.  Variables
-    rename both worlds; endpoints go to channel positions (keeping each
-    occurrence's polarity mark); other expressions go to expression
-    positions."""
-    if isinstance(arg, (ChanVar, Var)):
-        return _subst_free(p, name, lambda ch: ChanVar(arg.name, ch.aggr),
-                           lambda e: subst_expr_var(e, name, Var(arg.name)))
-    if isinstance(arg, Endpoint):
-        def expr_of(e: Expr) -> Expr:
-            if name in fv_expr(e):
-                raise SubstError(f"endpoint argument used in expression position: {name}")
-            return e
-
-        return _subst_free(p, name, lambda ch: Endpoint(arg.session, ch.aggr), expr_of)
-
-    def chan_of(ch: ChanVar) -> Chan:
-        raise SubstError(f"expression argument used in channel position: {name}")
-
-    return _subst_free(p, name, chan_of, lambda e: subst_expr_var(e, name, arg))
+    """Substitute a call argument for a definition parameter."""
+    return _subst_free(p, {name: _arg_put(name, arg)})
 
 
 def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Process:
     """Unfold one level of the named definition inside ``p``: every
     ``Call(name, args)`` becomes ``body`` with the arguments substituted for
-    the parameters.  Other calls, and definitions that rebind ``name``, are
-    untouched."""
+    the parameters, all at once.  Other calls, and definitions that rebind
+    ``name``, are untouched."""
 
     def go(p: Process) -> Process:
         if type(p) is Call and p.name == name:
@@ -428,10 +422,7 @@ def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Proces
                 raise SubstError(
                     f"{name} expects {len(params)} arguments, got {len(p.args)}"
                 )
-            out = body
-            for prm, a in zip(params, p.args):
-                out = subst_ident(out, prm, a)
-            return out
+            return _subst_free(body, {prm: _arg_put(prm, a) for prm, a in zip(params, p.args)})
         if type(p) is Defs and name in p.names():
             return p
         chans, exprs, kids = layer(p)

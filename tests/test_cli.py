@@ -10,7 +10,8 @@ import pytest
 import ubsc
 from ubsc.cli import main, parse_declared
 from ubsc.corpus import corpus_dir
-from ubsc.terms import Endpoint
+from ubsc.syntax import parse_network
+from ubsc.terms import Endpoint, flatten_nodes
 
 
 def corpus(name):
@@ -406,3 +407,63 @@ def test_evaluation_error_exits_2_with_one_line(case, cmd, tmp_path, capsys, mon
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{cmd[0]}: ") and why in lines[0]
+
+
+CALL_ERRORS = {
+    "arity": ("[ def X(a) = 0 in X(1, 2) ]", "X expects 1 arguments, got 2"),
+    "expression as channel": ("[ def X(c) = c!<1>. 0 in X(5) | s~0:[] ]",
+                              "expression argument used in channel position: c"),
+}
+
+
+@pytest.mark.parametrize("case", list(CALL_ERRORS))
+@pytest.mark.parametrize("cmd", ["run", "step", "replay"])
+def test_malformed_call_exits_2_with_one_line(case, cmd, tmp_path, capsys, monkeypatch):
+    """A call whose arguments do not fit its definition fails when it is
+    unfolded: ``run``, ``replay`` and the stepper (after printing the
+    network) end with one line naming the command, and exit code 2."""
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    monkeypatch.setattr("builtins.input", lambda *a: "q")
+    text, why = CALL_ERRORS[case]
+    prog, script = tmp_path / "p.ubsc", tmp_path / "s.json"
+    prog.write_text(text + "\n", encoding="utf-8")
+    script.write_text(json.dumps([{"rule": "Ucast", "session": "s", "sender": 0}]),
+                      encoding="utf-8")
+    assert main([cmd, str(prog)] + ([str(script)] if cmd == "replay" else [])) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert lines[-1] == f"{cmd}: {why}" and len(lines) == (2 if cmd == "step" else 1)
+
+
+CALLER, RECEIVER, OTHER_X = ("[ def X(c) = c!<1>. 0 in X(s) | s~0:[] ]",
+                             "[ *s?(y). 0 | *s~0:[] ]", "[ def X(v) = 0 in X(5) ]")
+
+
+def test_calls_resolve_by_the_definition_in_scope(tmp_path, capsys):
+    """Another node's ``X``, whose parameter is no channel, does not decide
+    how ``X(s)`` parses, whether it comes after or before: in both node
+    orders ``s`` is an endpoint, the network checks, and a lossless run
+    fires the send."""
+    prog = tmp_path / "p.ubsc"
+    for nodes in (CALLER, RECEIVER, OTHER_X), (OTHER_X, CALLER, RECEIVER):
+        prog.write_text(" || ".join(nodes) + "\n", encoding="utf-8")
+        caller = flatten_nodes(parse_network(" || ".join(nodes)))[1][nodes.index(CALLER)]
+        assert caller.process.body.args == (Endpoint("s", False),), nodes
+        assert main(["check", str(prog)]) == 0
+        assert capsys.readouterr().out.strip() == \
+            "Ok, residual: *s: (0, ?any.end), s: (0, !any.end)"
+        assert main(["run", str(prog), "--loss-rate", "0", "--max-steps", "5"]) == 0
+        assert "rules: Gthr=1, Ucast=1" in capsys.readouterr().out.splitlines(), nodes
+
+
+def test_channel_parameter_used_in_a_nested_definition(tmp_path, capsys):
+    """``c`` is a channel of ``A`` though only ``B``'s body, nested in
+    ``A``'s, sends on it: ``A(s)`` passes the endpoint, and the send fires."""
+    text = ("[ def A(c) = def B(x) = c!<x>. 0 in B(1) in A(s) | s~0:[] ] || "
+            "[ *s?(y). 0 | *s~0:[] ]")
+    prog = tmp_path / "p.ubsc"
+    prog.write_text(text + "\n", encoding="utf-8")
+    assert flatten_nodes(parse_network(text))[1][0].process.body.args == \
+        (Endpoint("s", False),)
+    assert main(["run", str(prog), "--loss-rate", "0"]) == 0
+    assert "rules: Gthr=1, Ucast=1" in capsys.readouterr().out.splitlines()

@@ -171,6 +171,28 @@ def test_malformed_list_fails(text, message):
         parse_process(text)
 
 
+def test_parameter_rebound_before_its_channel_use_is_no_channel():
+    """``c``'s only channel use is under ``acc a(c)``, which binds a new
+    ``c``, so ``A``'s parameter is no channel and ``A(y)`` keeps ``y`` as an
+    expression."""
+    p = parse_process("s?(y). def A(c) = acc a(c). c?(z). 0 in A(y)")
+    assert p.body.body == t.Call("A", (v.Var("y"),))
+
+
+def test_channel_parameters_pass_through_nested_blocks():
+    """Thirty nested blocks, each passing its channel parameter to the next
+    one's definition, resolve in a few walks of the node: each call passes
+    a channel variable, the outermost an endpoint."""
+    d = 30
+    text = ("".join(f"def A{i}(c{i}) = " for i in range(1, d + 1)) + f"c{d}!<1>. 0"
+            + "".join(f" in A{i}(c{i - 1})" for i in range(d, 1, -1)) + " in A1(s)")
+    p, args = parse_process(text), []
+    while type(p) is t.Defs:
+        args += p.body.args
+        p = p.defs[0][2]
+    assert args == [t.Endpoint("s", False)] + [t.ChanVar(f"c{i}", False) for i in range(1, d)]
+
+
 def test_recv_default_sugar():
     p = parse_process("s?(x). 0")
     assert p.default == v.Lit(v.UNIT)

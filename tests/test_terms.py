@@ -66,6 +66,22 @@ def test_subst_procvar():
     assert out == t.Send(t.Endpoint("s", False), v.Lit(v.IntV(5)), t.Inact())
 
 
+def test_subst_procvar_substitutes_all_arguments_at_once():
+    """An argument that names another parameter is not substituted again:
+    ``D(b, 1)`` with ``D(a, b) = s!<a + b>`` sends ``b + 1``, and a call
+    ``D(*w, *c)`` of ``D(c, w)`` swaps the two channel variables."""
+    body = t.Send(t.Endpoint("s", False), v.BinOp("+", v.Var("a"), v.Var("b")), t.Inact())
+    out = t.subst_procvar(t.Call("D", (v.Var("b"), v.Lit(v.IntV(1)))), "D", ("a", "b"), body)
+    assert out == t.Send(t.Endpoint("s", False), v.BinOp("+", v.Var("b"), v.Lit(v.IntV(1))),
+                         t.Inact())
+    body = t.Send(t.ChanVar("c", True), v.Lit(v.IntV(1)), t.Call("D", (t.ChanVar("w", False),
+                                                                        t.ChanVar("c", True))))
+    out = t.subst_procvar(t.Call("D", (t.ChanVar("w", True), t.ChanVar("c", True))),
+                          "D", ("c", "w"), body)
+    assert out == t.Send(t.ChanVar("w", True), v.Lit(v.IntV(1)),
+                         t.Call("D", (t.ChanVar("c", False), t.ChanVar("w", True))))
+
+
 def test_subst_procvar_unrelated_untouched():
     p = t.Call("E", (v.Lit(v.IntV(1)),))
     assert t.subst_procvar(p, "D", ("x",), t.Inact()) == p
