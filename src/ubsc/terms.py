@@ -343,17 +343,69 @@ def process_sessions(p: Process) -> frozenset:
 
 # ---------------------------------------------------------------- substitution
 
+def _subst_expr(e: Expr, sub: dict) -> Expr:
+    """``e`` with the expression replacements of :func:`_subst_free`."""
+    if sub.keys().isdisjoint(fv_expr(e)):
+        return e
+    return map_vars(e, sub.keys(), lambda x: sub[x](None))
+
+
 def _subst_free(p: Process, sub: dict) -> Process:
     """``p`` with every free occurrence of each name ``x`` of ``sub``
     replaced at once: ``sub[x](ch)`` for a channel-variable occurrence
     ``ch``, ``sub[x](None)`` for an occurrence in an expression.  A subterm
-    under binders of every name of ``sub`` is kept as it is."""
-    if not sub:
+    under binders of every name of ``sub`` is kept as it is.
+
+    A chain of prefixes is walked down in a loop and rebuilt from its end;
+    only a constructor with two or more subprocesses recurses.  Each
+    prefix's channel and expression are substituted on the way down, so a
+    misuse raises the same ``SubstError`` as a walk of ``layer``'s fields
+    in order: channels before expressions before subprocesses."""
+    down = []  # (prefix, its new channel, its new expression), outermost first
+    while sub:
+        tp = type(p)
+        if tp is Send or tp is Recv or tp is Select:
+            c = p.chan
+            if type(c) is ChanVar and c.name in sub:
+                c = sub[c.name](c)
+            e = p.expr if tp is Send else p.default if tp is Recv else None
+            down.append((p, c, e if e is None else _subst_expr(e, sub)))
+        elif tp is Request or tp is Accept:
+            down.append((p, None, None))
+        else:
+            p = _subst_end(p, sub)
+            break
+        if tp is not Send and tp is not Select and p.bind in sub:
+            sub = {x: f for x, f in sub.items() if x != p.bind}
+        p = p.body
+    for q, c, e in reversed(down):
+        tq = type(q)
+        p = (Send(c, e, p) if tq is Send else Recv(c, q.bind, e, p) if tq is Recv
+             else Select(c, q.label, p) if tq is Select else tq(q.shared, q.bind, p))
+    return p
+
+
+def _subst_end(p: Process, sub: dict) -> Process:
+    """:func:`_subst_free` on a process that is no prefix, ``sub`` not
+    empty."""
+    tp = type(p)
+    if tp is Cond:
+        g = _subst_expr(p.guard, sub)
+        then_p, else_p = _subst_free(p.then_p, sub), _subst_free(p.else_p, sub)
+        return Cond(g, then_p, else_p)
+    if tp is Call:
+        args = [sub[a.name](a) if type(a) is ChanVar and a.name in sub else a
+                for a in p.args]
+        for i, a in enumerate(p.args):
+            if not isinstance(a, _CHAN_TYPES):
+                args[i] = _subst_expr(a, sub)
+        return Call(p.name, tuple(args))
+    if tp is Inact:
         return p
     chans, exprs, kids = layer(p)
     return rebuild(p, [sub[c.name](c) if type(c) is ChanVar and c.name in sub else c
                        for c in chans],
-                   [map_vars(e, sub.keys(), lambda x: sub[x](None)) for e in exprs],
+                   [_subst_expr(e, sub) for e in exprs],
                    [_subst_free(k, {x: f for x, f in sub.items() if x not in b} if b else sub)
                     for b, k in kids])
 
@@ -410,25 +462,15 @@ def subst_ident(p: Process, name: str, arg) -> Process:
     return _subst_free(p, {name: _arg_put(name, arg)})
 
 
-def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Process:
-    """Unfold one level of the named definition inside ``p``: every
-    ``Call(name, args)`` becomes ``body`` with the arguments substituted for
-    the parameters, all at once.  Other calls, and definitions that rebind
-    ``name``, are untouched."""
-
-    def go(p: Process) -> Process:
-        if type(p) is Call and p.name == name:
-            if len(p.args) != len(params):
-                raise SubstError(
-                    f"{name} expects {len(params)} arguments, got {len(p.args)}"
-                )
-            return _subst_free(body, {prm: _arg_put(prm, a) for prm, a in zip(params, p.args)})
-        if type(p) is Defs and name in p.names():
-            return p
-        chans, exprs, kids = layer(p)
-        return rebuild(p, chans, exprs, [go(k) for _, k in kids])
-
-    return go(p)
+def subst_procvar(call: Call, name: str, params: tuple, body: Process) -> Process:
+    """Unfold ``call`` by the definition ``name(params) = body``: ``body``
+    with the call's arguments substituted for the parameters, all at once.
+    A call of another name is returned as it is."""
+    if call.name != name:
+        return call
+    if len(call.args) != len(params):
+        raise SubstError(f"{name} expects {len(params)} arguments, got {len(call.args)}")
+    return _subst_free(body, {prm: _arg_put(prm, a) for prm, a in zip(params, call.args)})
 
 
 def unfold_call(call: Call, frames) -> Optional[Process]:

@@ -567,6 +567,32 @@ def test_long_send_chains_are_one_object():
     assert a is b and hash(a) == hash(b) and a == b and {a: 1}[b] == 1
 
 
+def _prefix_chain(chan, var, n=10_000):
+    """``n`` prefixes, Send, Recv, Select, Request and Accept in turn, on
+    the channel ``chan`` and the expression ``var < 3``, over ``if var < 3
+    then 0 else 0``; built from its end in a loop.  The binders bind ``y``
+    and ``r``."""
+    e = v.BinOp("<", var, v.Lit(v.IntV(3)))
+    p = t.Cond(e, t.Inact(), t.Inact())
+    for i in reversed(range(n)):
+        p = (t.Send(chan, e, p), t.Recv(chan, "y", e, p), t.Select(chan, "l", p),
+             t.Request("a", "r", p), t.Accept("a", "r", p))[i % 5]
+    return p
+
+
+def test_substitution_on_a_long_prefix_chain():
+    """Substituting into a 10,000-prefix chain, and unfolding a call whose
+    definition is such a chain, walks the chain in a loop and gives the
+    chain built directly."""
+    c, var = t.ChanVar("c", False), v.Var("v")
+    p = _prefix_chain(c, var)
+    s, one = t.Endpoint("s", False), v.Lit(v.IntV(1))
+    assert t.subst_channel(p, "c", s) is _prefix_chain(s, var)
+    assert t.subst_value(p, "v", v.IntV(1)) is _prefix_chain(c, one)
+    assert t.subst_ident(p, "c", t.ChanVar("d", False)) is _prefix_chain(t.ChanVar("d", False), var)
+    assert t.subst_procvar(t.Call("D", (s, one)), "D", ("c", "v"), p) is _prefix_chain(s, one)
+
+
 # ---------------------------------------------------------------- interning
 
 # a field value per annotation, to build one term of every class

@@ -12,7 +12,12 @@ takes part in them.  ``_canon_expr`` builds terms from the expression classes di
 which ``render`` reached as ``v.Var`` and so on.  ``render_network``, the
 recursive printer the network printer's loop replaced, prints each node with
 ``render.render_node``.  ``term_eq`` is the ``==`` terms had before they were
-interned."""
+interned.
+
+The substitution on processes is kept as it was before it walked a chain of
+prefixes in a loop: ``_subst_free`` recursed once per subprocess through
+``terms.layer``/``rebuild``, and ``subst_procvar`` found the calls to
+unfold by one more such walk."""
 
 from __future__ import annotations
 
@@ -22,8 +27,9 @@ from operator import is_
 from ubsc import terms as t
 from ubsc.render import render_node
 from ubsc.sestypes import BraT, End, In, Out, Rec, SelT, TVar, TypeSyntaxError
+from ubsc.terms import Call, ChanVar, Defs, Endpoint, SubstError, layer, rebuild
 from ubsc.values import (Builtin, BinOp, EvalError, Lit, SetE, Term, TupleE, Var,
-                         base_compatible, refine_base)
+                         base_compatible, map_vars, refine_base)
 
 
 # ---------------------------------------------------------------- values.py
@@ -247,6 +253,96 @@ def render_network(n: t.Network) -> str:
                 inner = f"({inner})"
             return "".join(f"new {name}. " for name in names) + inner
     raise TypeError(f"not a network: {n!r}")
+
+
+# ---------------------------------------------------------------- terms.py
+
+def _subst_free(p: Process, sub: dict) -> Process:
+    """``p`` with every free occurrence of each name ``x`` of ``sub``
+    replaced at once: ``sub[x](ch)`` for a channel-variable occurrence
+    ``ch``, ``sub[x](None)`` for an occurrence in an expression.  A subterm
+    under binders of every name of ``sub`` is kept as it is."""
+    if not sub:
+        return p
+    chans, exprs, kids = layer(p)
+    return rebuild(p, [sub[c.name](c) if type(c) is ChanVar and c.name in sub else c
+                       for c in chans],
+                   [map_vars(e, sub.keys(), lambda x: sub[x](None)) for e in exprs],
+                   [_subst_free(k, {x: f for x, f in sub.items() if x not in b} if b else sub)
+                    for b, k in kids])
+
+
+def subst_channel(p: Process, name: str, ep: Endpoint) -> Process:
+    """Replace free channel-variable occurrences of ``name`` with an endpoint
+    of the session ``ep`` names.  The occurrence's polarity mark must match
+    the endpoint's polarity."""
+
+    def put(ch: Optional[ChanVar]) -> Chan:
+        if ch is None:
+            raise SubstError(f"channel variable {name} used as an expression")
+        if ch.aggr != ep.aggr:
+            raise SubstError(f"polarity mismatch substituting {ep!r} for {ch!r}")
+        return ep
+
+    return _subst_free(p, {name: put})
+
+
+def subst_value(p: Process, name: str, value: Value) -> Process:
+    """Substitute a closed value for an expression variable."""
+    repl = Lit(value)
+
+    def put(ch: Optional[ChanVar]) -> Expr:
+        if ch is not None:
+            raise SubstError(f"value substituted for channel position {ch!r}")
+        return repl
+
+    return _subst_free(p, {name: put})
+
+
+def _arg_put(name: str, arg):
+    """How a call argument replaces the parameter ``name`` (see
+    :func:`_subst_free`).  Variables rename both worlds; endpoints go to
+    channel positions (keeping each occurrence's polarity mark); other
+    expressions go to expression positions."""
+
+    def put(ch: Optional[ChanVar]):
+        if isinstance(arg, (ChanVar, Var)):
+            return Var(arg.name) if ch is None else ChanVar(arg.name, ch.aggr)
+        if isinstance(arg, Endpoint):
+            if ch is None:
+                raise SubstError(f"endpoint argument used in expression position: {name}")
+            return Endpoint(arg.session, ch.aggr)
+        if ch is not None:
+            raise SubstError(f"expression argument used in channel position: {name}")
+        return arg
+
+    return put
+
+
+def subst_ident(p: Process, name: str, arg) -> Process:
+    """Substitute a call argument for a definition parameter."""
+    return _subst_free(p, {name: _arg_put(name, arg)})
+
+
+def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Process:
+    """Unfold one level of the named definition inside ``p``: every
+    ``Call(name, args)`` becomes ``body`` with the arguments substituted for
+    the parameters, all at once.  Other calls, and definitions that rebind
+    ``name``, are untouched."""
+
+    def go(p: Process) -> Process:
+        if type(p) is Call and p.name == name:
+            if len(p.args) != len(params):
+                raise SubstError(
+                    f"{name} expects {len(params)} arguments, got {len(p.args)}"
+                )
+            return _subst_free(body, {prm: _arg_put(prm, a) for prm, a in zip(params, p.args)})
+        if type(p) is Defs and name in p.names():
+            return p
+        chans, exprs, kids = layer(p)
+        return rebuild(p, chans, exprs, [go(k) for _, k in kids])
+
+    return go(p)
 
 
 # ---------------------------------------------------------------- term ==
