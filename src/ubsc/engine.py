@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -419,13 +420,24 @@ class _NodeFacts(NamedTuple):
     the node fires from its head and its own buffers.  ``heads`` holds the
     heads that join other nodes' buffers, as (rule, session, alt, state,
     endpoint looked up in the other nodes, detail); ``accepts`` maps a
-    shared name to the node's accept alternatives on it."""
+    shared name to the node's accept alternatives on it.
+
+    ``steps`` memoises the acting node's half of a step, keyed on (rule,
+    alt): a weak reference to the node's successor and the value the step
+    moves.  A search applies one redex to the same node object in sibling
+    state after sibling state; a hit gives back the successor object, whose
+    own facts are then already made.
+    Conn is left out, as its successor depends on ``state.fresh`` and on the
+    acceptors; so are the receivers, as memoising them sped up deep
+    early-state searches far more than late ones.  The reference is weak
+    so that a held node does not keep everything explored from it alive."""
     alts: tuple
     bufs: dict
     local: tuple
     heads: tuple
     accepts: dict
     at: dict  # node index -> the local redexes instantiated there
+    steps: dict  # (rule, alt) -> (weakref to the successor node, moved value)
 
 
 @v.memo_on_term
@@ -482,7 +494,7 @@ def _node_facts(node: t.NetworkNode) -> _NodeFacts:
                     continue
                 if t.process_sessions(taken) <= {b.ep.session for b in node.buffers}:
                     local.append(("True" if taken is tp else "False", "-", ai, ()))
-    return _NodeFacts(alts, bufs, tuple(local), tuple(heads), accepts, {})
+    return _NodeFacts(alts, bufs, tuple(local), tuple(heads), accepts, {}, {})
 
 
 def enabled_redexes(state: RunState) -> list:
@@ -533,11 +545,13 @@ def redex_footprint(state: RunState, r: Redex) -> int:
 
 # ------------------------------------------------------------- rule application
 
-# A search applies the same redex to the same node in one sibling state
-# after another, so the same (continuation, binder, value) comes round a few
-# applications apart.  A scheduler run rarely repeats one, and a larger
-# memo made its steps slower.  Conn's channel substitutions are not memoised:
-# that sped up early-state searches far more than late ones.
+# Keyed on (continuation, binder, value).  A node's own memo of its steps
+# (``_NodeFacts.steps``) serves a repeat on the same node object; this lru
+# serves equal nodes that are distinct objects, reached along different
+# paths of one search or in other searches of the process.  A scheduler
+# run rarely repeats one, and a larger memo made its steps slower.  Conn's
+# channel substitutions are not memoised: that sped up early-state
+# searches far more than late ones.
 _subst_value = lru_cache(maxsize=64)(t.subst_value)
 
 _HEAD_TYPES = {"Conn": t.Request, "Bcast": t.Send, "Sel": t.Select, "Ucast": t.Send,
@@ -568,12 +582,53 @@ def _moved_value(rule: str, head: t.Process, bufs: dict) -> Optional[v.Value]:
     return None
 
 
+def _sender_step(node: t.NetworkNode, facts: _NodeFacts, rule: str, head: t.Process,
+                 rebuild: Callable) -> tuple:
+    """The acting node after a step by any rule but Conn from ``head``, and
+    the value the step moves (None for the rules that move none)."""
+    if rule in ("True", "False", "BRec"):
+        # Rebuild the taken arm and drop the plain buffers it no longer uses.
+        # Aggregator buffers stay: typed processes may only discard plain
+        # endpoints, and the restriction's typing needs the aggregator side.
+        if rule == "BRec":  # the branch's own buffer goes too
+            body = rebuild(head.default_arm)
+            keep = t.process_sessions(body) - {facts.bufs[head.chan].ep.session}
+        else:
+            body = rebuild(head.then_p if rule == "True" else head.else_p)
+            keep = t.process_sessions(body)
+        bufs = tuple(b for b in node.buffers if b.ep.aggr or b.ep.session in keep)
+        return t.NetworkNode(body, bufs, pos=node.pos), None
+    own = facts.bufs[head.chan]
+    value = _moved_value(rule, head, facts.bufs)
+    if type(head) is t.Recv:  # Rcv, Gthr, Rec bind the moved value
+        body = _subst_value(head.body, head.bind, value)
+    elif rule == "Bra":
+        msg = own.queue[0]
+        assert isinstance(msg, t.LabMsg)
+        body = dict(head.arms)[msg.label]
+    else:
+        body = head.body
+    match rule:  # the own buffer's next (state, queue)
+        case "Rcv" | "Bra":
+            after = own.state, own.queue[1:]
+        case "Gthr":
+            after = own.state + 1, residual(own.queue, own.state)
+        case "Rec":
+            after = own.state + 1, ()
+        case _:  # Bcast, Sel, Ucast, Loss
+            after = own.state + 1, own.queue
+    return _set_buffer(t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
+                       t.Buffer(own.ep, *after)), value
+
+
 def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None) -> RunState:
     """Apply ``r`` with the chosen receiver subset (defaults to the full
     eligible family).  A Conn receiver opens the session with its first
     accept alternative on the shared name.  Every rule has one shape: the
     acting node replaces its head with a continuation and updates its own
-    buffer, and the receivers' buffers gain the message."""
+    buffer, and the receivers' buffers gain the message.  The acting node's
+    half of any rule but Conn is read from its ``steps`` memo while the
+    successor it made last is alive."""
     nodes = state.nodes
     chosen = tuple(sorted(r.receivers if chosen is None else chosen))
     if not set(chosen) <= set(r.receivers):
@@ -604,52 +659,24 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None) -> Ru
                                          pos=nodes[j].pos)
         return RunState(state.restricted + (sname,), tuple(new_nodes), state.fresh + 1)
 
-    if r.rule in ("True", "False", "BRec"):
-        # Rebuild the taken arm and drop the plain buffers it no longer uses.
-        # Aggregator buffers stay: typed processes may only discard plain
-        # endpoints, and the restriction's typing needs the aggregator side.
-        if r.rule == "BRec":  # the branch's own buffer goes too
-            body = rebuild(head.default_arm)
-            keep = t.process_sessions(body) - {facts.bufs[head.chan].ep.session}
-        else:
-            body = rebuild(head.then_p if r.rule == "True" else head.else_p)
-            keep = t.process_sessions(body)
-        bufs = tuple(b for b in node.buffers if b.ep.aggr or b.ep.session in keep)
-        new_nodes[r.sender] = t.NetworkNode(body, bufs, pos=node.pos)
-
+    kept = facts.steps.get(key := (r.rule, r.alt))
+    if kept is None or (succ := kept[0]()) is None:
+        succ, value = _sender_step(node, facts, r.rule, head, rebuild)
+        facts.steps[key] = weakref.ref(succ), value
     else:
-        own = facts.bufs[head.chan]
-        value = _moved_value(r.rule, head, facts.bufs)
-        if type(head) is t.Recv:  # Rcv, Gthr, Rec bind the moved value
-            body = _subst_value(head.body, head.bind, value)
-        elif r.rule == "Bra":
-            msg = own.queue[0]
-            assert isinstance(msg, t.LabMsg)
-            body = dict(head.arms)[msg.label]
-        else:
-            body = head.body
-        match r.rule:  # the own buffer's next (state, queue)
-            case "Rcv" | "Bra":
-                after = own.state, own.queue[1:]
-            case "Gthr":
-                after = own.state + 1, residual(own.queue, own.state)
-            case "Rec":
-                after = own.state + 1, ()
-            case _:  # Bcast, Sel, Ucast, Loss
-                after = own.state + 1, own.queue
-        new_nodes[r.sender] = _set_buffer(t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
-                                          t.Buffer(own.ep, *after))
-        if r.rule == "Ucast":  # tagged with the sender's state; ``chosen`` is not read
-            (j,) = r.receivers
-            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, True)]
+        value = kept[1]
+    new_nodes[r.sender] = succ
+    if r.rule == "Ucast":  # tagged with the sender's state; ``chosen`` is not read
+        (j,) = r.receivers
+        jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, True)]
+        new_nodes[j] = _set_buffer(nodes[j], t.Buffer(
+            jb.ep, jb.state, jb.queue + (t.TaggedMsg(facts.bufs[head.chan].state, value),)))
+    elif r.rule in ("Bcast", "Sel"):  # each chosen plain buffer advances
+        msg = t.ValMsg(value) if r.rule == "Bcast" else t.LabMsg(head.label)
+        for j in chosen:
+            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
             new_nodes[j] = _set_buffer(nodes[j], t.Buffer(
-                jb.ep, jb.state, jb.queue + (t.TaggedMsg(own.state, value),)))
-        elif r.rule in ("Bcast", "Sel"):  # each chosen plain buffer advances
-            msg = t.ValMsg(value) if r.rule == "Bcast" else t.LabMsg(head.label)
-            for j in chosen:
-                jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
-                new_nodes[j] = _set_buffer(nodes[j], t.Buffer(
-                    jb.ep, jb.state + 1, jb.queue + (msg,)))
+                jb.ep, jb.state + 1, jb.queue + (msg,)))
     return RunState(state.restricted, tuple(new_nodes), state.fresh)
 
 

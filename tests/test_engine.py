@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -302,3 +304,19 @@ def test_fresh_session_names_stable():
     a = eng.run_scheduler(net, cfg)
     b = eng.run_scheduler(net, cfg)
     assert a.final.restricted == b.final.restricted == ("s#0",)
+
+
+def test_step_memo_holds_successors_weakly():
+    """A node's memo of its steps does not keep a successor alive: once the
+    successor is dropped the same step builds an equal node again."""
+    state = eng.RunState.from_network(parse_network(
+        "[ s!<1>. s!<2>. 0 | s~0:[] ] || [ 0 | *s~0:[] ]"))
+    (r,) = [r for r in eng.enabled_redexes(state) if r.rule == "Loss"]
+    succ = eng.apply_redex(state, r)
+    node = succ.nodes[r.sender]
+    fields, ref = (node.process, node.buffers, node.pos), weakref.ref(node)
+    del succ, node
+    gc.collect()
+    assert ref() is None
+    again = eng.apply_redex(state, r).nodes[r.sender]
+    assert (again.process, again.buffers, again.pos) == fields

@@ -185,3 +185,25 @@ def test_sleep_sets_prune_applications(monkeypatch):
         _schedules(monkeypatch, bfs, searches)
         counts[label] = len(calls)
     assert counts["new"] <= 0.8 * counts["old"], counts
+
+
+def test_searches_reuse_sender_nodes(monkeypatch):
+    """Over the searches of one paxos5 run, the sender nodes ``apply_redex``
+    gives for non-Conn redexes are at most half as many objects as its
+    calls: a node's repeated step gives back the successor it made before.
+    Every result is held while counting, so no object's id is reused."""
+    searches = _searches(_reached_states(load_program("paxos5.ubsc").network, 0, 60))
+    apply, senders = eng.apply_redex, []
+
+    def applying(st, r):
+        nxt = apply(st, r)
+        if r.rule != "Conn":
+            senders.append(nxt.nodes[r.sender])
+        return nxt
+
+    monkeypatch.setattr(eng, "apply_redex", applying)
+    for fn, st, sess, c in searches:
+        fn(st, sess, c)
+    distinct = len(set(map(id, senders)))
+    assert senders
+    assert distinct <= len(senders) / 2, (distinct, len(senders))

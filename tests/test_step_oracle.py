@@ -164,3 +164,57 @@ def test_equal_nodes_keep_their_own_lines():
 ])
 def test_hand_written_states_match_oracle(text):
     _walk(parse_network(text), 9, 10)
+
+
+def _disjoint_sibling(state: eng.RunState, r: eng.Redex, redexes: list):
+    """The state after the first redex whose footprint is disjoint from
+    ``r``'s, which holds ``r``'s sender node as the same object; None when
+    no redex is."""
+    fp = eng.redex_footprint(state, r)
+    for q in redexes:
+        if not eng.redex_footprint(state, q) & fp:
+            return eng.apply_redex(state, q)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _repeats(name: str) -> frozenset:
+    """Apply each non-Conn redex of every state of seeded scheduler runs of
+    ``name`` from the state and again from a sibling state holding the same
+    sender node object; the rules repeated."""
+    net = eng.encode_network(_network(name))
+    states = []
+    for seed in (0, 1, 2):
+        states.append(eng.RunState.from_network(net))
+        eng.run_scheduler(net, eng.SchedulerConfig(seed=seed, max_steps=60), digests=False,
+                          on_step=lambda state, _: states.append(state))
+    repeated = set()
+    for state in states:
+        redexes = eng.enabled_redexes(state)
+        for r in redexes:
+            if r.rule == "Conn":
+                continue
+            first = _outcome(eng.apply_redex, state, r)
+            assert first == _outcome(oracle.apply_redex, state, r)
+            sibling = _disjoint_sibling(state, r, redexes)
+            if sibling is None:
+                continue
+            assert sibling.nodes[r.sender] is state.nodes[r.sender]
+            second = _outcome(eng.apply_redex, sibling, r)
+            assert second == _outcome(oracle.apply_redex, sibling, r)
+            assert second[0].nodes[r.sender] is first[0].nodes[r.sender]
+            repeated.add(r.rule)
+    return frozenset(repeated)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_repeated_steps_reuse_the_sender_node(name):
+    """Both results of a repeated step equal the oracle's, node lines
+    included, and the second gives back the first's sender node object."""
+    _repeats(name)
+
+
+def test_repeated_steps_cover_every_rule_but_conn():
+    repeated = frozenset().union(*map(_repeats, CORPUS))
+    assert repeated == {"Bcast", "Sel", "Ucast", "Gthr", "Rcv", "Bra",
+                        "Rec", "BRec", "Loss", "True", "False"}, repeated
