@@ -523,26 +523,6 @@ def enabled_redexes(state: RunState) -> list:
     return out
 
 
-def redex_footprint(state: RunState, r: Redex) -> int:
-    """The nodes ``r`` reads or writes, as a bit mask of node indices: the
-    sender for a local rule, with its receiver for Ucast, with every node
-    holding the plain endpoint of the session for Bcast and Sel (their
-    buffer states decide the receivers), and every node for Conn (every
-    node's heads decide the acceptors).  Redexes with disjoint footprints
-    stay enabled with equal fields after the other one, and commute."""
-    if r.rule == "Conn":
-        return (1 << len(state.nodes)) - 1
-    mask = 1 << r.sender
-    if r.rule == "Ucast":
-        mask |= 1 << r.receivers[0]
-    elif r.rule in ("Bcast", "Sel"):
-        ep = t.Endpoint(r.session, False)
-        for j, nd in enumerate(state.nodes):
-            if ep in _node_facts(nd).bufs:
-                mask |= 1 << j
-    return mask
-
-
 # ------------------------------------------------------------- rule application
 
 # Keyed on (continuation, binder, value).  A node's own memo of its steps

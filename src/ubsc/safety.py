@@ -9,9 +9,7 @@ and calls up to the engine's one unfolding bound.  A node with more than one
 alternative (a sum on its unfolded path) matches no prefix shape.
 
 The progress and recovery searches share one breadth-first search, keyed on
-the run states themselves and capped on the states it reaches, that uses
-sleep sets to apply two independent redexes (disjoint footprints) in one
-order only; it returns the schedule the search without them returns.
+the run states themselves and capped on the states it reaches.
 """
 
 from __future__ import annotations
@@ -257,43 +255,29 @@ def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
     """Breadth-first search over full-delivery reductions restricted to
     ``allowed`` rules; returns the schedule reaching ``target`` or None.
     ``cap`` bounds the number of states reached.  A state is its own key:
-    equal run states hold the same interned processes and buffers.
-
-    Two independent redexes (disjoint :func:`engine.redex_footprint`) are
-    applied in one order only, by sleep sets (Godefroid, LNCS 1032).  A
-    queued state's sleep set holds the redexes its parents had explored, or
-    slept on, independent of the redex reaching it; they are skipped.  Each
-    skipped successor is already reached: the other order reached it from
-    a state queued earlier.  So the search returns the schedule the full
-    search returns."""
-    sleep = {state: {}}  # reached state -> its sleep set {redex: footprint}, None once expanded
-    queue = deque([(state, [], sleep[state])])
+    equal run states hold the same interned processes and buffers."""
+    seen = {state}
+    queue = deque([(state, [])])
     while queue:
-        if len(sleep) > cap:
+        if len(seen) > cap:
             return None
-        cur, path, done = queue.popleft()  # done: slept on or explored here -> footprint
-        sleep[cur] = None
+        cur, path = queue.popleft()
         if len(path) >= bound:
             continue
         for r in eng.enabled_redexes(cur):
-            if r in done or not allowed(r):
+            if not allowed(r):
                 continue
             try:
                 nxt = eng.apply_redex(cur, r)
             except eng.EngineError:
                 continue
-            fp = eng.redex_footprint(cur, r)
-            asleep = {u: m for u, m in done.items() if not m & fp}
-            done[r] = fp
-            if (old := sleep.setdefault(nxt, asleep)) is not asleep:
-                if old:  # still queued: sleep only on what every way there allows
-                    for u in [u for u in old if u not in asleep]:
-                        del old[u]
+            if nxt in seen:
                 continue
+            seen.add(nxt)
             npath = path + [r]
             if target(nxt):
                 return npath
-            queue.append((nxt, npath, asleep))
+            queue.append((nxt, npath))
     return None
 
 

@@ -167,13 +167,16 @@ def test_hand_written_states_match_oracle(text):
 
 
 def _disjoint_sibling(state: eng.RunState, r: eng.Redex, redexes: list):
-    """The state after the first redex whose footprint is disjoint from
-    ``r``'s, which holds ``r``'s sender node as the same object; None when
-    no redex is."""
-    fp = eng.redex_footprint(state, r)
+    """The state after the first other redex that leaves ``r``'s sender
+    node the same object and ``r`` enabled with equal fields; None when no
+    redex does."""
     for q in redexes:
-        if not eng.redex_footprint(state, q) & fp:
-            return eng.apply_redex(state, q)
+        if q == r:
+            continue
+        sibling = eng.apply_redex(state, q)
+        if sibling.nodes[r.sender] is state.nodes[r.sender] \
+                and r in eng.enabled_redexes(sibling):
+            return sibling
     return None
 
 
