@@ -23,7 +23,7 @@ from . import safety as sf
 from . import terms as t
 from . import values as v
 from .render import render_network
-from .syntax import UBSCSyntaxError, _Parser, lex, parse, pretty_print
+from .syntax import UBSCSyntaxError, parse, parse_declared, pretty_print
 
 
 def _color(s: str, code: str) -> str:
@@ -32,37 +32,6 @@ def _color(s: str, code: str) -> str:
     if not sys.stdout.isatty() and "UBSC_COLOR" not in os.environ:
         return s
     return f"\033[{code}m{s}\033[0m"
-
-
-def parse_declared(text: str, type_decls=None) -> dict:
-    """Parse a declared linear context: ``*s:(1, end), s:(1, !int.end)``."""
-    p = _Parser(lex(text))
-    p.type_decls = dict(type_decls or {})
-    out = {}
-    while True:
-        start = p.peek()
-        aggr = False
-        if p.at("*"):
-            p.next()
-            aggr = True
-        name = p.name()
-        ep = t.Endpoint(name, aggr)
-        if ep in out:
-            p.fail(f"endpoint {'*' if aggr else ''}{name} declared twice", start)
-        p.expect(":")
-        p.expect("(")
-        ctok = p.next()
-        if ctok.kind != "int":
-            p.fail("expected a state counter", ctok)
-        p.expect(",")
-        ty = p.stype(frozenset())
-        p.expect(")")
-        out[ep] = (int(ctok.text), ty)
-        if p.at(","):
-            p.next()
-            continue
-        break
-    return p.whole(out)
 
 
 def _load(path: str):

@@ -26,8 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import terms as t
 from . import values as v
-from .render import (_HOLE, _NO_BINDERS, _canon_body, _canon_defs, _canon_text, _Holes,
-                     _NameOrder, canon_process, render_buffer, render_network, render_value)
+from .render import canon_renamed, process_template, render_buffer, render_network, render_value
 
 
 class EngineError(Exception):
@@ -86,58 +85,10 @@ def has_recover(p: t.Process) -> bool:
 # ------------------------------------------------------------- canonical form
 
 # A node's canonical rendering under a renaming of its names is assembled
-# from parts kept across node versions.  Its process is a template: the
-# canonical text with every name ``n`` written as the hole ``\0n\0``, filled
-# under the renaming.  Its finished buffers form one block shared by every
-# version, filled column by column when the renaming changes; only its few
-# live buffers are rendered one at a time.  The memo keys follow Maziarz et
-# al., "Hashing Modulo Alpha-Equivalence" (PLDI 2021): a term's template
-# depends on its structure, and names enter only through the fill.
-
-def _checked(text: str, holes: _Holes) -> Optional[str]:
-    """``text`` when it holds exactly the hole marks its holes made; None
-    when it holds more (a string value holding one)."""
-    return text if text.count(_HOLE) == 2 * holes.count else None
-
-
-@lru_cache(maxsize=256)
-def _defs_block(defs: tuple) -> Optional[tuple]:
-    """Template of the canonical ``def ... in `` text of a top-level
-    definitions block, with the binder map and counter it hands to the body;
-    None when it has no exact template."""
-    holes, counter = _Holes(), [0]
-    try:
-        text, env = _canon_defs(defs, {}, counter, holes)
-    except _NameOrder:
-        return None
-    text = _checked(text, holes)
-    return None if text is None else (text, env, counter[0])
-
-
-@lru_cache(maxsize=2048)
-def _process_template(p: t.Process) -> Optional[tuple]:
-    """Template of the canonical rendering of ``p``, split at the holes (the
-    names at the odd indices), and its names; the definitions block's part
-    is made once per block.  None when ``p`` has no exact template: a sum's
-    order depends on its names, or a string value holds a hole mark."""
-    if type(p) is t.Defs:
-        block = _defs_block(p.defs)
-        if block is None:
-            return None
-        head, env, n = block
-        canon, body = _canon_body, p.body
-    else:
-        head, env, n, canon, body = "", _NO_BINDERS, 0, _canon_text, p
-    holes = _Holes(env)
-    try:
-        text = _checked(canon(body, env, [n], holes), holes)
-    except _NameOrder:
-        return None
-    if text is None:
-        return None
-    parts = tuple((head + text).split(_HOLE))
-    return parts, frozenset(parts[1::2])
-
+# from parts kept across node versions: its process's template, filled by
+# ``render.canon_renamed``; its finished buffers, one block shared by every
+# version, filled column by column when the renaming changes; and its few
+# live buffers, rendered one at a time.
 
 @v.memo_on_term
 def _buffer_tail(b: t.Buffer) -> str:
@@ -155,13 +106,11 @@ class _Block:
 
     __slots__ = ("bufs", "sessions", "marks", "tails", "sorted", "outs")
 
-    def __init__(self, bufs: tuple, old: Optional["_Block"] = None):
-        new = bufs[len(old.bufs):] if old else bufs
-        sessions, marks, tails = (old.sessions, old.marks, old.tails) if old else ((), (), ())
+    def __init__(self, bufs: tuple):
         self.bufs = bufs
-        self.sessions = sessions + tuple(map(_SESSION, new))
-        self.marks = marks + tuple(map(("", "*").__getitem__, map(_AGGR, new)))
-        self.tails = tails + tuple(map(_buffer_tail, new))
+        self.sessions = tuple(map(_SESSION, bufs))
+        self.marks = tuple(map(("", "*").__getitem__, map(_AGGR, bufs)))
+        self.tails = tuple(map(_buffer_tail, bufs))
         self.sorted = tuple(sorted(set(self.sessions)))
         self.outs = [(None, None), (None, None)]
 
@@ -177,11 +126,11 @@ _NO_BLOCK = _Block(())
 
 def _block(bufs: tuple, live: tuple) -> _Block:
     """The block of the node buffers ``bufs`` not ``live``: the one kept on
-    the first if it holds them, else made, extending it if it holds a prefix."""
+    the first if it holds them, else made."""
     fin = tuple(compress(bufs, map(not_, live)))
     old = getattr(fin[0], "_block", None) if fin else _NO_BLOCK
     if old is None or old.bufs != fin:
-        old = _Block(fin, old if old is not None and old.bufs == fin[:len(old.bufs)] else None)
+        old = _Block(fin)
         object.__setattr__(fin[0], "_block", old)
     return old
 
@@ -197,7 +146,8 @@ class _NodeDigest:
 
 @v.memo_on_term
 def _node_digest(node: t.NetworkNode) -> _NodeDigest:
-    named, bufs = _named(node.process), node.buffers
+    tpl, bufs = process_template(node.process), node.buffers  # named: the template's holes
+    named = tpl[1] if tpl else frozenset().union(*t.process_facts(node.process)[:2])
     flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
     f = _NodeDigest()
     f.named, f.block, f.last = named, _block(bufs, flags), [(None, None, None), (None, None, None)]
@@ -209,25 +159,13 @@ def _node_digest(node: t.NetworkNode) -> _NodeDigest:
     return f
 
 
-def _named(p: t.Process) -> frozenset:
-    """The session and shared names in ``p``: its template's holes, if any."""
-    tpl = _process_template(p)
-    return tpl[1] if tpl else frozenset().union(*t.process_facts(p)[:2])
-
-
 def _render(node: t.NetworkNode, live: list, ren: dict, ents: list) -> str:
-    """Canonical text of ``node`` under ``ren``: its process template filled
-    (or its process renamed and canonicalised), then its sorted buffers:
-    ``ents`` merged with the ``live`` parts, rendered here one at a time."""
-    if (tpl := _process_template(node.process)) is None:
-        proc = canon_process(t.rename_node_sessions(node, ren).process)
-    else:
-        parts = list(tpl[0])
-        parts[1::2] = map(ren.get, parts[1::2], parts[1::2])
-        proc = "".join(parts)
+    """Canonical text of ``node`` under ``ren``: its process's, then its
+    sorted buffers: ``ents`` merged with the ``live`` parts, rendered here
+    one at a time."""
     bufs = ents + [((nm := ren.get(s, s)), m, r, i, m + nm + tail) for s, m, r, i, tail in live]
     bufs.sort()
-    return "[ " + " | ".join([proc, *map(_TEXT, bufs)]) + " ]"
+    return "[ " + " | ".join([canon_renamed(node.process, ren), *map(_TEXT, bufs)]) + " ]"
 
 
 def _renamed(node: t.NetworkNode, f: _NodeDigest, ren: dict, slot: int) -> str:
@@ -247,27 +185,33 @@ def _renamed(node: t.NetworkNode, f: _NodeDigest, ren: dict, slot: int) -> str:
 @lru_cache(maxsize=2048)  # with _node_render, bounds how long old nodes and their facts live
 def _node_names(node: t.NetworkNode) -> frozenset:
     """Session and shared names of a node: its process's and its buffers'."""
-    return _named(node.process).union(map(_SESSION, node.buffers))
+    return frozenset(_node_digest(node).meets)
 
 
 @lru_cache(maxsize=4096)
 def _node_render(node: t.NetworkNode, ren_items: tuple) -> str:
-    """Canonical text of ``node`` renamed by ``ren_items``, every buffer
-    rendered; :func:`canonical_text` reads it only to break ties."""
-    live = [(b.ep.session, "*" if b.ep.aggr else "", 0, i, _buffer_tail(b))
-            for i, b in enumerate(node.buffers)]
-    return _render(node, live, dict(ren_items), [])
+    """Canonical text of ``node`` renamed by ``ren_items``, made from its
+    digest record; it orders :func:`normal_nodes`."""
+    f, ren = _node_digest(node), dict(ren_items)
+    return _render(node, f.live, ren, f.block.fill(ren))
+
+
+def normal_nodes(nodes, key: Callable = lambda nd: _node_render(nd, ())) -> list:
+    """``nodes`` without unit nodes (the unit node alone when none is left),
+    sorted by ``key``: by default by their canonical text, which is
+    congruence normal order."""
+    kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
+    return sorted(kept or [t.NetworkNode(t.Inact(), ())], key=key)
 
 
 def normalize(n: t.Network) -> t.Network:
     """Congruence normal form: restrictions hoisted, parallel flattened,
-    unit nodes and dead restrictions dropped, and the nodes sorted by their
-    canonical text.  The nodes are the input's own objects: their buffers
-    and sums stay in the order written.  The network carries its parts, so
-    ``flatten_nodes`` reads them back without a walk."""
+    unit nodes and dead restrictions dropped, and the nodes in normal order.
+    The nodes are the input's own objects: their buffers and sums stay in
+    the order written.  The network carries its parts, so ``flatten_nodes``
+    reads them back without a walk."""
     restricted, nodes = t.flatten_nodes(n)
-    kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
-    keyed = sorted(kept or [t.NetworkNode(t.Inact(), ())], key=lambda nd: _node_render(nd, ()))
+    keyed = normal_nodes(nodes)
     live = frozenset().union(*map(_node_names, keyed))
     return t.assemble(tuple(r for r in restricted if r in live), tuple(keyed))
 
@@ -277,15 +221,16 @@ def canonical_text(restricted, nodes) -> str:
     restrictions dropped, nodes sorted by a name-insensitive key, restricted
     names assigned canonically by first appearance (iterated to a fixpoint so
     the result does not depend on the input naming)."""
-    kept = [nd for nd in nodes if not (isinstance(nd.process, t.Inact) and not nd.buffers)]
-    kept = kept or [t.NetworkNode(t.Inact(), ())]
-    recs = list(map(_node_digest, kept))
     rset, mask = _restricted(tuple(restricted))
-    keys = [f.last[0][2] if f.last[0][0] is mask else _renamed(nd, f, mask, 0)  # "?" each
-            for nd, f in zip(kept, recs)]
-    if len(set(keys)) < len(keys):  # ties under the mask fall to the plain text
-        keys = [(k, _node_render(nd, ())) for k, nd in zip(keys, kept)]
-    order = [(kept[i], recs[i]) for i in sorted(range(len(keys)), key=keys.__getitem__)]
+
+    def masked(nd: t.NetworkNode) -> str:  # the node's text with "?" for each restricted name
+        f = _node_digest(nd)
+        return f.last[0][2] if f.last[0][0] is mask else _renamed(nd, f, mask, 0)
+
+    kept = normal_nodes(nodes, masked)
+    if len(set(map(masked, kept))) < len(kept):  # ties under the mask keep normal order
+        kept = sorted(normal_nodes(nodes), key=masked)
+    order = [(nd, _node_digest(nd)) for nd in kept]
     for _ in range(4):
         assigned, binders = _assignment(rset, tuple(f.meets for _, f in order))
         texts = [f.last[1][2] if f.last[1][0] is assigned else _renamed(nd, f, assigned, 1)
@@ -314,12 +259,11 @@ def _assignment(rset: frozenset, meets: tuple) -> tuple:
 
 
 def canonical_render(n: t.Network) -> str:
-    restricted, nodes = t.flatten_nodes(n)
-    return canonical_text(restricted, nodes)
+    return canonical_text(*t.flatten_nodes(n))
 
 
 def digest(n: t.Network) -> str:
-    return hashlib.sha256(canonical_render(n).encode("utf-8")).hexdigest()[:16]
+    return RunState.from_network(n).digest()
 
 
 def networks_equivalent(a: t.Network, b: t.Network) -> bool:
@@ -359,10 +303,6 @@ _MAX_UNFOLD = 16
 
 @lru_cache(maxsize=65536)
 def alternatives(p: t.Process) -> tuple:
-    return tuple(_alternatives(p))
-
-
-def _alternatives(p: t.Process) -> list:
     """Head alternatives of a process: (head, rebuild) pairs where rebuild
     reinstates the surrounding definition context around a reduced head.
     Sum alternatives discard the other summands; calls unfold through their
@@ -391,7 +331,7 @@ def _alternatives(p: t.Process) -> list:
                 out.append((p, rebuild))
 
     go(p, (), lambda x: x, 0)
-    return out
+    return tuple(out)
 
 
 # ------------------------------------------------------------- redexes

@@ -2,15 +2,17 @@
 
 A process is written by one walk, :func:`_canon_text`: as written by
 :func:`render_process`, canonically by :func:`canon_process`, and as the
-name templates of the engine's digests.  A printed process or expression
-parses back to the same term, with its sums right-nested and its binary
-operators left-nested at the levels of :data:`values.OP_LEVEL`, so printing
-the parse of a printed text gives that text again.
+templates of :func:`process_template` that digests fill.  A printed
+process or expression parses back to the same term, with its sums
+right-nested and its binary operators left-nested at the levels of
+:data:`values.OP_LEVEL`, so printing the parse of a printed text gives that
+text again.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Optional
 
 from . import sestypes as st
@@ -312,6 +314,67 @@ def canon_process(p: t.Process) -> str:
     """Canonical text of a process: equal exactly for alpha-equivalent
     processes."""
     return _canon_text(p, {}, [0])
+
+
+# A process's template is its canonical text with every name ``n`` written
+# as the hole ``\0n\0``, filled under a renaming of its names.  The memo
+# keys follow Maziarz et al., "Hashing Modulo Alpha-Equivalence" (PLDI
+# 2021): a term's template depends on its structure, and names enter only
+# through the fill.
+
+def _checked(text: str, holes: _Holes) -> Optional[str]:
+    """``text`` when it holds exactly the hole marks its holes made; None
+    when it holds more (a string value holding one)."""
+    return text if text.count(_HOLE) == 2 * holes.count else None
+
+
+@lru_cache(maxsize=256)
+def _defs_block(defs: tuple) -> Optional[tuple]:
+    """Template of the canonical ``def ... in `` text of a top-level
+    definitions block, with the binder map and counter it hands to the body;
+    None when it has no exact template."""
+    holes, counter = _Holes(), [0]
+    try:
+        text, env = _canon_defs(defs, {}, counter, holes)
+    except _NameOrder:
+        return None
+    text = _checked(text, holes)
+    return None if text is None else (text, env, counter[0])
+
+
+@lru_cache(maxsize=2048)
+def process_template(p: t.Process) -> Optional[tuple]:
+    """Template of the canonical rendering of ``p``, split at the holes (the
+    names at the odd indices), and its names; the definitions block's part
+    is made once per block.  None when ``p`` has no exact template: a sum's
+    order depends on its names, or a string value holds a hole mark."""
+    if type(p) is t.Defs:
+        block = _defs_block(p.defs)
+        if block is None:
+            return None
+        head, env, n = block
+        canon, body = _canon_body, p.body
+    else:
+        head, env, n, canon, body = "", _NO_BINDERS, 0, _canon_text, p
+    holes = _Holes(env)
+    try:
+        text = _checked(canon(body, env, [n], holes), holes)
+    except _NameOrder:
+        return None
+    if text is None:
+        return None
+    parts = tuple((head + text).split(_HOLE))
+    return parts, frozenset(parts[1::2])
+
+
+def canon_renamed(p: t.Process, ren: dict) -> str:
+    """Canonical text of ``p`` with its names renamed by ``ren``: its
+    template filled, or, without one, ``p`` renamed and canonicalised."""
+    if (tpl := process_template(p)) is None:
+        return canon_process(t.rename_node_sessions(t.NetworkNode(p, ()), ren).process)
+    parts = list(tpl[0])
+    parts[1::2] = map(ren.get, parts[1::2], parts[1::2])
+    return "".join(parts)
 
 
 def render_msg(m) -> str:

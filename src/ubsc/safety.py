@@ -52,7 +52,7 @@ class SafetyReport:
     @property
     def classification(self) -> dict:
         if self._classification is None:
-            self._classification = _scan(_normal_order(self._nodes))[0]
+            self._classification = _scan(eng.normal_nodes(self._nodes))[0]
         return self._classification
 
     def _key(self) -> tuple:
@@ -136,14 +136,9 @@ def is_error_network(n: t.Network) -> SafetyReport:
     _, violations, witness = _scan(nodes)
     if witness is None and not violations:
         return SafetyReport("ok", nodes=nodes)
-    classification, violations, witness = _scan(_normal_order(nodes))
+    classification, violations, witness = _scan(eng.normal_nodes(nodes))
     return SafetyReport("error-network" if witness else "ok", witness, classification,
                         violations)
-
-
-def _normal_order(nodes: tuple) -> tuple:
-    """Flattened ``nodes`` as ``engine.normalize`` numbers them."""
-    return t.flatten_nodes(eng.normalize(t.assemble((), nodes)))[1]
 
 
 def _scan(nodes) -> tuple:

@@ -310,12 +310,18 @@ def well_formed(ctx: dict) -> bool:
 # ---------------------------------------------------------------- context advancement
 
 def _dual_steps(ctx: dict, session: str):
-    """Successor contexts from one communication step on ``session``."""
-    ag = Endpoint(session, True)
-    pl = Endpoint(session, False)
-    if ag not in ctx or pl not in ctx:
+    """Successor contexts from one communication step on ``session``.  An
+    aggregator whose plain endpoints were all dropped steps alone; the
+    residual context hides this under restriction."""
+    ag, pl = Endpoint(session, True), Endpoint(session, False)
+    if ag not in ctx:
         return
-    (ca, ta), (cp, tp) = ctx[ag], ctx[pl]
+    ca, ta = ctx[ag]
+    if pl not in ctx:
+        for cont in sorted(advance(ta, 1), key=repr):
+            yield {**ctx, ag: (ca + 1, cont)}
+        return
+    cp, tp = ctx[pl]
     if ca != cp:
         return
     ua, up = unfold(ta), unfold(tp)
@@ -334,7 +340,7 @@ def _dual_steps(ctx: dict, session: str):
 
 
 def context_advance(ctx: dict) -> list:
-    """One-step successors of a linear context: dual communication steps per
+    """One-step successors of a linear context: communication steps per
     session plus dropping any subset of plain entries (the empty drop gives
     reflexivity).  Exponential in the number of plain entries; intended for
     the small contexts of tests and harnesses."""
@@ -351,12 +357,6 @@ def context_advance(ctx: dict) -> list:
     for s in sorted(sessions):
         for d in _dual_steps(ctx, s):
             emit(d)
-        # an aggregator whose plain endpoints were all dropped steps alone
-        ag, pl = Endpoint(s, True), Endpoint(s, False)
-        if ag in ctx and pl not in ctx:
-            ca, ta = ctx[ag]
-            for cont in sorted(advance(ta, 1), key=repr):
-                emit({**ctx, ag: (ca + 1, cont)})
     plains = sorted([ep for ep in ctx if not ep.aggr], key=lambda e: e.session)
     if len(plains) <= 12:
         for mask in range(len(plains) and (1 << len(plains)) or 1):
@@ -373,31 +373,29 @@ def contexts_equal(a: dict, b: dict) -> bool:
     return all(a[ep][0] == b[ep][0] and types_equal(a[ep][1], b[ep][1]) for ep in a)
 
 
-def advances_to(before: dict, after: dict, allow_fresh=True) -> bool:
+def advances_to(before: dict, after: dict) -> bool:
     """Decision procedure for single-step context advancement, extended (for
     the preservation harness) with session creation: ``after`` may add a
     fresh dual endpoint pair at state 0."""
-    if allow_fresh:
-        extra = set(after) - set(before)
-        if extra:
-            extra_sessions = {ep.session for ep in extra}
-            if any(ep.session in extra_sessions for ep in before):
-                return False
-            for s in extra_sessions:
-                ag, pl = Endpoint(s, True), Endpoint(s, False)
-                members = {ep for ep in extra if ep.session == s}
-                if members == {ag, pl}:
-                    ca, ta = after[ag]
-                    cp, tp = after[pl]
-                    if not (ca == cp == 0 and types_equal(tp, dual(ta))):
-                        return False
-                elif members == {ag}:
-                    if after[ag][0] != 0:
-                        return False
-                else:
+    extra = set(after) - set(before)
+    if extra:
+        extra_sessions = {ep.session for ep in extra}
+        if any(ep.session in extra_sessions for ep in before):
+            return False
+        for s in extra_sessions:
+            ag, pl = Endpoint(s, True), Endpoint(s, False)
+            members = {ep for ep in extra if ep.session == s}
+            if members == {ag, pl}:
+                ca, ta = after[ag]
+                cp, tp = after[pl]
+                if not (ca == cp == 0 and types_equal(tp, dual(ta))):
                     return False
-            trimmed = {ep: v for ep, v in after.items() if ep not in extra}
-            return advances_to(before, trimmed, allow_fresh=False)
+            elif members == {ag}:
+                if after[ag][0] != 0:
+                    return False
+            else:
+                return False
+        after = {ep: v for ep, v in after.items() if ep not in extra}
     if contexts_equal(before, after):
         return True
     # dropped plain entries only
@@ -407,23 +405,12 @@ def advances_to(before: dict, after: dict, allow_fresh=True) -> bool:
             {ep: v for ep, v in before.items() if ep not in dropped}, after
         ):
             return True
-    # one dual communication step on a single session
+    # one communication step on a single session
     if set(after) == set(before):
         diff = [ep for ep in before if not (
             before[ep][0] == after[ep][0] and types_equal(before[ep][1], after[ep][1])
         )]
         sessions = {ep.session for ep in diff}
         if len(sessions) == 1:
-            s = sessions.pop()
-            for d in _dual_steps(before, s):
-                if contexts_equal(d, after):
-                    return True
-            # an aggregator whose plain endpoints have all been dropped may
-            # step alone; the residual context hides this under restriction
-            ag, pl = Endpoint(s, True), Endpoint(s, False)
-            if diff == [ag] and pl not in before and pl not in after:
-                ca, ta = before[ag]
-                cb, tb = after[ag]
-                if cb == ca + 1 and any(types_equal(u, tb) for u in advance(ta, 1)):
-                    return True
+            return any(contexts_equal(d, after) for d in _dual_steps(before, sessions.pop()))
     return False

@@ -585,6 +585,37 @@ def parse_type(text: str, decls=None) -> st.SessionType:
     return p.whole(p.stype(frozenset()))
 
 
+def parse_declared(text: str, type_decls=None) -> dict:
+    """Parse a declared linear context: ``*s:(1, end), s:(1, !int.end)``."""
+    p = _Parser(lex(text))
+    p.type_decls = dict(type_decls or {})
+    out = {}
+    while True:
+        start = p.peek()
+        aggr = False
+        if p.at("*"):
+            p.next()
+            aggr = True
+        name = p.name()
+        ep = t.Endpoint(name, aggr)
+        if ep in out:
+            p.fail(f"endpoint {'*' if aggr else ''}{name} declared twice", start)
+        p.expect(":")
+        p.expect("(")
+        ctok = p.next()
+        if ctok.kind != "int":
+            p.fail("expected a state counter", ctok)
+        p.expect(",")
+        ty = p.stype(frozenset())
+        p.expect(")")
+        out[ep] = (int(ctok.text), ty)
+        if p.at(","):
+            p.next()
+            continue
+        break
+    return p.whole(out)
+
+
 def pretty_print(prog: SourceProgram) -> str:
     lines = []
     for n, ty in prog.type_decls.items():

@@ -164,7 +164,7 @@ def test_redigest_renders_no_node():
 
 
 def _fresh_caches():
-    for fn in (eng._process_template, eng._defs_block, eng._node_render):
+    for fn in (render.process_template, render._defs_block, eng._node_render):
         fn.cache_clear()
 
 
@@ -174,7 +174,7 @@ def test_name_ordered_sum_falls_back():
     under every naming."""
     _fresh_caches()
     node = parse_network("[ s!<1>. 0 + u!<1>. 0 | s~0:[] | u~0:[] ]")
-    assert eng._process_template(node.process) is None
+    assert render.process_template(node.process) is None
     for names in (("s", "u"), ("u", "s")):
         nodes = (node,)
         assert eng.canonical_text(names, nodes) == oracle.canonical_text(names, nodes)
@@ -184,14 +184,14 @@ def test_name_ordered_sum_falls_back():
 
 def test_sum_ordered_by_text_before_holes_keeps_template():
     node = parse_network("[ def D(x) = 0, E(y) = 0 in (E(u) + D(s)) | s~0:[] | u~0:[] ]")
-    assert eng._process_template(node.process) is not None
+    assert render.process_template(node.process) is not None
     for ren in ((), (("s", "z"),), (("s", "?"), ("u", "?")), (("s", "r1"), ("u", "r0"))):
         assert eng._node_render(node, ren) == oracle._node_render(node, ren)
 
 
 def test_hole_mark_in_string_value_falls_back():
     node = parse_network('[ s!<"a\x00s\x00b">. 0 | s~0:[] ]')
-    assert eng._process_template(node.process) is None
+    assert render.process_template(node.process) is None
     assert eng.canonical_text(("s",), (node,)) == oracle.canonical_text(("s",), (node,))
     assert "\x00" in eng._node_render(node, (("s", "r0"),))
 
@@ -209,7 +209,7 @@ def test_definition_block_shared_across_processes():
     states = _reached("paxos5.ubsc", 3, 120)
     for state in states:
         eng.canonical_text(state.restricted, state.nodes)
-    info = eng._defs_block.cache_info()
+    info = render._defs_block.cache_info()
     assert info.currsize <= 5 < info.hits
 
 
@@ -317,6 +317,32 @@ def test_long_run_states_match_oracle(long_run):
             _assert_normal_form_matches_oracle(n)
         if variant:
             assert eng.networks_equivalent(*nets) == (texts[0] == texts[1])
+
+
+def test_long_run_node_texts_match_oracle(long_run):
+    """``_node_render`` and ``_node_names``, made from each node's digest
+    record, against the oracle on every node of the kept states: under no
+    renaming, the mask, and the state's canonical ``r<i>`` assignment.  Most
+    of these nodes hold finished and live buffers of one polarity, which tie
+    under the mask, so the record's sort entries must keep node order on
+    ties.  In these states a node's live buffers follow its finished ones;
+    the last node here has them in between."""
+    mixed = 0
+    for state in long_run.kept:
+        eng.canonical_text(state.restricted, state.nodes)
+        assigned = eng._node_digest(state.nodes[0]).last[1][0]
+        mask = tuple((s, "?") for s in state.restricted)
+        for nd in state.nodes:
+            f = eng._node_digest(nd)
+            mixed += bool(f.live and f.block.bufs)
+            assert eng._node_names(nd) == oracle._node_names(nd)
+            for ren in ((), mask, tuple(assigned.items())):
+                assert eng._node_render(nd, ren) == oracle._node_render(nd, ren)
+    assert mixed > len(long_run.kept)
+    node = parse_network("[ s!<1>. 0 | s~0:[] | u~0:[] | *s~0:[] | *u~1:[] ]")
+    assert [r for _, _, r, _, _ in eng._node_digest(node).live] == [-1, 0]
+    for ren in ((), (("s", "?"), ("u", "?")), (("s", "r1"), ("u", "r0"))):
+        assert eng._node_render(node, ren) == oracle._node_render(node, ren)
 
 
 def _assert_normal_form_matches_oracle(net: t.Network) -> None:
