@@ -94,7 +94,7 @@ class _DefEntry:
 
     def __init__(self, name, params, body, env):
         self.name, self.params, self.body, self.env = name, params, body, env
-        self.sig = None  # list of ("expr", BaseType) | ("chan", aggr, SessionType)
+        self.sig = None  # tuple of ("expr", BaseType) | ("chan", aggr, SessionType)
         self.checked = False
 
 
@@ -119,9 +119,10 @@ _free_chans = lru_cache(maxsize=65536)(lambda p: frozenset(t.free_chans(p)))
 @lru_cache(maxsize=256)
 def _def_slot(key: tuple) -> list:
     """The slot of one definition check, keyed on (body, params, signature,
-    scope, vars): empty until the check has run, then holding its trace
-    segment or failure.  Definition bodies recur unchanged across the states
-    of a run."""
+    scope, vars, shared channels, and the signature and checked flag of each
+    definition in scope): empty until the check has run, then holding its
+    failure, or its trace segment and those signatures and flags after it.
+    Definition bodies recur unchanged across the states of a run."""
     return []
 
 
@@ -194,7 +195,6 @@ class _ProcessChecker:
     def __init__(self, gamma: Gamma, trace: list):
         self.gamma = gamma
         self.trace = trace
-        self.fresh = itertools.count()
 
     # -- helpers ---------------------------------------------------------
     def _shed_end(self, delta: dict, p: t.Process) -> dict:
@@ -223,13 +223,6 @@ class _ProcessChecker:
                                  f"cannot {verb}")
         return ty
 
-    def _rebind(self, body: t.Process, bind: str, aggr: bool, delta: dict):
-        """Alpha-rename a channel binder that clashes with the context."""
-        if any(isinstance(k, t.ChanVar) and k.name == bind for k in delta):
-            fresh = f"{bind}%{next(self.fresh)}"
-            return t.subst_ident(body, bind, t.ChanVar(fresh, aggr)), fresh
-        return body, bind
-
     # -- main ------------------------------------------------------------
     def check(self, vars_ctx: dict, defenv: tuple, delta: dict, p: t.Process):
         delta = self._shed_end(delta, p)
@@ -257,7 +250,6 @@ class _ProcessChecker:
                 if a not in self.gamma.shared:
                     raise TypeFail(rule, f"undeclared shared channel {a}")
                 self.trace.append(RuleApp(rule, a, len(delta)))
-                body, x = self._rebind(body, x, aggr, delta)
                 ty = self.gamma.shared[a]
                 ty = st.dual(ty) if aggr else ty
                 return self.check(vars_ctx, defenv, {**delta, t.ChanVar(x, aggr): ty}, body)
@@ -357,7 +349,7 @@ class _ProcessChecker:
                             sig.append(("chan", a.aggr, delta[a]))
                         else:
                             sig.append(("expr", expr_type(a)))
-                    entry.sig = sig
+                    entry.sig = tuple(sig)
                 self.trace.append(RuleApp("TVar", name, len(delta)))
                 used = dict(delta)
                 for a, s in zip(args, entry.sig):
@@ -392,15 +384,20 @@ class _ProcessChecker:
 
     def _check_def_body(self, entry: _DefEntry):
         scope = tuple(defs for defs, _ in entry.env)
-        key = (entry.body, entry.params, tuple(entry.sig), scope,
-               tuple(sorted(self.gamma.vars.items(), key=lambda kv: kv[0])))
+        entries = [e for _, frame in entry.env for e in frame.values()]
+        key = (entry.body, entry.params, entry.sig, scope,
+               tuple(sorted(self.gamma.vars.items(), key=lambda kv: kv[0])),
+               tuple(sorted(self.gamma.shared.items(), key=lambda kv: kv[0])),
+               tuple((e.sig, e.checked) for e in entries))
         slot = _def_slot(key)
         if slot:
-            ok, payload = slot[0]
-            if ok:
-                self.trace.extend(payload)
-                return
-            raise TypeFail(payload.rule, payload.reason, payload.where)
+            ok, payload, seeded = slot[0]
+            if not ok:
+                raise TypeFail(payload.rule, payload.reason, payload.where)
+            self.trace.extend(payload)
+            for e, (sig, checked) in zip(entries, seeded):
+                e.sig, e.checked = sig, checked
+            return
         vars_ctx = dict(self.gamma.vars)
         delta = {}
         for prm, s in zip(entry.params, entry.sig):
@@ -412,9 +409,10 @@ class _ProcessChecker:
         try:
             self.check(vars_ctx, entry.env, delta, entry.body)
         except TypeFail as e:
-            slot.append((False, e))
+            slot.append((False, e, None))
             raise
-        slot.append((True, tuple(self.trace[mark:])))
+        slot.append((True, tuple(self.trace[mark:]),
+                     tuple((e.sig, e.checked) for e in entries)))
 
 
 def type_process(gamma: Gamma, delta: dict, p: t.Process,

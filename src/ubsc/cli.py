@@ -61,15 +61,12 @@ def _lint_unit_sends(net: t.Network):
     when a payload is literally unit."""
     unit = v.Lit(v.UNIT)
     hits = []
-
-    def walk_p(p):
+    stack = [nd.process for nd in reversed(t.flatten_nodes(net)[1])]
+    while stack:  # in preorder, each node's kids in layer order
+        p = stack.pop()
         if type(p) is t.Send and p.expr == unit:
             hits.append(p.chan)
-        for _, k in t.layer(p)[2]:
-            walk_p(k)
-
-    for nd in t.flatten_nodes(net)[1]:
-        walk_p(nd.process)
+        stack += [k for _, k in reversed(t.layer(p)[2])]
     return hits
 
 

@@ -79,7 +79,13 @@ def encode_network(n: t.Network) -> t.Network:
 
 
 def has_recover(p: t.Process) -> bool:
-    return type(p) is t.Recover or any(has_recover(k) for _, k in t.layer(p)[2])
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        if type(p) is t.Recover:
+            return True
+        stack += [k for _, k in t.layer(p)[2]]
+    return False
 
 
 # ------------------------------------------------------------- canonical form
@@ -381,12 +387,12 @@ class _NodeFacts(NamedTuple):
 
 
 @v.memo_on_term
-def _node_facts(node: t.NetworkNode) -> _NodeFacts:
-    """The node's facts, worked out once per node and kept on it: a step
-    makes one to five new nodes, and the others are read back.  No fact
-    depends on ``node.pos``.  Kept on the node, not in an lru: an lru
-    hashes every new node and holds the facts of old ones, and both made
-    runs slower."""
+def node_facts(node: t.NetworkNode) -> _NodeFacts:
+    """The node's facts, worked out once per node and kept on it, and read
+    by enumeration, application and the safety check: a step makes one to
+    five new nodes, and the others are read back.  No fact depends on
+    ``node.pos``.  Kept on the node, not in an lru: an lru hashes every new
+    node and holds the facts of old ones, and both made runs slower."""
     alts = alternatives(node.process)
     bufs = {b.ep: b for b in node.buffers}
     local: list = []
@@ -440,7 +446,7 @@ def _node_facts(node: t.NetworkNode) -> _NodeFacts:
 def enabled_redexes(state: RunState) -> list:
     """Complete enumeration of enabled redexes, deterministically ordered.
     Requires a recovery-free (encoded) network."""
-    facts = [_node_facts(nd) for nd in state.nodes]
+    facts = [node_facts(nd) for nd in state.nodes]
     out: list = []
     for i, f in enumerate(facts):
         local = f.at.get(i)
@@ -554,7 +560,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None) -> Ru
     if not set(chosen) <= set(r.receivers):
         raise EngineError("chosen receivers outside the eligible family")
     node = nodes[r.sender]
-    facts = _node_facts(node)
+    facts = node_facts(node)
     if r.alt >= len(facts.alts):
         raise EngineError("stale alternative index")
     head, rebuild = facts.alts[r.alt]
@@ -568,7 +574,7 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None) -> Ru
         for k, j in enumerate((r.sender,) + chosen):
             h, rb = head, rebuild
             if k:
-                j_facts = _node_facts(nodes[j])
+                j_facts = node_facts(nodes[j])
                 cand = j_facts.accepts.get(head.shared)
                 if not cand:
                     raise EngineError(f"node {j} has no accept alternative on {head.shared}")
@@ -588,13 +594,13 @@ def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None) -> Ru
     new_nodes[r.sender] = succ
     if r.rule == "Ucast":  # tagged with the sender's state; ``chosen`` is not read
         (j,) = r.receivers
-        jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, True)]
+        jb = node_facts(nodes[j]).bufs[t.Endpoint(r.session, True)]
         new_nodes[j] = _set_buffer(nodes[j], t.Buffer(
             jb.ep, jb.state, jb.queue + (t.TaggedMsg(facts.bufs[head.chan].state, value),)))
     elif r.rule in ("Bcast", "Sel"):  # each chosen plain buffer advances
         msg = t.ValMsg(value) if r.rule == "Bcast" else t.LabMsg(head.label)
         for j in chosen:
-            jb = _node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
+            jb = node_facts(nodes[j]).bufs[t.Endpoint(r.session, False)]
             new_nodes[j] = _set_buffer(nodes[j], t.Buffer(
                 jb.ep, jb.state + 1, jb.queue + (msg,)))
     return RunState(state.restricted, tuple(new_nodes), state.fresh)
@@ -604,7 +610,7 @@ def redex_payload(state: RunState, r: Redex) -> Optional[str]:
     """Rendered payload carried by the step (for traces)."""
     if r.rule in ("Sel", "Bra"):
         return r.detail[0]
-    facts = _node_facts(state.nodes[r.sender])
+    facts = node_facts(state.nodes[r.sender])
     value = _moved_value(r.rule, facts.alts[r.alt][0], facts.bufs)
     return None if value is None else render_value(value)
 

@@ -3,10 +3,11 @@ networks, and the bounded progress/recovery searches.
 
 Error detection is syntactic: decided on the flattened nodes, and reported
 with the nodes numbered in the congruence normal form.  A node's heads
-are the engine's head alternatives (:func:`engine.alternatives`), so the
-checks see the prefixes the reduction rules fire from, behind definitions
-and calls up to the engine's one unfolding bound.  A node with more than one
-alternative (a sum on its unfolded path) matches no prefix shape.
+and buffers are read from the engine's node record
+(:func:`engine.node_facts`), so the checks see the prefixes the reduction
+rules fire from, behind definitions and calls up to the engine's one
+unfolding bound.  A node with more than one alternative (a sum on its
+unfolded path) matches no prefix shape.
 
 The progress and recovery searches share one breadth-first search, keyed on
 the run states themselves and capped on the states it reaches.
@@ -20,8 +21,6 @@ from typing import Optional
 from . import engine as eng
 from . import terms as t
 from .checker import PREFIX_RULES, TypingResult
-
-_AGGR_KINDS = ("Brc", "Gth", "Sel")
 
 # invalid combinations: aggregator pairs at any states, mixed pairs at equal
 # states (unordered)
@@ -44,7 +43,7 @@ class SafetyReport:
     def __init__(self, verdict: str, witness: Optional[tuple] = None,
                  classification: Optional[dict] = None,
                  send_queue_violations: Optional[list] = None, *, nodes: tuple = ()):
-        self.verdict = verdict  # ok | error-network | deadlocked
+        self.verdict = verdict  # ok | error-network
         self.witness = witness
         self.send_queue_violations = send_queue_violations or []
         self._classification, self._nodes = classification, nodes
@@ -73,57 +72,45 @@ class SafetyReport:
     def render(self) -> str:
         if self.verdict == "ok":
             out = "ok"
-        elif self.verdict == "error-network":
+        else:
             s, (i, ki, ci), (j, kj, cj) = self.witness
             out = (f"error network on session {s}: node#{i} {ki}^{ci} with "
                    f"node#{j} {kj}^{cj}")
-        else:
-            out = "deadlocked: every summand is an accept prefix"
         for node, sess, c in self.send_queue_violations:
             out += f"\n  note: node#{node} sends on {sess} with a non-empty own queue"
         return out
 
 
-def _head(p: t.Process) -> Optional[t.Process]:
-    """The one head alternative of ``p``; None when it has several."""
-    alts = eng.alternatives(p)
-    return alts[0][0] if len(alts) == 1 else None
+# a head alternative's prefix kind, by its constructor and whether it acts
+# on the aggregator endpoint; the sending kinds also need an empty own queue
+_KINDS = {(t.Send, True): "Brc", (t.Recv, True): "Gth", (t.Select, True): "Sel",
+          (t.Send, False): "Uni", (t.Recv, False): "Rcv", (t.Branch, False): "Bra"}
+
+
+def _shape(node: t.NetworkNode):
+    """(session, (kind, state) or None, waiting, send-queue state or None) of
+    a node whose one head alternative acts on an endpoint, read from its
+    record; None for any other node.  A node waits when its plain endpoint
+    of the session has no message; a head that sends or selects with a
+    non-empty own queue gives the endpoint's state as a send-queue state."""
+    f = eng.node_facts(node)
+    head = f.alts[0][0] if len(f.alts) == 1 else None
+    ch = getattr(head, "chan", None)
+    if type(ch) is not t.Endpoint:
+        return None
+    b = f.bufs.get(ch)
+    pl = f.bufs.get(t.Endpoint(ch.session, False))
+    blocked = type(head) in (t.Send, t.Select) and b is not None and bool(b.queue)
+    kind = _KINDS.get((type(head), ch.aggr))
+    shape = (kind, b.state) if kind and b is not None and not blocked else None
+    return ch.session, shape, pl is None or not pl.queue, b.state if blocked else None
 
 
 def classify_prefix(node: t.NetworkNode, session: str):
     """Match a node against the six session-prefix shapes; None otherwise.
     Broadcast, unicast-send and select shapes require an empty own queue."""
-    return _classify(_head(node.process), {b.ep: b for b in node.buffers}, session)
-
-
-def _classify(head: t.Process, bufs: dict, session: str):
-    """:func:`classify_prefix` of a node with head ``head`` (None for
-    several) and buffers ``bufs`` (by endpoint)."""
-    ag = t.Endpoint(session, True)
-    pl = t.Endpoint(session, False)
-    match head:
-        case t.Send(ch, _, _) if ch == ag and ag in bufs and not bufs[ag].queue:
-            return ("Brc", bufs[ag].state)
-        case t.Recv(ch, _, _, _) if ch == ag and ag in bufs:
-            return ("Gth", bufs[ag].state)
-        case t.Select(ch, _, _) if ch == ag and ag in bufs and not bufs[ag].queue:
-            return ("Sel", bufs[ag].state)
-        case t.Send(ch, _, _) if ch == pl and pl in bufs and not bufs[pl].queue:
-            return ("Uni", bufs[pl].state)
-        case t.Recv(ch, _, _, _) if ch == pl and pl in bufs:
-            return ("Rcv", bufs[pl].state)
-        case t.Branch(ch, _, _) if ch == pl and pl in bufs:
-            return ("Bra", bufs[pl].state)
-    return None
-
-
-def _send_queue_violation(head: t.Process, bufs: dict) -> bool:
-    """The head sends or selects on an endpoint whose own queue is not
-    empty."""
-    match head:
-        case t.Send(ch, _, _) | t.Select(ch, _, _) if ch in bufs and bufs[ch].queue:
-            return True
-    return False
+    sh = _shape(node)
+    return sh[1] if sh is not None and sh[0] == session else None
 
 
 def is_error_network(n: t.Network) -> SafetyReport:
@@ -144,41 +131,33 @@ def is_error_network(n: t.Network) -> SafetyReport:
 def _scan(nodes) -> tuple:
     """(classification, send-queue violations, first witness) of ``nodes``
     numbered in order.  A node can only take part on the session of its
-    head's endpoint, so each node's head is read once and visited under that
-    session alone, and only sessions some head acts on are visited."""
-    acting: dict = {}  # session -> [(node index, head, buffers)], by index
+    head's endpoint, so each node's shape is read once and visited under
+    that session alone, and only sessions some head acts on are visited."""
+    acting: dict = {}  # session -> [(node index, shape, waiting, send-queue state)]
     for i, nd in enumerate(nodes):
-        head = _head(nd.process)
-        ch = getattr(head, "chan", None)
-        if type(ch) is t.Endpoint:
-            acting.setdefault(ch.session, []).append((i, head, {b.ep: b for b in nd.buffers}))
+        sh = _shape(nd)
+        if sh is not None:
+            acting.setdefault(sh[0], []).append((i, *sh[1:]))
     classification = {}
     violations = []
     witness = None
     for s in sorted(acting):
         kinds = []
-        for i, head, bufs in acting[s]:
-            k = _classify(head, bufs, s)
+        for i, k, waiting, c in acting[s]:
             if k:
                 classification[(i, s)] = k
-                pl = t.Endpoint(s, False)
-                waiting = pl not in bufs or not bufs[pl].queue
                 kinds.append((i, k[0], k[1], waiting))
-            if _send_queue_violation(head, bufs):
-                violations.append((i, s, bufs[head.chan].state))
+            if c is not None:
+                violations.append((i, s, c))
         for a in range(len(kinds)):
             for b in range(a + 1, len(kinds)):
                 (i, ki, ci, wi), (j, kj, cj, wj) = kinds[a], kinds[b]
-                pair = frozenset((ki, kj)) if ki != kj else frozenset((ki,))
+                pair = frozenset((ki, kj))
                 bad = pair in _INVALID_ANY
                 if not bad and ci == cj and pair in _INVALID_SAME_STATE:
                     # a buffered plain input can still serve itself; only a
                     # waiting one forms an unservable pair
-                    plain_ok = all(w for (k, w) in ((ki, wi), (kj, wj))
-                                   if k in ("Rcv", "Bra"))
-                    bad = plain_ok
-                if ki == kj and ki in _AGGR_KINDS:
-                    bad = True
+                    bad = all(w for (k, w) in ((ki, wi), (kj, wj)) if k in ("Rcv", "Bra"))
                 if bad and witness is None:
                     witness = (s, (i, ki, ci), (j, kj, cj))
     return classification, violations, witness

@@ -6,7 +6,8 @@ kept verbatim: at most four unfoldings, and a sum split without the
 definitions in scope.  ``progress_shape_sessions`` and
 ``recovery_shape_sessions`` are kept verbatim from before they shared one
 pass over the buffers: they walk every node once per session.  Only the
-imports are new; the pair tables, ``_session_positions`` and
+imports and ``_AGGR_KINDS``, the aggregator kinds the package no longer
+names, are new; the pair tables, ``_session_positions`` and
 ``SafetyReport`` come from the package.
 
 ``_bfs`` is the progress and recovery search as it was before sleep sets,
@@ -19,8 +20,9 @@ from collections import deque
 
 from ubsc import engine as eng
 from ubsc import terms as t
-from ubsc.safety import (_AGGR_KINDS, _INVALID_ANY, _INVALID_SAME_STATE, SafetyReport,
-                         _session_positions)
+from ubsc.safety import _INVALID_ANY, _INVALID_SAME_STATE, SafetyReport, _session_positions
+
+_AGGR_KINDS = ("Brc", "Gth", "Sel")
 
 
 def _peel(p: t.Process, depth: int = 4):

@@ -360,6 +360,44 @@ def test_definition_checks_replay_from_their_slot(text):
     assert cold[0] == (text == DEF_OK)
 
 
+def _warm_and_cold(first, second):
+    """The render and trace of ``second``, a (process text, shared types,
+    linear types) check, after ``first`` in the same slots, and from empty
+    slots."""
+    def typed(text, shared, delta):
+        gamma = ck.Gamma(shared={a: parse_type(ty) for a, ty in shared.items()})
+        res = ck.type_process(gamma, {Endpoint(s, False): parse_type(ty)
+                                      for s, ty in delta.items()}, parse_process(text))
+        return res.render(), res.trace
+
+    ck._def_slot.cache_clear()
+    assert typed(*first)[0] == "Ok, residual: (empty)"
+    warm = typed(*second)
+    ck._def_slot.cache_clear()
+    return warm, typed(*second)
+
+
+def test_definition_checks_read_the_shared_channels():
+    """A definition body checked under one type of a shared channel is
+    checked again under another."""
+    text = "def D(x) = req a(*y). *y!<x>. 0 in D(1)"
+    warm, cold = _warm_and_cold((text, {"a": "?int.end"}, {}),
+                                (text, {"a": "?str.end"}, {}))
+    assert warm == cold
+    assert cold[0] == "Fail TExpr: expected payload type str, got int (at *y!<x>. 0)"
+
+
+def test_definition_replay_restores_the_signatures_it_seeded():
+    """Replaying ``A``'s check seeds ``B``'s signature as the check did, so
+    a later call of ``B`` is held to it."""
+    defs = "def A(c) = B(c), B(d) = d?(x). 0 in "
+    warm, cold = _warm_and_cold(
+        (defs + "A(s1)", {}, {"s1": "?int.end"}),
+        (defs + "if true then A(s1) else B(s2)", {}, {"s1": "?int.end", "s2": "?str.end"}))
+    assert warm == cold
+    assert cold[0] == "Fail TVar: B: channel argument s2 type mismatch"
+
+
 def test_definition_slots_are_bounded():
     maxsize = ck._def_slot.cache_info().maxsize
     ck._def_slot.cache_clear()

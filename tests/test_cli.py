@@ -8,6 +8,9 @@ import sys
 import pytest
 
 import ubsc
+from ubsc import cli
+from ubsc import terms as t
+from ubsc import values as v
 from ubsc.cli import main, parse_declared
 from ubsc.corpus import corpus_dir
 from ubsc.syntax import parse_network
@@ -52,6 +55,33 @@ def test_check_derivation_dump(capsys):
     rc = main(["check", corpus("heartbeat_runtime1.ubsc"), "--derivation"])
     out = capsys.readouterr().out
     assert rc == 0 and "TSynch" in out and "TSRes" in out
+
+
+def test_check_warns_of_a_unit_send(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    f = tmp_path / "unit.ubsc"
+    f.write_text("[ *s!<unit>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]")
+    rc = main(["check", str(f)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("warning: unit value sent on *s; recovery tests cannot "
+                          "distinguish it from a default\nOk")
+
+
+def test_unit_send_lint_on_a_long_send_chain():
+    """One unit send at the bottom of 3,000 sends is found, in a loop."""
+    s = Endpoint("s", False)
+    p = t.Send(s, v.Lit(v.UNIT), t.Inact())
+    for _ in range(3_000):
+        p = t.Send(s, v.Lit(v.IntV(1)), p)
+    assert cli._lint_unit_sends(t.NetworkNode(p, (t.Buffer(s, 0, ()),))) == [s]
+
+
+def test_unit_send_lint_reports_in_preorder():
+    net = parse_network("[ *a!<unit>. (b!<1>. 0 + b!<unit>. 0) | *a~0:[] | b~0:[] ] "
+                        "|| [ if true then c!<unit>. 0 else 0 | c~0:[] ]")
+    assert cli._lint_unit_sends(net) == [Endpoint("a", True), Endpoint("b", False),
+                                         Endpoint("c", False)]
 
 
 def test_check_parse_error(tmp_path, capsys):

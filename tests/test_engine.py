@@ -132,6 +132,19 @@ def test_encode_idempotent_and_recover_free():
     assert eng.encode_recovery(out) == out
 
 
+def _send_chain(bottom, n=3_000):
+    """``n`` sends of 1 on ``s`` over ``bottom``, built directly."""
+    p = bottom
+    for _ in range(n):
+        p = t.Send(t.Endpoint("s", False), v.Lit(v.IntV(1)), p)
+    return p
+
+
+def test_has_recover_on_a_long_send_chain():
+    assert not eng.has_recover(_send_chain(t.Inact()))
+    assert eng.has_recover(_send_chain(t.Recover(t.Inact(), t.Inact())))
+
+
 # ------------------------------------------------------------- redex discovery
 
 def test_enabled_beacon():

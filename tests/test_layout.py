@@ -1,10 +1,12 @@
 """Modules of the package reach each other through public names only: no
 module imports a sibling's ``_private`` name or reads one as an attribute
-of a sibling module."""
+of a sibling module.  README's table of caches names every memoised
+function of the package."""
 
 import ast
 import glob
 import os
+import re
 
 import pytest
 
@@ -50,3 +52,43 @@ def test_private_uses_are_found():
            "from ubsc.render import _HOLE\nx = r._canon_text(r.render_value, r.__name__)\n")
     assert private_uses(src) == [(2, "from .syntax import _Parser"),
                                  (3, "from ubsc.render import _HOLE"), (4, "r._canon_text")]
+
+
+def _called(node) -> str:
+    """The last name of a decorator or callee, called or not."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def memoised(path: str) -> list:
+    """``module.name`` of each function of the module at ``path`` decorated
+    with ``lru_cache(...)`` or ``memo_on_term``, methods as
+    ``module.Class.name``, and of each module-level ``x = lru_cache(...)(f)``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    stack = [(os.path.basename(path)[:-3], tree.body)]
+    while stack:
+        prefix, body = stack.pop()
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                stack.append((f"{prefix}.{node.name}", node.body))
+            elif isinstance(node, ast.FunctionDef):
+                if any(_called(d) in ("lru_cache", "memo_on_term") for d in node.decorator_list):
+                    found.append(f"{prefix}.{node.name}")
+            elif (isinstance(node, ast.Assign) and body is tree.body
+                  and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Call)
+                  and _called(node.value.func) == "lru_cache"):
+                found += [f"{prefix}.{x.id}" for x in node.targets if isinstance(x, ast.Name)]
+    return found
+
+
+def test_readme_caches_table_names_every_memoised_function():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Caches\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([^`]+)`", section))
+    found = [name for path in MODULES for name in memoised(path)]
+    assert len(found) > 25
+    assert [name for name in found if name not in named] == []

@@ -140,3 +140,12 @@ def test_type_expr():
                        v.BinOp("!=", v.Var("w"), v.Lit(v.UNIT))) == v.BOOL_T
     with pytest.raises(v.ExprTypeError):
         v.type_expr({}, v.BinOp("+", v.Lit(v.TRUE), v.Lit(v.IntV(1))))
+    one, ints = v.Lit(v.IntV(1)), v.SetE((v.Lit(v.IntV(1)),))
+    assert v.type_expr({}, v.BinOp("and", v.Lit(v.TRUE), v.Lit(v.FALSE))) == v.BOOL_T
+    assert v.type_expr({}, v.BinOp("union", ints, v.Lit(v.UNIT))) == v.SetT(v.INT_T)
+    with pytest.raises(v.ExprTypeError, match="^boolean over int, bool$"):
+        v.type_expr({}, v.BinOp("and", one, v.Lit(v.TRUE)))
+    with pytest.raises(v.ExprTypeError, match="^union over "):
+        v.type_expr({}, v.BinOp("union", ints, v.Lit(v.IntV(2))))
+    with pytest.raises(v.ExprTypeError, match="^union of mismatched sets "):
+        v.type_expr({}, v.BinOp("union", ints, v.SetE((v.Lit(v.StrV("a")),))))
