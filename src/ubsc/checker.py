@@ -168,7 +168,6 @@ def _type_buffer_body(b: t.Buffer) -> tuple:
             else:
                 items.append(st.SelItem(m.label))
         return b.ep, b.state, tuple(items)
-    from .engine import gather_values, residual  # local import to avoid cycle
     c = b.state
     q = b.queue
     items = []
@@ -180,11 +179,11 @@ def _type_buffer_body(b: t.Buffer) -> tuple:
             items.append(st.PadItem())
         else:
             try:
-                beta = v.type_of_value(gather_values(q, c))
+                beta = v.type_of_value(t.gather_values(q, c))
             except v.EvalError as e:
                 raise TypeFail("LExp", str(e), render_chan(b.ep))
             items.append(st.OutItem(beta))
-        q = residual(q, c)
+        q = t.residual(q, c)
         c += 1
     return b.ep, c, tuple(items)
 

@@ -256,9 +256,10 @@ def _ask_receivers(r: eng.Redex) -> tuple:
 def cmd_step(args, prog) -> int:
     if args.script and (err := _unwritable(args.script)):
         return _fail(f"step: {err}")
-    state = eng.RunState.from_network(eng.encode_network(prog.network))
+    states = [eng.RunState.from_network(eng.encode_network(prog.network))]
     script = []
     while True:
+        state = states[-1]
         print()
         print(render_network(eng.normalize(state.to_network())))
         redexes = eng.enabled_redexes(state)
@@ -278,7 +279,7 @@ def cmd_step(args, prog) -> int:
         if line == "u":
             if script:
                 script.pop()
-                state, _ = eng.run_script(prog.network, script)
+                states.pop()
             else:
                 print("nothing to undo")
             continue
@@ -294,9 +295,9 @@ def cmd_step(args, prog) -> int:
         if r.rule in eng.BROADCAST_RULES and r.receivers:
             chosen = _ask_receivers(r)
         payload = eng.redex_payload(state, r)
-        state = eng.apply_redex(state, r, chosen)
+        states.append(eng.apply_redex(state, r, chosen))
         script.append(eng.TraceStep(len(script), r.rule, r.session, r.sender, chosen,
-                                    payload, state.digest()).to_json())
+                                    payload, states[-1].digest()).to_json())
         print(f"applied {r.rule}; digest {script[-1]['digest']}")
     if args.script and script:
         with open(args.script, "w", encoding="utf-8") as fh:

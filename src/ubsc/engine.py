@@ -27,27 +27,11 @@ from typing import Callable, NamedTuple, Optional
 from . import terms as t
 from . import values as v
 from .render import canon_renamed, process_template, render_buffer, render_network, render_value
+from .terms import gather_values, residual
 
 
 class EngineError(Exception):
     pass
-
-
-# ------------------------------------------------------------- gather/residual
-
-def gather_values(queue, c: int) -> v.Value:
-    """Aggregation of all payloads tagged with state ``c``, in queue order,
-    seeded with the unit value."""
-    out: v.Value = v.UNIT
-    for m in queue:
-        if m.tag == c:
-            out = v.aggregate(out, m.value)
-    return out
-
-
-def residual(queue, c: int):
-    """The queue with every state-``c`` entry removed, order preserved."""
-    return tuple(m for m in queue if m.tag != c)
 
 
 # ------------------------------------------------------------- recovery encoding

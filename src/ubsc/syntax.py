@@ -108,6 +108,13 @@ class _Parser:
         tok = self.peek(ahead)
         return tok.text == text and tok.kind in ("op", "kw", "int")
 
+    def accept(self, text) -> bool:
+        """Consume the next token if it is ``text``; say whether it was."""
+        if self.at(text):
+            self.i += 1
+            return True
+        return False
+
     def expect(self, text) -> Token:
         tok = self.next()
         if tok.text != text:
@@ -130,8 +137,7 @@ class _Parser:
         items = []
         if not self.at(close):
             items.append(item(*args))
-            while self.at(","):
-                self.next()
+            while self.accept(","):
                 items.append(item(*args))
         self.expect(close)
         return items
@@ -145,18 +151,17 @@ class _Parser:
     # -- program -------------------------------------------------------
     def program(self) -> SourceProgram:
         shared = {}
-        while self.at("type"):
-            self.next()
+        while self.accept("type"):
             n = self.name()
             self.expect("=")
             self.type_decls[n] = self.stype(frozenset())
-        while self.at("shared"):
-            self.next()
+        while self.accept("shared"):
             a = self.name()
             self.expect(":")
+            tok = self.peek()
             tn = self.name()
             if tn not in self.type_decls:
-                self.fail(f"undeclared protocol type {tn}")
+                self.fail(f"undeclared protocol type {tn}", tok)
             shared[a] = tn
         net = _resolve_call_args(self.whole(self.network()))
         return SourceProgram(self.type_decls, shared, net)
@@ -164,14 +169,12 @@ class _Parser:
     # -- session types ---------------------------------------------------
     def stype(self, bound: frozenset) -> st.SessionType:
         tok = self.peek()
-        if self.at("!") or self.at("?"):
-            self.next()
+        if self.accept("!") or self.accept("?"):
             b = self.btype()
             self.expect(".")
             cont = self.stype(bound)
             return st.Out(b, cont) if tok.text == "!" else st.In(b, cont)
-        if self.at("+") or self.at("&"):
-            self.next()
+        if self.accept("+") or self.accept("&"):
             self.expect("{")
             arms = self.seq(self.type_arm, "}", bound)
             try:
@@ -179,11 +182,9 @@ class _Parser:
             except st.TypeSyntaxError as e:
                 self.fail(str(e), tok)
             return st.SelT(arms_t) if tok.text == "+" else st.BraT(arms_t)
-        if self.at("end"):
-            self.next()
+        if self.accept("end"):
             return st.END
-        if self.at("rec"):
-            self.next()
+        if self.accept("rec"):
             n = self.name()
             self.expect(".")
             body = self.stype(bound | {n})
@@ -211,8 +212,7 @@ class _Parser:
         if tok.kind == "name" and tok.text in simple:
             self.next()
             return simple[tok.text]
-        if self.at("unit"):
-            self.next()
+        if self.accept("unit"):
             return v.UNIT_T
         if tok.kind == "name" and tok.text == "set":
             self.next()
@@ -220,8 +220,7 @@ class _Parser:
             e = self.btype()
             self.expect(")")
             return v.SetT(e)
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             a = self.btype()
             self.expect(",")
             b = self.btype()
@@ -232,19 +231,16 @@ class _Parser:
     # -- networks --------------------------------------------------------
     def network(self) -> t.Network:
         parts = [self.atom_network()]
-        while self.at("||"):
-            self.next()
+        while self.accept("||"):
             parts.append(self.atom_network())
         return t.par_all(parts)
 
     def atom_network(self) -> t.Network:
         names = []
-        while self.at("new"):
-            self.next()
+        while self.accept("new"):
             names.append(self.name())
             self.expect(".")
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             inner = self.network()
             self.expect(")")
         else:
@@ -255,17 +251,13 @@ class _Parser:
         tok = self.expect("[")
         p = self.process(frozenset())
         bufs = []
-        while self.at("|"):
-            self.next()
+        while self.accept("|"):
             bufs.append(self.buffer())
         self.expect("]")
         return t.NetworkNode(p, tuple(bufs), pos=tok.line)
 
     def buffer(self) -> t.Buffer:
-        aggr = False
-        if self.at("*"):
-            self.next()
-            aggr = True
+        aggr = self.accept("*")
         sess = self.name()
         self.expect("~")
         tok = self.next()
@@ -291,8 +283,7 @@ class _Parser:
             e = self.expr(frozenset())
             self.expect(")")
             return t.TaggedMsg(int(ctok.text), self._closed_value(e, tok))
-        if self.at("#"):
-            self.next()
+        if self.accept("#"):
             return t.LabMsg(self.name())
         e = self.expr(frozenset())
         return t.ValMsg(self._closed_value(e, tok))
@@ -306,57 +297,44 @@ class _Parser:
     # -- processes ---------------------------------------------------------
     def process(self, chanvars: frozenset) -> t.Process:
         left = self.recov(chanvars)
-        if self.at("+"):
-            self.next()
+        if self.accept("+"):
             right = self.process(chanvars)  # sums right-associate
             return t.Sum(left, right)
         return left
 
     def recov(self, chanvars: frozenset) -> t.Process:
         left = self.prefixterm(chanvars)
-        while self.at(">r"):
-            self.next()
+        while self.accept(">r"):
             handler = self.prefixterm(chanvars)
             left = t.Recover(left, handler)
         return left
 
     def prefixterm(self, chanvars: frozenset) -> t.Process:
         tok = self.peek()
-        if self.at("0"):
-            self.next()
+        if self.accept("0"):
             return t.Inact()
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             p = self.process(chanvars)
             self.expect(")")
             return p
-        if self.at("req"):
-            self.next()
+        if self.accept("req") or self.accept("acc"):
             a = self.name()
             self.expect("(")
-            self.expect("*")
+            if tok.text == "req":  # the requester binds the aggregator side
+                self.expect("*")
             x = self.name()
             self.expect(")")
             self.expect(".")
-            return t.Request(a, x, self.prefixterm(chanvars | {x}))
-        if self.at("acc"):
-            self.next()
-            a = self.name()
-            self.expect("(")
-            x = self.name()
-            self.expect(")")
-            self.expect(".")
-            return t.Accept(a, x, self.prefixterm(chanvars | {x}))
-        if self.at("if"):
-            self.next()
+            return (t.Request if tok.text == "req" else t.Accept)(
+                a, x, self.prefixterm(chanvars | {x}))
+        if self.accept("if"):
             g = self.expr(chanvars)
             self.expect("then")
             tp = self.prefixterm(chanvars)
             self.expect("else")
             ep = self.prefixterm(chanvars)
             return t.Cond(g, tp, ep)
-        if self.at("def"):
-            self.next()
+        if self.accept("def"):
             defs = []
             while True:
                 dn = self.name()
@@ -380,42 +358,33 @@ class _Parser:
         return self.chantail(ch, chanvars)
 
     def chanref(self, chanvars: frozenset) -> t.Chan:
-        aggr = False
-        if self.at("*"):
-            self.next()
-            aggr = True
-        tok = self.peek()
+        aggr = self.accept("*")
         n = self.name()
         if n in chanvars:
             return t.ChanVar(n, aggr)
         return t.Endpoint(n, aggr)
 
     def chantail(self, ch: t.Chan, chanvars: frozenset) -> t.Process:
-        if self.at("!"):
-            self.next()
+        if self.accept("!"):
             self.expect("<")
             e = self.expr(chanvars, v.OP_LEVEL["+"])  # so that ">" closes the payload
             self.expect(">")
             self.expect(".")
             return t.Send(ch, e, self.prefixterm(chanvars))
-        if self.at("?"):
-            self.next()
+        if self.accept("?"):
             self.expect("(")
             x = self.name()
             self.expect(")")
             default = v.Lit(v.UNIT)
-            if self.at("def"):
-                self.next()
+            if self.accept("def"):
                 default = self.expr(chanvars, v.OP_LEVEL["+"])
             self.expect(".")
             return t.Recv(ch, x, default, self.prefixterm(chanvars))
-        if self.at("<<"):
-            self.next()
+        if self.accept("<<"):
             l = self.name()
             self.expect(".")
             return t.Select(ch, l, self.prefixterm(chanvars))
-        if self.at(">>"):
-            self.next()
+        if self.accept(">>"):
             self.expect("{")
             arms = self.seq(self.branch_arm, "}", chanvars)
             labels = [l for l, _ in arms]
@@ -434,11 +403,7 @@ class _Parser:
         return l, self.process(chanvars)
 
     def callarg(self, chanvars: frozenset):
-        if self.at("*"):
-            self.next()
-            n = self.name()
-            return t.ChanVar(n, True) if n in chanvars else t.Endpoint(n, True)
-        return self.expr(chanvars)
+        return self.chanref(chanvars) if self.at("*") else self.expr(chanvars)
 
     # -- expressions -------------------------------------------------------
     def expr(self, chanvars: frozenset, level: int = 0) -> v.Expr:
@@ -466,21 +431,17 @@ class _Parser:
             return v.Lit(v.StrV(body))
         for kw, val in (("true", v.TRUE), ("false", v.FALSE), ("unit", v.UNIT),
                         ("eps", v.EPS)):
-            if self.at(kw):
-                self.next()
+            if self.accept(kw):
                 return v.Lit(val)
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             e = self.expr(chanvars)
-            if self.at(","):
-                self.next()
+            if self.accept(","):
                 e2 = self.expr(chanvars)
                 self.expect(")")
                 return v.TupleE(e, e2)
             self.expect(")")
             return e
-        if self.at("{"):
-            self.next()
+        if self.accept("{"):
             return v.SetE(tuple(self.seq(self.expr, "}", chanvars)))
         if tok.kind == "name":
             self.next()
@@ -592,10 +553,7 @@ def parse_declared(text: str, type_decls=None) -> dict:
     out = {}
     while True:
         start = p.peek()
-        aggr = False
-        if p.at("*"):
-            p.next()
-            aggr = True
+        aggr = p.accept("*")
         name = p.name()
         ep = t.Endpoint(name, aggr)
         if ep in out:
@@ -609,11 +567,8 @@ def parse_declared(text: str, type_decls=None) -> dict:
         ty = p.stype(frozenset())
         p.expect(")")
         out[ep] = (int(ctok.text), ty)
-        if p.at(","):
-            p.next()
-            continue
-        break
-    return p.whole(out)
+        if not p.accept(","):
+            return p.whole(out)
 
 
 def pretty_print(prog: SourceProgram) -> str:

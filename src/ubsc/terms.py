@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
 
-from .values import Expr, Lit, Term, Value, Var, fv_expr, map_vars
+from .values import UNIT, Expr, Lit, Term, Value, Var, aggregate, fv_expr, map_vars
 
 
 class SubstError(Exception):
@@ -166,6 +166,21 @@ class Buffer(Term):
                 raise ValueError(f"plain buffer holds tagged message {m!r}")
         if self.state < 0:
             raise ValueError("negative session state")
+
+
+def gather_values(queue, c: int) -> Value:
+    """Aggregation of all payloads tagged with state ``c``, in queue order,
+    seeded with the unit value."""
+    out: Value = UNIT
+    for m in queue:
+        if m.tag == c:
+            out = aggregate(out, m.value)
+    return out
+
+
+def residual(queue, c: int):
+    """The queue with every state-``c`` entry removed, order preserved."""
+    return tuple(m for m in queue if m.tag != c)
 
 
 # ---------------------------------------------------------------- networks

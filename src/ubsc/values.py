@@ -135,6 +135,10 @@ class SetV(Term):
     def sorted_items(self):
         return sorted(self.items, key=value_key)
 
+    def __repr__(self):  # the frozenset's own order follows addresses
+        body = "{" + ", ".join(map(repr, self.sorted_items())) + "}" if self.items else ""
+        return f"SetV(items=frozenset({body}))"
+
 
 Value = Union[UnitV, EpsV, IntV, BoolV, StrV, PairV, SetV]
 

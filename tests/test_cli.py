@@ -210,10 +210,19 @@ def test_stepper_drives_and_records(tmp_path, capsys, monkeypatch):
 
 
 def test_stepper_undo(capsys, monkeypatch):
-    inputs = iter(["0", "all", "u", "q"])
+    """Each undo shows the state before the last step again, an undo with no
+    step left says so, and a step taken again reaches the same digest."""
+    inputs = iter(["0", "all", "0", "u", "u", "u", "0", "all", "q"])
     monkeypatch.setattr("builtins.input", lambda *a: next(inputs))
     rc = main(["step", corpus("heartbeat_simple.ubsc")])
     assert rc == 0
+    out = capsys.readouterr().out
+    nets = [line for line in out.splitlines() if line.startswith("[")]
+    assert len(set(nets)) == 3
+    assert nets == [nets[i] for i in (0, 1, 2, 1, 0, 0, 1)]
+    assert out.count("nothing to undo") == 1
+    applied = [line for line in out.splitlines() if line.startswith("applied")]
+    assert len(applied) == 3 and applied[0] == applied[2]
 
 
 def _run_module(module, args, stdin_text=None, stdout=subprocess.PIPE, timeout=None,

@@ -1,6 +1,6 @@
 """Modules of the package reach each other through public names only: no
 module imports a sibling's ``_private`` name or reads one as an attribute
-of a sibling module.  README's table of caches names every memoised
+of a sibling module, and no function imports anything.  README's table of caches names every memoised
 function of the package."""
 
 import ast
@@ -52,6 +52,25 @@ def test_private_uses_are_found():
            "from ubsc.render import _HOLE\nx = r._canon_text(r.render_value, r.__name__)\n")
     assert private_uses(src) == [(2, "from .syntax import _Parser"),
                                  (3, "from ubsc.render import _HOLE"), (4, "r._canon_text")]
+
+
+def nested_imports(source: str) -> list:
+    """Line of each ``import`` or ``from ... import`` inside a function."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_imports_inside_functions(path):
+    with open(path, encoding="utf-8") as fh:
+        assert nested_imports(fh.read()) == []
+
+
+def test_nested_imports_are_found():
+    src = ("import os\ndef f():\n    import re\n    def g():\n"
+           "        from . import terms\n    return re\n")
+    assert nested_imports(src) == [3, 5]
 
 
 def _called(node) -> str:

@@ -4,12 +4,13 @@ import re
 import pytest
 
 from ubsc import engine as eng
+from ubsc import sestypes as st
 from ubsc import terms as t
 from ubsc import values as v
 from ubsc.corpus import corpus_dir
 from ubsc.render import render_network, render_process, render_type
-from ubsc.syntax import (UBSCSyntaxError, parse, parse_expr, parse_network,
-                         parse_process, parse_type, pretty_print)
+from ubsc.syntax import (UBSCSyntaxError, parse, parse_declared, parse_expr,
+                         parse_network, parse_process, parse_type, pretty_print)
 
 
 def test_parse_two_node_beacon():
@@ -201,3 +202,33 @@ def test_recv_default_sugar():
 def test_comments_ignored():
     prog = parse("-- a comment\n[0] -- trailing\n")
     assert prog.network == t.NetworkNode(t.Inact(), ())
+
+
+@pytest.mark.parametrize("parser, text, message", [
+    (parse, "[ 0 ] $", "<input>:1:7: unexpected character '$'"),
+    (parse, "type T = +{l: end, l: end}\n[ 0 ]",
+     "<input>:1:10: duplicate branch labels ['l', 'l']"),
+    (parse, "type T = &{}\n[ 0 ]", "<input>:1:10: empty label set"),
+    (parse, "type T = rec X.X\n[ 0 ]", "<input>:1:10: non-contractive recursive type rec X"),
+    (parse, "type T = ?int.U\n[ 0 ]", "<input>:1:15: unknown type name U"),
+    (parse, "type T = 3\n[ 0 ]", "<input>:1:10: expected a session type, found '3'"),
+    (parse, "type T = !foo.end\n[ 0 ]", "<input>:1:11: expected a base type, found 'foo'"),
+    (parse, "shared a : T\n[ 0 ]", "<input>:1:12: undeclared protocol type T"),
+    (parse, "[ 0 | s~x:[] ]", "<input>:1:9: expected a state counter"),
+    (parse, "[ 0 | *s~0:[(x, 1)] ]", "<input>:1:14: expected a message tag"),
+    (parse, "[ 0 | s~0:[x] ]",
+     "<input>:1:12: buffer message must be a closed value (unbound variable x)"),
+    (parse, "[ s. 0 ]", "<input>:1:4: expected a session prefix after s"),
+    (parse_declared, "s:(x, end)", "<input>:1:4: expected a state counter"),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_error_names_its_position(parser, text, message):
+    """Each failure reports the whole message at the token it is about."""
+    with pytest.raises(UBSCSyntaxError) as exc:
+        parser(text)
+    assert str(exc.value) == message
+
+
+def test_unit_payload_and_an_earlier_declared_type():
+    prog = parse("type U = !unit.end\ntype T = ?int.U\n[ 0 ]")
+    assert prog.type_decls["U"] == st.Out(v.UNIT_T, st.END)
+    assert prog.type_decls["T"] == st.In(v.INT_T, prog.type_decls["U"])

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from conftest import in_fresh_process
+
 from ubsc import values as v
+from ubsc.syntax import parse_expr, parse_value
 
 
 def ints():
@@ -149,3 +152,73 @@ def test_type_expr():
         v.type_expr({}, v.BinOp("union", ints, v.Lit(v.IntV(2))))
     with pytest.raises(v.ExprTypeError, match="^union of mismatched sets "):
         v.type_expr({}, v.BinOp("union", ints, v.SetE((v.Lit(v.StrV("a")),))))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3 - 5", v.IntV(-2)),
+    ("1 = 1", v.TRUE),
+    ("false or true", v.TRUE),
+    ('"a" < "b"', v.TRUE),
+    ("false < true", v.TRUE),
+    ("(1, 2) < (1, 3)", v.TRUE),
+])
+def test_eval_operators(text, value):
+    assert v.eval_expr(parse_expr(text), {}) == value
+
+
+def test_aggregate_pairs_keeps_the_larger():
+    assert v.aggregate(parse_value('(1, "a")'), parse_value('(2, "b")')) == parse_value('(2, "b")')
+
+
+@pytest.mark.parametrize("text, message", [
+    ("size(3)", "size: expected a set, got IntV(n=3)"),
+    ("chooseVal(3, 0)", "chooseVal: expected a set, got IntV(n=3)"),
+    ("chooseVal({(true, 1)}, 0)", "chooseVal: malformed round BoolV(b=True)"),
+    ("chooseVal({1}, 0)", "chooseVal: malformed element IntV(n=1)"),
+    ("snd(3)", "snd: expected pair, got IntV(n=3)"),
+    ("{1} union 2", "union: expected a set, got IntV(n=2)"),
+    ("1 and true", "expected bool, got IntV(n=1)"),
+    ("true + 1", "+: expected int, got BoolV(b=True)"),
+    ("size(1, 2)", "cannot evaluate Builtin(name='size', "
+                   "args=(Lit(value=IntV(n=1)), Lit(value=IntV(n=2))))"),
+])
+def test_eval_rejects(text, message):
+    with pytest.raises(v.EvalError) as exc:
+        v.eval_expr(parse_expr(text), {})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 < true", "ordering over int, bool"),
+    ('1 = "a"', "equality over int, str"),
+    ("{1, true}", "mixed set element types: int vs bool"),
+    ("chooseVal(1, 0)", "chooseVal over int"),
+    ("chooseVal({(1, 2)}, true)", "chooseVal default must be int, got bool"),
+    ("fst(1)", "fst over non-pair int"),
+    ("snd(1)", "snd over non-pair int"),
+    ("size(1, 2)", "cannot type Builtin(name='size', "
+                   "args=(Lit(value=IntV(n=1)), Lit(value=IntV(n=2))))"),
+])
+def test_type_rejects(text, message):
+    with pytest.raises(v.ExprTypeError) as exc:
+        v.type_expr({}, parse_expr(text))
+    assert str(exc.value) == message
+
+
+def _set_reprs() -> list:
+    """How a set of twenty ints made largest first, and the empty set,
+    print."""
+    return [repr(v.mkset([v.IntV(n) for n in range(19, -1, -1)])), repr(v.mkset([]))]
+
+
+def test_set_prints_in_value_order():
+    """Values hash by identity, so a frozenset of them iterates in the order
+    of their addresses, which a new process need not repeat.  A set prints
+    its items in value order instead."""
+    items = ", ".join(f"IntV(n={n})" for n in range(20))
+    assert in_fresh_process("test_values", "_set_reprs()") == [
+        f"SetV(items=frozenset({{{items}}}))", "SetV(items=frozenset())"]
+    with pytest.raises(v.EvalError) as exc:
+        v.type_of_value(parse_value('{1, true, "a"}'))
+    assert str(exc.value) == ("mixed element types in set: "
+                              "SetV(items=frozenset({BoolV(b=True), IntV(n=1), StrV(s='a')}))")
