@@ -90,10 +90,10 @@ class TypingResult:
 
 
 class _DefEntry:
-    __slots__ = ("name", "params", "body", "env", "sig", "checked")
+    __slots__ = ("params", "body", "env", "sig", "checked")
 
-    def __init__(self, name, params, body, env):
-        self.name, self.params, self.body, self.env = name, params, body, env
+    def __init__(self, params, body, env):
+        self.params, self.body, self.env = params, body, env
         self.sig = None  # tuple of ("expr", BaseType) | ("chan", aggr, SessionType)
         self.checked = False
 
@@ -190,6 +190,33 @@ def _type_buffer_body(b: t.Buffer) -> tuple:
 
 # ===================================================================== processes
 
+class _SynthFail(Exception):
+    pass
+
+
+def _synth_send(p: t.Send, gamma: Gamma, conts: list) -> st.SessionType:
+    try:
+        beta = v.type_expr(gamma.vars, p.expr)
+    except v.ExprTypeError as exc:
+        raise _SynthFail(str(exc))
+    return st.Out(beta, conts[0])
+
+
+# Each prefix's rule, the session type its channel must unfold to, the verb
+# of its errors, the polarity its channel must have (None for either), and
+# the builder of its synthesised type from its continuations' types there in
+# ``layer`` order (a branch's recovery arm, last, takes no part).
+_PREFIX = {
+    t.Send: ("TSnd", st.Out, "send", None, _synth_send),
+    t.Recv: ("TRcv", st.In, "receive", None,
+             lambda p, gamma, conts: st.In(v.ANY_T, conts[0])),
+    t.Select: ("TSel", st.SelT, "select", True,
+               lambda p, gamma, conts: st.SelT(((p.label, conts[0]),))),
+    t.Branch: ("TBr", st.BraT, "branch", False, lambda p, gamma, conts: st.BraT(
+        st.mkarms(zip((l for l, _ in p.arms), conts)))),
+}
+
+
 class _ProcessChecker:
     def __init__(self, gamma: Gamma, trace: list):
         self.gamma = gamma
@@ -212,15 +239,31 @@ class _ProcessChecker:
                                       f"{render_type(ty)}, not end")
         return kept
 
-    def _take(self, delta: dict, ch: t.Chan, rule: str, shape: type, verb: str):
-        """The unfolded type of ``ch``, which ``rule`` needs to be a ``shape``."""
+    @staticmethod
+    def _cut(delta: dict, keep, rule: str, why) -> dict:
+        """``delta`` cut to the channels in ``keep``.  A branch may drop a
+        plain endpoint but never an aggregator: the dropped aggregators, in
+        context order, fail ``rule`` with the reason ``why`` words for them."""
+        dropped = [k for k in delta if k.aggr and k not in keep]
+        if dropped:
+            raise TypeFail(rule, why(dropped))
+        return {k: ty for k, ty in delta.items() if k in keep}
+
+    def _take(self, delta: dict, p: t.Process) -> tuple:
+        """The rule of the prefix ``p`` and the unfolded type of its channel,
+        which must have the polarity and the shape :data:`_PREFIX` names."""
+        rule, shape, verb, aggr, _ = _PREFIX[type(p)]
+        ch = p.chan
+        if aggr is not None and ch.aggr != aggr:
+            raise TypeFail(rule, f"{verb} on {'aggregator' if ch.aggr else 'plain'} "
+                                 f"endpoint {render_chan(ch)}")
         if ch not in delta:
             raise TypeFail(rule, f"channel {render_chan(ch)} not in the linear context")
         ty = st.unfold(delta[ch])
         if not isinstance(ty, shape):
             raise TypeFail(rule, f"{render_chan(ch)} has type {render_type(ty)}, "
                                  f"cannot {verb}")
-        return ty
+        return rule, ty
 
     # -- main ------------------------------------------------------------
     def check(self, vars_ctx: dict, defenv: tuple, delta: dict, p: t.Process):
@@ -252,33 +295,22 @@ class _ProcessChecker:
                 ty = self.gamma.shared[a]
                 ty = st.dual(ty) if aggr else ty
                 return self.check(vars_ctx, defenv, {**delta, t.ChanVar(x, aggr): ty}, body)
-            case t.Send(ch, e, body):
-                ty = self._take(delta, ch, "TSnd", st.Out, "send")
-                expr_check(e, ty.beta)
-                self.trace.append(RuleApp("TSnd", render_chan(ch), len(delta)))
-                return self.check(vars_ctx, defenv, {**delta, ch: ty.cont}, body)
-            case t.Recv(ch, x, d, body):
-                ty = self._take(delta, ch, "TRcv", st.In, "receive")
-                expr_check(d, ty.beta)
-                self.trace.append(RuleApp("TRcv", render_chan(ch), len(delta)))
-                v2 = {**vars_ctx, x: ty.beta}
-                return self.check(v2, defenv, {**delta, ch: ty.cont}, body)
-            case t.Select(ch, label, body):
-                if not ch.aggr:
-                    raise TypeFail("TSel", f"select on plain endpoint "
-                                           f"{render_chan(ch)}")
-                ty = self._take(delta, ch, "TSel", st.SelT, "select")
-                arms = dict(ty.arms)
-                if label not in arms:
-                    raise TypeFail("TSel", f"label {label} not offered by "
-                                           f"{render_type(ty)}")
-                self.trace.append(RuleApp("TSel", render_chan(ch), len(delta)))
-                return self.check(vars_ctx, defenv, {**delta, ch: arms[label]}, body)
+            case t.Send(ch, e, body) | t.Recv(ch, _, e, body) | t.Select(ch, e, body):
+                # ``e`` is the payload, the receive's default or the label
+                rule, ty = self._take(delta, p)
+                if rule == "TSel":
+                    cont = dict(ty.arms).get(e)
+                    if cont is None:
+                        raise TypeFail(rule, f"label {e} not offered by {render_type(ty)}")
+                else:
+                    expr_check(e, ty.beta)
+                    cont = ty.cont
+                self.trace.append(RuleApp(rule, render_chan(ch), len(delta)))
+                if rule == "TRcv":
+                    vars_ctx = {**vars_ctx, p.bind: ty.beta}
+                return self.check(vars_ctx, defenv, {**delta, ch: cont}, body)
             case t.Branch(ch, arms, default_arm):
-                if ch.aggr:
-                    raise TypeFail("TBr", f"branch on aggregator endpoint "
-                                          f"{render_chan(ch)}")
-                ty = self._take(delta, ch, "TBr", st.BraT, "branch")
+                _, ty = self._take(delta, p)
                 tarms = dict(ty.arms)
                 plabels = [l for l, _ in arms]
                 if set(plabels) != set(tarms):
@@ -286,48 +318,34 @@ class _ProcessChecker:
                                           f"match type labels {sorted(tarms)}")
                 self.trace.append(RuleApp("TBr", render_chan(ch), len(delta)))
                 for l, ap in arms:
-                    self.check(dict(vars_ctx), defenv, {**delta, ch: tarms[l]}, ap)
-                rest = {k: ty2 for k, ty2 in delta.items() if k != ch}
-                keep = _free_chans(default_arm)
-                dropped = [k for k in rest if k not in keep and k.aggr]
-                if dropped:
-                    raise TypeFail("TBr", "recovery arm drops aggregator endpoint "
-                                   + ", ".join(render_chan(k) for k in dropped))
-                d_r = {k: ty2 for k, ty2 in rest.items() if k in keep or k.aggr}
-                self.check(dict(vars_ctx), defenv, d_r, default_arm)
-                return
+                    self.check(vars_ctx, defenv, {**delta, ch: tarms[l]}, ap)
+                d_r = self._cut(delta, _free_chans(default_arm) - {ch}, "TBr", lambda ks:
+                                "recovery arm drops aggregator endpoint "
+                                + ", ".join(map(render_chan, ks)))
+                return self.check(vars_ctx, defenv, d_r, default_arm)
             case t.Sum(l, r):
                 self.trace.append(RuleApp("TSum", "+", len(delta)))
-                self.check(dict(vars_ctx), defenv, dict(delta), l)
-                self.check(dict(vars_ctx), defenv, dict(delta), r)
-                return
+                self.check(vars_ctx, defenv, delta, l)
+                return self.check(vars_ctx, defenv, delta, r)
             case t.Cond(g, tp, ep):
                 gt = expr_type(g)
                 if not v.base_compatible(v.BOOL_T, gt):
                     raise TypeFail("TCond", f"guard has type {gt!r}")
-                fc_t = _free_chans(tp)
-                fc_e = _free_chans(ep)
-                d_then, d_else = {}, {}
-                for k, ty in delta.items():
-                    in_t, in_e = k in fc_t, k in fc_e
-                    # a branch may drop a plain endpoint the other uses
-                    if in_t != in_e and k.aggr:
-                        dropper = "else" if in_t else "then"
-                        raise TypeFail("TCond", "aggregator endpoint "
-                                       f"{render_chan(k)} dropped by {dropper}-branch")
-                    if in_t or not in_e:
-                        d_then[k] = ty
-                    if in_e or not in_t:
-                        d_else[k] = ty
+                # a branch may drop a plain endpoint the other uses, and keeps the rest
+                fc_t, fc_e = _free_chans(tp), _free_chans(ep)
+                both = self._cut(delta, delta.keys() - (fc_t ^ fc_e), "TCond", lambda ks:
+                                 f"aggregator endpoint {render_chan(ks[0])} dropped by "
+                                 f"{'else' if ks[0] in fc_t else 'then'}-branch")
                 self.trace.append(RuleApp("TCond", "if", len(delta)))
-                self.check(dict(vars_ctx), defenv, d_then, tp)
-                self.check(dict(vars_ctx), defenv, d_else, ep)
+                for kid, fc in ((tp, fc_t), (ep, fc_e)):
+                    self.check(vars_ctx, defenv,
+                               {k: ty for k, ty in delta.items() if k in both or k in fc}, kid)
                 return
             case t.Defs(defs, body):
                 entries = {}
                 env2 = defenv + ((defs, entries),)
                 for name, params, dbody in defs:
-                    entries[name] = _DefEntry(name, params, dbody, env2)
+                    entries[name] = _DefEntry(params, dbody, env2)
                 self.trace.append(RuleApp("TRec", ",".join(n for n, _, _ in defs),
                                           len(delta)))
                 return self.check(vars_ctx, env2, delta, body)
@@ -338,41 +356,34 @@ class _ProcessChecker:
                 if len(args) != len(entry.params):
                     raise TypeFail("TVar", f"{name} expects {len(entry.params)} "
                                            f"arguments, got {len(args)}")
-                if entry.sig is None:
-                    sig = []
-                    for a in args:
-                        if isinstance(a, (t.Endpoint, t.ChanVar)):
-                            if a not in delta:
-                                raise TypeFail("TVar", f"channel argument "
-                                               f"{render_chan(a)} not in context")
-                            sig.append(("chan", a.aggr, delta[a]))
-                        else:
-                            sig.append(("expr", expr_type(a)))
-                    entry.sig = tuple(sig)
+                # the first call seeds the signature; later ones are checked against it
                 self.trace.append(RuleApp("TVar", name, len(delta)))
-                used = dict(delta)
-                for a, s in zip(args, entry.sig):
-                    if s[0] == "chan":
-                        if not isinstance(a, (t.Endpoint, t.ChanVar)):
-                            raise TypeFail("TVar", f"{name}: expected a channel "
-                                                   f"argument, got expression")
-                        if a.aggr != s[1]:
-                            raise TypeFail("TVar", f"{name}: channel argument "
-                                           f"{render_chan(a)} has wrong polarity")
-                        if a not in used:
-                            raise TypeFail("TVar", f"channel argument "
-                                           f"{render_chan(a)} not in context")
-                        if not st.types_equal(used.pop(a), s[2]):
-                            raise TypeFail("TVar", f"{name}: channel argument "
-                                           f"{render_chan(a)} type mismatch")
-                    else:
-                        if isinstance(a, (t.Endpoint, t.ChanVar)):
-                            raise TypeFail("TVar", f"{name}: expected an expression "
-                                                   f"argument, got channel")
+                used, seed = dict(delta), []
+                for a, s in zip(args, entry.sig or itertools.repeat(None)):
+                    chan = isinstance(a, (t.Endpoint, t.ChanVar))
+                    if s is not None and chan != (s[0] == "chan"):
+                        raise TypeFail("TVar", f"{name}: expected " + (
+                            "an expression argument, got channel" if chan
+                            else "a channel argument, got expression"))
+                    if not chan:
                         at = expr_type(a)
-                        if v.refine_base(s[1], at) is None:
+                        if s is not None and v.refine_base(s[1], at) is None:
                             raise TypeFail("TVar", f"{name}: argument type {at!r} "
                                            f"does not match {s[1]!r}")
+                        seed.append(("expr", at))
+                        continue
+                    if s is not None and a.aggr != s[1]:
+                        raise TypeFail("TVar", f"{name}: channel argument "
+                                       f"{render_chan(a)} has wrong polarity")
+                    if a not in used:
+                        raise TypeFail("TVar", f"channel argument "
+                                       f"{render_chan(a)} not in context")
+                    ty = used.pop(a)
+                    if s is not None and not st.types_equal(ty, s[2]):
+                        raise TypeFail("TVar", f"{name}: channel argument "
+                                       f"{render_chan(a)} type mismatch")
+                    seed.append(("chan", a.aggr, ty))
+                entry.sig = entry.sig or tuple(seed)
                 if not entry.checked:
                     entry.checked = True
                     self._check_def_body(entry)
@@ -420,36 +431,13 @@ def type_process(gamma: Gamma, delta: dict, p: t.Process,
     tr = trace if trace is not None else []
     checker = _ProcessChecker(gamma, tr)
     try:
-        checker.check(dict(gamma.vars), (), dict(delta), p)
+        checker.check(gamma.vars, (), delta, p)
         return TypingResult(True, residual={}, trace=tr)
     except TypeFail as e:
         return TypingResult(False, trace=tr, error=e)
 
 
 # ===================================================================== synthesis
-
-class _SynthFail(Exception):
-    pass
-
-
-def _synth_send(p: t.Send, gamma: Gamma, conts: list) -> st.SessionType:
-    try:
-        beta = v.type_expr(gamma.vars, p.expr)
-    except v.ExprTypeError as exc:
-        raise _SynthFail(str(exc))
-    return st.Out(beta, conts[0])
-
-
-# a prefix's type on its channel, from its continuations' types there in
-# ``layer`` order; a branch's recovery arm, last, does not take part
-_SYNTH_PREFIX = {
-    t.Send: _synth_send,
-    t.Recv: lambda p, gamma, conts: st.In(v.ANY_T, conts[0]),
-    t.Select: lambda p, gamma, conts: st.SelT(((p.label, conts[0]),)),
-    t.Branch: lambda p, gamma, conts: st.BraT(
-        st.mkarms(zip((l for l, _ in p.arms), conts))),
-}
-
 
 def synth_process(gamma: Gamma, p: t.Process) -> dict:
     """Synthesise the session types a definition-free runtime process assigns
@@ -458,7 +446,7 @@ def synth_process(gamma: Gamma, p: t.Process) -> dict:
 
     One walk over ``terms.layer``: the kids are synthesised in order and
     their contexts merged as they come, each less its type on a prefix's
-    channel, from which :data:`_SYNTH_PREFIX` builds the prefix's."""
+    channel, from which :data:`_PREFIX`'s builder makes the prefix's."""
     if isinstance(p, (t.Request, t.Accept, t.Defs, t.Call, t.Recover)):
         raise _SynthFail(f"cannot synthesise a type for {type(p).__name__}; "
                          f"a protocol declaration is required")
@@ -481,7 +469,7 @@ def synth_process(gamma: Gamma, p: t.Process) -> dict:
             else:
                 merged[k] = ty
     if chans:
-        merged[chans[0]] = _SYNTH_PREFIX[type(p)](p, gamma, conts)
+        merged[chans[0]] = _PREFIX[type(p)][4](p, gamma, conts)
     return merged
 
 
@@ -541,6 +529,14 @@ def type_network(gamma: Gamma, net: t.Network, declared: Optional[dict] = None,
     protocols = dict(protocols or {})
     pin = dict(pin or {})
     try:
+        # a declared plain entry must be one its aggregator's dual reaches
+        for ep, (ca, ta) in declared.items():
+            pl = t.Endpoint(ep.session, False)
+            if ep.aggr and pl in declared and not st.entry_synchronizes(
+                    ca, st.dual(ta), *declared[pl]):
+                raise TypeFail("TSynch", "declared entries " + " and ".join(
+                    render_stated_context({e: declared[e]}) for e in (ep, pl))
+                    + " do not synchronise")
         restricted, nodes = t.flatten_nodes(net)
 
         # classify restricted names; extend gamma for restricted shared names

@@ -43,7 +43,6 @@ class GoldenCase:
     program: str  # corpus file name
     schedule: list  # script steps
     expected: list  # (step index, network text) pairs
-    typed: bool = True
     declared: Optional[str] = None  # declared-context text for checking
     digests: list = field(default_factory=list)  # pinned digest per step
 

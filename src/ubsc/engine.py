@@ -248,16 +248,12 @@ def _assignment(rset: frozenset, meets: tuple) -> tuple:
     return dict(zip(met, names)), "".join(f"new {nm}. " for nm in names)
 
 
-def canonical_render(n: t.Network) -> str:
-    return canonical_text(*t.flatten_nodes(n))
-
-
 def digest(n: t.Network) -> str:
     return RunState.from_network(n).digest()
 
 
 def networks_equivalent(a: t.Network, b: t.Network) -> bool:
-    return canonical_render(a) == canonical_render(b)
+    return canonical_text(*t.flatten_nodes(a)) == canonical_text(*t.flatten_nodes(b))
 
 
 # ------------------------------------------------------------- run state

@@ -267,10 +267,7 @@ class _Parser:
         self.expect(":")
         self.expect("[")
         queue = self.seq(self.msg, "]", aggr)
-        try:
-            return t.Buffer(t.Endpoint(sess, aggr), state, tuple(queue))
-        except ValueError as e:
-            self.fail(str(e), tok)
+        return t.Buffer(t.Endpoint(sess, aggr), state, tuple(queue))
 
     def msg(self, aggr: bool):
         tok = self.peek()

@@ -527,16 +527,11 @@ def _eval(e: Expr, env: dict) -> Value:
             return size_val(eval_expr(a, env))
         case Builtin("chooseVal", (a, d)):
             return choose_val(eval_expr(a, env), eval_expr(d, env))
-        case Builtin("fst", (a,)):
+        case Builtin("fst" | "snd" as f, (a,)):
             v = eval_expr(a, env)
             if not isinstance(v, PairV):
-                raise EvalError(f"fst: expected pair, got {v!r}")
-            return v.first
-        case Builtin("snd", (a,)):
-            v = eval_expr(a, env)
-            if not isinstance(v, PairV):
-                raise EvalError(f"snd: expected pair, got {v!r}")
-            return v.second
+                raise EvalError(f"{f}: expected pair, got {v!r}")
+            return v.first if f == "fst" else v.second
         case BinOp(op, le, re_):
             l = eval_expr(le, env)
             r = eval_expr(re_, env)
@@ -641,18 +636,12 @@ def _type_expr(vars_ctx: dict, e: Expr) -> BaseType:
             if not base_compatible(INT_T, td):
                 raise ExprTypeError(f"chooseVal default must be int, got {td!r}")
             return INT_T
-        case Builtin("fst", (a,)):
+        case Builtin("fst" | "snd" as f, (a,)):
             t = type_expr(vars_ctx, a)
             r = refine_base(PairT(ANY_T, ANY_T), t)
             if r is None:
-                raise ExprTypeError(f"fst over non-pair {t!r}")
-            return r.first if isinstance(r, PairT) else ANY_T
-        case Builtin("snd", (a,)):
-            t = type_expr(vars_ctx, a)
-            r = refine_base(PairT(ANY_T, ANY_T), t)
-            if r is None:
-                raise ExprTypeError(f"snd over non-pair {t!r}")
-            return r.second if isinstance(r, PairT) else ANY_T
+                raise ExprTypeError(f"{f} over non-pair {t!r}")
+            return r.first if f == "fst" else r.second  # ``r`` is a pair type
         case BinOp(op, l, r):
             tl = type_expr(vars_ctx, l)
             tr = type_expr(vars_ctx, r)

@@ -7,7 +7,7 @@ from ubsc import sestypes as st
 from ubsc import terms as t
 from ubsc import values as v
 from ubsc.corpus import load_program
-from ubsc.syntax import parse_network, parse_process, parse_type
+from ubsc.syntax import parse_declared, parse_network, parse_process, parse_type
 from ubsc.terms import Endpoint
 
 G = ck.Gamma()
@@ -189,12 +189,34 @@ def test_process_rule_rejections(text, entries, expect):
     ("new a. [ req a(*x). 0 ]", {"a": "end"}, "Ok, residual: (empty)"),
     ("new s. [ s?(x). 0 | s~0:[] ]", {},
      "Fail TSRes: restricted session s has no aggregator endpoint in context"),
+    ("[ s?(x). 0 | s~5:[] ]", {"s": "?int.end"},
+     "Fail TNode: no protocol position 5 for s (at node#0 (line 1))"),
 ])
 def test_network_rule_rejections(text, protocols, expect):
     protocols = {name: parse_type(ty) for name, ty in protocols.items()}
     res = ck.type_network(G, parse_network(text), protocols=protocols)
     assert res.render() == expect
     assert not res.ok or "TCRes" in [app.rule for app in res.trace]
+
+
+@pytest.mark.parametrize("text, context, expect", [
+    # the plain entry cannot be reached from the aggregator's dual, so the
+    # reduct after the broadcast would not type: preservation would fail
+    ("[ *s!<1>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]", "*s:(0, !int.end), s:(0, ?str.end)",
+     "Fail TSynch: declared entries *s: (0, !int.end) and s: (0, ?str.end) do not synchronise"),
+    ("[ 0 | *s~1:[] ] || [ s?(x). 0 | s~0:[] ]", "*s:(1, end), s:(0, ?str.end)",
+     "Ok, residual: *s: (1, end), s: (0, ?str.end)"),
+    ("[ *s!<1>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]", "*s:(0, !int.end), s:(1, end)",
+     "Ok, residual: *s: (0, !int.end), s: (1, end)"),
+    ("[ 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ] || [ 0 | s~1:[] ]", "s:(2, end)",
+     "Fail TSynch: s: (1, end) does not synchronise to (2, end)"),
+])
+def test_declared_context(text, context, expect):
+    """A declared context is checked against itself before the network: a
+    session declaring both endpoints must have a plain entry its
+    aggregator's dual synchronises to.  A lagging plain entry qualifies."""
+    res = ck.type_network(G, parse_network(text), declared=parse_declared(context))
+    assert res.render() == expect
 
 
 # ------------------------------------------------------------- network typing

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from ubsc import checker as ck
 from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import values as v
+from ubsc.syntax import parse_declared
 
 CASES = {c.name: c for c in cp.corpus_programs()}
 
@@ -15,6 +18,20 @@ def test_golden_replays_bit_identical(name):
     digests, mismatches = cp.run_case(case)
     assert mismatches == []
     assert digests == case.digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_program_types_under_its_declared_context(name):
+    """A case's recovery-encoded program types under the declared context
+    its golden file records, or under no context when it records none."""
+    case = CASES[name]
+    with open(case.golden_path(), encoding="utf-8") as fh:
+        assert json.load(fh)["declared"] == case.declared
+    prog = cp.load_program(case.program)
+    declared = parse_declared(case.declared, prog.type_decls) if case.declared else None
+    res = ck.type_network(ck.Gamma(shared=prog.shared_types()),
+                          eng.encode_network(prog.network), declared=declared)
+    assert res.ok, res.render()
 
 
 def test_schedules_reproduce_displayed_networks():

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,34 @@ def test_conn_empty_family_allowed():
     assert rs[0].rule == "Conn" and rs[0].receivers == ()
     st2 = eng.apply_redex(st, rs[0], ())
     assert len(st2.restricted) == 1
+
+
+def test_malformed_redexes_are_refused():
+    """Each refusal of ``apply_redex``, whole, on a redex no enumeration
+    makes: a receiver outside the family, an alternative the node lacks, a
+    rule that does not exist, and a Conn acceptor with no accept."""
+    state = eng.RunState.from_network(parse_network(
+        "[ *s!<1>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]"))
+    bcast = next(r for r in eng.enabled_redexes(state) if r.rule == "Bcast")
+    conn = eng.RunState.from_network(parse_network("[ req a(*w). 0 ] || [ 0 ]"))
+    for st, r, chosen, message in [
+        (state, bcast, (0,), "chosen receivers outside the eligible family"),
+        (state, replace(bcast, alt=1), None, "stale alternative index"),
+        (state, replace(bcast, rule="Nope"), None, "unknown rule Nope"),
+        (conn, eng.Redex("Conn", "a", 0, (1,)), None, "node 1 has no accept alternative on a"),
+    ]:
+        with pytest.raises(eng.EngineError) as e:
+            eng.apply_redex(st, r, chosen)
+        assert str(e.value) == message
+
+
+def test_script_step_needs_an_index_among_matches():
+    state = eng.RunState.from_network(parse_network(
+        "[ *s!<1>. 0 | *s~0:[] ] || [ *u!<2>. 0 | *u~0:[] ]"))
+    with pytest.raises(eng.EngineError) as e:
+        eng.resolve_script_step(state, {"rule": "Bcast"})
+    assert str(e.value) == "2 Bcast redexes match; no index picks one"
+    assert eng.resolve_script_step(state, {"rule": "Bcast", "index": 1})[0].session == "u"
 
 
 def test_ucast_state_condition():
