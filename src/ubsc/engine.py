@@ -136,7 +136,7 @@ class _NodeDigest:
 
 @v.memo_on_term
 def _node_digest(node: t.NetworkNode) -> _NodeDigest:
-    tpl, bufs = process_template(node.process), node.buffers  # named: the template's holes
+    tpl, bufs = process_template(node.process), node.buffers  # named: the names it is filled with
     named = tpl[1] if tpl else frozenset().union(*t.process_facts(node.process)[:2])
     flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
     f = _NodeDigest()

@@ -1,18 +1,19 @@
 """Pretty-printing for every syntax category.
 
 A process is written by one walk, :func:`_canon_text`: as written by
-:func:`render_process`, canonically by :func:`canon_process`, and as the
-templates of :func:`process_template` that digests fill.  A printed
-process or expression parses back to the same term, with its sums
-right-nested and its binary operators left-nested at the levels of
-:data:`values.OP_LEVEL`, so printing the parse of a printed text gives that
-text again.
+:func:`render_process`, canonically by :func:`canon_process`, and over a
+process's shape as the template that :func:`process_template` fills for
+digests.  A printed process or expression parses back to the same term,
+with its sums right-nested and its binary operators left-nested at the
+levels of :data:`values.OP_LEVEL`, so printing the parse of a printed text
+gives that text again.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from . import sestypes as st
@@ -48,9 +49,12 @@ def render_expr(e: v.Expr, level: int = 0) -> str:
     return s
 
 
+_OPERAND = v.OP_LEVEL["+"]  # the level a send's payload and a receive's default sit at
+
+
 def render_operand(e: v.Expr) -> str:
     """An expression where a send's payload or a receive's default sits."""
-    return render_expr(e, v.OP_LEVEL["+"])
+    return render_expr(e, _OPERAND)
 
 
 @v.memo_on_term
@@ -69,6 +73,8 @@ def _expr_text(e: v.Expr) -> str:
         case v.Builtin(name, args):
             return f"{name}(" + ", ".join(render_expr(a) for a in args) + ")"
         case v.BinOp(op, l, r):
+            if l is _HOLE_VAR and r is _HOLE_VAR:  # a closed expression's placeholder
+                return _HOLE
             # left-associative: left operand may sit at the same level
             lvl = v.OP_LEVEL[op]
             return f"{render_expr(l, lvl)} {op} {render_expr(r, lvl + 1)}"
@@ -126,53 +132,74 @@ def render_chan(ch: t.Chan) -> str:
 
 
 _CANON_BASE = 10_000  # throwaway numbering base for order keys
-_HOLE = "\x00"  # delimits a name hole in a template: "\x00name\x00"
+_HOLE = "\x00"  # a hole in a template, where a name or a closed expression is filled in
+_HOLE_VAR = v.Var(_HOLE)  # a closed expression's placeholder in a shape
+# per level of values.OP_LEVEL, the placeholder of a closed binary expression:
+# written as one hole, in the parentheses its level takes where it stands
+_PLACES = {lvl: v.BinOp(op, _HOLE_VAR, _HOLE_VAR) for op, lvl in v.OP_LEVEL.items()}
+_UNIT = v.Lit(v.UNIT)  # a receive's default that its text leaves out
+_PREFIXES = frozenset((t.Request, t.Accept, t.Send, t.Recv, t.Select))
+_ERASED = (t.Endpoint("", False), t.Endpoint("", True))  # an endpoint in a shape, by polarity
 _NO_BINDERS: dict = {}  # the binder map at the top of a process; never mutated
+_NO_REN: dict = {}  # names written as they are; never mutated
 
 
 class _NameOrder(Exception):
-    """A sum's alternative order depends on the names filling its holes."""
+    """A sum's alternative order depends on what fills its holes."""
 
 
 class _Holes:
-    """The holes a canonicalisation into a template makes: their ``count``,
-    and the ``top`` binder map (a definitions block's) under which body
-    texts are memoised, see :func:`_canon_body`."""
+    """The holes a walk into a template writes, each as one :data:`_HOLE`:
+    ``refs`` holds, in text order, the term-order index of each hole's fill
+    (see :func:`_fills`), and ``next`` the index of the next fill in term
+    order."""
 
-    __slots__ = ("count", "top")
+    __slots__ = ("next", "refs")
 
-    def __init__(self, top: Optional[dict] = None):
-        self.count = 0
-        self.top = top
+    def __init__(self):
+        self.next, self.refs = 0, []
+
+    def take(self, k: int) -> None:
+        """Record ``k`` holes written in term order."""
+        self.refs += range(self.next, self.next + k)
+        self.next += k
 
 
 def _fixed_order(a: str, b: str) -> bool:
-    """``a`` and ``b`` compare the same whatever names fill their holes:
-    they are equal, or differ before either reaches a hole."""
-    if a == b:
-        return True
+    """Keys ``a`` and ``b`` compare the same whatever fills their holes:
+    they differ before either reaches a hole, or are equal and hold none."""
     i = len(os.path.commonprefix((a, b)))
     return _HOLE not in a[:i + 1] and _HOLE not in b[:i + 1]
 
 
-def _chan_text(ch: t.Chan, env: dict, holes: Optional[_Holes]) -> str:
+def _name(name: str, names) -> str:
+    """Session or shared ``name`` renamed by ``names``, or a hole taken in
+    ``names`` when it is a template's :class:`_Holes`."""
+    if type(names) is _Holes:
+        names.take(1)
+        return _HOLE
+    return names.get(name, name)
+
+
+def _chan_text(ch: t.Chan, env: dict, names) -> str:
     if type(ch) is t.ChanVar:
         name = env.get(ch.name, ch.name)
     else:
-        name = _hole(ch.session, holes)
+        name = _name(ch.session, names)
     return "*" + name if ch.aggr else name
-
-
-def _hole(name: str, holes: Optional[_Holes]) -> str:
-    """``name`` as a hole, counted in ``holes``; as is without ``holes``."""
-    if holes is None:
-        return name
-    holes.count += 1
-    return _HOLE + name + _HOLE
 
 
 def _canon_expr(e: v.Expr, env: dict) -> v.Expr:
     return v.map_vars(e, env.keys(), lambda x: v.Var(env[x]))
+
+
+def _expr_part(e: v.Expr, env: dict, names, level: int = 0) -> str:
+    """``e`` under the binder map ``env`` at ``level``; in a template its
+    placeholders are holes, taken in ``names``."""
+    s = render_expr(_canon_expr(e, env), level)
+    if type(names) is _Holes:
+        names.take(s.count(_HOLE))
+    return s
 
 
 def _bind(name: str, env: dict, counter: Optional[list], prefix: str = "v") -> tuple:
@@ -185,193 +212,328 @@ def _bind(name: str, env: dict, counter: Optional[list], prefix: str = "v") -> t
     return new, {**env, name: new}
 
 
-def _canon_text(p: t.Process, env: dict, counter: Optional[list],
-                holes: Optional[_Holes] = None) -> str:
-    """``p`` as text, in one walk.  Without a ``counter`` binders keep their
-    names and sum alternatives their order.  With one the text is
-    canonical: binders renamed to sequential canonical names, sum
-    alternatives sorted by an alpha-invariant key.  With ``holes`` every
-    endpoint session and shared name becomes a hole, and a sum whose order
-    would depend on how the holes are filled raises :class:`_NameOrder`."""
+def _canon_text(p: t.Process, env: dict, counter: Optional[list], names) -> str:
+    """``p`` as text, in one walk, with its session and shared names renamed
+    by the map ``names``.  Without a ``counter`` binders keep their names
+    and sum alternatives their order.  With one the text is canonical:
+    binders renamed to sequential canonical names, sum alternatives sorted
+    by an alpha-invariant key.  When ``names`` is a :class:`_Holes`, ``p``
+    is a shape (see :func:`_shape`): every name and placeholder is written
+    as a hole, and a sum whose order could depend on what fills the holes
+    raises :class:`_NameOrder`."""
     match p:
         case t.Inact():
             return "0"
         case t.Request(a, x, body):
             nx, env2 = _bind(x, env, counter)
-            return f"req {_hole(a, holes)}(*{nx}). {_canon_body(body, env2, counter, holes)}"
+            return f"req {_name(a, names)}(*{nx}). {_canon_body(body, env2, counter, names)}"
         case t.Accept(a, x, body):
             nx, env2 = _bind(x, env, counter)
-            return f"acc {_hole(a, holes)}({nx}). {_canon_body(body, env2, counter, holes)}"
+            return f"acc {_name(a, names)}({nx}). {_canon_body(body, env2, counter, names)}"
         case t.Send(ch, e, body):
-            return (f"{_chan_text(ch, env, holes)}!<{render_operand(_canon_expr(e, env))}>. "
-                    f"{_canon_body(body, env, counter, holes)}")
+            return (f"{_chan_text(ch, env, names)}!<{_expr_part(e, env, names, _OPERAND)}>. "
+                    f"{_canon_body(body, env, counter, names)}")
         case t.Recv(ch, x, d, body):
-            d2 = _canon_expr(d, env)
-            dflt = "" if d2 == v.Lit(v.UNIT) else f" def {render_operand(d2)}"
+            chan = _chan_text(ch, env, names)
+            dflt = "" if d is _UNIT else f" def {_expr_part(d, env, names, _OPERAND)}"
             nx, env2 = _bind(x, env, counter)
-            return (f"{_chan_text(ch, env, holes)}?({nx}){dflt}. "
-                    f"{_canon_body(body, env2, counter, holes)}")
+            return f"{chan}?({nx}){dflt}. {_canon_body(body, env2, counter, names)}"
         case t.Select(ch, l, body):
-            return f"{_chan_text(ch, env, holes)}<<{l}. {_canon_body(body, env, counter, holes)}"
+            return f"{_chan_text(ch, env, names)}<<{l}. {_canon_body(body, env, counter, names)}"
         case t.Branch(ch, arms, df):
-            chan = _chan_text(ch, env, holes)
-            inner = ", ".join([f"{l}: {_canon_text(ap, env, counter, holes)}" for l, ap in arms]
-                              + [f"df: {_canon_text(df, env, counter, holes)}"])
+            chan = _chan_text(ch, env, names)
+            inner = ", ".join([f"{l}: {_canon_text(ap, env, counter, names)}" for l, ap in arms]
+                              + [f"df: {_canon_text(df, env, counter, names)}"])
             return f"{chan}>>{{{inner}}}"
         case t.Sum():
-            alts = _flatten_sum(p)
+            alts, starts = _flatten_sum(p), None
+            order = range(len(alts))
             if counter is not None:
-                key_holes = None if holes is None else _Holes()  # keys are not part of the text
-                keyed = [(_canon_text(alt, env, [_CANON_BASE], key_holes), alt) for alt in alts]
-                keyed.sort(key=lambda kv: kv[0])
-                if holes is not None and not all(_fixed_order(a, b) for (a, _), (b, _)
-                                                 in zip(keyed, keyed[1:])):
-                    raise _NameOrder
-                alts = [alt for _, alt in keyed]
-            texts = [_canon_text(alt, env, counter, holes) for alt in alts]
-            texts = [f"({s})" if type(alt) is t.Recover else s for alt, s in zip(alts, texts)]
+                holes = type(names) is _Holes  # a key's holes are not the text's
+                keys = [_canon_text(alt, env, [_CANON_BASE], _Holes() if holes else names)
+                        for alt in alts]
+                order = sorted(order, key=keys.__getitem__)
+                if holes:
+                    ranked = [keys[i] for i in order]
+                    if not all(map(_fixed_order, ranked, ranked[1:])):
+                        raise _NameOrder
+                    # the alternatives' fills, in term order, start at these indices
+                    starts = list(accumulate([k.count(_HOLE) for k in keys], initial=names.next))
+            texts = []
+            for i in order:
+                if starts:
+                    names.next = starts[i]
+                s = _canon_text(alts[i], env, counter, names)
+                texts.append(f"({s})" if type(alts[i]) is t.Recover else s)
+            if starts:
+                names.next = starts[-1]
             res = f"{texts[-2]} + {texts[-1]}"  # right-nested as Sum(a1, Sum(a2, ...))
             for s in reversed(texts[:-2]):
                 res = f"{s} + ({res})"
             return res
         case t.Cond(g, a, b):
-            guard = render_expr(_canon_expr(g, env))
-            then = _canon_body(a, env, counter, holes)
-            return f"if {guard} then {then} else {_canon_body(b, env, counter, holes)}"
+            guard = _expr_part(g, env, names)
+            then = _canon_body(a, env, counter, names)
+            return f"if {guard} then {then} else {_canon_body(b, env, counter, names)}"
         case t.Defs(defs, body):
-            head, env2 = _canon_defs(defs, env, counter, holes)
-            return head + _canon_body(body, env2, counter, holes)
+            head, env2 = _canon_defs(defs, env, counter, names)
+            return head + _canon_body(body, env2, counter, names)
         case t.Call(name, args):
-            parts = (_chan_text(a, env, holes) if isinstance(a, (t.Endpoint, t.ChanVar))
-                     else render_expr(_canon_expr(a, env)) for a in args)
+            parts = (_chan_text(a, env, names) if isinstance(a, (t.Endpoint, t.ChanVar))
+                     else _expr_part(a, env, names) for a in args)
             return f"{env.get(name, name)}(" + ", ".join(parts) + ")"
         case t.Recover(b, h):
-            bs = _canon_text(b, env, counter, holes)
-            hs = _canon_text(h, env, counter, holes)
+            bs = _canon_text(b, env, counter, names)
+            hs = _canon_text(h, env, counter, names)
             bs = f"({bs})" if type(b) is t.Sum else bs
             hs = f"({hs})" if type(h) in (t.Sum, t.Recover) else hs
             return f"{bs} >r {hs}"
     raise TypeError(f"not a process: {p!r}")
 
 
-def _canon_body(p: t.Process, env: dict, counter: Optional[list],
-                holes: Optional[_Holes]) -> str:
+def _canon_body(p: t.Process, env: dict, counter: Optional[list], names) -> str:
     """:func:`_canon_text` in a prefix's body position: a sum or a recovery
-    term in parentheses.
-
-    Under the ``top`` binder map of ``holes`` the text is memoised on ``p``
-    with the counter it starts and ends at.  A continuation reached without
-    a binder (after a send, a select, or a branch of a binder-free test)
-    starts at the same counter when it becomes the body of the node's next
-    process, so its template is then read back, not made again."""
-    memo_here = holes is not None and env is holes.top
-    if memo_here:
-        memo = p.__dict__.get("_canon_memo")
-        if memo is not None and memo[0] is env and memo[1] == counter[0]:
-            counter[0] = memo[2]
-            holes.count += memo[3]
-            return memo[4]
-        start, made = counter[0], holes.count
-    s = _canon_text(p, env, counter, holes)
-    if type(p) is t.Sum or type(p) is t.Recover:
-        s = f"({s})"
-    if memo_here:
-        object.__setattr__(p, "_canon_memo", (env, start, counter[0], holes.count - made, s))
-    return s
+    term in parentheses."""
+    s = _canon_text(p, env, counter, names)
+    return f"({s})" if type(p) is t.Sum or type(p) is t.Recover else s
 
 
-def _canon_defs(defs: tuple, env: dict, counter: Optional[list],
-                holes: Optional[_Holes]) -> tuple:
+def _canon_defs(defs: tuple, env: dict, counter: Optional[list], names) -> tuple:
     """Text ``def ... in `` of a ``Defs`` block's definitions, and the
     binder map its body is walked under."""
-    names = []
+    new_names = []
     for n, _, _ in defs:
         nn, env = _bind(n, env, counter, "d")
-        names.append(nn)
+        new_names.append(nn)
     texts = []
-    for (_, params, dbody), nn in zip(defs, names):
+    for (_, params, dbody), nn in zip(defs, new_names):
         env3, new_params = env, []
         for prm in params:
             nprm, env3 = _bind(prm, env3, counter)
             new_params.append(nprm)
         texts.append(f"{nn}({', '.join(new_params)}) = "
-                     f"{_canon_text(dbody, env3, counter, holes)}")
+                     f"{_canon_text(dbody, env3, counter, names)}")
     return f"def {', '.join(texts)} in ", env
 
 
 def _flatten_sum(p: t.Process) -> list:
-    if isinstance(p, t.Sum):
-        return _flatten_sum(p.left) + _flatten_sum(p.right)
-    return [p]
+    """The alternatives of a sum, left to right."""
+    alts, stack = [], [p]
+    while stack:
+        p = stack.pop()
+        if type(p) is t.Sum:
+            stack += (p.right, p.left)
+        else:
+            alts.append(p)
+    return alts
 
 
 def render_process(p: t.Process) -> str:
     """``p`` as written: its binders' names and its sum order kept."""
-    return _canon_text(p, _NO_BINDERS, None)
+    return _canon_text(p, _NO_BINDERS, None, _NO_REN)
 
 
 def canon_process(p: t.Process) -> str:
     """Canonical text of a process: equal exactly for alpha-equivalent
     processes."""
-    return _canon_text(p, {}, [0])
+    return _canon_text(p, {}, [0], _NO_REN)
 
 
-# A process's template is its canonical text with every name ``n`` written
-# as the hole ``\0n\0``, filled under a renaming of its names.  The memo
-# keys follow Maziarz et al., "Hashing Modulo Alpha-Equivalence" (PLDI
-# 2021): a term's template depends on its structure, and names enter only
-# through the fill.
+# A process's template is its canonical text with a hole for each session
+# and shared name and each maximal closed expression.  It is made once per
+# *shape* of the process (Maziarz et al., "Hashing Modulo Alpha-Equivalence",
+# PLDI 2021): the text depends on the term's structure, and names and closed
+# expressions enter only through the fill.  Terms are hash-consed, so a
+# shape is an interned term and keys a cache by identity.
 
-def _checked(text: str, holes: _Holes) -> Optional[str]:
-    """``text`` when it holds exactly the hole marks its holes made; None
-    when it holds more (a string value holding one)."""
-    return text if text.count(_HOLE) == 2 * holes.count else None
+def _closed_place(e: v.Expr) -> v.Expr:
+    """The placeholder of a closed expression: it keeps its top operator's
+    level."""
+    return _PLACES[v.OP_LEVEL[e.op]] if type(e) is v.BinOp else _HOLE_VAR
+
+
+def _place(e: v.Expr, fills: list) -> v.Expr:
+    """The shape of an expression, its maximal closed parts appended to
+    ``fills`` in order: a closed one's placeholder, else its open shape."""
+    if not v.fv_expr(e):
+        fills.append(e)
+        return _closed_place(e)
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if v.fv_expr(x):
+            stack += reversed(v.subexprs(x))
+        else:
+            fills.append(x)
+    return _open_shape(e)
+
+
+@v.memo_on_term
+def _open_shape(e: v.Expr) -> v.Expr:
+    """An open expression over the shapes of its parts.  Memoised per term;
+    open parts not memoised yet are filled first, from the bottom, in a
+    loop, as :func:`values.fv_expr` fills its memo."""
+    below, seen, stack = [], set(), list(v.subexprs(e))
+    while stack:
+        x = stack.pop()
+        if x not in seen and v.fv_expr(x) and getattr(x, "_open_shape", None) is None:
+            seen.add(x)
+            below.append(x)
+            stack += v.subexprs(x)
+    for x in reversed(below):
+        _open_shape(x)
+    return v.rebuild_expr(e, [_open_shape(x) if v.fv_expr(x) else _closed_place(x)
+                              for x in v.subexprs(e)])
+
+
+def _erase(c: t.Chan, fills: list) -> t.Chan:
+    """A channel's shape, an endpoint's session appended to ``fills``."""
+    if type(c) is t.ChanVar:
+        return c
+    fills.append(c.session)
+    return _ERASED[c.aggr]
+
+
+def _step(q: t.Process) -> tuple:
+    """The shape and the fill tree of ``q`` (see :func:`_shape`), from its
+    fields and its subprocesses' memos."""
+    tq, own = type(q), []
+    if tq is t.Send or tq is t.Recv or tq is t.Select:
+        chan, body = _erase(q.chan, own), q.body
+        if tq is t.Send:
+            s = t.Send(chan, _place(q.expr, own), body._shape)
+        elif tq is t.Recv:
+            d = q.default
+            s = t.Recv(chan, q.bind, d if d is _UNIT else _place(d, own), body._shape)
+        else:
+            s = t.Select(chan, q.label, body._shape)
+        return s, (tuple(own), body._fill_tree)
+    if tq is t.Cond:
+        then, other = q.then_p, q.else_p
+        s = t.Cond(_place(q.guard, own), then._shape, other._shape)
+        return s, (tuple(own), then._fill_tree, other._fill_tree)
+    if tq is t.Call:
+        args = tuple(_erase(a, own) if isinstance(a, (t.Endpoint, t.ChanVar)) else _place(a, own)
+                     for a in q.args)
+        return t.Call(q.name, args), (tuple(own),)
+    if tq is t.Request or tq is t.Accept:
+        return tq("", q.bind, q.body._shape), ((q.shared,), q.body._fill_tree)
+    chans, _, kids = t.layer(q)  # the rest hold no expression
+    kids = [k for _, k in kids]
+    s = t.rebuild(q, [_erase(c, own) for c in chans], (), [k._shape for k in kids])
+    return s, (tuple(own), *[k._fill_tree for k in kids])
+
+
+@v.memo_on_term
+def _shape(p: t.Process) -> t.Process:
+    """The shape of a process: ``p`` with every endpoint's session and every
+    shared name erased, and every expression but a receive's unit default
+    replaced by its shape (:func:`_place`).
+
+    Each term keeps its fill tree beside it, as ``_fill_tree``: (the fills
+    of the term's own fields, then its subprocesses' fill trees).  A tree
+    shares its subtrees, so a prefix chain costs linear memory, and
+    :func:`_fills` flattens it.  Both are memoised per term; subprocesses
+    not memoised yet are filled first, from the bottom, in a loop, so a new
+    node costs one step per new subterm."""
+    order, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        order.append(q)
+        tq = type(q)
+        kids = ((q.body,) if tq in _PREFIXES else (q.then_p, q.else_p) if tq is t.Cond
+                else () if tq is t.Call else [k for _, k in t.layer(q)[2]])
+        stack += [k for k in kids if getattr(k, "_shape", None) is None]
+    for q in reversed(order):
+        s, tree = _step(q)
+        object.__setattr__(q, "_fill_tree", tree)
+        object.__setattr__(q, "_shape", s)
+    return s
+
+
+def _fills(p: t.Process) -> list:
+    """What fills the holes of the shape of ``p``, in term order (the order
+    the canonical walk writes them in when it sorts no sum): its fill tree
+    flattened."""
+    _shape(p)
+    out, stack = [], [p._fill_tree]
+    while stack:
+        tree = stack.pop()
+        out += tree[0]
+        stack += tree[:0:-1]
+    return out
+
+
+def _filled(tpl: tuple, fills: list) -> list:
+    """The template ``tpl`` of a shape with ``fills`` written in: its text
+    parts, the closed expressions' text merged into them, with the names at
+    the odd indices.  A hole whose ref is a name, not an index, is one of
+    the definitions block's."""
+    texts, refs = tpl
+    out = [texts[0]]
+    for ref, text in zip(refs, texts[1:]):
+        x = fills[ref] if type(ref) is int else ref
+        if type(x) is str:
+            out += (x, text)
+        else:
+            out[-1] += _expr_text(x) + text
+    return out
 
 
 @lru_cache(maxsize=256)
 def _defs_block(defs: tuple) -> Optional[tuple]:
-    """Template of the canonical ``def ... in `` text of a top-level
-    definitions block, with the binder map and counter it hands to the body;
-    None when it has no exact template."""
+    """The canonical ``def ... in `` text of a top-level definitions block
+    as parts with its names at the odd indices, and the binder map and
+    counter it hands to the body; None when it has no exact template."""
     holes, counter = _Holes(), [0]
     try:
-        text, env = _canon_defs(defs, {}, counter, holes)
+        text, env = _canon_defs(tuple((n, params, _shape(body)) for n, params, body in defs),
+                                {}, counter, holes)
     except _NameOrder:
         return None
-    text = _checked(text, holes)
-    return None if text is None else (text, env, counter[0])
+    fills = [x for _, _, body in defs for x in _fills(body)]
+    return _filled((text.split(_HOLE), holes.refs), fills), env, counter[0]
+
+
+@lru_cache(maxsize=512)
+def _shape_template(defs: Optional[tuple], shape: t.Process) -> Optional[tuple]:
+    """Template of the canonical text of a process whose body has ``shape``
+    under the top-level definitions ``defs`` (none when None): its text
+    split at the holes, and per hole its ref: the term-order index of the
+    body's fill, or the definitions block's name.  None when a sum's order
+    depends on a hole."""
+    head, env, n, canon = [""], _NO_BINDERS, 0, _canon_text
+    if defs is not None:
+        if (block := _defs_block(defs)) is None:
+            return None
+        (head, env, n), canon = block, _canon_body
+    holes = _Holes()
+    try:
+        texts = canon(shape, env, [n], holes).split(_HOLE)
+    except _NameOrder:
+        return None
+    return ((*head[0:-1:2], head[-1] + texts[0], *texts[1:]),
+            (*head[1::2], *holes.refs))
 
 
 @lru_cache(maxsize=2048)
 def process_template(p: t.Process) -> Optional[tuple]:
-    """Template of the canonical rendering of ``p``, split at the holes (the
-    names at the odd indices), and its names; the definitions block's part
-    is made once per block.  None when ``p`` has no exact template: a sum's
-    order depends on its names, or a string value holds a hole mark."""
-    if type(p) is t.Defs:
-        block = _defs_block(p.defs)
-        if block is None:
-            return None
-        head, env, n = block
-        canon, body = _canon_body, p.body
-    else:
-        head, env, n, canon, body = "", _NO_BINDERS, 0, _canon_text, p
-    holes = _Holes(env)
-    try:
-        text = _checked(canon(body, env, [n], holes), holes)
-    except _NameOrder:
+    """Template of the canonical rendering of ``p``, as text parts with its
+    names at the odd indices, and its names: the template of its body's
+    shape under its definitions block, filled.  None when ``p`` has no exact
+    template: a sum's order depends on a hole."""
+    defs, body = (p.defs, p.body) if type(p) is t.Defs else (None, p)
+    if (tpl := _shape_template(defs, _shape(body))) is None:
         return None
-    if text is None:
-        return None
-    parts = tuple((head + text).split(_HOLE))
+    parts = tuple(_filled(tpl, _fills(body)))
     return parts, frozenset(parts[1::2])
 
 
 def canon_renamed(p: t.Process, ren: dict) -> str:
     """Canonical text of ``p`` with its names renamed by ``ren``: its
-    template filled, or, without one, ``p`` renamed and canonicalised."""
+    template filled, or, without one, one canonical walk renaming them."""
     if (tpl := process_template(p)) is None:
-        return canon_process(t.rename_node_sessions(t.NetworkNode(p, ()), ren).process)
+        return _canon_text(p, {}, [0], ren)
     parts = list(tpl[0])
     parts[1::2] = map(ren.get, parts[1::2], parts[1::2])
     return "".join(parts)

@@ -164,8 +164,18 @@ def test_redigest_renders_no_node():
 
 
 def _fresh_caches():
-    for fn in (render.process_template, render._defs_block, eng._node_render):
+    for fn in (render.process_template, render._defs_block, render._shape_template,
+               eng._node_render):
         fn.cache_clear()
+
+
+def _assert_node_texts_match_oracle(node: t.NetworkNode) -> None:
+    """``_node_render`` against the oracle under no renaming, under the mask
+    and under an ``r<i>`` assignment of the node's names."""
+    names = sorted(oracle._node_names(node))
+    for ren in ((), tuple((s, "?") for s in names),
+                tuple((s, f"r{i}") for i, s in enumerate(reversed(names)))):
+        assert eng._node_render(node, ren) == oracle._node_render(node, ren)
 
 
 def test_name_ordered_sum_falls_back():
@@ -191,9 +201,86 @@ def test_sum_ordered_by_text_before_holes_keeps_template():
 
 def test_hole_mark_in_string_value_falls_back():
     node = parse_network('[ s!<"a\x00s\x00b">. 0 | s~0:[] ]')
-    assert render.process_template(node.process) is None
+    texts, _ = render._shape_template(None, render._shape(node.process))
+    assert not any("\x00" in part for part in texts)
     assert eng.canonical_text(("s",), (node,)) == oracle.canonical_text(("s",), (node,))
     assert "\x00" in eng._node_render(node, (("s", "r0"),))
+
+
+def test_bodies_differing_in_closed_expressions_share_a_template():
+    """Two bodies that differ only in the closed expressions inside a sum
+    whose order the text before its holes fixes: one shape, one template."""
+    _fresh_caches()
+    src = "[ def D(x, k) = k!<x>. 0, E(y) = 0 in (E({}) + D({}, s)) | s~0:[] | *s~1:[] ]"
+    a, b = parse_network(src.format(2, "eps + 1")), parse_network(src.format(12, "eps + 1 + 1"))
+    assert a.process is not b.process
+    assert render._shape(a.process.body) is render._shape(b.process.body)
+    for node in (a, b):
+        assert render.process_template(node.process) is not None
+        _assert_node_texts_match_oracle(node)
+    assert render._shape_template.cache_info().misses == 1
+
+
+def test_sum_ordered_by_a_closed_expression_falls_back():
+    """Alternatives that differ only in a closed expression sort by its
+    text: no template, but the oracle's text."""
+    node = parse_network("[ def D(x) = 0 in (D(2) + D(10)) | s~0:[] ]")
+    assert render.process_template(node.process) is None
+    _assert_node_texts_match_oracle(node)
+
+
+def test_closed_payloads_keep_their_parentheses():
+    """A closed payload's placeholder keeps its operator's level, so the
+    template holds the parentheses its position gives it."""
+    low, high = (parse_network(f"[ s!<{e}>. 0 | s~0:[] ]") for e in ("(1 < 2)", "1 + 2"))
+    assert render._shape(low.process) is not render._shape(high.process)
+    assert "!<(1 < 2)>" in render.canon_renamed(low.process, {})
+    assert "!<1 + 2>" in render.canon_renamed(high.process, {})
+    for node in (low, high):
+        _assert_node_texts_match_oracle(node)
+
+
+def test_string_with_hole_mark_fills_a_template():
+    """A string holding the hole mark is a fill like any closed expression,
+    in a definition body and in the body it calls from."""
+    node = parse_network('[ def D(x) = s!<"\x00">. 0 in D("a\x00b") | s~0:[] ]')
+    assert render.process_template(node.process) is not None
+    _assert_node_texts_match_oracle(node)
+
+
+def _wide_sum(n: int) -> t.NetworkNode:
+    """A node whose process is a sum of ``n`` alternatives ``s!<i>. 0``."""
+    s = t.Endpoint("s", False)
+    p = t.Send(s, v.Lit(v.IntV(n - 1)), t.Inact())
+    for i in reversed(range(n - 1)):
+        p = t.Sum(t.Send(s, v.Lit(v.IntV(i)), t.Inact()), p)
+    return t.NetworkNode(p, (t.Buffer(s, 0, ()),))
+
+
+def test_wide_sums_digest_in_one_walk():
+    """A wide sum has no template (its alternatives share one shape) and is
+    digested by one canonical walk, without renaming the node first; 2,000
+    alternatives print and digest without ``RecursionError``."""
+    node = _wide_sum(200)
+    assert render.process_template(node.process) is None
+    assert eng.canonical_text(("s",), (node,)) == oracle.canonical_text(("s",), (node,))
+    _assert_node_texts_match_oracle(node)
+    wide = _wide_sum(2000)
+    assert render.render_process(wide.process).count("!<") == 2000
+    text = eng.canonical_text(("s",), (wide,))
+    assert text.startswith("new r0. [ r0!<0>. 0 + (r0!<1000>. 0 + ") and text.count("!<") == 2000
+
+
+def test_paxos_run_makes_few_templates():
+    """Templates are made per body shape, not per new process: a 300-step
+    paxos5 run with digests makes fewer than 100 of them, and fills them for
+    over three times as many processes."""
+    _fresh_caches()
+    cfg = eng.SchedulerConfig(seed=26508, loss_rate=0.3, recovery_bias=0.2, max_steps=300)
+    eng.run_scheduler(_network("paxos5.ubsc"), cfg)
+    info = render._shape_template.cache_info()
+    assert 0 < info.misses < 100
+    assert 3 * info.misses < render.process_template.cache_info().misses
 
 
 def test_masked_buffer_ties_keep_node_order():
