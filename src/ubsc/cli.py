@@ -66,7 +66,7 @@ def _lint_unit_sends(net: t.Network):
         p = stack.pop()
         if type(p) is t.Send and p.expr == unit:
             hits.append(p.chan)
-        stack += [k for _, k in reversed(t.layer(p)[2])]
+        stack += reversed(t.subprocesses(p))
     return hits
 
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import terms as t
 from . import values as v
-from .render import canon_renamed, process_template, render_buffer, render_network, render_value
+from .render import canon_renamed, render_buffer, render_network, render_value
 from .terms import gather_values, residual
 
 
@@ -68,7 +68,7 @@ def has_recover(p: t.Process) -> bool:
         p = stack.pop()
         if type(p) is t.Recover:
             return True
-        stack += [k for _, k in t.layer(p)[2]]
+        stack += t.subprocesses(p)
     return False
 
 
@@ -136,8 +136,8 @@ class _NodeDigest:
 
 @v.memo_on_term
 def _node_digest(node: t.NetworkNode) -> _NodeDigest:
-    tpl, bufs = process_template(node.process), node.buffers  # named: the names it is filled with
-    named = tpl[1] if tpl else frozenset().union(*t.process_facts(node.process)[:2])
+    sessions, shared, _ = t.process_facts(node.process)
+    named, bufs = sessions | shared, node.buffers
     flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
     f = _NodeDigest()
     f.named, f.block, f.last = named, _block(bufs, flags), [(None, None, None), (None, None, None)]

@@ -57,7 +57,7 @@ def render_operand(e: v.Expr) -> str:
     return render_expr(e, _OPERAND)
 
 
-@v.memo_on_term
+@v.memo_on_term(kids=v.subexprs)
 def _expr_text(e: v.Expr) -> str:
     """``e`` as text without outer parentheses; memoised per term, for the
     same reason as :func:`values.fv_expr`."""
@@ -138,7 +138,6 @@ _HOLE_VAR = v.Var(_HOLE)  # a closed expression's placeholder in a shape
 # written as one hole, in the parentheses its level takes where it stands
 _PLACES = {lvl: v.BinOp(op, _HOLE_VAR, _HOLE_VAR) for op, lvl in v.OP_LEVEL.items()}
 _UNIT = v.Lit(v.UNIT)  # a receive's default that its text leaves out
-_PREFIXES = frozenset((t.Request, t.Accept, t.Send, t.Recv, t.Select))
 _ERASED = (t.Endpoint("", False), t.Endpoint("", True))  # an endpoint in a shape, by polarity
 _NO_BINDERS: dict = {}  # the binder map at the top of a process; never mutated
 _NO_REN: dict = {}  # names written as they are; never mutated
@@ -218,7 +217,7 @@ def _canon_text(p: t.Process, env: dict, counter: Optional[list], names) -> str:
     and sum alternatives their order.  With one the text is canonical:
     binders renamed to sequential canonical names, sum alternatives sorted
     by an alpha-invariant key.  When ``names`` is a :class:`_Holes`, ``p``
-    is a shape (see :func:`_shape`): every name and placeholder is written
+    is a shape (see :func:`_shape_tree`): every name and placeholder is written
     as a hole, and a sum whose order could depend on what fills the holes
     raises :class:`_NameOrder`."""
     match p:
@@ -358,32 +357,18 @@ def _place(e: v.Expr, fills: list) -> v.Expr:
     if not v.fv_expr(e):
         fills.append(e)
         return _closed_place(e)
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if v.fv_expr(x):
-            stack += reversed(v.subexprs(x))
-        else:
-            fills.append(x)
-    return _open_shape(e)
+    shape, closed = _open_shape(e)
+    fills += closed
+    return shape
 
 
-@v.memo_on_term
-def _open_shape(e: v.Expr) -> v.Expr:
-    """An open expression over the shapes of its parts.  Memoised per term;
-    open parts not memoised yet are filled first, from the bottom, in a
-    loop, as :func:`values.fv_expr` fills its memo."""
-    below, seen, stack = [], set(), list(v.subexprs(e))
-    while stack:
-        x = stack.pop()
-        if x not in seen and v.fv_expr(x) and getattr(x, "_open_shape", None) is None:
-            seen.add(x)
-            below.append(x)
-            stack += v.subexprs(x)
-    for x in reversed(below):
-        _open_shape(x)
-    return v.rebuild_expr(e, [_open_shape(x) if v.fv_expr(x) else _closed_place(x)
-                              for x in v.subexprs(e)])
+@v.memo_on_term(kids=lambda e: [x for x in v.subexprs(e) if v.fv_expr(x)])
+def _open_shape(e: v.Expr) -> tuple:
+    """An open expression over the shapes of its parts, and its maximal
+    closed parts in order; memoised per term."""
+    parts = [_open_shape(x) if v.fv_expr(x) else (_closed_place(x), (x,))
+             for x in v.subexprs(e)]
+    return v.rebuild_expr(e, [s for s, _ in parts]), sum((c for _, c in parts), ())
 
 
 def _erase(c: t.Chan, fills: list) -> t.Chan:
@@ -394,73 +379,44 @@ def _erase(c: t.Chan, fills: list) -> t.Chan:
     return _ERASED[c.aggr]
 
 
-def _step(q: t.Process) -> tuple:
-    """The shape and the fill tree of ``q`` (see :func:`_shape`), from its
-    fields and its subprocesses' memos."""
+@v.memo_on_term(kids=t.subprocesses)
+def _shape_tree(q: t.Process) -> tuple:
+    """The shape of a process and its fill tree, as one tuple: (the shape,
+    the fills of the term's own fields, then its subprocesses' trees).
+    Made from the fields and the subprocesses' memos, so a new node costs
+    one step per new subterm.
+
+    The shape is ``q`` with every endpoint's session and every shared name
+    erased, and every expression but a receive's unit default replaced by
+    its shape (:func:`_place`).  A tree shares its subtrees, so a prefix
+    chain costs linear memory, and :func:`_fills` flattens it."""
     tq, own = type(q), []
-    if tq is t.Send or tq is t.Recv or tq is t.Select:
-        chan, body = _erase(q.chan, own), q.body
-        if tq is t.Send:
-            s = t.Send(chan, _place(q.expr, own), body._shape)
-        elif tq is t.Recv:
-            d = q.default
-            s = t.Recv(chan, q.bind, d if d is _UNIT else _place(d, own), body._shape)
-        else:
-            s = t.Select(chan, q.label, body._shape)
-        return s, (tuple(own), body._fill_tree)
-    if tq is t.Cond:
-        then, other = q.then_p, q.else_p
-        s = t.Cond(_place(q.guard, own), then._shape, other._shape)
-        return s, (tuple(own), then._fill_tree, other._fill_tree)
-    if tq is t.Call:
-        args = tuple(_erase(a, own) if isinstance(a, (t.Endpoint, t.ChanVar)) else _place(a, own)
-                     for a in q.args)
-        return t.Call(q.name, args), (tuple(own),)
+    if tq is t.Call:  # its arguments' fills in order, channels and expressions mixed
+        return t.Call(q.name, tuple(_erase(a, own) if isinstance(a, (t.Endpoint, t.ChanVar))
+                                    else _place(a, own) for a in q.args)), tuple(own)
+    chans, exprs, kids = t.layer(q)
+    chans = [_erase(c, own) for c in chans]
+    exprs = [e if e is _UNIT and tq is t.Recv else _place(e, own) for e in exprs]
+    kids = [_shape_tree(k) for _, k in kids]
     if tq is t.Request or tq is t.Accept:
-        return tq("", q.bind, q.body._shape), ((q.shared,), q.body._fill_tree)
-    chans, _, kids = t.layer(q)  # the rest hold no expression
-    kids = [k for _, k in kids]
-    s = t.rebuild(q, [_erase(c, own) for c in chans], (), [k._shape for k in kids])
-    return s, (tuple(own), *[k._fill_tree for k in kids])
+        return tq("", q.bind, kids[0][0]), (q.shared,), *kids
+    return t.rebuild(q, chans, exprs, [k[0] for k in kids]), tuple(own), *kids
 
 
-@v.memo_on_term
 def _shape(p: t.Process) -> t.Process:
-    """The shape of a process: ``p`` with every endpoint's session and every
-    shared name erased, and every expression but a receive's unit default
-    replaced by its shape (:func:`_place`).
-
-    Each term keeps its fill tree beside it, as ``_fill_tree``: (the fills
-    of the term's own fields, then its subprocesses' fill trees).  A tree
-    shares its subtrees, so a prefix chain costs linear memory, and
-    :func:`_fills` flattens it.  Both are memoised per term; subprocesses
-    not memoised yet are filled first, from the bottom, in a loop, so a new
-    node costs one step per new subterm."""
-    order, stack = [], [p]
-    while stack:
-        q = stack.pop()
-        order.append(q)
-        tq = type(q)
-        kids = ((q.body,) if tq in _PREFIXES else (q.then_p, q.else_p) if tq is t.Cond
-                else () if tq is t.Call else [k for _, k in t.layer(q)[2]])
-        stack += [k for k in kids if getattr(k, "_shape", None) is None]
-    for q in reversed(order):
-        s, tree = _step(q)
-        object.__setattr__(q, "_fill_tree", tree)
-        object.__setattr__(q, "_shape", s)
-    return s
+    """The shape of a process (see :func:`_shape_tree`)."""
+    return _shape_tree(p)[0]
 
 
 def _fills(p: t.Process) -> list:
     """What fills the holes of the shape of ``p``, in term order (the order
     the canonical walk writes them in when it sorts no sum): its fill tree
     flattened."""
-    _shape(p)
-    out, stack = [], [p._fill_tree]
+    out, stack = [], [_shape_tree(p)]
     while stack:
         tree = stack.pop()
-        out += tree[0]
-        stack += tree[:0:-1]
+        out += tree[1]
+        stack += tree[:1:-1]
     return out
 
 
@@ -519,14 +475,13 @@ def _shape_template(defs: Optional[tuple], shape: t.Process) -> Optional[tuple]:
 @lru_cache(maxsize=2048)
 def process_template(p: t.Process) -> Optional[tuple]:
     """Template of the canonical rendering of ``p``, as text parts with its
-    names at the odd indices, and its names: the template of its body's
-    shape under its definitions block, filled.  None when ``p`` has no exact
-    template: a sum's order depends on a hole."""
+    names at the odd indices: the template of its body's shape under its
+    definitions block, filled.  None when ``p`` has no exact template: a
+    sum's order depends on a hole."""
     defs, body = (p.defs, p.body) if type(p) is t.Defs else (None, p)
     if (tpl := _shape_template(defs, _shape(body))) is None:
         return None
-    parts = tuple(_filled(tpl, _fills(body)))
-    return parts, frozenset(parts[1::2])
+    return tuple(_filled(tpl, _fills(body)))
 
 
 def canon_renamed(p: t.Process, ren: dict) -> str:
@@ -534,7 +489,7 @@ def canon_renamed(p: t.Process, ren: dict) -> str:
     template filled, or, without one, one canonical walk renaming them."""
     if (tpl := process_template(p)) is None:
         return _canon_text(p, {}, [0], ren)
-    parts = list(tpl[0])
+    parts = list(tpl)
     parts[1::2] = map(ren.get, parts[1::2], parts[1::2])
     return "".join(parts)
 

@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
 
-from .values import UNIT, Expr, Lit, Term, Value, Var, aggregate, fv_expr, map_vars
+from .values import (UNIT, Expr, Lit, Term, Value, Var, aggregate, fv_expr, map_vars,
+                     memo_on_term)
 
 
 class SubstError(Exception):
@@ -282,45 +283,80 @@ def rebuild(p: Process, chans, exprs, kids) -> Process:
     return _REBUILD[type(p)](p, chans, exprs, kids)
 
 
+def subprocesses(p: Process) -> tuple:
+    """The processes ``p`` holds directly, in :func:`layer` order."""
+    tp = type(p)
+    if tp is Send or tp is Recv or tp is Select or tp is Request or tp is Accept:
+        return (p.body,)
+    if tp is Cond:
+        return p.then_p, p.else_p
+    return () if tp is Call else [k for _, k in layer(p)[2]]
+
+
 # ---------------------------------------------------------------- free names
 
-def free_chans(p: Process, shared: Optional[set] = None,
-               names: Optional[set] = None) -> set:
+_NO_FACTS = (frozenset(),) * 4
+
+
+def _join(a: frozenset, b) -> frozenset:
+    """``a`` and the names ``b`` joined: whichever holds the other, when one
+    does, so a node that adds nothing shares its part's frozenset."""
+    return a if a.issuperset(b) else frozenset(b) if a.issubset(b) else a.union(b)
+
+
+def _bound_join(kids, out: tuple = _NO_FACTS) -> tuple:
+    """``out`` joined with the facts of each (names bound, subprocess) of
+    ``kids``, less the names bound for it."""
+    for bound, k in kids:
+        f = _facts(k)
+        if bound and not f[2].isdisjoint(bound):  # a bound channel is a bound name
+            gone = [c for c in f[3] if type(c) is ChanVar and c.name in bound]
+            f = (f[0], f[1], f[2].difference(bound), f[3].difference(gone) if gone else f[3])
+        out = f if out is _NO_FACTS else tuple(map(_join, out, f))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _defs_facts(defs: tuple) -> tuple:
+    """The facts of a definitions block's bodies less the names it binds,
+    and those names: joined once, as a run's node versions share them."""
+    names = tuple(n for n, _, _ in defs)
+    return _bound_join((names + params, body) for _, params, body in defs), names
+
+
+@memo_on_term(kids=subprocesses)
+def _facts(p: Process) -> tuple:
+    """Free (sessions, shared names, variables, channel references) of a
+    process: its subprocesses' facts, each less the names ``p`` binds for
+    it, joined with its own fields'.  A new subterm costs one step."""
+    if type(p) is Defs:
+        out, names = _defs_facts(p.defs)
+        return _bound_join(((names, p.body),), out)
+    chans, exprs, kids = layer(p)
+    sessions, shared, names, refs = out = _bound_join(kids)
+    if not refs.issuperset(chans):  # a channel variable's name is a variable too
+        refs = refs.union(chans)
+        sessions = _join(sessions, [c.session for c in chans if type(c) is Endpoint])
+        names = _join(names, [c.name for c in chans if type(c) is ChanVar])
+    for e in exprs:
+        names = _join(names, fv_expr(e))
+    if type(p) is Call:
+        names = _join(names, (p.name,))
+    elif type(p) is Request or type(p) is Accept:
+        shared = _join(shared, (p.shared,))
+    new = (sessions, shared, names, refs)
+    return out if new == out else new
+
+
+def free_chans(p: Process) -> set:
     """Free channel references (endpoints and channel variables) of a process.
-    This is the ``fs`` function used by the drop side conditions.  When
-    given, ``shared`` and ``names`` collect the shared names and the free
-    expression and definition variables."""
-    chans: set = set()
-    stack = [(p, frozenset())]
-    while stack:
-        p, bound = stack.pop()
-        cs, es, kids = layer(p)
-        for ch in cs:
-            if type(ch) is Endpoint or ch.name not in bound:
-                chans.add(ch)
-        if names is not None:
-            for e in es:
-                names.update(fv_expr(e) - bound)
-            if type(p) is Request or type(p) is Accept:
-                shared.add(p.shared)
-            elif type(p) is Call and p.name not in bound:
-                names.add(p.name)
-        for b, k in kids:
-            stack.append((k, bound.union(b) if b else bound))
-    return chans
+    This is the ``fs`` function used by the drop side conditions."""
+    return set(_facts(p)[3])
 
 
-@lru_cache(maxsize=65536)
 def process_facts(p: Process) -> tuple:
-    """Free (sessions, shared names, variables) of a process, as frozensets.
-    Terms are interned, so this is worked out once per process and then
-    looked up."""
-    shared: set = set()
-    names: set = set()
-    chans = free_chans(p, shared, names)
-    names.update(c.name for c in chans if type(c) is ChanVar)
-    return (frozenset(c.session for c in chans if type(c) is Endpoint),
-            frozenset(shared), frozenset(names))
+    """Free (sessions, shared names, variables) of a process, as frozensets."""
+    return _facts(p)[:3]
 
 
 def free_names(term) -> set:
@@ -353,7 +389,7 @@ def free_names(term) -> set:
 
 
 def process_sessions(p: Process) -> frozenset:
-    return process_facts(p)[0]
+    return _facts(p)[0]
 
 
 # ---------------------------------------------------------------- substitution

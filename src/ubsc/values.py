@@ -72,18 +72,34 @@ class Term(metaclass=Interned):
         return self
 
 
-def memo_on_term(fn):
+def memo_on_term(fn=None, *, kids=None):
     """Memoise a function of one term on the term itself.  The value lives
-    exactly as long as the term, and a lookup reads an attribute."""
+    exactly as long as the term, and a lookup reads an attribute.  With
+    ``kids``, giving a term's direct parts as a sequence, ``fn`` is a fold
+    (Meijer, Fokkinga & Paterson, FPCA 1991): a miss first fills every part
+    not memoised yet, in left-to-right postorder and in one loop, so ``fn``
+    reads its parts' values as hits and no depth recurses.  A part whose
+    ``fn`` raises stops the fill with its error, as a recursion would."""
+    if fn is None:
+        return lambda f: memo_on_term(f, kids=kids)
     attr = "_" + fn.__name__.lstrip("_")
 
     def memo(term):
-        try:
-            return getattr(term, attr)
-        except AttributeError:
-            out = fn(term)
-            object.__setattr__(term, attr, out)
+        out = getattr(term, attr, memo)  # the function itself marks a miss
+        if out is not memo:
             return out
+        # the parts to fill first; a part is pushed as (part,) once its own are
+        stack = [k for k in reversed(kids(term)) if not hasattr(k, attr)] if kids else ()
+        while stack:
+            x = stack.pop()
+            if type(x) is tuple:
+                object.__setattr__(x[0], attr, fn(x[0]))
+            elif not hasattr(x, attr):
+                stack.append((x,))
+                stack += [k for k in reversed(kids(x)) if not hasattr(k, attr)]
+        out = fn(term)
+        object.__setattr__(term, attr, out)
+        return out
 
     memo.__name__, memo.__doc__, memo.__wrapped__ = fn.__name__, fn.__doc__, fn
     return memo
@@ -360,21 +376,11 @@ def rebuild_expr(e: Expr, kids) -> Expr:
     return Builtin(e.name, tuple(kids)) if type(e) is Builtin else e
 
 
-@memo_on_term
+@memo_on_term(kids=subexprs)
 def fv_expr(e: Expr) -> frozenset:
     """Free variables of an expression.  Memoised per term: a run's
     expressions grow by wrapping earlier ones (a ballot gains ``+ 1`` per
-    round), so a new term costs one step over its memoised parts.  Parts
-    not memoised yet are filled first, from the bottom, in a loop."""
-    below, seen, stack = [], set(), list(subexprs(e))
-    while stack:
-        x = stack.pop()
-        if x not in seen and getattr(x, "_fv_expr", None) is None:
-            seen.add(x)
-            below.append(x)
-            stack += subexprs(x)
-    for x in reversed(below):
-        fv_expr(x)
+    round), so a new term costs one step over its memoised parts."""
     if type(e) is Var:
         return frozenset((e.name,))
     return frozenset().union(*map(fv_expr, subexprs(e)))
@@ -504,7 +510,7 @@ def eval_expr(e: Expr, env: dict) -> Value:
     return _eval(e, env)
 
 
-@memo_on_term
+@memo_on_term(kids=subexprs)
 def _closed_value(e: Expr) -> Value:
     """Value of an expression under no bindings, memoised per term: a
     ballot carried round after round is evaluated once per ``+ 1``."""
@@ -594,7 +600,7 @@ def type_expr(vars_ctx: dict, e: Expr) -> BaseType:
     return out
 
 
-@memo_on_term
+@memo_on_term(kids=subexprs)
 def _closed_type(e: Expr) -> tuple:
     """(True, type) or (False, error message) of a closed expression:
     ballots grow by ``+ 1`` per round, as for :func:`_closed_value`."""

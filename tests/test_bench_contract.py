@@ -3,16 +3,19 @@ functions it lists and reads ``cache_info()`` of the lru caches it lists.
 Importing it here makes a renamed or un-cached attribute fail the tests,
 not a later benchmark run."""
 
+import gc
 import importlib
 import os
 import pkgutil
 import sys
+import weakref
 
 import pytest
 
 import ubsc
 from ubsc import corpus as cp
 from ubsc import engine as eng
+from ubsc import render, terms as t, values as v
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -49,8 +52,23 @@ def test_every_lru_cache_is_bounded():
                     found.add(f"{name}.{attr}")
                     assert obj.cache_info().maxsize is not None, f"{name}.{attr}"
     assert {"ubsc.engine.alternatives", "ubsc.engine._subst_value",
-            "ubsc.terms.process_facts", "ubsc.checker._def_slot",
+            "ubsc.checker._def_slot",
             "ubsc.checker._protocol_candidates"} <= found
+
+
+def test_term_memos_live_as_long_as_their_term():
+    """The free-name facts and the shape of a process are memoised on the
+    process and its parts, so they hold nothing alive: once the process is
+    dropped it is collected, with its memos."""
+    p = t.Send(t.Endpoint("memo_probe", True), v.BinOp("+", v.Var("memo_x"), v.Lit(v.IntV(1))),
+               t.Recv(t.ChanVar("memo_c", False), "memo_y", v.Lit(v.UNIT),
+                      t.Call("MemoProbe", (v.Var("memo_y"),))))
+    assert t.process_facts(p)[0] == {"memo_probe"}
+    assert render._shape(p) is not p
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def test_tracer_round_trip(tracing):

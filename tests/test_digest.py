@@ -283,6 +283,22 @@ def test_paxos_run_makes_few_templates():
     assert 3 * info.misses < render.process_template.cache_info().misses
 
 
+def test_node_names_are_its_template_names():
+    """A node's digest record takes its process's names from the process
+    facts: its free sessions and shared names.  On every node process the
+    corpus programs reach (seeds 0-2, 300 steps each) they are the names
+    its template is filled with."""
+    procs = {nd.process for name in CORPUS for seed in range(3)
+             for state in _reached(name, seed, 300) for nd in state.nodes}
+    checked = 0
+    for p in procs:
+        if (parts := render.process_template(p)) is not None:
+            sessions, shared, _ = t.process_facts(p)
+            assert frozenset(parts[1::2]) == sessions | shared, p
+            checked += 1
+    assert checked > 2000
+
+
 def test_masked_buffer_ties_keep_node_order():
     node = parse_network("[ 0 | u~1:[] | s~0:[] | *s~2:[] | *u~0:[] ]")
     mask = (("s", "?"), ("u", "?"))

@@ -567,6 +567,23 @@ def test_long_send_chains_are_one_object():
     assert a is b and hash(a) == hash(b) and a == b and {a: 1}[b] == 1
 
 
+def test_deep_nested_conditions_have_facts_and_shapes():
+    """``if x < 0 then 0 else (if x < 1 then 0 else (...))``, 3,000 levels
+    deep: its free names and its shape are filled from its parts in a
+    loop, the shape keeping one placeholder per closed bound."""
+    p = t.Send(t.Endpoint("s", False), v.Var("y"), t.Inact())
+    for i in reversed(range(3000)):
+        p = t.Cond(v.BinOp("<", v.Var("x"), v.Lit(v.IntV(i))), t.Inact(), p)
+    assert t.process_facts(p) == (frozenset({"s"}), frozenset(), frozenset({"x", "y"}))
+    assert t.free_chans(p) == {t.Endpoint("s", False)}
+    shape, q, n = render._shape(p), p, 0
+    while type(q) is t.Cond:
+        n += 1
+        assert shape.guard is v.BinOp("<", v.Var("x"), v.Var("\x00"))
+        shape, q = shape.else_p, q.else_p
+    assert n == 3000 and len(render._fills(p)) == 3001
+
+
 def _prefix_chain(chan, var, n=10_000):
     """``n`` prefixes, Send, Recv, Select, Request and Accept in turn, on
     the channel ``chan`` and the expression ``var < 3``, over ``if var < 3

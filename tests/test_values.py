@@ -7,6 +7,7 @@ from hypothesis import strategies as hs
 from conftest import in_fresh_process
 
 from ubsc import values as v
+from ubsc.render import render_expr
 from ubsc.syntax import parse_expr, parse_value
 
 
@@ -202,6 +203,46 @@ def test_eval_rejects(text, message):
 def test_type_rejects(text, message):
     with pytest.raises(v.ExprTypeError) as exc:
         v.type_expr({}, parse_expr(text))
+    assert str(exc.value) == message
+
+
+def _sum_of_ones(n: int) -> v.Expr:
+    """``0 + 1 + ... + 1`` with ``n`` additions, left-nested, built afresh."""
+    e = v.Lit(v.IntV(0))
+    for _ in range(n):
+        e = v.BinOp("+", e, v.Lit(v.IntV(1)))
+    return e
+
+
+def test_deep_closed_expression_evaluates_types_and_prints():
+    """A closed expression 20,000 operators deep is evaluated, typed and
+    printed without recursion: each memo fills its parts in a loop."""
+    e = _sum_of_ones(20000)
+    assert v.eval_expr(e, {}) == v.IntV(20000)
+    assert v.type_expr({}, e) is v.INT_T
+    text = render_expr(e)
+    assert text.startswith("0 + 1 + 1") and text.count("+") == 20000
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ('(1 + true) + ("a" * 2)', v.EvalError, "+: expected int, got BoolV(b=True)"),
+    ('(1 + true) + ("a" * 2)', v.ExprTypeError, "arithmetic over int, bool"),
+    ('((1 + 2) + (true - 1)) + fst(3)', v.EvalError, "-: expected int, got BoolV(b=True)"),
+    ('((1 + 2) + (true - 1)) + fst(3)', v.ExprTypeError, "arithmetic over bool, int"),
+    ('1 and (2 < true)', v.EvalError, "cannot order IntV(n=2) and BoolV(b=True)"),
+    ('1 and (2 < true)', v.ExprTypeError, "ordering over int, bool"),
+])
+def test_first_failing_operand_reports_its_error(text, error, message):
+    """With two failing operands, a closed expression reports the left
+    one's error, as a left-to-right recursion would: parts are filled in
+    left-to-right postorder.  A failing right operand is reported before
+    the operator's own check of a left operand that evaluated."""
+    e = parse_expr(text)
+    with pytest.raises(error) as exc:
+        if error is v.EvalError:
+            v.eval_expr(e, {})
+        else:
+            v.type_expr({}, e)
     assert str(exc.value) == message
 
 
