@@ -113,7 +113,7 @@ def _lookup_def(env: tuple, name: str) -> Optional[_DefEntry]:
     return None
 
 
-_free_chans = lru_cache(maxsize=65536)(lambda p: frozenset(t.free_chans(p)))
+_free_chans = lru_cache(maxsize=65536)(t.free_chans)
 
 
 @lru_cache(maxsize=256)

@@ -60,14 +60,9 @@ def _lint_unit_sends(net: t.Network):
     """The recovery encoding assumes senders never send the unit value; warn
     when a payload is literally unit."""
     unit = v.Lit(v.UNIT)
-    hits = []
-    stack = [nd.process for nd in reversed(t.flatten_nodes(net)[1])]
-    while stack:  # in preorder, each node's kids in layer order
-        p = stack.pop()
-        if type(p) is t.Send and p.expr == unit:
-            hits.append(p.chan)
-        stack += reversed(t.subprocesses(p))
-    return hits
+    return [p.chan for nd in t.flatten_nodes(net)[1]
+            for p in v.universe(nd.process, t.subprocesses)
+            if type(p) is t.Send and p.expr == unit]
 
 
 def cmd_check(args, prog) -> int:
@@ -358,6 +353,8 @@ def main(argv=None) -> int:
         prog = _load(args.file)
     except (OSError, UBSCSyntaxError, UnicodeDecodeError) as e:
         return _fail(str(e))
+    except RecursionError:  # until every walk runs in a loop (ROADMAP item 2)
+        return _fail(f"{args.cmd}: program nested too deeply")
     try:
         code = args.func(args, prog)
         sys.stdout.flush()  # a closed reader shows here, not in the exit-time flush
@@ -366,6 +363,8 @@ def main(argv=None) -> int:
         return _fail(str(e))
     except (v.EvalError, t.SubstError) as e:  # an expression with no value, a malformed call
         return _fail(f"{args.cmd}: {e}")
+    except RecursionError:
+        return _fail(f"{args.cmd}: program nested too deeply")
     except BrokenPipeError:  # the reader closed standard output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
         return 1

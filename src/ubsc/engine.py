@@ -63,13 +63,7 @@ def encode_network(n: t.Network) -> t.Network:
 
 
 def has_recover(p: t.Process) -> bool:
-    stack = [p]
-    while stack:
-        p = stack.pop()
-        if type(p) is t.Recover:
-            return True
-        stack += t.subprocesses(p)
-    return False
+    return any(type(q) is t.Recover for q in v.universe(p, t.subprocesses))
 
 
 # ------------------------------------------------------------- canonical form
@@ -300,9 +294,9 @@ def alternatives(p: t.Process) -> tuple:
 
     def go(p: t.Process, defs_env: tuple, rebuild: Callable, depth: int):
         match p:
-            case t.Sum(l, r):
-                go(l, defs_env, rebuild, depth)
-                go(r, defs_env, rebuild, depth)
+            case t.Sum():
+                for alt in t.sum_alternatives(p):
+                    go(alt, defs_env, rebuild, depth)
             case t.Defs(defs, body):
                 env2 = defs_env + (defs,)
 

@@ -245,7 +245,7 @@ def _canon_text(p: t.Process, env: dict, counter: Optional[list], names) -> str:
                               + [f"df: {_canon_text(df, env, counter, names)}"])
             return f"{chan}>>{{{inner}}}"
         case t.Sum():
-            alts, starts = _flatten_sum(p), None
+            alts, starts = t.sum_alternatives(p), None
             order = range(len(alts))
             if counter is not None:
                 holes = type(names) is _Holes  # a key's holes are not the text's
@@ -313,18 +313,6 @@ def _canon_defs(defs: tuple, env: dict, counter: Optional[list], names) -> tuple
         texts.append(f"{nn}({', '.join(new_params)}) = "
                      f"{_canon_text(dbody, env3, counter, names)}")
     return f"def {', '.join(texts)} in ", env
-
-
-def _flatten_sum(p: t.Process) -> list:
-    """The alternatives of a sum, left to right."""
-    alts, stack = [], [p]
-    while stack:
-        p = stack.pop()
-        if type(p) is t.Sum:
-            stack += (p.right, p.left)
-        else:
-            alts.append(p)
-    return alts
 
 
 def render_process(p: t.Process) -> str:

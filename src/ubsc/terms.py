@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Optional, Union
 
 from .values import (UNIT, Expr, Lit, Term, Value, Var, aggregate, fv_expr, map_vars,
-                     memo_on_term)
+                     memo_on_term, universe)
 
 
 class SubstError(Exception):
@@ -293,6 +293,13 @@ def subprocesses(p: Process) -> tuple:
     return () if tp is Call else [k for _, k in layer(p)[2]]
 
 
+def sum_alternatives(p: Process) -> list:
+    """The alternatives of a sum, left to right; ``[p]`` for any other
+    process."""
+    return [q for q in universe(p, lambda q: (q.left, q.right) if type(q) is Sum else ())
+            if type(q) is not Sum]
+
+
 # ---------------------------------------------------------------- free names
 
 _NO_FACTS = (frozenset(),) * 4
@@ -348,10 +355,10 @@ def _facts(p: Process) -> tuple:
     return out if new == out else new
 
 
-def free_chans(p: Process) -> set:
+def free_chans(p: Process) -> frozenset:
     """Free channel references (endpoints and channel variables) of a process.
     This is the ``fs`` function used by the drop side conditions."""
-    return set(_facts(p)[3])
+    return _facts(p)[3]
 
 
 def process_facts(p: Process) -> tuple:

@@ -105,6 +105,17 @@ def memo_on_term(fn=None, *, kids=None):
     return memo
 
 
+def universe(term, kids):
+    """``term`` and every part below it, in preorder, parts left to right:
+    Uniplate's ``universe`` (Mitchell & Runciman, Haskell 2007), from one
+    explicit-stack loop, so no depth recurses."""
+    stack = [term]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack += reversed(kids(x))
+
+
 class AggregationError(EvalError):
     """Aggregation of incompatible values."""
 

@@ -424,3 +424,10 @@ def test_substitution_preserves_typing_generated():
         inner = t.subst_channel(bound.body, "c", Endpoint("s", False))
         res = ck.type_process(g, {Endpoint("s", False): T}, inner)
         assert res.ok, (text, res.render())
+
+
+def test_mixed_set_in_a_buffer_fails_sexp():
+    res = ck.type_network(ck.Gamma(), parse_network('[ 0 | s~0:[{1, "a"}] ]'))
+    text = res.render()
+    assert not res.ok and text.startswith("Fail SExp: mixed element types in set: ")
+    assert text.endswith(" (at s)")

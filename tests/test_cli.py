@@ -419,6 +419,18 @@ def test_long_sources_check_run_and_replay(case, tmp_path):
         assert out.returncode == 0, (args[0], out.stderr[-2000:])
 
 
+@pytest.mark.parametrize("cmd", ["check", "run"])
+def test_too_deep_a_program_fails_in_one_line(cmd, tmp_path):
+    """A 1,000-prefix send chain is still walked recursively (ROADMAP item
+    2): the command ends with one line naming it and exit code 2, not a
+    ``RecursionError`` traceback."""
+    prog = tmp_path / "deep.ubsc"
+    prog.write_text("[ " + "s!<1>. " * 1000 + "0 | s~0:[] ]\n", encoding="utf-8")
+    out = _run_module("ubsc", [cmd, str(prog)], timeout=60, UBSC_COLOR="0")
+    assert out.returncode == 2 and "Traceback" not in out.stderr, out.stderr[-2000:]
+    assert out.stdout.splitlines() == [f"{cmd}: program nested too deeply"]
+
+
 EVAL_ERRORS = {
     "fst of an int": ("[ *s!<fst(1)>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]",
                       {"rule": "Bcast", "session": "s", "sender": 0, "receivers": [1]},

@@ -192,6 +192,17 @@ def test_name_ordered_sum_falls_back():
             assert eng._node_render(node, ren) == oracle._node_render(node, ren)
 
 
+def test_definition_with_a_name_ordered_sum_falls_back():
+    """A definition body whose sum sorts by the names filling its holes has
+    no block template, so its process has none; the node text is still the
+    oracle's."""
+    _fresh_caches()
+    node = parse_network("[ def D(x) = s!<1>. 0 + u!<1>. 0 in D(1) | s~0:[] | u~0:[] ]")
+    assert render._defs_block(node.process.defs) is None
+    assert render.process_template(node.process) is None
+    _assert_node_texts_match_oracle(node)
+
+
 def test_sum_ordered_by_text_before_holes_keeps_template():
     node = parse_network("[ def D(x) = 0, E(y) = 0 in (E(u) + D(s)) | s~0:[] | u~0:[] ]")
     assert render.process_template(node.process) is not None

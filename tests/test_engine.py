@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from test_digest import _wide_sum
 from ubsc import engine as eng
 from ubsc import terms as t
 from ubsc import values as v
 from ubsc.syntax import parse, parse_network, parse_process
-from ubsc.render import render_process
+from ubsc.render import render_network, render_process
 
 
 # ------------------------------------------------------------- gather oracle
@@ -146,6 +147,16 @@ def test_has_recover_on_a_long_send_chain():
     assert eng.has_recover(_send_chain(t.Recover(t.Inact(), t.Inact())))
 
 
+def test_wide_sum_enumerates_and_steps():
+    """A sum's alternatives are listed in a loop, not by recursing down its
+    spine: a node holding 2,000 alternatives enumerates one ``Loss`` per
+    alternative and steps."""
+    state = eng.RunState.from_network(_wide_sum(2000))
+    redexes = eng.enabled_redexes(state)
+    assert len(redexes) == 2000 and {r.rule for r in redexes} == {"Loss"}
+    assert render_network(eng.apply_redex(state, redexes[0]).to_network()) == "[ 0 | s~1:[] ]"
+
+
 # ------------------------------------------------------------- redex discovery
 
 def test_enabled_beacon():
@@ -205,6 +216,15 @@ def test_script_step_needs_an_index_among_matches():
         eng.resolve_script_step(state, {"rule": "Bcast"})
     assert str(e.value) == "2 Bcast redexes match; no index picks one"
     assert eng.resolve_script_step(state, {"rule": "Bcast", "index": 1})[0].session == "u"
+
+
+def test_script_step_filters_by_session():
+    state = eng.RunState.from_network(parse_network(
+        "[ *s!<1>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]"))
+    with pytest.raises(eng.EngineError) as e:
+        eng.resolve_script_step(state, {"rule": "Bcast", "session": "u"})
+    assert str(e.value) == "0 Bcast redexes match; index 0 outside [0, 0)"
+    assert eng.resolve_script_step(state, {"rule": "Bcast", "session": "s"})[0].session == "s"
 
 
 def test_ucast_state_condition():

@@ -111,3 +111,168 @@ def test_readme_caches_table_names_every_memoised_function():
     found = [name for path in MODULES for name in memoised(path)]
     assert len(found) > 25
     assert [name for name in found if name not in named] == []
+
+
+# ------------------------------------------------------------ recursive functions
+# Every function of the package on a call cycle, and whether a
+# ``memo_on_term(kids=...)`` fill keeps it stack-safe (True): the fill
+# memoises a term's parts in a loop before the function reads them, so the
+# cycle runs one level deep.  The False entries recurse once per level of
+# their input and are the walks ROADMAP item 2 has left; a new recursive
+# function fails the test until it is listed here.
+
+RECURSIVE = {
+    "checker._ProcessChecker._check_def_body": False,
+    "checker._ProcessChecker.check": False,
+    "checker.synth_process": False,
+    "engine.alternatives.go": False,
+    "engine.encode_recovery": False,
+    "render._canon_body": False,
+    "render._canon_defs": False,
+    "render._canon_text": False,
+    "render._expr_text": True,
+    "render._open_shape": True,
+    "render._shape_tree": True,
+    "render.render_base": False,
+    "render.render_expr": True,
+    "render.render_network": False,
+    "render.render_type": False,
+    "render.render_value": False,
+    "sestypes._subst_tvar": False,
+    "sestypes.contractive": False,
+    "sestypes.dual": False,
+    "sestypes.refine_session": False,
+    "sestypes.types_equal": False,
+    "syntax._Parser.atom": False,
+    "syntax._Parser.atom_network": False,
+    "syntax._Parser.btype": False,
+    "syntax._Parser.chantail": False,
+    "syntax._Parser.expr": False,
+    "syntax._Parser.network": False,
+    "syntax._Parser.prefixterm": False,
+    "syntax._Parser.process": False,
+    "syntax._Parser.recov": False,
+    "syntax._Parser.stype": False,
+    "syntax._resolve": False,
+    "terms._bound_join": True,
+    "terms._defs_facts": True,
+    "terms._facts": True,
+    "terms._subst_end": False,
+    "terms._subst_free": False,
+    "terms.map_nodes": False,
+    "terms.rename_node_sessions.go": False,
+    "values._closed_type": True,
+    "values._closed_value": True,
+    "values._eval": False,
+    "values._type_expr": False,
+    "values.aggregate": False,
+    "values.compare_values": False,
+    "values.eval_expr": False,
+    "values.map_vars": False,
+    "values.memo_on_term": False,  # one level: the decorator given only ``kids``
+    "values.refine_base": False,
+    "values.type_expr": False,
+    "values.type_of_value": False,
+    "values.value_key": False,
+}
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s body outside the functions nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCS):
+            stack += ast.iter_child_nodes(node)
+
+
+def call_graph(sources: dict) -> tuple:
+    """(callees, memo-filled functions) of the modules ``sources`` maps by
+    name.  A function is ``module.qualname``, a nested one named under its
+    parents.  A call counts when it names a function by a bare name in scope
+    (nested, module-level or imported from a sibling) or as a ``self.``
+    attribute of the enclosing class."""
+    edges, filled = {}, set()
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        top = {}
+        for node in tree.body:
+            if isinstance(node, FUNCS):
+                top[node.name] = f"{mod}.{node.name}"
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                top.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+        stack = [(tree, mod, top, None)]
+        while stack:
+            node, qual, env, cls = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    stack.append((child, f"{qual}.{child.name}", env, f"{qual}.{child.name}"))
+                elif isinstance(child, FUNCS):
+                    q = f"{qual}.{child.name}"
+                    inner = {**env, **{n.name: f"{q}.{n.name}" for n in _own_nodes(child)
+                                       if isinstance(n, FUNCS)}}
+                    out = edges.setdefault(q, set())
+                    for n in _own_nodes(child):
+                        f = n.func if isinstance(n, ast.Call) else None
+                        if isinstance(f, ast.Name) and f.id in inner:
+                            out.add(inner[f.id])
+                        elif (cls and isinstance(f, ast.Attribute)
+                              and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                            out.add(f"{cls}.{f.attr}")
+                    if any(isinstance(d, ast.Call) and _called(d) == "memo_on_term"
+                           and any(k.arg == "kids" for k in d.keywords)
+                           for d in child.decorator_list):
+                        filled.add(q)
+                    stack.append((child, q, inner, None))
+    return edges, filled
+
+
+def on_cycles(edges: dict) -> set:
+    """The functions that reach themselves through ``edges``."""
+    out = set()
+    for start in edges:
+        seen, stack = set(), list(edges[start])
+        while stack:
+            f = stack.pop()
+            if f == start:
+                out.add(start)
+                break
+            if f not in seen and f in edges:
+                seen.add(f)
+                stack += edges[f]
+    return out
+
+
+def recursive_functions(sources: dict) -> dict:
+    """Each function on a call cycle, and whether it stays off every cycle
+    once the memo-filled functions are taken to call nothing."""
+    edges, filled = call_graph(sources)
+    cut = {f: set() if f in filled else out - filled for f, out in edges.items()}
+    unsafe = on_cycles(cut)
+    return {f: f not in unsafe for f in sorted(on_cycles(edges))}
+
+
+def test_recursive_functions_are_listed():
+    sources = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)[:-3]] = fh.read()
+    assert recursive_functions(sources) == RECURSIVE
+
+
+def test_recursive_functions_are_found():
+    """Nested functions, ``self.`` methods, siblings' functions imported by
+    name, and the cycles a memo fill cuts."""
+    a = ("from .b import g\nfrom . import b\n"
+         "def f(x):\n    def go(y):\n        return go(y) + b.h(y)\n    return g(go(x))\n"
+         "class C:\n    def m(self):\n        return self.n()\n"
+         "    def n(self):\n        return self.m() + n()\n"
+         "@memo_on_term(kids=parts)\ndef fill(x):\n    return [fill(k) for k in x] + [h(x)]\n"
+         "def h(x):\n    return fill(x)\n")
+    b = "from .a import f\ndef g(x):\n    return f(x)\ndef h(x):\n    return 0\n"
+    assert recursive_functions({"a": a, "b": b}) == {
+        "a.C.m": False, "a.C.n": False, "a.f": False, "a.f.go": False, "a.fill": True,
+        "a.h": True, "b.g": False}

@@ -171,6 +171,16 @@ def test_session_progress_search_finds_schedule():
     assert all(r.rule not in eng.RECOVERY_RULES for r in sched)
 
 
+def test_search_cuts_paths_at_its_bound():
+    """Two broadcasts bring ``s`` to state 2: a bound of 1 finds nothing."""
+    state = eng.RunState.from_network(parse_network(
+        "[ *s!<1>. *s!<2>. 0 | *s~0:[] ] || [ s?(x). s?(y). 0 | s~0:[] ]"))
+    target = sf._all_at("s", 2)
+    for bound in (0, 1):
+        assert sf._bfs(state, lambda r: True, target, bound) is None
+    assert [r.rule for r in sf._bfs(state, lambda r: True, target, 2)] == ["Bcast", "Bcast"]
+
+
 def test_recovery_shape_and_search():
     # a typed lagging node has exactly as many protocol steps left as its lag
     net = parse_network(

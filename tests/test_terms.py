@@ -33,6 +33,17 @@ def test_free_names_restriction_binds():
     assert t.free_names(n) == set()
 
 
+def test_flatten_renames_past_a_taken_fresh_name():
+    """An inner ``new s`` under an outer one is renamed apart; ``s#h1`` is
+    free elsewhere, so it becomes ``s#h2``."""
+    def node(s):
+        ep = t.Endpoint(s, False)
+        return t.NetworkNode(t.Send(ep, v.Lit(v.IntV(1)), t.Inact()), (t.Buffer(ep, 0, ()),))
+
+    net = t.Restrict(("s",), t.Par((node("s"), t.Restrict(("s",), node("s")), node("s#h1"))))
+    assert t.flatten_nodes(net) == (("s", "s#h2"), (node("s"), node("s#h2"), node("s#h1")))
+
+
 def test_subst_channel():
     p = parse_process("x!<1>. 0")
     # x parses as an endpoint at top level; build the variable form directly

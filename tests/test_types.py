@@ -92,6 +92,9 @@ def test_synchronize_examples():
     assert st.synchronize({s: (1, st.END)}, {s: (0, parse_type("?int.end"))})
     # branch positions cannot be crossed autonomously
     assert not st.synchronize({s: (1, st.END)}, {s: (0, parse_type("&{a: end}"))})
+    # the domains must match
+    assert not st.synchronize({s: (0, st.END)}, {})
+    assert not st.synchronize({}, {s: (0, st.END)})
 
 
 def test_synchronize_reflexive():
@@ -149,6 +152,19 @@ def test_context_advance_clauses():
     assert any(st.contexts_equal(d, start) for d in succ)
 
 
+def test_no_dual_step_across_unequal_states():
+    ag, pl = Endpoint("s", True), Endpoint("s", False)
+    ty = parse_type("!int.end")
+    assert list(st._dual_steps({ag: (1, ty), pl: (0, st.dual(ty))}, "s")) == []
+
+
+def test_context_advance_drops_nothing_past_twelve_plain_entries():
+    """Past 12 plain entries the drops are not enumerated: the context
+    itself is its only successor when no session steps."""
+    ctx = {Endpoint(f"s{i}", False): (0, parse_type("!int.end")) for i in range(13)}
+    assert st.context_advance(ctx) == [ctx]
+
+
 def test_advances_to_matches_enumeration():
     ag, pl = Endpoint("s", True), Endpoint("s", False)
     u = Endpoint("u", False)
@@ -170,3 +186,8 @@ def test_advances_to_fresh_session_extension():
     T = parse_type("?int.end")
     assert st.advances_to(before, {ag: (0, T), pl: (0, st.dual(T))})
     assert not st.advances_to(before, {ag: (1, T), pl: (1, st.dual(T))})
+    # a created session is new, starts at state 0 and has its aggregator
+    assert not st.advances_to({pl: (0, st.dual(T))}, {pl: (0, st.dual(T)), ag: (0, T)})
+    assert not st.advances_to({}, {ag: (1, T)})
+    assert not st.advances_to({}, {pl: (0, st.dual(T))})
+    assert st.advances_to({}, {ag: (0, T)})

@@ -116,6 +116,7 @@ def test_choose_val_examples():
     ])
     assert v.choose_val(s, v.IntV(42)) == v.IntV(20)
     assert v.choose_val(v.mkset([]), v.IntV(7)) == v.IntV(7)
+    assert v.choose_val(v.UNIT, v.IntV(7)) == v.IntV(7)
 
 
 def test_choose_val_nested_metadata():

@@ -27,6 +27,7 @@ from hypothesis import strategies as hs
 
 import walk_oracle as oracle
 from conftest import generate_program
+from test_subst_oracle import processes
 from test_type_memo import FAMILIES, _runs
 from ubsc import checker as ck
 from ubsc import corpus as cp
@@ -318,6 +319,57 @@ def test_generated_type_and_its_copy_match_oracle(a):
     copy = oracle._subst_tvar(a, "unused", st.END)
     _check_pair(a, copy)
     _check_pair(_wildcarded(a), copy)
+
+
+# ------------------------------------------------------------ alternatives
+
+def _reached_processes(networks, steps: int) -> set:
+    """Every process and subprocess of the nodes that seeded runs (seeds
+    0-2, ``steps`` steps each) of ``networks`` reach."""
+    nodes = []
+    for net in networks:
+        for seed in range(3):
+            cfg = eng.SchedulerConfig(seed=seed, loss_rate=0.3, recovery_bias=0.2,
+                                      max_steps=steps)
+            eng.run_scheduler(net, cfg, digests=False,
+                              on_step=lambda state, step: nodes.extend(state.nodes))
+    return {q for p in {nd.process for nd in nodes} for q in v.universe(p, t.subprocesses)}
+
+
+def _alternatives_key(alternatives, p):
+    """Each alternative of ``p``: its head, and its rebuild applied to the
+    head and to 0; or the failure."""
+    return _outcome(lambda: [(h, rb(h), rb(t.Inact())) for h, rb in alternatives(p)])
+
+
+def _check_alternatives(p) -> bool:
+    """Agreement with the oracle on ``p``; True when ``p`` has several heads."""
+    new = _alternatives_key(eng.alternatives, p)
+    assert new == _alternatives_key(oracle.alternatives, p), p
+    return new[0] == "value" and len(new[1]) > 1
+
+
+@pytest.mark.parametrize("family,steps,sums", [("corpus", 300, 200), ("generated", 50, 0)])
+def test_alternatives_match_oracle(family, steps, sums):
+    """A sum's alternatives come from ``terms.sum_alternatives`` in one
+    loop; on every (sub)process the corpus programs and generated programs
+    reach, the heads and their rebuilds are the recursive walk's.  The
+    generated programs hold no sums."""
+    if family == "corpus":
+        nets = [cp.load_program(name).network for name in CORPUS]
+    else:
+        nets = [parse(generate_program(seed)).network for seed in range(40)]
+    procs = _reached_processes(nets, steps)
+    assert procs and sum(map(_check_alternatives, procs)) >= sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(processes())
+def test_generated_alternatives_match_oracle(p):
+    """Generated processes nest sums under definitions, calls and one
+    another."""
+    for q in v.universe(p, t.subprocesses):
+        _check_alternatives(q)
 
 
 # ------------------------------------------------------------ interned terms

@@ -17,14 +17,20 @@ interned.
 The substitution on processes is kept as it was before it walked a chain of
 prefixes in a loop: ``_subst_free`` recursed once per subprocess through
 ``terms.layer``/``rebuild``, and ``subst_procvar`` found the calls to
-unfold by one more such walk."""
+unfold by one more such walk.
+
+``alternatives`` is kept as it was before a sum's alternatives were listed
+by ``terms.sum_alternatives``: it recursed once per ``Sum`` on the spine.
+It is not memoised, for the reason ``fv_expr`` is not."""
 
 from __future__ import annotations
 
 from dataclasses import fields
 from operator import is_
+from typing import Callable
 
 from ubsc import terms as t
+from ubsc.engine import _MAX_UNFOLD
 from ubsc.render import render_node
 from ubsc.sestypes import BraT, End, In, Out, Rec, SelT, TVar, TypeSyntaxError
 from ubsc.terms import Call, ChanVar, Defs, Endpoint, SubstError, layer, rebuild
@@ -343,6 +349,40 @@ def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Proces
         return rebuild(p, chans, exprs, [go(k) for _, k in kids])
 
     return go(p)
+
+
+# ---------------------------------------------------------------- engine.py
+
+def alternatives(p: t.Process) -> tuple:
+    """Head alternatives of a process: (head, rebuild) pairs where rebuild
+    reinstates the surrounding definition context around a reduced head.
+    Sum alternatives discard the other summands; calls unfold through their
+    definition context.  A call that does not unfold (an unbound name, or
+    past ``_MAX_UNFOLD`` unfoldings) is a head of its own that fires
+    nothing, so a process has one alternative only when no sum lies on its
+    unfolded path."""
+    out: list = []
+
+    def go(p: t.Process, defs_env: tuple, rebuild: Callable, depth: int):
+        match p:
+            case t.Sum(l, r):
+                go(l, defs_env, rebuild, depth)
+                go(r, defs_env, rebuild, depth)
+            case t.Defs(defs, body):
+                env2 = defs_env + (defs,)
+
+                def rb(nb, _rebuild=rebuild, _defs=defs):
+                    return _rebuild(t.Defs(_defs, nb))
+
+                go(body, env2, rb, depth)
+            case t.Call() if depth < _MAX_UNFOLD and (
+                    unfolded := t.unfold_call(p, defs_env)) is not None:
+                go(unfolded, defs_env, rebuild, depth + 1)
+            case _:
+                out.append((p, rebuild))
+
+    go(p, (), lambda x: x, 0)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------- term ==
