@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import terms as t
 from . import values as v
-from .render import canon_renamed, render_buffer, render_network, render_value
+from .render import canon_renamed, process_template, render_buffer, render_network, render_value
 from .terms import gather_values, residual
 
 
@@ -62,15 +62,11 @@ def encode_network(n: t.Network) -> t.Network:
                                                    nd.buffers, pos=nd.pos))
 
 
-def has_recover(p: t.Process) -> bool:
-    return any(type(q) is t.Recover for q in v.universe(p, t.subprocesses))
-
-
 # ------------------------------------------------------------- canonical form
 
 # A node's canonical rendering under a renaming of its names is assembled
-# from parts kept across node versions: its process's template, filled by
-# ``render.canon_renamed``; its finished buffers, one block shared by every
+# from parts kept across node versions: its process's template, filled in
+# place on the node's record; its finished buffers, one block shared by every
 # version, filled column by column when the renaming changes; and its few
 # live buffers, rendered one at a time.
 
@@ -120,39 +116,45 @@ def _block(bufs: tuple, live: tuple) -> _Block:
 
 
 class _NodeDigest:
-    """What digesting reads from a node: its process's ``named`` names; its
-    ``block``; each ``live`` buffer's (session, mark, r, i + 1, tail), the
-    i-th after the block's r-th; its names in the order the assignment
-    ``meets`` them; per slot of :func:`_renamed`, the ``last`` (map, image, text)."""
+    """What digesting reads from a node: its ``process``, its template's
+    ``parts`` with the ``holes`` names at the odd indices (None without
+    one), and its ``named`` names; its ``block``; each ``live`` buffer's
+    (session, mark, r, i + 1, tail), the i-th after the block's r-th; its
+    names in the order the assignment ``meets`` them; per slot of
+    :func:`_renamed`, the ``last`` (map, image, text)."""
 
-    __slots__ = ("named", "block", "live", "meets", "last")
+    __slots__ = ("process", "parts", "holes", "named", "block", "live", "meets", "last")
 
 
 @v.memo_on_term
 def _node_digest(node: t.NetworkNode) -> _NodeDigest:
-    sessions, shared, _ = t.process_facts(node.process)
-    named, bufs = sessions | shared, node.buffers
-    flags = tuple(map(named.__contains__, map(_SESSION, bufs)))
-    f = _NodeDigest()
-    f.named, f.block, f.last = named, _block(bufs, flags), [(None, None, None), (None, None, None)]
+    f, bufs, tpl = _NodeDigest(), node.buffers, process_template(node.process)
+    f.process, f.parts, f.holes = node.process, tpl and list(tpl), tpl and tpl[1::2]
+    # the template's names, or, without one, its process's free sessions and shared names
+    f.named = frozenset(f.holes) if tpl else frozenset().union(*t.process_facts(f.process)[:2])
+    flags = tuple(map(f.named.__contains__, map(_SESSION, bufs)))
+    f.block, f.last = _block(bufs, flags), [(None, None, None), (None, None, None)]
     f.live = [(b.ep.session, "*" if b.ep.aggr else "", i - k - 1, i + 1, _buffer_tail(b))
               for k, (i, b) in enumerate(zip(compress(range(len(bufs)), flags),
                                              compress(bufs, flags)))]
     on = [p[0] for p in f.live]
-    f.meets = (*sorted(chain(f.block.sorted, on)), *sorted(named.difference(on)))
+    f.meets = (*sorted(chain(f.block.sorted, on)), *sorted(f.named.difference(on)))
     return f
 
 
-def _render(node: t.NetworkNode, live: list, ren: dict, ents: list) -> str:
-    """Canonical text of ``node`` under ``ren``: its process's, then its
-    sorted buffers: ``ents`` merged with the ``live`` parts, rendered here
-    one at a time."""
+def _render(f: _NodeDigest, live: list, ren: dict, ents: list) -> str:
+    """Canonical text under ``ren`` of the node of record ``f``: its
+    process's, then its sorted buffers: ``ents`` merged with the ``live``
+    parts, rendered here one at a time."""
     bufs = ents + [((nm := ren.get(s, s)), m, r, i, m + nm + tail) for s, m, r, i, tail in live]
     bufs.sort()
-    return "[ " + " | ".join([canon_renamed(node.process, ren), *map(_TEXT, bufs)]) + " ]"
+    if f.parts:
+        f.parts[1::2] = map(ren.get, f.holes, f.holes)
+    proc = "".join(f.parts) if f.parts else canon_renamed(f.process, ren)
+    return "[ " + " | ".join([proc, *map(_TEXT, bufs)]) + " ]"
 
 
-def _renamed(node: t.NetworkNode, f: _NodeDigest, ren: dict, slot: int) -> str:
+def _renamed(f: _NodeDigest, ren: dict, slot: int) -> str:
     """The node's text under ``ren`` (slot 0 the mask, 1 the assignment),
     kept in the slot by what ``ren`` makes of the node's ``meets``, as the
     block keeps its entries by what it makes of the block's names."""
@@ -161,7 +163,7 @@ def _renamed(node: t.NetworkNode, f: _NodeDigest, ren: dict, slot: int) -> str:
     if f.last[slot][1] != key:
         if blk.outs[slot][0] != (bkey := tuple(map(ren.get, blk.sorted))):
             blk.outs[slot] = bkey, blk.fill(ren)
-        text = _render(node, f.live, ren, blk.outs[slot][1])
+        text = _render(f, f.live, ren, blk.outs[slot][1])
     f.last[slot] = ren, key, text
     return text
 
@@ -177,7 +179,7 @@ def _node_render(node: t.NetworkNode, ren_items: tuple) -> str:
     """Canonical text of ``node`` renamed by ``ren_items``, made from its
     digest record; it orders :func:`normal_nodes`."""
     f, ren = _node_digest(node), dict(ren_items)
-    return _render(node, f.live, ren, f.block.fill(ren))
+    return _render(f, f.live, ren, f.block.fill(ren))
 
 
 def normal_nodes(nodes, key: Callable = lambda nd: _node_render(nd, ())) -> list:
@@ -206,19 +208,21 @@ def canonical_text(restricted, nodes) -> str:
     names assigned canonically by first appearance (iterated to a fixpoint so
     the result does not depend on the input naming)."""
     rset, mask = _restricted(tuple(restricted))
+    masks: dict = {}
 
     def masked(nd: t.NetworkNode) -> str:  # the node's text with "?" for each restricted name
         f = _node_digest(nd)
-        return f.last[0][2] if f.last[0][0] is mask else _renamed(nd, f, mask, 0)
+        text = masks[id(nd)] = f.last[0][2] if f.last[0][0] is mask else _renamed(f, mask, 0)
+        return text
 
     kept = normal_nodes(nodes, masked)
-    if len(set(map(masked, kept))) < len(kept):  # ties under the mask keep normal order
-        kept = sorted(normal_nodes(nodes), key=masked)
-    order = [(nd, _node_digest(nd)) for nd in kept]
+    if len(set(masks.values())) < len(kept):  # ties under the mask keep normal order
+        kept = sorted(normal_nodes(nodes), key=lambda nd: masks[id(nd)])
+    order = list(map(_node_digest, kept))
     for _ in range(4):
-        assigned, binders = _assignment(rset, tuple(f.meets for _, f in order))
-        texts = [f.last[1][2] if f.last[1][0] is assigned else _renamed(nd, f, assigned, 1)
-                 for nd, f in order]
+        assigned, binders = _assignment(rset, tuple(f.meets for f in order))
+        texts = [f.last[1][2] if f.last[1][0] is assigned else _renamed(f, assigned, 1)
+                 for f in order]
         if (ranked := sorted(texts)) == texts:
             break
         order = [order[i] for i in sorted(range(len(order)), key=texts.__getitem__)]
@@ -233,13 +237,21 @@ def _restricted(restricted: tuple) -> tuple:
     return rset, dict.fromkeys(rset, "?")
 
 
+# The canonical names r0, r1, ..., their binders "new r0. new r1. ..." as one
+# text (_BINDERS[0]) and where the first k of them end: grown past the most met.
+_RNAMES, _BINDERS, _BINDER_ENDS = [], [""], [0]
+
+
 @lru_cache(maxsize=8)
 def _assignment(rset: frozenset, meets: tuple) -> tuple:
     """The canonical names r0 ... of the names of ``rset`` in the order the
     nodes' ``meets`` meet them, and their binders as text."""
     met = tuple(filter(rset.__contains__, dict.fromkeys(chain.from_iterable(meets))))
-    names = [f"r{i}" for i in range(len(met))]
-    return dict(zip(met, names)), "".join(f"new {nm}. " for nm in names)
+    for i in range(len(_RNAMES), len(met)):
+        _RNAMES.append(f"r{i}")
+        _BINDERS[0] += f"new r{i}. "
+        _BINDER_ENDS.append(len(_BINDERS[0]))
+    return dict(zip(met, _RNAMES)), _BINDERS[0][:_BINDER_ENDS[len(met)]]
 
 
 def digest(n: t.Network) -> str:
@@ -615,16 +627,9 @@ class TraceStep:
     network: Optional[str] = None
 
     def to_json(self) -> dict:
-        out = {
-            "kind": "step",
-            "step": self.index,
-            "rule": self.rule,
-            "session": self.session,
-            "sender": self.sender,
-            "receivers": list(self.receivers),
-            "payload": self.payload,
-            "digest": self.digest,
-        }
+        out = {"kind": "step", "step": self.index, "rule": self.rule, "session": self.session,
+               "sender": self.sender, "receivers": list(self.receivers),
+               "payload": self.payload, "digest": self.digest}
         if self.network is not None:
             out["network"] = self.network
         return out
@@ -638,14 +643,10 @@ class Trace:
     final: Optional[RunState] = None
 
     def header_json(self) -> dict:
-        return {
-            "kind": "header",
-            "seed": self.config.seed,
-            "loss_rate": self.config.loss_rate,
-            "recovery_bias": self.config.recovery_bias,
-            "max_steps": self.config.max_steps,
-            "initial_digest": self.initial_digest,
-        }
+        cfg = self.config
+        return {"kind": "header", "seed": cfg.seed, "loss_rate": cfg.loss_rate,
+                "recovery_bias": cfg.recovery_bias, "max_steps": cfg.max_steps,
+                "initial_digest": self.initial_digest}
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(self.header_json(), sort_keys=True)]
@@ -659,15 +660,9 @@ def resolve_script_step(state: RunState, spec: dict) -> tuple:
     (required), sender, session, ``receivers`` (the chosen subset, by default
     the full family), ``digest`` (the successor's: the first match that has
     it is taken) and ``index``, which picks among matches without a digest."""
-    cands = []
-    for r in enabled_redexes(state):
-        if r.rule != spec["rule"]:
-            continue
-        if "sender" in spec and r.sender != spec["sender"]:
-            continue
-        if "session" in spec and r.session != spec["session"]:
-            continue
-        cands.append(r)
+    cands = [r for r in enabled_redexes(state) if r.rule == spec["rule"]
+             and spec.get("sender", r.sender) == r.sender
+             and spec.get("session", r.session) == r.session]
     if "digest" not in spec:
         if len(cands) > 1 and "index" not in spec:
             raise EngineError(f"{len(cands)} {spec['rule']} redexes match; no index picks one")

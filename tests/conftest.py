@@ -1,10 +1,11 @@
 """Shared helpers: a seeded generator of well-typed source programs used by
-the preservation/safety property suite, and a check that no test changes the
-recursion limit."""
+the preservation/safety property suite, a recovery-term test, and a check
+that no test changes the recursion limit."""
 
 import random
 import sys
 
+from ubsc import terms as t
 from ubsc import values as v
 from ubsc import sestypes as st
 from ubsc.render import render_type
@@ -38,6 +39,11 @@ if "pytest" in sys.modules:
                              cwd=here, env={**os.environ, "PYTHONPATH": path},
                              capture_output=True, text=True, check=True)
         return ast.literal_eval(out.stdout)
+
+
+def has_recover(p: t.Process) -> bool:
+    """``p`` holds a recovery term, found by one preorder walk."""
+    return any(type(q) is t.Recover for q in v.universe(p, t.subprocesses))
 
 
 def random_protocol(rng: random.Random, depth: int) -> st.SessionType:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import has_recover
 from ubsc import checker as ck
 from ubsc import corpus as cp
 from ubsc import engine as eng
@@ -88,10 +89,10 @@ def test_drop_connections_ends_with_false_split():
 
 def test_paxos_recover_variant_encodes_and_types():
     prog = cp.load_program("paxos_recover.ubsc")
-    assert any(eng.has_recover(nd.process)
+    assert any(has_recover(nd.process)
                for nd in eng.t.flatten_nodes(prog.network)[1])
     encoded = eng.encode_network(prog.network)
-    assert not any(eng.has_recover(nd.process)
+    assert not any(has_recover(nd.process)
                    for nd in eng.t.flatten_nodes(encoded)[1])
     g = ck.Gamma(shared=prog.shared_types())
     assert ck.type_network(g, encoded).ok

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import canon_oracle as oracle
-from conftest import generate_program
+from conftest import generate_program, in_fresh_process
+from test_subst_oracle import processes
 from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import render, safety as sf, terms as t, values as v
@@ -308,6 +309,87 @@ def test_node_names_are_its_template_names():
             assert frozenset(parts[1::2]) == sessions | shared, p
             checked += 1
     assert checked > 2000
+
+
+def _facts_memoised(digests: bool, steps: int = 300) -> int:
+    """How many distinct terms hold memoised process facts after a paxos5
+    run (seed 26508, ``steps`` steps) with or without digests, while every
+    state of the run is still held."""
+    states = []
+    cfg = eng.SchedulerConfig(seed=26508, loss_rate=0.3, recovery_bias=0.2, max_steps=steps)
+    eng.run_scheduler(_network("paxos5.ubsc"), cfg, digests=digests,
+                      on_step=lambda state, step: states.append(state))
+    return sum(hasattr(ref(), "_facts") for ref in list(v._TABLE.values()))
+
+
+def test_digests_fold_no_process_facts():
+    """A node's record takes its names from its process's template, so a
+    digested run memoises process facts on no more processes than the same
+    run undigested.  Each run is made in a process of its own, from empty
+    caches and no interned terms."""
+    undigested = in_fresh_process("test_digest", "_facts_memoised(False)")
+    digested = in_fresh_process("test_digest", "_facts_memoised(True)")
+    assert 0 < digested <= undigested, (digested, undigested)
+
+
+def test_untemplated_node_takes_names_from_facts():
+    """A node whose process has no template (a sum under its definitions
+    ordered by a hole) takes its names from the process facts: the sessions
+    of the definition body and of the body's own endpoint.  Its texts are
+    the oracle's, under each restricted set."""
+    node = parse_network("[ def D(x) = s!<1>. 0 + u!<1>. 0 in w!<2>. D(1) "
+                         "| s~0:[] | u~0:[] | w~0:[] | z~1:[] ]")
+    f = eng._node_digest(node)
+    sessions, shared, _ = t.process_facts(node.process)
+    assert f.parts is None and f.named == sessions | shared == {"s", "u", "w"}
+    assert f.block.bufs == node.buffers[3:]
+    _assert_node_texts_match_oracle(node)
+    other = parse_network("[ w?(y). 0 | w~0:[] | s~2:[] ]")
+    for restricted in (("s", "u", "w", "z"), ("w",), ("z", "u"), ("s", "u", "w", "z")):
+        nodes = (node, other)
+        assert eng.canonical_text(restricted, nodes) == oracle.canonical_text(restricted, nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(processes())
+def test_record_names_are_the_process_facts(p):
+    """On generated processes, which nest sums under definitions and calls,
+    a node's record names its process's free sessions and shared names,
+    whether they come from a template or, without one, from the facts."""
+    s, z = t.Endpoint("s", False), t.Endpoint("z", True)
+    node = t.NetworkNode(p, (t.Buffer(s, 0, ()), t.Buffer(z, 1, ())))
+    f = eng._node_digest(node)
+    sessions, shared, _ = t.process_facts(p)
+    assert f.named == sessions | shared
+    assert (f.parts is None) == (render.process_template(p) is None)
+    assert eng._node_names(node) == oracle._node_names(node)
+
+
+def _chain_state(k: int) -> tuple:
+    """A state of ``k`` nodes, the i-th sending i on its own restricted
+    session ``s<i>``."""
+    eps = [t.Endpoint(f"s{i}", False) for i in range(k)]
+    nodes = tuple(t.NetworkNode(t.Send(ep, v.Lit(v.IntV(i)), t.Inact()), (t.Buffer(ep, 0, ()),))
+                  for i, ep in enumerate(eps))
+    return tuple(ep.session for ep in eps), nodes
+
+
+def test_canonical_names_table_grows_and_is_shared(monkeypatch):
+    """From an empty table of canonical names, digest states of 300, 5, 300
+    again and then 302 restricted names: each text is the oracle's and
+    begins with the binders of exactly its names."""
+    monkeypatch.setattr(eng, "_RNAMES", [])
+    monkeypatch.setattr(eng, "_BINDERS", [""])
+    monkeypatch.setattr(eng, "_BINDER_ENDS", [0])
+    states = {k: _chain_state(k) for k in (300, 5, 302)}
+    for k in (300, 5, 300, 302):
+        eng._assignment.cache_clear()
+        restricted, nodes = states[k]
+        text = eng.canonical_text(restricted, nodes)
+        assert text == oracle.canonical_text(restricted, nodes)
+        binders = "".join(f"new r{i}. " for i in range(k))
+        assert text.startswith(binders) and text[len(binders):].startswith("([ "), k
+        assert eng._RNAMES == [f"r{i}" for i in range(max(300, k))]
 
 
 def test_masked_buffer_ties_keep_node_order():

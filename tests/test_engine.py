@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from conftest import has_recover
 from test_digest import _wide_sum
 from ubsc import engine as eng
 from ubsc import terms as t
@@ -121,7 +122,7 @@ def test_encode_branch_default_arm():
 def test_encode_defs_recurses():
     p = parse_process("(def D(x) = s?(w). D(x) in D(1)) >r 0")
     out = eng.encode_recovery(p)
-    assert not eng.has_recover(out)
+    assert not has_recover(out)
     body = out.defs[0][2]
     assert isinstance(body, t.Recv)
     assert isinstance(body.body, t.Cond)
@@ -130,7 +131,7 @@ def test_encode_defs_recurses():
 def test_encode_idempotent_and_recover_free():
     p = parse_process("(s?(x). (s>>{l: 0}) >r 0) >r 0")
     out = eng.encode_recovery(p)
-    assert not eng.has_recover(out)
+    assert not has_recover(out)
     assert eng.encode_recovery(out) == out
 
 
@@ -143,8 +144,8 @@ def _send_chain(bottom, n=3_000):
 
 
 def test_has_recover_on_a_long_send_chain():
-    assert not eng.has_recover(_send_chain(t.Inact()))
-    assert eng.has_recover(_send_chain(t.Recover(t.Inact(), t.Inact())))
+    assert not has_recover(_send_chain(t.Inact()))
+    assert has_recover(_send_chain(t.Recover(t.Inact(), t.Inact())))
 
 
 def test_wide_sum_enumerates_and_steps():
