@@ -211,13 +211,14 @@ def canonical_text(restricted, nodes) -> str:
     masks: dict = {}
 
     def masked(nd: t.NetworkNode) -> str:  # the node's text with "?" for each restricted name
-        f = _node_digest(nd)
-        text = masks[id(nd)] = f.last[0][2] if f.last[0][0] is mask else _renamed(f, mask, 0)
+        if (text := masks.get(id(nd))) is None:
+            f = _node_digest(nd)
+            text = masks[id(nd)] = f.last[0][2] if f.last[0][0] is mask else _renamed(f, mask, 0)
         return text
 
     kept = normal_nodes(nodes, masked)
-    if len(set(masks.values())) < len(kept):  # ties under the mask keep normal order
-        kept = sorted(normal_nodes(nodes), key=lambda nd: masks[id(nd)])
+    if len(set(map(masked, kept))) < len(kept):  # ties under the mask keep normal order
+        kept = sorted(normal_nodes(nodes), key=masked)
     order = list(map(_node_digest, kept))
     for _ in range(4):
         assigned, binders = _assignment(rset, tuple(f.meets for f in order))
@@ -237,21 +238,13 @@ def _restricted(restricted: tuple) -> tuple:
     return rset, dict.fromkeys(rset, "?")
 
 
-# The canonical names r0, r1, ..., their binders "new r0. new r1. ..." as one
-# text (_BINDERS[0]) and where the first k of them end: grown past the most met.
-_RNAMES, _BINDERS, _BINDER_ENDS = [], [""], [0]
-
-
 @lru_cache(maxsize=8)
 def _assignment(rset: frozenset, meets: tuple) -> tuple:
     """The canonical names r0 ... of the names of ``rset`` in the order the
     nodes' ``meets`` meet them, and their binders as text."""
     met = tuple(filter(rset.__contains__, dict.fromkeys(chain.from_iterable(meets))))
-    for i in range(len(_RNAMES), len(met)):
-        _RNAMES.append(f"r{i}")
-        _BINDERS[0] += f"new r{i}. "
-        _BINDER_ENDS.append(len(_BINDERS[0]))
-    return dict(zip(met, _RNAMES)), _BINDERS[0][:_BINDER_ENDS[len(met)]]
+    names = [f"r{i}" for i in range(len(met))]
+    return dict(zip(met, names)), "".join(f"new {nm}. " for nm in names)
 
 
 def digest(n: t.Network) -> str:
@@ -627,9 +620,16 @@ class TraceStep:
     network: Optional[str] = None
 
     def to_json(self) -> dict:
-        out = {"kind": "step", "step": self.index, "rule": self.rule, "session": self.session,
-               "sender": self.sender, "receivers": list(self.receivers),
-               "payload": self.payload, "digest": self.digest}
+        out = {
+            "kind": "step",
+            "step": self.index,
+            "rule": self.rule,
+            "session": self.session,
+            "sender": self.sender,
+            "receivers": list(self.receivers),
+            "payload": self.payload,
+            "digest": self.digest,
+        }
         if self.network is not None:
             out["network"] = self.network
         return out
@@ -643,10 +643,14 @@ class Trace:
     final: Optional[RunState] = None
 
     def header_json(self) -> dict:
-        cfg = self.config
-        return {"kind": "header", "seed": cfg.seed, "loss_rate": cfg.loss_rate,
-                "recovery_bias": cfg.recovery_bias, "max_steps": cfg.max_steps,
-                "initial_digest": self.initial_digest}
+        return {
+            "kind": "header",
+            "seed": self.config.seed,
+            "loss_rate": self.config.loss_rate,
+            "recovery_bias": self.config.recovery_bias,
+            "max_steps": self.config.max_steps,
+            "initial_digest": self.initial_digest,
+        }
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(self.header_json(), sort_keys=True)]
@@ -660,9 +664,15 @@ def resolve_script_step(state: RunState, spec: dict) -> tuple:
     (required), sender, session, ``receivers`` (the chosen subset, by default
     the full family), ``digest`` (the successor's: the first match that has
     it is taken) and ``index``, which picks among matches without a digest."""
-    cands = [r for r in enabled_redexes(state) if r.rule == spec["rule"]
-             and spec.get("sender", r.sender) == r.sender
-             and spec.get("session", r.session) == r.session]
+    cands = []
+    for r in enabled_redexes(state):
+        if r.rule != spec["rule"]:
+            continue
+        if "sender" in spec and r.sender != spec["sender"]:
+            continue
+        if "session" in spec and r.session != spec["session"]:
+            continue
+        cands.append(r)
     if "digest" not in spec:
         if len(cands) > 1 and "index" not in spec:
             raise EngineError(f"{len(cands)} {spec['rule']} redexes match; no index picks one")

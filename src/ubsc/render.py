@@ -473,13 +473,9 @@ def process_template(p: t.Process) -> Optional[tuple]:
 
 
 def canon_renamed(p: t.Process, ren: dict) -> str:
-    """Canonical text of ``p`` with its names renamed by ``ren``: its
-    template filled, or, without one, one canonical walk renaming them."""
-    if (tpl := process_template(p)) is None:
-        return _canon_text(p, {}, [0], ren)
-    parts = list(tpl)
-    parts[1::2] = map(ren.get, parts[1::2], parts[1::2])
-    return "".join(parts)
+    """Canonical text of ``p`` with its names renamed by ``ren``, by one
+    canonical walk: the text its template, when it has one, fills to."""
+    return _canon_text(p, {}, [0], ren)
 
 
 def render_msg(m) -> str:

@@ -8,6 +8,7 @@ SHA-256 digest), the congruence normal form including node order, and
 
 import functools
 import glob
+import itertools
 import os
 import random
 
@@ -246,8 +247,8 @@ def test_closed_payloads_keep_their_parentheses():
     template holds the parentheses its position gives it."""
     low, high = (parse_network(f"[ s!<{e}>. 0 | s~0:[] ]") for e in ("(1 < 2)", "1 + 2"))
     assert render._shape(low.process) is not render._shape(high.process)
-    assert "!<(1 < 2)>" in render.canon_renamed(low.process, {})
-    assert "!<1 + 2>" in render.canon_renamed(high.process, {})
+    assert "!<(1 < 2)>" in "".join(render.process_template(low.process))
+    assert "!<1 + 2>" in "".join(render.process_template(high.process))
     for node in (low, high):
         _assert_node_texts_match_oracle(node)
 
@@ -374,13 +375,10 @@ def _chain_state(k: int) -> tuple:
     return tuple(ep.session for ep in eps), nodes
 
 
-def test_canonical_names_table_grows_and_is_shared(monkeypatch):
-    """From an empty table of canonical names, digest states of 300, 5, 300
-    again and then 302 restricted names: each text is the oracle's and
-    begins with the binders of exactly its names."""
-    monkeypatch.setattr(eng, "_RNAMES", [])
-    monkeypatch.setattr(eng, "_BINDERS", [""])
-    monkeypatch.setattr(eng, "_BINDER_ENDS", [0])
+def test_canonical_names_follow_the_name_count():
+    """Digest states of 300, 5, 300 again and then 302 restricted names,
+    each assignment made afresh: each text is the oracle's and begins with
+    the binders of exactly its names."""
     states = {k: _chain_state(k) for k in (300, 5, 302)}
     for k in (300, 5, 300, 302):
         eng._assignment.cache_clear()
@@ -389,7 +387,18 @@ def test_canonical_names_table_grows_and_is_shared(monkeypatch):
         assert text == oracle.canonical_text(restricted, nodes)
         binders = "".join(f"new r{i}. " for i in range(k))
         assert text.startswith(binders) and text[len(binders):].startswith("([ "), k
-        assert eng._RNAMES == [f"r{i}" for i in range(max(300, k))]
+
+
+def test_nodes_tied_under_the_mask_digest_as_the_oracle():
+    """Two unit-process nodes whose texts tie once the restricted names are
+    masked keep their normal (plain-text) order: in every input order the
+    canonical text is the oracle's."""
+    nodes = (parse_network("[ a!<2>. 0 | a~1:[] | *d~1:[] | *b~1:[] ]"),
+             parse_network("[ 0 | *b~0:[] ]"), parse_network("[ 0 | *a~0:[] ]"))
+    restricted = ("d", "c", "a", "b")
+    want = oracle.canonical_text(restricted, nodes)
+    for order in itertools.permutations(nodes):
+        assert eng.canonical_text(restricted, order) == want, order
 
 
 def test_masked_buffer_ties_keep_node_order():
