@@ -52,11 +52,6 @@ def render_expr(e: v.Expr, level: int = 0) -> str:
 _OPERAND = v.OP_LEVEL["+"]  # the level a send's payload and a receive's default sit at
 
 
-def render_operand(e: v.Expr) -> str:
-    """An expression where a send's payload or a receive's default sits."""
-    return render_expr(e, _OPERAND)
-
-
 @v.memo_on_term(kids=v.subexprs)
 def _expr_text(e: v.Expr) -> str:
     """``e`` as text without outer parentheses; memoised per term, for the

@@ -171,43 +171,38 @@ def contractive(t: SessionType, bound=frozenset(), guarded=True) -> bool:
     return type(t) in _DUAL and all(contractive(k, bound, True) for k in conts(t))
 
 
-def types_equal(a: SessionType, b: SessionType, assumed=None) -> bool:
+def types_equal(a: SessionType, b: SessionType) -> bool:
     """Equality up to unfolding of recursion, with wildcard payload types
-    matching anything.  The relation is reflexive, so a type is equal to
-    itself at once."""
-    if a is b:
-        return True
-    if assumed is None:
-        assumed = set()
-    key = (a, b)
-    if key in assumed:
-        return True
-    if isinstance(a, Rec) or isinstance(b, Rec):
-        assumed = assumed | {key}
-        return types_equal(unfold(a), unfold(b), assumed)
-    if type(a) is not type(b) or type(a) not in _DUAL or _tag(a) != _tag(b):
-        return False
-    if type(a) in (Out, In) and not base_compatible(a.beta, b.beta):
-        return False
-    return all(types_equal(x, y, assumed) for x, y in zip(conts(a), conts(b)))
+    matching anything: the two types merge.  A type equals itself at once."""
+    return a is b or refine_session(a, b, frozenset()) is not None
 
 
-def refine_session(a: SessionType, b: SessionType) -> Optional[SessionType]:
-    """Merge two session types that are equal up to payload wildcards,
-    preferring the more specific payload types.  None on shape mismatch."""
+def refine_session(a: SessionType, b: SessionType, assumed=None) -> Optional[SessionType]:
+    """Merge two session types equal up to unfolding and payload wildcards,
+    preferring the more specific payload types; None on shape mismatch.  A
+    pair of recursive types is assumed equal while their unfoldings are
+    compared (Amadio & Cardelli, TOPLAS 1993), and merges as ``a``.  With
+    ``assumed`` None the walk builds a merge, walking a continuation before
+    its payload, so it raises on one that does not unfold.  Deciding
+    equality, it stops at unequal payloads and at a type paired with itself."""
+    if assumed is not None and (a is b or (a, b) in assumed):
+        return a
     if isinstance(a, Rec) or isinstance(b, Rec):
-        return a if types_equal(a, b) else None
+        pairs = (assumed or frozenset()) | {(a, b)}
+        return a if a is b or refine_session(unfold(a), unfold(b), pairs) is not None else None
     if type(a) is not type(b) or type(a) not in _DUAL or _tag(a) != _tag(b):
         return None
+    if type(a) is Out or type(a) is In:
+        beta = refine_base(a.beta, b.beta)
+        if beta is None and assumed is not None:
+            return None
+        cont = refine_session(a.cont, b.cont, assumed)
+        return None if beta is None or cont is None else type(a)(beta, cont)
     kids = []
     for x, y in zip(conts(a), conts(b)):
-        m = refine_session(x, y)
-        if m is None:
+        kids.append(refine_session(x, y, assumed))
+        if kids[-1] is None:
             return None
-        kids.append(m)
-    if type(a) in (Out, In):
-        beta = refine_base(a.beta, b.beta)
-        return None if beta is None else type(a)(beta, kids[0])
     return rebuild_type(a, kids)
 
 
@@ -325,8 +320,8 @@ def _dual_steps(ctx: dict, session: str):
     if ca != cp:
         return
     ua, up = unfold(ta), unfold(tp)
-    # broadcast: aggregator outputs, plain inputs
-    if isinstance(ua, Out) and isinstance(up, In) and base_compatible(ua.beta, up.beta):
+    # broadcast (aggregator outputs, plain inputs) or gather (the reverse)
+    if {type(ua), type(up)} == {Out, In} and base_compatible(ua.beta, up.beta):
         yield {**ctx, ag: (ca + 1, ua.cont), pl: (cp + 1, up.cont)}
     # selection
     if isinstance(ua, SelT) and isinstance(up, BraT):
@@ -334,9 +329,6 @@ def _dual_steps(ctx: dict, session: str):
         for l in da:
             if l in dp:
                 yield {**ctx, ag: (ca + 1, da[l]), pl: (cp + 1, dp[l])}
-    # gather direction: plain outputs, aggregator inputs
-    if isinstance(up, Out) and isinstance(ua, In) and base_compatible(ua.beta, up.beta):
-        yield {**ctx, ag: (ca + 1, ua.cont), pl: (cp + 1, up.cont)}
 
 
 def context_advance(ctx: dict) -> list:

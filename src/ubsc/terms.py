@@ -114,9 +114,6 @@ class Defs(Term):
     defs: tuple  # ((name, (param, ...), Process), ...)
     body: "Process"
 
-    def names(self):
-        return [n for n, _, _ in self.defs]
-
 
 @dataclass(frozen=True, eq=False)
 class Call(Term):
@@ -513,11 +510,6 @@ def _arg_put(name: str, arg):
         return arg
 
     return put
-
-
-def subst_ident(p: Process, name: str, arg) -> Process:
-    """Substitute a call argument for a definition parameter."""
-    return _subst_free(p, {name: _arg_put(name, arg)})
 
 
 def subst_procvar(call: Call, name: str, params: tuple, body: Process) -> Process:

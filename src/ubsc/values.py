@@ -269,15 +269,21 @@ def type_of_value(v: Value) -> BaseType:
         case PairV(a, b):
             return PairT(type_of_value(a), type_of_value(b))
         case SetV():
-            elems = [type_of_value(x) for x in v.sorted_items()]
-            merged = ANY_T
-            for t in elems:
-                r = refine_base(merged, t)
-                if r is None:
-                    raise EvalError(f"mixed element types in set: {v!r}")
-                merged = r
-            return SetT(merged)
+            return _set_type([type_of_value(x) for x in v.sorted_items()],
+                            lambda m, t: EvalError(f"mixed element types in set: {v!r}"))
     raise EvalError(f"not a value: {v!r}")
+
+
+def _set_type(elems, error) -> BaseType:
+    """The set type over the join of ``elems``, from the wildcard, left to
+    right.  Raises ``error(join so far, t)`` at the first ``t`` off it."""
+    merged = ANY_T
+    for t in elems:
+        r = refine_base(merged, t)
+        if r is None:
+            raise error(merged, t)
+        merged = r
+    return SetT(merged)
 
 
 def refine_base(a: BaseType, b: BaseType):
@@ -405,12 +411,6 @@ def map_vars(e: Expr, names, var_of) -> Expr:
     if type(e) is Var:
         return var_of(e.name)
     return rebuild_expr(e, [map_vars(k, names, var_of) for k in subexprs(e)])
-
-
-def subst_expr_var(e: Expr, name: str, repl: Expr) -> Expr:
-    """``e`` with ``repl`` for the variable ``name``; ``e`` itself when the
-    variable does not occur."""
-    return map_vars(e, {name}, lambda x: repl)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -550,27 +550,9 @@ def _eval(e: Expr, env: dict) -> Value:
                 raise EvalError(f"{f}: expected pair, got {v!r}")
             return v.first if f == "fst" else v.second
         case BinOp(op, le, re_):
-            l = eval_expr(le, env)
-            r = eval_expr(re_, env)
-            if op == "+":
-                return IntV(_as_int(l, "+") + _as_int(r, "+"))
-            if op == "-":
-                return IntV(_as_int(l, "-") - _as_int(r, "-"))
-            if op == "*":
-                return IntV(_as_int(l, "*") * _as_int(r, "*"))
-            if op in (">", "<", ">=", "<="):
-                c = compare_values(l, r)
-                return BoolV({">": c > 0, "<": c < 0, ">=": c >= 0, "<=": c <= 0}[op])
-            if op == "=":
-                return BoolV(l == r)
-            if op == "!=":
-                return BoolV(l != r)
-            if op == "and":
-                return BoolV(_as_bool(l) and _as_bool(r))
-            if op == "or":
-                return BoolV(_as_bool(l) or _as_bool(r))
-            if op == "union":
-                return aggregate(_as_setlike(l), _as_setlike(r))
+            l, r = eval_expr(le, env), eval_expr(re_, env)
+            if op in _OPS:
+                return _OPS[op][1](l, r)
     raise EvalError(f"cannot evaluate {e!r}")
 
 
@@ -584,6 +566,27 @@ def _as_setlike(v: Value) -> Value:
     if isinstance(v, (SetV, UnitV)):
         return v
     raise EvalError(f"union: expected a set, got {v!r}")
+
+
+# Each binary operator of :data:`OP_LEVEL`: its kind, which picks its typing
+# rule, and its value from the two operand values.  ``and`` and ``or`` check
+# their right operand only when the left one does not decide.
+_OPS = {
+    "+": ("arithmetic", lambda l, r: IntV(_as_int(l, "+") + _as_int(r, "+"))),
+    "-": ("arithmetic", lambda l, r: IntV(_as_int(l, "-") - _as_int(r, "-"))),
+    "*": ("arithmetic", lambda l, r: IntV(_as_int(l, "*") * _as_int(r, "*"))),
+    ">": ("ordering", lambda l, r: BoolV(compare_values(l, r) > 0)),
+    "<": ("ordering", lambda l, r: BoolV(compare_values(l, r) < 0)),
+    ">=": ("ordering", lambda l, r: BoolV(compare_values(l, r) >= 0)),
+    "<=": ("ordering", lambda l, r: BoolV(compare_values(l, r) <= 0)),
+    "=": ("equality", lambda l, r: BoolV(l == r)),
+    "!=": ("equality", lambda l, r: BoolV(l != r)),
+    "and": ("boolean", lambda l, r: BoolV(_as_bool(l) and _as_bool(r))),
+    "or": ("boolean", lambda l, r: BoolV(_as_bool(l) or _as_bool(r))),
+    "union": ("union", lambda l, r: aggregate(_as_setlike(l), _as_setlike(r))),
+}
+# The type both operands of a kind refine; ordering and equality ask that they agree
+_OPERAND_TYPE = {"arithmetic": INT_T, "boolean": BOOL_T, "union": SetT(ANY_T)}
 
 
 def truth(e: Expr, env: dict) -> bool:
@@ -632,14 +635,8 @@ def _type_expr(vars_ctx: dict, e: Expr) -> BaseType:
         case TupleE(a, b):
             return PairT(type_expr(vars_ctx, a), type_expr(vars_ctx, b))
         case SetE(items):
-            merged = ANY_T
-            for i in items:
-                t = type_expr(vars_ctx, i)
-                r = refine_base(merged, t)
-                if r is None:
-                    raise ExprTypeError(f"mixed set element types: {merged!r} vs {t!r}")
-                merged = r
-            return SetT(merged)
+            return _set_type((type_expr(vars_ctx, i) for i in items), lambda m, t:
+                            ExprTypeError(f"mixed set element types: {m!r} vs {t!r}"))
         case Builtin("size", (a,)):
             t = type_expr(vars_ctx, a)
             if not base_compatible(SetT(ANY_T), t):
@@ -660,34 +657,18 @@ def _type_expr(vars_ctx: dict, e: Expr) -> BaseType:
                 raise ExprTypeError(f"{f} over non-pair {t!r}")
             return r.first if f == "fst" else r.second  # ``r`` is a pair type
         case BinOp(op, l, r):
-            tl = type_expr(vars_ctx, l)
-            tr = type_expr(vars_ctx, r)
-            if op in ("+", "-", "*"):
-                if not (base_compatible(INT_T, tl) and base_compatible(INT_T, tr)):
-                    raise ExprTypeError(f"arithmetic over {tl!r}, {tr!r}")
-                return INT_T
-            if op in (">", "<", ">=", "<="):
-                if refine_base(tl, tr) is None:
-                    raise ExprTypeError(f"ordering over {tl!r}, {tr!r}")
+            tl, tr = type_expr(vars_ctx, l), type_expr(vars_ctx, r)
+            kind = _OPS[op][0] if op in _OPS else None
+            if kind in _OPERAND_TYPE:
+                r1 = refine_base(_OPERAND_TYPE[kind], tl)
+                r2 = refine_base(_OPERAND_TYPE[kind], tr)
+                if r1 is not None and r2 is not None:
+                    m = r1 if r1 is r2 else refine_base(r1, r2)  # two sets may not agree
+                    if m is None:
+                        raise ExprTypeError(f"union of mismatched sets {tl!r}, {tr!r}")
+                    return m
+            elif kind and refine_base(tl, tr) is not None:
                 return BOOL_T
-            if op in ("=", "!="):
-                # the recovery idiom compares any payload against the unit
-                if refine_base(tl, tr) is None and not (
-                    isinstance(tl, UnitT) or isinstance(tr, UnitT)
-                ):
-                    raise ExprTypeError(f"equality over {tl!r}, {tr!r}")
-                return BOOL_T
-            if op in ("and", "or"):
-                if not (base_compatible(BOOL_T, tl) and base_compatible(BOOL_T, tr)):
-                    raise ExprTypeError(f"boolean over {tl!r}, {tr!r}")
-                return BOOL_T
-            if op == "union":
-                r1 = refine_base(SetT(ANY_T), tl)
-                r2 = refine_base(SetT(ANY_T), tr)
-                if r1 is None or r2 is None:
-                    raise ExprTypeError(f"union over {tl!r}, {tr!r}")
-                m = refine_base(r1, r2)
-                if m is None:
-                    raise ExprTypeError(f"union of mismatched sets {tl!r}, {tr!r}")
-                return m
+            if kind:
+                raise ExprTypeError(f"{kind} over {tl!r}, {tr!r}")
     raise ExprTypeError(f"cannot type {e!r}")

@@ -9,7 +9,10 @@ substitution replaced them, kept verbatim as differential oracles:
 - ``map_process`` and ``_subst_free`` substitute one name per full walk,
   and ``subst_procvar`` unfolds a call by one such walk per parameter.
 
-Only this docstring and the imports are new."""
+Only this docstring and the imports are new, with two copies of what the
+package dropped once none of its modules called it: ``subst_expr_var``,
+over ``values.map_vars``, and ``Defs.names``, spelled out where it was
+read."""
 
 from __future__ import annotations
 
@@ -17,7 +20,13 @@ from ubsc import terms as t
 from ubsc import values as v
 from ubsc.terms import (Call, ChanVar, Chan, Defs, Endpoint, Process, SubstError, layer,
                         rebuild)
-from ubsc.values import Expr, Var, fv_expr, subst_expr_var
+from ubsc.values import Expr, Var, fv_expr, map_vars
+
+
+def subst_expr_var(e: Expr, name: str, repl: Expr) -> Expr:
+    """``e`` with ``repl`` for the variable ``name``; ``e`` itself when the
+    variable does not occur."""
+    return map_vars(e, {name}, lambda x: repl)
 
 
 # ---------------------------------------------------------------- syntax.py
@@ -181,7 +190,7 @@ def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Proces
             for prm, a in zip(params, p.args):
                 out = subst_ident(out, prm, a)
             return out
-        if type(p) is Defs and name in p.names():
+        if type(p) is Defs and name in [n for n, _, _ in p.defs]:
             return p
         chans, exprs, kids = layer(p)
         return rebuild(p, chans, exprs, [go(k) for _, k in kids])

@@ -2,13 +2,14 @@
 with binders and sum order as written, kept verbatim as a differential
 oracle: ``render_process`` and ``_body`` write each constructor by hand,
 and ``render_node`` and ``render_network`` are built on them.  Only the
-imports are new."""
+imports are new, and a payload or default printed at the level of ``+``
+by ``render_expr``, which ``render.render_operand`` once wrapped."""
 
 from __future__ import annotations
 
 from ubsc import terms as t
 from ubsc import values as v
-from ubsc.render import render_buffer, render_chan, render_expr, render_operand
+from ubsc.render import render_buffer, render_chan, render_expr
 
 
 def _body(p: t.Process) -> str:
@@ -27,9 +28,9 @@ def render_process(p: t.Process) -> str:
         case t.Accept(a, x, body):
             return f"acc {a}({x}). {_body(body)}"
         case t.Send(ch, e, body):
-            return f"{render_chan(ch)}!<{render_operand(e)}>. {_body(body)}"
+            return f"{render_chan(ch)}!<{render_expr(e, v.OP_LEVEL['+'])}>. {_body(body)}"
         case t.Recv(ch, x, d, body):
-            dflt = "" if d == v.Lit(v.UNIT) else f" def {render_operand(d)}"
+            dflt = "" if d == v.Lit(v.UNIT) else f" def {render_expr(d, v.OP_LEVEL['+'])}"
             return f"{render_chan(ch)}?({x}){dflt}. {_body(body)}"
         case t.Select(ch, l, body):
             return f"{render_chan(ch)}<<{l}. {_body(body)}"

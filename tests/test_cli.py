@@ -111,6 +111,17 @@ def test_run_with_check_and_safety(capsys):
     assert rc == 0 and "safety: ok" in out
 
 
+def test_run_check_rejects_an_ill_typed_program(tmp_path, capsys, monkeypatch):
+    """``run --check`` types the program before running it: an ill-typed
+    one prints its one ``Fail`` line, takes no step and exits 1."""
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    f = tmp_path / "ill.ubsc"
+    f.write_text("[ *s!<1 + true>. 0 | *s~0:[] ] || [ s?(x). 0 | s~0:[] ]")
+    rc = main(["run", str(f), "--check"])
+    assert rc == 1
+    assert capsys.readouterr().out == "Fail TNode: arithmetic over int, bool (at node#0 (line 1))\n"
+
+
 def test_run_safety_checks_the_initial_state(capsys):
     """A program that starts as an error network fails ``--safety``, though
     no step reaches another one."""

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -124,3 +125,23 @@ def test_witness_seeds_recorded():
     seeds = cp.load_witness_seeds()
     assert len(seeds) >= 5
     assert len(set(seeds)) == len(seeds)
+
+
+def test_write_golden_rewrites_every_file_byte_for_byte(tmp_path, monkeypatch):
+    """``write_golden``, on a copy of the corpus that ``UBSC_CORPUS`` names,
+    writes every golden and script file as it is checked in.  The copies
+    are emptied first, so a file the function skips does not pass."""
+    checked_in = cp.corpus_dir()
+    copy = tmp_path / "corpus"
+    shutil.copytree(checked_in, copy)
+    written = sorted(p for p in copy.iterdir()
+                     if p.name.endswith((".golden.json", ".script.json")))
+    assert len(written) == 2 * len(CASES)
+    for p in written:
+        p.write_bytes(b"")
+    monkeypatch.setenv("UBSC_CORPUS", str(copy))
+    assert cp.corpus_dir() == str(copy)
+    cp.write_golden()
+    for p in written:
+        with open(f"{checked_in}/{p.name}", "rb") as fh:
+            assert p.read_bytes() == fh.read(), p.name

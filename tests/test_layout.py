@@ -142,7 +142,6 @@ RECURSIVE = {
     "sestypes.contractive": False,
     "sestypes.dual": False,
     "sestypes.refine_session": False,
-    "sestypes.types_equal": False,
     "syntax._Parser.atom": False,
     "syntax._Parser.atom_network": False,
     "syntax._Parser.btype": False,

@@ -377,7 +377,7 @@ def oracle_subst_value(p, name, value):
     repl = v.Lit(value)
 
     def on_expr(e, bound):
-        return e if name in bound else v.subst_expr_var(e, name, repl)
+        return e if name in bound else v.map_vars(e, {name}, lambda x: repl)
 
     def on_chan(ch, bound):
         if isinstance(ch, ChanVar) and ch.name == name and name not in bound:
@@ -617,7 +617,8 @@ def test_substitution_on_a_long_prefix_chain():
     s, one = t.Endpoint("s", False), v.Lit(v.IntV(1))
     assert t.subst_channel(p, "c", s) is _prefix_chain(s, var)
     assert t.subst_value(p, "v", v.IntV(1)) is _prefix_chain(c, one)
-    assert t.subst_ident(p, "c", t.ChanVar("d", False)) is _prefix_chain(t.ChanVar("d", False), var)
+    d = t.ChanVar("d", False)
+    assert t.subst_procvar(t.Call("D", (d,)), "D", ("c",), p) is _prefix_chain(d, var)
     assert t.subst_procvar(t.Call("D", (s, one)), "D", ("c", "v"), p) is _prefix_chain(s, one)
 
 

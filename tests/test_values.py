@@ -168,6 +168,24 @@ def test_eval_operators(text, value):
     assert v.eval_expr(parse_expr(text), {}) == value
 
 
+# two operands of each kind of binary operator, as text
+OPERANDS = {"arithmetic": ("2", "1"), "ordering": ("2", "1"), "equality": ("2", "1"),
+            "boolean": ("true", "false"), "union": ("{2}", "{1}")}
+
+
+def test_operator_tables_agree():
+    """The operators the parser and the printer know (``OP_LEVEL``) are
+    exactly those that evaluation and typing know (``_OPS``): each one
+    parses, prints back, and evaluates to a value of the type it has."""
+    assert set(v.OP_LEVEL) == set(v._OPS)
+    for op, (kind, _) in v._OPS.items():
+        left, right = OPERANDS[kind]
+        e = parse_expr(f"{left} {op} {right}")
+        assert type(e) is v.BinOp and e.op == op
+        assert render_expr(e) == f"{left} {op} {right}"
+        assert v.type_of_value(v.eval_expr(e, {})) == v.type_expr({}, e)
+
+
 def test_aggregate_pairs_keeps_the_larger():
     assert v.aggregate(parse_value('(1, "a")'), parse_value('(2, "b")')) == parse_value('(2, "b")')
 

@@ -147,7 +147,8 @@ def _check_expr(e) -> None:
     assert v.fv_expr(e) == fv, e
     for name in sorted(fv) + ["zz"]:
         for repl in (v.Lit(v.IntV(7)), v.Var("w"), e):
-            new, old = v.subst_expr_var(e, name, repl), oracle.subst_expr_var(e, name, repl)
+            new = v.map_vars(e, {name}, lambda x: repl)
+            old = oracle.subst_expr_var(e, name, repl)
             assert new == old and (new is e) == (old is e), (e, name)
     names = sorted(fv)
     envs = [{}, {"zz": "v9"}, {x: f"v{i}" for i, x in enumerate(names)},
@@ -168,7 +169,7 @@ def test_expression_walks_match_oracle(family):
 
 def test_expression_walks_fail_alike():
     for bad in (3, None, t.Inact(), v.BinOp("+", v.Lit(v.IntV(1)), 3)):
-        for f, args in ((v.fv_expr, ()), (v.subst_expr_var, ("x", v.Var("y"))),
+        for f, args in ((v.fv_expr, ()), (v.map_vars, ({"x"}, lambda x: v.Var("y"))),
                         (v.map_vars, ({"x"}, v.Var))):
             with pytest.raises(v.EvalError):
                 f(bad, *args)

@@ -19,6 +19,9 @@ prefixes in a loop: ``_subst_free`` recursed once per subprocess through
 ``terms.layer``/``rebuild``, and ``subst_procvar`` found the calls to
 unfold by one more such walk.
 
+``Defs.names``, which ``subst_procvar`` read, is spelled out: the package
+dropped it once none of its modules called it.
+
 ``alternatives`` is kept as it was before a sum's alternatives were listed
 by ``terms.sum_alternatives``: it recursed once per ``Sum`` on the spine.
 It is not memoised, for the reason ``fv_expr`` is not."""
@@ -343,7 +346,7 @@ def subst_procvar(p: Process, name: str, params: tuple, body: Process) -> Proces
                     f"{name} expects {len(params)} arguments, got {len(p.args)}"
                 )
             return _subst_free(body, {prm: _arg_put(prm, a) for prm, a in zip(params, p.args)})
-        if type(p) is Defs and name in p.names():
+        if type(p) is Defs and name in [n for n, _, _ in p.defs]:
             return p
         chans, exprs, kids = layer(p)
         return rebuild(p, chans, exprs, [go(k) for _, k in kids])
