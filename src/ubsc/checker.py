@@ -835,15 +835,11 @@ def _session_merge(s: str, ag: Optional[tuple], plains: tuple, decl: Optional[tu
                                         f"aggregator endpoint in context")
             else:
                 ca, ta = ag
-                if chosen is not None:
+                if chosen is not None and not st.entries_equal(chosen, ag, flip=True):
                     cp, tp = chosen
-                    if cp != ca or not st.types_equal(tp, st.dual(ta)):
-                        raise TypeFail(
-                            "TSRes",
-                            f"endpoints of {s} are not dual at a common state: "
-                            f"*{s}: ({ca}, {render_type(ta)}) vs {s}: "
-                            f"({cp}, {render_type(tp)})",
-                        )
+                    raise TypeFail("TSRes", f"endpoints of {s} are not dual at a common "
+                                   f"state: *{s}: ({ca}, {render_type(ta)}) vs {s}: "
+                                   f"({cp}, {render_type(tp)})")
                 tsres = RuleApp("TSRes", s, source=(_tsres_text, s, ca, ta,
                                                     chosen is not None))
     except TypeFail as e:
@@ -857,23 +853,20 @@ def _tsres_text(s: str, ca: int, ta: st.SessionType, has_pl: bool) -> str:
 
 
 def _match_declared(residual: dict, declared: dict, trace: list):
+    """:func:`sestypes.synchronize` from the residual context to the declared
+    one, failing on the first entry that does not synchronise."""
     for ep, (cd, td) in declared.items():
         if ep not in residual:
             raise TypeFail("TSynch", f"declared entry {render_chan(ep)} has no "
                                      f"counterpart in the residual context")
         c, ty = residual[ep]
-        if ep.aggr:
-            if c != cd or not st.types_equal(ty, td):
-                raise TypeFail("TSynch", f"aggregator entry {render_chan(ep)} is "
-                               f"({c}, {render_type(ty)}), declared "
-                               f"({cd}, {render_type(td)})")
-        else:
-            if not st.entry_synchronizes(c, ty, cd, td):
-                raise TypeFail("TSynch", f"{render_chan(ep)}: ({c}, "
-                               f"{render_type(ty)}) does not synchronise to "
-                               f"({cd}, {render_type(td)})")
-            if (c, ty) != (cd, td):
-                trace.append(_synch_app("residual", ep, (c, ty), (cd, td)))
+        if not st.synchronizes(ep, (c, ty), (cd, td)):
+            raise TypeFail("TSynch", f"aggregator entry {render_chan(ep)} is ({c}, "
+                           f"{render_type(ty)}), declared ({cd}, {render_type(td)})"
+                           if ep.aggr else f"{render_chan(ep)}: ({c}, {render_type(ty)}) "
+                           f"does not synchronise to ({cd}, {render_type(td)})")
+        if not ep.aggr and (c, ty) != (cd, td):
+            trace.append(_synch_app("residual", ep, (c, ty), (cd, td)))
     extra = [ep for ep in residual if ep not in declared]
     if extra:
         raise TypeFail("TPar", "residual context has undeclared entries: "

@@ -172,7 +172,7 @@ def _run_one(prog, args, cfg: eng.SchedulerConfig, path, sweeping: bool) -> int:
 _STEP = {"rule": str, "sender": int, "session": str, "receivers": list, "digest": str,
          "index": int}
 _HEADER = {"seed": int, "loss_rate": (int, float), "recovery_bias": (int, float),
-           "max_steps": int}
+           "max_steps": int, "initial_digest": str}
 
 
 def _shape_error(records: list, shapes) -> Optional[str]:
@@ -206,11 +206,15 @@ def cmd_replay(args, prog) -> int:
         return _fail(f"replay: {args.script}: {bad}")
     steps = records if is_script else records[1:]
     if not is_script:
+        cfg = {k: records[0][k] for k in _HEADER}
+        recorded = cfg.pop("initial_digest")
         try:
-            max_steps = eng.SchedulerConfig(**{k: records[0][k] for k in _HEADER}).max_steps
+            max_steps = eng.SchedulerConfig(**cfg).max_steps
         except ValueError:
             return _fail(f"replay: {args.script}: loss_rate and recovery_bias must lie in [0, 1]")
     try:
+        if not is_script and (found := eng.digest(eng.encode_network(prog.network))) != recorded:
+            raise eng.EngineError(f"initial digest {found} differs from the recorded {recorded}")
         state, digests = eng.run_script(prog.network, steps)
         if not is_script and (len(steps) > max_steps or
                               len(steps) < max_steps and eng.enabled_redexes(state)):

@@ -23,11 +23,10 @@ def corpus_dir() -> str:
     env = os.environ.get("UBSC_CORPUS")
     if env:
         return env
-    here = os.path.dirname(os.path.abspath(__file__))
-    for cand in (os.path.join(here, "..", "..", "corpus"),):
-        cand = os.path.normpath(cand)
-        if os.path.isdir(cand):
-            return cand
+    cand = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                         "..", "..", "corpus"))
+    if os.path.isdir(cand):
+        return cand
     raise FileNotFoundError("corpus directory not found; set UBSC_CORPUS")
 
 
@@ -195,11 +194,10 @@ class ConsensusReport:
         return bool(self.chosen)
 
 
-def check_consensus_trace(trace: eng.Trace, m: int, ids=None) -> ConsensusReport:
+def check_consensus_trace(trace: eng.Trace, m: int) -> ConsensusReport:
     """Post-process a trace: a value counts as chosen when a strict majority
     of distinct nodes received the same (round, value) acceptance; the chosen
-    set must be a single value that is some participant's id."""
-    ids = set(ids if ids is not None else range(1, m + 1))
+    set must be a single value that is some participant's id, 1 to ``m``."""
     events: dict = {}
     for s in trace.steps:
         if s.rule == "Rcv" and s.payload and s.payload.startswith("("):
@@ -212,6 +210,6 @@ def check_consensus_trace(trace: eng.Trace, m: int, ids=None) -> ConsensusReport
     if len(values) > 1:
         violations.append(f"multiple chosen values: {sorted(map(repr, values))}")
     for val in values:
-        if not (isinstance(val, v.IntV) and val.n in ids):
+        if not (isinstance(val, v.IntV) and val.n in range(1, m + 1)):
             violations.append(f"chosen value {val!r} was never proposed")
     return ConsensusReport(chosen, values, violations)

@@ -142,11 +142,11 @@ def _node_digest(node: t.NetworkNode) -> _NodeDigest:
     return f
 
 
-def _render(f: _NodeDigest, live: list, ren: dict, ents: list) -> str:
+def _render(f: _NodeDigest, ren: dict, ents: list) -> str:
     """Canonical text under ``ren`` of the node of record ``f``: its
-    process's, then its sorted buffers: ``ents`` merged with the ``live``
-    parts, rendered here one at a time."""
-    bufs = ents + [((nm := ren.get(s, s)), m, r, i, m + nm + tail) for s, m, r, i, tail in live]
+    process's, then its sorted buffers: ``ents`` merged with the record's
+    live parts, rendered here one at a time."""
+    bufs = ents + [((nm := ren.get(s, s)), m, r, i, m + nm + tail) for s, m, r, i, tail in f.live]
     bufs.sort()
     if f.parts:
         f.parts[1::2] = map(ren.get, f.holes, f.holes)
@@ -163,7 +163,7 @@ def _renamed(f: _NodeDigest, ren: dict, slot: int) -> str:
     if f.last[slot][1] != key:
         if blk.outs[slot][0] != (bkey := tuple(map(ren.get, blk.sorted))):
             blk.outs[slot] = bkey, blk.fill(ren)
-        text = _render(f, f.live, ren, blk.outs[slot][1])
+        text = _render(f, ren, blk.outs[slot][1])
     f.last[slot] = ren, key, text
     return text
 
@@ -179,7 +179,7 @@ def _node_render(node: t.NetworkNode, ren_items: tuple) -> str:
     """Canonical text of ``node`` renamed by ``ren_items``, made from its
     digest record; it orders :func:`normal_nodes`."""
     f, ren = _node_digest(node), dict(ren_items)
-    return _render(f, f.live, ren, f.block.fill(ren))
+    return _render(f, ren, f.block.fill(ren))
 
 
 def normal_nodes(nodes, key: Callable = lambda nd: _node_render(nd, ())) -> list:

@@ -8,7 +8,6 @@ relations here are decidable by bounded unfolding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .terms import Endpoint
@@ -21,40 +20,33 @@ class TypeSyntaxError(Exception):
 
 # ---------------------------------------------------------------- syntax
 
-@dataclass(frozen=True, eq=False)
 class Out(Term):
     beta: BaseType
     cont: "SessionType"
 
 
-@dataclass(frozen=True, eq=False)
 class In(Term):
     beta: BaseType
     cont: "SessionType"
 
 
-@dataclass(frozen=True, eq=False)
 class SelT(Term):
     arms: tuple  # ((label, SessionType), ...) sorted by label
 
 
-@dataclass(frozen=True, eq=False)
 class BraT(Term):
     arms: tuple
 
 
-@dataclass(frozen=True, eq=False)
 class End(Term):
     def __repr__(self):
         return "end"
 
 
-@dataclass(frozen=True, eq=False)
 class TVar(Term):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
 class Rec(Term):
     name: str
     body: "SessionType"
@@ -77,17 +69,14 @@ def mkarms(pairs) -> tuple:
 
 # ---------------------------------------------------------------- buffer types
 
-@dataclass(frozen=True, eq=False)
 class OutItem(Term):
     beta: BaseType
 
 
-@dataclass(frozen=True, eq=False)
 class SelItem(Term):
     label: str
 
 
-@dataclass(frozen=True, eq=False)
 class PadItem(Term):
     """A state the aggregator buffer folds through without any message: a
     vacuous broadcast or an empty gather, depending on the protocol's
@@ -271,35 +260,32 @@ def entry_synchronizes(c_from: int, t_from: SessionType, c_to: int,
                for u in autonomous_advance(t_to, c_from - c_to))
 
 
+def entries_equal(a: tuple, b: tuple, flip: bool = False) -> bool:
+    """Two stated (state, type) entries hold the same state and equal types;
+    with ``flip``, ``a``'s type equals the dual of ``b``'s, built only when
+    the states agree."""
+    return a[0] == b[0] and types_equal(a[1], dual(b[1]) if flip else b[1])
+
+
+def synchronizes(ep: Endpoint, entry: tuple, target: tuple) -> bool:
+    """``ep``'s stated entry synchronises to ``target``: an aggregator entry
+    only to an equal one, a plain entry by :func:`entry_synchronizes`."""
+    return entries_equal(entry, target) if ep.aggr else entry_synchronizes(*entry, *target)
+
+
 def synchronize(from_ctx: dict, to_ctx: dict) -> bool:
     """Linear context synchronisation over stated contexts
     (Endpoint -> (state, type)).  Only plain endpoints may move; aggregator
     entries and the domain must match exactly."""
-    if set(from_ctx) != set(to_ctx):
-        return False
-    for ep, (cf, tf) in from_ctx.items():
-        ct, tt = to_ctx[ep]
-        if ep.aggr:
-            if cf != ct or not types_equal(tf, tt):
-                return False
-        else:
-            if not entry_synchronizes(cf, tf, ct, tt):
-                return False
-    return True
+    return set(from_ctx) == set(to_ctx) and all(
+        synchronizes(ep, entry, to_ctx[ep]) for ep, entry in from_ctx.items())
 
 
 def well_formed(ctx: dict) -> bool:
     """Every aggregator entry is matched by a same-state dual plain entry, or
     the plain endpoint is absent."""
-    for ep, (c, t) in ctx.items():
-        if not ep.aggr:
-            continue
-        plain = Endpoint(ep.session, False)
-        if plain in ctx:
-            cp, tp = ctx[plain]
-            if cp != c or not types_equal(tp, dual(t)):
-                return False
-    return True
+    return all(not ep.aggr or (pl := Endpoint(ep.session, False)) not in ctx
+               or entries_equal(ctx[pl], entry, flip=True) for ep, entry in ctx.items())
 
 
 # ---------------------------------------------------------------- context advancement
@@ -360,9 +346,7 @@ def context_advance(ctx: dict) -> list:
 
 
 def contexts_equal(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[ep][0] == b[ep][0] and types_equal(a[ep][1], b[ep][1]) for ep in a)
+    return set(a) == set(b) and all(entries_equal(a[ep], b[ep]) for ep in a)
 
 
 def advances_to(before: dict, after: dict) -> bool:
@@ -378,9 +362,7 @@ def advances_to(before: dict, after: dict) -> bool:
             ag, pl = Endpoint(s, True), Endpoint(s, False)
             members = {ep for ep in extra if ep.session == s}
             if members == {ag, pl}:
-                ca, ta = after[ag]
-                cp, tp = after[pl]
-                if not (ca == cp == 0 and types_equal(tp, dual(ta))):
+                if not (after[ag][0] == 0 and entries_equal(after[pl], after[ag], flip=True)):
                     return False
             elif members == {ag}:
                 if after[ag][0] != 0:
@@ -388,20 +370,14 @@ def advances_to(before: dict, after: dict) -> bool:
             else:
                 return False
         after = {ep: v for ep, v in after.items() if ep not in extra}
-    if contexts_equal(before, after):
+    # equal, or with plain entries dropped only
+    dropped = set(before) - set(after)
+    if not any(ep.aggr for ep in dropped) and contexts_equal(
+            {ep: v for ep, v in before.items() if ep not in dropped}, after):
         return True
-    # dropped plain entries only
-    if set(after) < set(before):
-        dropped = set(before) - set(after)
-        if all(not ep.aggr for ep in dropped) and contexts_equal(
-            {ep: v for ep, v in before.items() if ep not in dropped}, after
-        ):
-            return True
     # one communication step on a single session
-    if set(after) == set(before):
-        diff = [ep for ep in before if not (
-            before[ep][0] == after[ep][0] and types_equal(before[ep][1], after[ep][1])
-        )]
+    if not dropped:
+        diff = [ep for ep in before if not entries_equal(before[ep], after[ep])]
         sessions = {ep.session for ep in diff}
         if len(sessions) == 1:
             return any(contexts_equal(d, after) for d in _dual_steps(before, sessions.pop()))

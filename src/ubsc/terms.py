@@ -25,7 +25,6 @@ class SubstError(Exception):
 
 # ---------------------------------------------------------------- channels
 
-@dataclass(frozen=True, eq=False)
 class Endpoint(Term):
     session: str
     aggr: bool
@@ -34,7 +33,6 @@ class Endpoint(Term):
         return ("*" if self.aggr else "") + self.session
 
 
-@dataclass(frozen=True, eq=False)
 class ChanVar(Term):
     name: str
     aggr: bool
@@ -48,33 +46,28 @@ Chan = Union[Endpoint, ChanVar]
 
 # ---------------------------------------------------------------- processes
 
-@dataclass(frozen=True, eq=False)
 class Inact(Term):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Request(Term):
     shared: str
     bind: str  # bound aggregator-polarity variable
     body: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Accept(Term):
     shared: str
     bind: str  # bound plain-polarity variable
     body: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Send(Term):
     chan: Chan
     expr: Expr
     body: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Recv(Term):
     chan: Chan
     bind: str
@@ -82,46 +75,39 @@ class Recv(Term):
     body: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Select(Term):
     chan: Chan
     label: str
     body: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Branch(Term):
     chan: Chan
     arms: tuple  # ((label, Process), ...) labels pairwise distinct
     default_arm: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(Term):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Cond(Term):
     guard: Expr
     then_p: "Process"
     else_p: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Defs(Term):
     defs: tuple  # ((name, (param, ...), Process), ...)
     body: "Process"
 
 
-@dataclass(frozen=True, eq=False)
 class Call(Term):
     name: str
     args: tuple  # Expr | Chan
 
 
-@dataclass(frozen=True, eq=False)
 class Recover(Term):
     body: "Process"
     handler: "Process"
@@ -134,23 +120,19 @@ Process = Union[
 
 # ---------------------------------------------------------------- buffers
 
-@dataclass(frozen=True, eq=False)
 class ValMsg(Term):
     value: Value
 
 
-@dataclass(frozen=True, eq=False)
 class LabMsg(Term):
     label: str
 
 
-@dataclass(frozen=True, eq=False)
 class TaggedMsg(Term):
     tag: int
     value: Value
 
 
-@dataclass(frozen=True, eq=False)
 class Buffer(Term):
     ep: Endpoint
     state: int

@@ -26,6 +26,10 @@ class Interned(type):
     one.  Equal terms are then one object, so ``==`` and hash are object
     identity, checked in C, and stay stack-safe however deep a term is.
 
+    Every class it makes with a base, which is every term class, is a
+    frozen dataclass without field equality, so no class can get the
+    structural ``==`` that recurses once per level by leaving out a flag.
+
     A term is keyed on its class and its fields, whose child terms compare
     by identity.  A class with an ``int`` or ``bool`` field is keyed on the
     types of its fields as well, as ``True == 1``.  The table holds its
@@ -33,7 +37,10 @@ class Interned(type):
 
     def __init__(cls, name, bases, ns):
         super().__init__(name, bases, ns)
-        cls._typed = not {"int", "bool"}.isdisjoint(ns.get("__annotations__", {}).values())
+        if bases:
+            dataclass(frozen=True, eq=False)(cls)
+        cls._typed = not {"int", "bool", int, bool}.isdisjoint(
+            ns.get("__annotations__", {}).values())
 
     def __call__(cls, *fields):
         key = (cls, *fields, *map(type, fields)) if cls._typed else (cls, *fields)
@@ -122,40 +129,33 @@ class AggregationError(EvalError):
 
 # ---------------------------------------------------------------- values
 
-@dataclass(frozen=True, eq=False)
 class UnitV(Term):
     def __repr__(self):
         return "unit"
 
 
-@dataclass(frozen=True, eq=False)
 class EpsV(Term):
     def __repr__(self):
         return "eps"
 
 
-@dataclass(frozen=True, eq=False)
 class IntV(Term):
     n: int
 
 
-@dataclass(frozen=True, eq=False)
 class BoolV(Term):
     b: bool
 
 
-@dataclass(frozen=True, eq=False)
 class StrV(Term):
     s: str
 
 
-@dataclass(frozen=True, eq=False)
 class PairV(Term):
     first: "Value"
     second: "Value"
 
 
-@dataclass(frozen=True, eq=False)
 class SetV(Term):
     items: frozenset
 
@@ -201,42 +201,35 @@ def mkset(items) -> SetV:
 
 # ---------------------------------------------------------------- base types
 
-@dataclass(frozen=True, eq=False)
 class UnitT(Term):
     def __repr__(self):
         return "unit"
 
 
-@dataclass(frozen=True, eq=False)
 class IntT(Term):
     def __repr__(self):
         return "int"
 
 
-@dataclass(frozen=True, eq=False)
 class BoolT(Term):
     def __repr__(self):
         return "bool"
 
 
-@dataclass(frozen=True, eq=False)
 class StrT(Term):
     def __repr__(self):
         return "str"
 
 
-@dataclass(frozen=True, eq=False)
 class PairT(Term):
     first: "BaseType"
     second: "BaseType"
 
 
-@dataclass(frozen=True, eq=False)
 class SetT(Term):
     elem: "BaseType"
 
 
-@dataclass(frozen=True, eq=False)
 class AnyT(Term):
     """Wildcard produced when a payload type is unconstrained (e.g. a receive
     binder that the continuation never inspects)."""
@@ -319,35 +312,29 @@ def base_compatible(expected: BaseType, actual: BaseType) -> bool:
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass(frozen=True, eq=False)
 class Lit(Term):
     value: Value
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
 class BinOp(Term):
     op: str  # + - * > < >= <= = != and or union
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
 class TupleE(Term):
     first: "Expr"
     second: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
 class SetE(Term):
     items: tuple
 
 
-@dataclass(frozen=True, eq=False)
 class Builtin(Term):
     name: str  # chooseVal size fst snd
     args: tuple

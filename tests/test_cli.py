@@ -204,6 +204,36 @@ def test_replay_script_checks_digests(tmp_path, capsys):
     assert lines[0].startswith("replay failed: step 40: ") and "{" not in lines[0]
 
 
+@pytest.mark.parametrize("case", ["other program", "digest changed", "digest removed"])
+def test_replay_checks_the_initial_digest(case, tmp_path, capsys, monkeypatch):
+    """A trace replays only from the network whose digest its header
+    records: another program's trace, or a 3-step trace whose recorded
+    digest was changed, fails the replay in one line, and a header without
+    the digest is malformed."""
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    trace = tmp_path / "t.jsonl"
+    steps = "0" if case == "other program" else "3"
+    assert main(["run", corpus("heartbeat_simple.ubsc"), "--max-steps", steps,
+                 "--trace", str(trace)]) == 0
+    records = [json.loads(l) for l in trace.read_text().splitlines()]
+    assert len(records) == 1 + int(steps)
+    if case == "digest changed":
+        records[0]["initial_digest"] = "0" * 16
+    elif case == "digest removed":
+        del records[0]["initial_digest"]
+    trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    prog = "paxos5.ubsc" if case == "other program" else "heartbeat_simple.ubsc"
+    rc = main(["replay", corpus(prog), str(trace)])
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert len(lines) == 1
+    if case == "digest removed":
+        assert rc == 2 and lines[0].endswith("lacks a well-formed 'initial_digest'")
+    else:
+        assert rc == 1 and lines[0].startswith("replay failed: initial digest ")
+
+
 def test_stepper_drives_and_records(tmp_path, capsys, monkeypatch):
     script = tmp_path / "script.json"
     # choose the broadcast, deliver to node 1 only, then receive, then quit
@@ -304,14 +334,17 @@ REPLAY_INPUTS = {
     "empty trace": "",
     "trace header without fields": "{}\n",
     "trace loss rate above 1":
-        '{"seed": 0, "loss_rate": 3, "recovery_bias": 0.2, "max_steps": 5}\n',
+        '{"seed": 0, "loss_rate": 3, "recovery_bias": 0.2, "max_steps": 5,'
+        ' "initial_digest": "0511401473a7efe8"}\n',
     "script step without rule": '[{"sender": 0}]',
     "script step not an object": "[1]",
     "trace step without rule":
-        '{"seed": 0, "loss_rate": 0.3, "recovery_bias": 0.2, "max_steps": 5}\n'
+        '{"seed": 0, "loss_rate": 0.3, "recovery_bias": 0.2, "max_steps": 5,'
+        ' "initial_digest": "0511401473a7efe8"}\n'
         '{"session": "s#0", "sender": 0, "receivers": [1], "digest": "0"}\n',
     "trace step receivers not ints":
-        '{"seed": 0, "loss_rate": 0.3, "recovery_bias": 0.2, "max_steps": 5}\n'
+        '{"seed": 0, "loss_rate": 0.3, "recovery_bias": 0.2, "max_steps": 5,'
+        ' "initial_digest": "0511401473a7efe8"}\n'
         '{"rule": "Bcast", "session": "s#0", "sender": 0, "receivers": ["1"], "digest": "0"}\n',
 }
 

@@ -298,9 +298,10 @@ def test_paxos_run_makes_few_templates():
 
 def test_node_names_are_its_template_names():
     """A node's digest record takes its process's names from the process
-    facts: its free sessions and shared names.  On every node process the
-    corpus programs reach (seeds 0-2, 300 steps each) they are the names
-    its template is filled with."""
+    template, the names the template is filled with, and from the process
+    facts (its free sessions and shared names) when there is no template.
+    On every node process the corpus programs reach (seeds 0-2, 300 steps
+    each) the two agree."""
     procs = {nd.process for name in CORPUS for seed in range(3)
              for state in _reached(name, seed, 300) for nd in state.nodes}
     checked = 0
@@ -447,9 +448,9 @@ class _LongRun:
         self.kept, self.crossings, self.shrinks = [], [], []
         render, fill = eng._render, eng._Block.fill
 
-        def counted_render(node, live, ren, ents):
-            self.rendered[-1] += len(live)
-            return render(node, live, ren, ents)
+        def counted_render(record, ren, ents):
+            self.rendered[-1] += len(record.live)
+            return render(record, ren, ents)
 
         def counted_fill(blk, ren):
             self.fills[-1] += 1

@@ -1,16 +1,20 @@
 """Modules of the package reach each other through public names only: no
 module imports a sibling's ``_private`` name or reads one as an attribute
 of a sibling module, and no function imports anything.  README's table of caches names every memoised
-function of the package."""
+function of the package.  Every term class takes its dataclass form from
+its metaclass alone."""
 
 import ast
+import dataclasses
 import glob
+import importlib
 import os
 import re
 
 import pytest
 
 import ubsc
+from ubsc import values as v
 
 MODULES = sorted(glob.glob(os.path.join(os.path.dirname(ubsc.__file__), "*.py")))
 
@@ -275,3 +279,48 @@ def test_recursive_functions_are_found():
     assert recursive_functions({"a": a, "b": b}) == {
         "a.C.m": False, "a.C.n": False, "a.f": False, "a.f.go": False, "a.fill": True,
         "a.h": True, "b.g": False}
+
+
+def _term_classes() -> list:
+    """Every ``values.Term`` subclass the package's modules declare."""
+    for path in MODULES:
+        importlib.import_module(f"ubsc.{os.path.basename(path)[:-3]}")
+    found, stack = [], [v.Term]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        found += [c for c in subclasses if c.__module__.startswith("ubsc.")]
+        stack += subclasses
+    return found
+
+
+def test_term_classes_are_frozen_dataclasses_equal_by_identity():
+    classes = _term_classes()
+    assert len(classes) == 48
+    for cls in classes:
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_module_decorates_a_term_class(path):
+    """The metaclass makes a term class a dataclass; a decorator of its own
+    could give it field equality back."""
+    module = f"ubsc.{os.path.basename(path)[:-3]}"
+    terms = {c.__name__ for c in _term_classes() if c.__module__ == module}
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and node.name in terms and node.decorator_list] == []
+
+
+def test_an_undecorated_term_class_interns_frozen_by_identity():
+    class Probe(v.Term):
+        name: str
+        depth: int
+
+    a = Probe("x", 1)
+    assert Probe("x", 1) is a and Probe("x", True) is not a and (a.name, a.depth) == ("x", 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.depth = 2
+    twin = type.__call__(Probe, "x", 1)  # the same fields, built past the table
+    assert twin is not a and twin != a and hash(twin) != hash(a)
