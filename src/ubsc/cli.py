@@ -213,9 +213,10 @@ def cmd_replay(args, prog) -> int:
         except ValueError:
             return _fail(f"replay: {args.script}: loss_rate and recovery_bias must lie in [0, 1]")
     try:
-        if not is_script and (found := eng.digest(eng.encode_network(prog.network))) != recorded:
+        state = eng.RunState.from_network(eng.encode_network(prog.network))
+        if not is_script and (found := state.digest()) != recorded:
             raise eng.EngineError(f"initial digest {found} differs from the recorded {recorded}")
-        state, digests = eng.run_script(prog.network, steps)
+        state, digests = eng.run_script(state, steps)
         if not is_script and (len(steps) > max_steps or
                               len(steps) < max_steps and eng.enabled_redexes(state)):
             raise eng.EngineError(f"length mismatch: {len(steps)} steps recorded, but a run "

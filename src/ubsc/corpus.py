@@ -154,7 +154,8 @@ def corpus_programs() -> list:
 def run_case(case: GoldenCase) -> tuple:
     """Replay a case; returns (digests, mismatches) where mismatches pairs
     each expected intermediate network against the script's actual digest."""
-    _, digests = eng.run_script(load_program(case.program).network, case.schedule)
+    network = eng.encode_network(load_program(case.program).network)
+    _, digests = eng.run_script(eng.RunState.from_network(network), case.schedule)
     expected = dict(case.expected)
     mismatches = [(i, want, d) for i, d in enumerate(digests) if i in expected
                   and (want := eng.digest(parse(expected[i]).network)) != d]

@@ -349,13 +349,13 @@ class _NodeFacts(NamedTuple):
 
     ``steps`` memoises the acting node's half of a step, keyed on (rule,
     alt): a weak reference to the node's successor and the value the step
-    moves.  A search applies one redex to the same node object in sibling
-    state after sibling state; a hit gives back the successor object, whose
-    own facts are then already made.
-    Conn is left out, as its successor depends on ``state.fresh`` and on the
-    acceptors; so are the receivers, as memoising them sped up deep
-    early-state searches far more than late ones.  The reference is weak
-    so that a held node does not keep everything explored from it alive."""
+    moves.  Nodes are hash-consed, so equal nodes, in sibling states or on
+    other interleavings of a search, share one memo; a hit gives back the
+    successor node, whose own facts are then already made.  Conn is left
+    out, as its successor depends on ``state.fresh`` and on the acceptors;
+    so are the receivers, as memoising them sped up deep early-state
+    searches far more than late ones.  The reference is weak so that a
+    held node does not keep everything explored from it alive."""
     alts: tuple
     bufs: dict
     local: tuple
@@ -450,11 +450,10 @@ def enabled_redexes(state: RunState) -> list:
 
 # ------------------------------------------------------------- rule application
 
-# Keyed on (continuation, binder, value).  A node's own memo of its steps
-# (``_NodeFacts.steps``) serves a repeat on the same node object; this lru
-# serves equal nodes that are distinct objects, reached along different
-# paths of one search or in other searches of the process.  A scheduler
-# run rarely repeats one, and a larger memo made its steps slower.  Conn's
+# Keyed on (continuation, binder, value).  A node's ``_NodeFacts.steps``
+# serves a repeat on an equal node while its successor lives; this lru, a
+# repeat whose successor has died, as in a later search.  A scheduler run
+# rarely repeats one, and a larger memo made its steps slower.  Conn's
 # channel substitutions are not memoised: that sped up early-state
 # searches far more than late ones.
 _subst_value = lru_cache(maxsize=64)(t.subst_value)
@@ -688,10 +687,9 @@ def resolve_script_step(state: RunState, spec: dict) -> tuple:
     raise EngineError(f"no enabled {spec['rule']} redex reaches digest {spec['digest']}")
 
 
-def run_script(network: t.Network, steps: list) -> tuple:
+def run_script(state: RunState, steps: list) -> tuple:
     """Replay script entries or trace steps by :func:`resolve_script_step`;
     returns (final state, digest per step).  A step's error names its index."""
-    state = RunState.from_network(encode_network(network))
     digests = []
     for i, spec in enumerate(steps):
         try:

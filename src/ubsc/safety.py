@@ -185,15 +185,6 @@ def is_simple(result: TypingResult) -> bool:
 
 # ------------------------------------------------------------------ progress
 
-def _session_positions(state: eng.RunState, session: str):
-    ag_nodes, pl_nodes = [], []
-    for i, nd in enumerate(state.nodes):
-        for b in nd.buffers:
-            if b.ep.session == session:
-                (ag_nodes if b.ep.aggr else pl_nodes).append((i, b.state))
-    return ag_nodes, pl_nodes
-
-
 def _shapes(state: eng.RunState):
     """Each session with exactly one aggregator and some plain endpoint, in
     name order, as (session, (aggregator node, state), [(plain node,
@@ -229,7 +220,7 @@ def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
     """Breadth-first search over full-delivery reductions restricted to
     ``allowed`` rules; returns the schedule reaching ``target`` or None.
     ``cap`` bounds the number of states reached.  A state is its own key:
-    equal run states hold the same interned processes and buffers."""
+    equal run states hold the same interned processes, buffers and nodes."""
     seen = {state}
     queue = deque([(state, [])])
     while queue:
@@ -257,10 +248,23 @@ def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
 
 def _all_at(session: str, c: int):
     """Search target: the one aggregator and every plain endpoint of
-    ``session`` are at state ``c``."""
+    ``session`` are at state ``c``.  A node's part, its aggregator buffers of
+    ``session`` or -1 if a buffer of it is not at ``c``, is read once."""
+    met: dict = {}
+
     def target(st: eng.RunState) -> bool:
-        ag_nodes, pl_nodes = _session_positions(st, session)
-        return len(ag_nodes) == 1 and all(cp == c for _, cp in ag_nodes + pl_nodes)
+        aggregators = 0
+        for nd in st.nodes:
+            if (part := met.get(nd)) is None:
+                part = 0
+                for b in nd.buffers:
+                    if b.ep.session == session:
+                        part = part + b.ep.aggr if part >= 0 and b.state == c else -1
+                met[nd] = part
+            if part < 0:
+                return False
+            aggregators += part
+        return aggregators == 1
     return target
 
 

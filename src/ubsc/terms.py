@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import Optional, Union
 
-from .values import (UNIT, Expr, Lit, Term, Value, Var, aggregate, fv_expr, map_vars,
-                     memo_on_term, universe)
+from .values import (UNIT, Expr, Lit, Term, Value, Var, aggregate, enter, fv_expr, interned,
+                     map_vars, memo_on_term, universe)
 
 
 class SubstError(Exception):
@@ -165,11 +165,31 @@ def residual(queue, c: int):
 
 # ---------------------------------------------------------------- networks
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkNode:
+    """A process with its buffers, written at line ``pos``, hash-consed on all
+    three in the terms' table.  Equality and the hash, made once, ignore the
+    line, so a cache keyed on a node serves equal nodes of other lines."""
+
     process: Process
     buffers: tuple = ()
     pos: Optional[int] = field(default=None, compare=False, repr=False)
+
+    def __new__(cls, process: Process, buffers: tuple = (), pos: Optional[int] = None):
+        key = (cls, process, buffers, pos)
+        if (node := interned(key)) is not None:
+            return node
+        node, put = object.__new__(cls), object.__setattr__  # as the frozen __init__ would
+        put(node, "process", process)
+        put(node, "buffers", buffers)
+        put(node, "pos", pos)
+        put(node, "_hash", hash((process, buffers)))
+        return enter(key, node)
+
+    def __hash__(self):
+        return self._hash
+
+    __copy__, __deepcopy__ = Term.__copy__, Term.__deepcopy__  # a copy of it is it
 
 
 @dataclass(frozen=True)

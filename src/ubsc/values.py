@@ -47,13 +47,22 @@ class Interned(type):
         ref = _TABLE.get(key)
         if ref is not None and (term := ref()) is not None:
             return term
-        term = type.__call__(cls, *fields)
-        ref = _TABLE[key] = _Ref(term, _drop)
-        ref.key = key
-        return term
+        return enter(key, type.__call__(cls, *fields))
 
 
 _TABLE: dict = {}
+
+
+def interned(key):
+    """The live term entered in the table under ``key``, or None."""
+    return (ref := _TABLE.get(key)) and ref()
+
+
+def enter(key, term):
+    """``term``, entered in the table under ``key``."""
+    ref = _TABLE[key] = _Ref(term, _drop)
+    ref.key = key
+    return term
 
 
 class _Ref(weakref.ref):

@@ -7,8 +7,9 @@ definitions in scope.  ``progress_shape_sessions`` and
 ``recovery_shape_sessions`` are kept verbatim from before they shared one
 pass over the buffers: they walk every node once per session.  Only the
 imports and ``_AGGR_KINDS``, the aggregator kinds the package no longer
-names, are new; the pair tables, ``_session_positions`` and
-``SafetyReport`` come from the package.
+names, are new; the pair tables and ``SafetyReport`` come from the
+package.  ``_session_positions`` is kept verbatim from the package, which
+no longer reads it: the search target works out each node's part once.
 
 ``_bfs`` is the progress and recovery search as it was before sleep sets,
 kept verbatim as a differential oracle: it applies and digests every
@@ -20,9 +21,18 @@ from collections import deque
 
 from ubsc import engine as eng
 from ubsc import terms as t
-from ubsc.safety import _INVALID_ANY, _INVALID_SAME_STATE, SafetyReport, _session_positions
+from ubsc.safety import _INVALID_ANY, _INVALID_SAME_STATE, SafetyReport
 
 _AGGR_KINDS = ("Brc", "Gth", "Sel")
+
+
+def _session_positions(state: eng.RunState, session: str):
+    ag_nodes, pl_nodes = [], []
+    for i, nd in enumerate(state.nodes):
+        for b in nd.buffers:
+            if b.ep.session == session:
+                (ag_nodes if b.ep.aggr else pl_nodes).append((i, b.state))
+    return ag_nodes, pl_nodes
 
 
 def _peel(p: t.Process, depth: int = 4):

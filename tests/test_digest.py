@@ -284,16 +284,24 @@ def test_wide_sums_digest_in_one_walk():
     assert text.startswith("new r0. [ r0!<0>. 0 + (r0!<1000>. 0 + ") and text.count("!<") == 2000
 
 
-def test_paxos_run_makes_few_templates():
-    """Templates are made per body shape, not per new process: a 300-step
-    paxos5 run with digests makes fewer than 100 of them, and fills them for
-    over three times as many processes."""
+def _templates_made() -> tuple:
+    """(templates made, processes filled) over a 300-step paxos5 run with
+    digests, from empty caches."""
     _fresh_caches()
     cfg = eng.SchedulerConfig(seed=26508, loss_rate=0.3, recovery_bias=0.2, max_steps=300)
     eng.run_scheduler(_network("paxos5.ubsc"), cfg)
-    info = render._shape_template.cache_info()
-    assert 0 < info.misses < 100
-    assert 3 * info.misses < render.process_template.cache_info().misses
+    return (render._shape_template.cache_info().misses,
+            render.process_template.cache_info().misses)
+
+
+def test_paxos_run_makes_few_templates():
+    """Templates are made per body shape, not per new process: a 300-step
+    paxos5 run with digests makes fewer than 100 of them, and fills them for
+    over three times as many processes.  The run is made in a process of its
+    own: nodes another test still holds would come back with their records."""
+    made, filled = in_fresh_process("test_digest", "_templates_made()")
+    assert 0 < made < 100
+    assert 3 * made < filled
 
 
 def test_node_names_are_its_template_names():
@@ -409,14 +417,23 @@ def test_masked_buffer_ties_keep_node_order():
     assert eng._node_render(node, ()) == oracle._node_render(node, ())
 
 
-def test_definition_block_shared_across_processes():
-    """Nodes of one program share one cached definitions block."""
+def _defs_blocks_used() -> tuple:
+    """(definitions blocks cached, hits) over digesting every state of a
+    120-step paxos5 run, from empty caches."""
     _fresh_caches()
     states = _reached("paxos5.ubsc", 3, 120)
     for state in states:
         eng.canonical_text(state.restricted, state.nodes)
     info = render._defs_block.cache_info()
-    assert info.currsize <= 5 < info.hits
+    return info.currsize, info.hits
+
+
+def test_definition_block_shared_across_processes():
+    """Nodes of one program share one cached definitions block.  The run is
+    made in a process of its own, as nodes another test still holds would
+    come back with their records."""
+    currsize, hits = in_fresh_process("test_digest", "_defs_blocks_used()")
+    assert currsize <= 5 < hits
 
 
 def test_closed_expressions_are_not_rebuilt():
@@ -481,7 +498,8 @@ class _LongRun:
         # the initial digest counts with step 0; the entry after the last step is empty
         self.rendered, self.fills = self.rendered[:self.STEPS], self.fills[:self.STEPS]
 
-    def per_step(self, counts: list, lo: int, hi: int) -> float:
+    @staticmethod
+    def per_step(counts: list, lo: int, hi: int) -> float:
         return sum(counts[lo:hi]) / (hi - lo)
 
 
@@ -490,14 +508,24 @@ def long_run():
     return _LongRun()
 
 
-def test_long_run_digest_work_stays_flat(long_run):
+def _long_run_work() -> tuple:
+    """The long run's per-step counts: buffers rendered one at a time, and
+    block fills."""
+    run = _LongRun()
+    return run.rendered, run.fills
+
+
+def test_long_run_digest_work_stays_flat():
     """Buffers rendered one at a time per digested step, and block fills per
     step, in the last 500 steps of the run stay within 1.2x of the first
     500: finished buffers are never rendered one at a time, and a block is
-    filled only when it forms or a map renames one of its names."""
-    assert len(long_run.rendered) == _LongRun.STEPS
-    for counts in (long_run.rendered, long_run.fills):
-        early, late = long_run.per_step(counts, 0, 500), long_run.per_step(counts, 2500, 3000)
+    filled only when it forms or a map renames one of its names.  The run is
+    made in a process of its own, as nodes another test still holds would
+    come back with their records."""
+    rendered, fills = in_fresh_process("test_digest", "_long_run_work()")
+    assert len(rendered) == _LongRun.STEPS
+    for counts in (rendered, fills):
+        early, late = _LongRun.per_step(counts, 0, 500), _LongRun.per_step(counts, 2500, 3000)
         assert 0 < late <= 1.2 * early, (early, late)
 
 

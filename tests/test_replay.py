@@ -82,6 +82,19 @@ def test_replay_digests_each_successor_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(eng, name, counted(name))
-    _, digests = eng.run_script(network, [s.to_json() for s in trace.steps])
+    state = eng.RunState.from_network(eng.encode_network(network))
+    _, digests = eng.run_script(state, [s.to_json() for s in trace.steps])
     assert digests == [s.digest for s in trace.steps]
     assert 200 <= calls["canonical_text"] <= calls["apply_redex"]
+
+
+def test_replay_encodes_the_program_once(tmp_path, capsys, monkeypatch):
+    """``ubsc replay`` encodes the program once: its initial state gives the
+    digest the trace header is checked against and starts the replay."""
+    prog, trace = os.path.join(corpus_dir(), "paxos3.ubsc"), tmp_path / "t.jsonl"
+    assert main(["run", prog, "--max-steps", "20", "--trace", str(trace)]) == 0
+    calls, encode = [], eng.encode_network
+    monkeypatch.setattr(eng, "encode_network", lambda n: calls.append(n) or encode(n))
+    capsys.readouterr()
+    assert main(["replay", prog, str(trace)]) == 0
+    assert capsys.readouterr().out.startswith("replay ok: 20 steps") and len(calls) == 1

@@ -181,6 +181,50 @@ def test_search_cuts_paths_at_its_bound():
     assert [r.rule for r in sf._bfs(state, lambda r: True, target, 2)] == ["Bcast", "Bcast"]
 
 
+def _all_at_oracle(state: eng.RunState, session: str, c: int) -> bool:
+    """The search target as it was before it kept each node's part: every
+    buffer of ``session`` in the state, read from ``_session_positions``."""
+    import safety_oracle
+    ag_nodes, pl_nodes = safety_oracle._session_positions(state, session)
+    return len(ag_nodes) == 1 and all(cp == c for _, cp in ag_nodes + pl_nodes)
+
+
+@pytest.mark.parametrize("name", ["paxos3.ubsc", "paxos5.ubsc", "paxos_multi.ubsc"])
+def test_search_target_matches_session_positions(name):
+    """One target per session and state, kept over a whole run as a search
+    keeps it over the states it reaches, agrees with the buffer scan on
+    every reached state of a paxos run: at each state some buffer of the
+    session holds, and at the state after it."""
+    states = []
+    eng.run_scheduler(load_program(name).network, eng.SchedulerConfig(
+        seed=1, loss_rate=0.3, recovery_bias=0.2, max_steps=120), digests=False,
+        on_step=lambda state, step: states.append(state))
+    targets, hits = {}, 0
+    for state in states:
+        at = {(b.ep.session, b.state + k) for nd in state.nodes for b in nd.buffers
+              for k in (0, 1)}
+        for s, c in sorted(at):
+            target = targets.setdefault((s, c), sf._all_at(s, c))
+            assert target(state) == _all_at_oracle(state, s, c), (s, c)
+            hits += target(state)
+    assert hits > 0
+
+
+def test_search_target_counts_every_aggregator():
+    """A node with two aggregator buffers of the session, and one node
+    object held twice in a state, count each buffer where it stands."""
+    twice = parse_network("[ 0 | s~1:[] ] || [ 0 | s~1:[] ] || [ 0 | *s~1:[] ]")
+    doubled = parse_network("[ 0 | *s~1:[] ] || [ 0 | *s~1:[] ] || [ 0 | s~1:[] ]")
+    both = parse_network("[ 0 | *s~1:[] | *s~1:[] ] || [ 0 | s~1:[] ]")
+    for net, want in ((twice, True), (doubled, False), (both, False)):
+        state = eng.RunState.from_network(net)
+        assert len(set(map(id, state.nodes))) < len(state.nodes) or net is both
+        for c in (0, 1):
+            target = sf._all_at("s", c)
+            assert [target(state), target(state)] == [want and c == 1] * 2
+            assert target(state) == _all_at_oracle(state, "s", c)
+
+
 def test_recovery_shape_and_search():
     # a typed lagging node has exactly as many protocol steps left as its lag
     net = parse_network(

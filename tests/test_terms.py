@@ -657,6 +657,48 @@ def test_scalar_fields_are_keyed_by_type():
     assert t.TaggedMsg(0, v.UNIT) is not t.TaggedMsg(False, v.UNIT)
 
 
+def test_node_is_one_object_per_value_and_line():
+    """Nodes are hash-consed on their process, buffers and line.  Nodes
+    that differ only in line are equal and hash as (process, buffers), and
+    stay two objects; ``dataclasses.replace`` builds through the table, and
+    a copy or a deep copy of a node is the node."""
+    p = parse_process("s!<1>. s?(x). 0")
+    bufs = (t.Buffer(t.Endpoint("s", False), 0, ()),)
+    node = t.NetworkNode(p, bufs, pos=3)
+    assert t.NetworkNode(p, bufs, pos=3) is node
+    assert t.NetworkNode(process=p, buffers=bufs, pos=3) is node
+    at7, nowhere = t.NetworkNode(p, bufs, pos=7), t.NetworkNode(p, bufs)
+    assert at7 is not node and nowhere is not node and at7 is not nowhere
+    assert at7 == node == nowhere and (at7.pos, node.pos, nowhere.pos) == (7, 3, None)
+    assert hash(at7) == hash(node) == hash(nowhere) == hash((p, bufs))
+    assert node != t.NetworkNode(p, ()) and hash(t.NetworkNode(p, ())) == hash((p, ()))
+    assert dataclasses.replace(node, pos=7) is at7 and dataclasses.replace(at7, pos=3) is node
+    assert dataclasses.replace(node) is node
+    assert copy.copy(node) is node and copy.deepcopy(node) is node
+    assert all(a is b for a, b in zip(copy.deepcopy([node, at7]), [node, at7]))
+    text = "[ s!<1>. 0 | s~0:[] ] || [ s?(x). 0 | s~0:[] ]"
+    assert all(a is b for a, b in zip(t.flatten_nodes(parse_network(text))[1],
+                                       t.flatten_nodes(parse_network(text))[1]))
+
+
+def test_equal_nodes_share_their_records():
+    """Two redexes applied in either order reach equal states whose nodes
+    are one object each, with one ``node_facts`` and one digest record."""
+    state = eng.RunState.from_network(parse_network(
+        "[ s!<1>. 0 | s~0:[] ] || [ u!<2>. 0 | u~0:[] ] || [ *s?(x). *u?(y). 0 "
+        "| *s~0:[] | *u~0:[] ]"))
+    losses = [r for r in eng.enabled_redexes(state) if r.rule == "Loss"]
+    assert len(losses) == 2
+    a, b = losses
+    ab = eng.apply_redex(eng.apply_redex(state, a), b)
+    ba = eng.apply_redex(eng.apply_redex(state, b), a)
+    assert ab == ba and ab.digest() == ba.digest()
+    for x, y in zip(ab.nodes, ba.nodes):
+        assert x is y
+        assert eng.node_facts(x) is eng.node_facts(y)
+        assert eng._node_digest(x) is eng._node_digest(y)
+
+
 def _table_counts(steps: int = 3000, every: int = 500) -> tuple:
     """(step, live entries, dead entries) of the interning table at every
     ``every``-th step of a paxos5 run, and the table's size before the run
