@@ -21,6 +21,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii as _esc  # the escaper of json.dumps
 from operator import add, attrgetter, itemgetter, not_
 from typing import Callable, NamedTuple, Optional
 
@@ -303,20 +304,27 @@ def alternatives(p: t.Process) -> tuple:
                 for alt in t.sum_alternatives(p):
                     go(alt, defs_env, rebuild, depth)
             case t.Defs(defs, body):
-                env2 = defs_env + (defs,)
-
-                def rb(nb, _rebuild=rebuild, _defs=defs):
-                    return _rebuild(t.Defs(_defs, nb))
-
-                go(body, env2, rb, depth)
+                go(body, defs_env + (defs,), _rewrap(rebuild, defs), depth)
             case t.Call() if depth < _MAX_UNFOLD and (
                     unfolded := t.unfold_call(p, defs_env)) is not None:
                 go(unfolded, defs_env, rebuild, depth + 1)
             case _:
                 out.append((p, rebuild))
 
-    go(p, (), lambda x: x, 0)
+    go(p, (), _identity, 0)
     return tuple(out)
+
+
+def _identity(p: t.Process) -> t.Process:
+    return p
+
+
+@lru_cache(maxsize=256)
+def _rewrap(rebuild: Callable, defs: tuple) -> Callable:
+    """``rebuild`` around the definitions block ``defs``: one function per
+    pair, so every process under one block shares its rebuild, and the
+    alternatives memo keeps no function per process."""
+    return lambda body: rebuild(t.Defs(defs, body))
 
 
 # ------------------------------------------------------------- redexes
@@ -463,9 +471,12 @@ _HEAD_TYPES = {"Conn": t.Request, "Bcast": t.Send, "Sel": t.Select, "Ucast": t.S
                "BRec": t.Branch, "Loss": t.Send, "True": t.Cond, "False": t.Cond}
 
 
-def _set_buffer(node: t.NetworkNode, buf: t.Buffer) -> t.NetworkNode:
+def _set_buffer(node: t.NetworkNode, buf: t.Buffer,
+                process: Optional[t.Process] = None) -> t.NetworkNode:
+    """``node`` with ``buf`` in place of its buffer on the same endpoint, and
+    with ``process`` in place of its own when given."""
     bufs = tuple(buf if b.ep is buf.ep else b for b in node.buffers)
-    return t.NetworkNode(node.process, bufs, pos=node.pos)
+    return t.NetworkNode(node.process if process is None else process, bufs, pos=node.pos)
 
 
 def _moved_value(rule: str, head: t.Process, bufs: dict) -> Optional[v.Value]:
@@ -521,8 +532,7 @@ def _sender_step(node: t.NetworkNode, facts: _NodeFacts, rule: str, head: t.Proc
             after = own.state + 1, ()
         case _:  # Bcast, Sel, Ucast, Loss
             after = own.state + 1, own.queue
-    return _set_buffer(t.NetworkNode(rebuild(body), node.buffers, pos=node.pos),
-                       t.Buffer(own.ep, *after)), value
+    return _set_buffer(node, t.Buffer(own.ep, *after), rebuild(body)), value
 
 
 def apply_redex(state: RunState, r: Redex, chosen: Optional[tuple] = None) -> RunState:
@@ -634,6 +644,10 @@ class TraceStep:
         return out
 
 
+_STEP_LINE = ('{"digest": %s, "kind": "step", %s"payload": %s, "receivers": [%s], '
+              '"rule": %s, "sender": %d, "session": %s, "step": %d}')
+
+
 @dataclass
 class Trace:
     config: SchedulerConfig
@@ -652,8 +666,13 @@ class Trace:
         }
 
     def to_jsonl(self) -> str:
+        """The header line, then each step's: ``json.dumps`` of its
+        ``to_json()`` with sorted keys, written here without the dict."""
         lines = [json.dumps(self.header_json(), sort_keys=True)]
-        lines.extend(json.dumps(s.to_json(), sort_keys=True) for s in self.steps)
+        lines.extend(_STEP_LINE % (
+            _esc(s.digest), "" if s.network is None else f'"network": {_esc(s.network)}, ',
+            "null" if s.payload is None else _esc(s.payload), ", ".join(map(str, s.receivers)),
+            _esc(s.rule), s.sender, _esc(s.session), s.index) for s in self.steps)
         return "\n".join(lines) + "\n"
 
 

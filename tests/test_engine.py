@@ -1,5 +1,9 @@
 import gc
+import glob
+import json
+import os
 import random
+import types
 import weakref
 from dataclasses import replace
 
@@ -7,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import has_recover
+from conftest import has_recover, in_fresh_process
 from test_digest import _wide_sum
+from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import terms as t
 from ubsc import values as v
@@ -339,6 +344,60 @@ def test_scheduler_deterministic():
     c = eng.run_scheduler(net, eng.SchedulerConfig(seed=8, loss_rate=0.4,
                                                    recovery_bias=0.3, max_steps=50))
     assert a.to_jsonl() != c.to_jsonl()
+
+
+CORPUS = sorted(os.path.basename(f) for f in glob.glob(os.path.join(cp.corpus_dir(), "*.ubsc")))
+
+
+def _json_lines(trace: eng.Trace) -> str:
+    """The trace as ``json.dumps`` writes its header and each step's dict."""
+    return "".join(json.dumps(obj, sort_keys=True) + "\n"
+                   for obj in [trace.header_json(), *(s.to_json() for s in trace.steps)])
+
+
+@pytest.mark.parametrize("networks", [False, True])
+def test_trace_lines_are_json_dumps(networks):
+    steps = 0
+    for name in CORPUS:
+        net = cp.load_program(name).network
+        for seed in (0, 1, 2):
+            cfg = eng.SchedulerConfig(seed=seed, max_steps=200)
+            trace = eng.run_scheduler(net, cfg, networks=networks)
+            assert trace.to_jsonl() == _json_lines(trace)
+            steps += len(trace.steps)
+    assert steps > 2000
+
+
+def test_trace_line_escapes_as_json_dumps():
+    odd = 'a"b\\c\nd\té\u20ac\U0001d11e\x00'
+    steps = [eng.TraceStep(0, "Rec", "s#0", 1, (), None, "0123abcd"),
+             eng.TraceStep(1, "Bcast", odd, 0, (1, 12), odd, "", odd),
+             eng.TraceStep(2, "Sel", "s#1", 3, (0,), "accept", "", None)]
+    trace = eng.Trace(eng.SchedulerConfig(seed=3), "ffff", steps)
+    assert trace.to_jsonl() == _json_lines(trace)
+
+
+def _live_growth() -> tuple:
+    """How many more function objects are alive, and how many more entries
+    the alternatives memo holds, after 20 paxos5 runs of 500 steps."""
+    def functions():
+        gc.collect()
+        return sum(type(o) is types.FunctionType for o in gc.get_objects())
+
+    net = cp.load_program("paxos5.ubsc").network
+    funcs, alts = functions(), eng.alternatives.cache_info().currsize
+    for seed in range(20):
+        eng.run_scheduler(net, eng.SchedulerConfig(seed=seed, loss_rate=0.3, recovery_bias=0.2,
+                                                   max_steps=500), digests=False)
+    return functions() - funcs, eng.alternatives.cache_info().currsize - alts
+
+
+def test_alternatives_memo_keeps_no_function_per_process():
+    """The memo grows by thousands of processes, and the functions alive by
+    fewer than a hundred: processes under one block share their rebuild."""
+    funcs, alts = in_fresh_process("test_engine", "_live_growth()")
+    assert alts > 2000
+    assert funcs < 100
 
 
 def test_scheduler_lossless_delivers_all():

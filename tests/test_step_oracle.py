@@ -16,11 +16,13 @@ import random
 
 import pytest
 
+import alt_oracle
 import step_oracle as oracle
 from conftest import generate_program
 from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import terms as t
+from ubsc import values as v
 from ubsc.syntax import parse, parse_network
 
 CORPUS = sorted(os.path.basename(f) for f in glob.glob(os.path.join(cp.corpus_dir(), "*.ubsc")))
@@ -221,3 +223,94 @@ def test_repeated_steps_cover_every_rule_but_conn():
     repeated = frozenset().union(*map(_repeats, CORPUS))
     assert repeated == {"Bcast", "Sel", "Ucast", "Gthr", "Rcv", "Bra",
                         "Rec", "BRec", "Loss", "True", "False"}, repeated
+
+
+# ------------------------------------------------------------- alternatives
+
+def _reached_processes() -> dict:
+    """Each process on the nodes of the raw and encoded program and of every
+    state of seeded scheduler runs (seeds 0-2, 200 steps), over every corpus
+    program and every generated one, as dict keys in the order met."""
+    procs: dict = {}
+
+    def note(state, _=None):
+        procs.update(dict.fromkeys(nd.process for nd in state.nodes))
+
+    for name in CORPUS + GENERATED:
+        net = _network(name)
+        note(eng.RunState.from_network(net))
+        note(eng.RunState.from_network(eng.encode_network(net)))
+        for seed in (0, 1, 2):
+            eng.run_scheduler(net, eng.SchedulerConfig(seed=seed, max_steps=200),
+                              on_step=note, digests=False)
+    return procs
+
+
+def test_alternatives_match_closure_oracle():
+    """Each reached process has the oracle's heads in the oracle's order, and
+    each alternative's rebuild gives the oracle's term around the inactive
+    process and around the head itself."""
+    procs = _reached_processes()
+    assert len(procs) > 1000
+    for p in procs:
+        got, want = eng.alternatives(p), alt_oracle.alternatives(p)
+        assert [head for head, _ in got] == [head for head, _ in want]
+        for (head, rebuild), (_, old) in zip(got, want):
+            for probe in (t.Inact(), head):
+                assert rebuild(probe) == old(probe)
+
+
+def test_processes_under_one_block_share_a_rebuild():
+    """Over a paxos5 run, every process under one node's definitions block
+    rebuilds through one function object."""
+    eng.alternatives.cache_clear()
+    eng._rewrap.cache_clear()
+    by_block: dict = {}
+
+    def note(state, _):
+        for nd in state.nodes:
+            by_block.setdefault(nd.process.defs, set()).add(nd.process)
+
+    eng.run_scheduler(_network("paxos5.ubsc"), eng.SchedulerConfig(seed=0, max_steps=200),
+                      on_step=note, digests=False)
+    assert len(by_block) == 5
+    for procs in by_block.values():
+        assert len(procs) > 10
+        assert len({id(rebuild) for p in procs for _, rebuild in eng.alternatives(p)}) == 1
+
+
+def test_sender_step_makes_one_node(monkeypatch):
+    """A non-Conn step whose sender node has no ``steps`` memo enters one
+    node into the interning table, its successor, besides any receiver's:
+    no node is made and dropped on the way.  The nodes sit at lines no other
+    test uses, so the successors are new."""
+    entered = []
+
+    def enter(key, term):
+        if type(term) is t.NetworkNode:
+            entered.append(term)
+        return v.enter(key, term)
+
+    monkeypatch.setattr(t, "enter", enter)
+    made = 0
+    for name in ("paxos5.ubsc", "heartbeat_gather.ubsc", "drop_connections.ubsc"):
+        state = eng.RunState.from_network(eng.encode_network(_network(name)))
+        state = dataclasses.replace(state, nodes=tuple(
+            dataclasses.replace(nd, pos=90000 + i) for i, nd in enumerate(state.nodes)))
+        rng = random.Random(1)
+        for _ in range(60):
+            redexes = eng.enabled_redexes(state)
+            if not redexes:
+                break
+            for r in redexes:
+                if r.rule == "Conn":
+                    continue
+                eng.node_facts(state.nodes[r.sender]).steps.clear()
+                entered.clear()
+                succ = eng.apply_redex(state, r, ())
+                others = {id(succ.nodes[j]) for j in r.receivers if r.rule == "Ucast"}
+                assert len({id(nd) for nd in entered}) == len(entered)
+                assert {id(nd) for nd in entered} - others <= {id(succ.nodes[r.sender])}
+                made += any(nd is succ.nodes[r.sender] for nd in entered)
+            state = eng.apply_redex(state, *eng.pick_redex(redexes, rng, 0.3, 0.2))
+    assert made > 100
