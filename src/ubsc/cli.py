@@ -177,14 +177,18 @@ _HEADER = {"seed": int, "loss_rate": (int, float), "recovery_bias": (int, float)
 
 def _shape_error(records: list, shapes) -> Optional[str]:
     """Why a record of ``records`` does not have its shape in ``shapes``;
-    None when every one has."""
+    None when every one has.  JSON ``true`` and ``false`` are not numbers,
+    though Python's ``bool`` is an ``int``."""
+    def ok(x, ty) -> bool:
+        return isinstance(x, ty) and not isinstance(x, bool)
+
     for i, (rec, (fields, required)) in enumerate(zip(records, shapes)):
         if not isinstance(rec, dict):
             return f"record {i} is not a JSON object"
         for k, ty in fields.items():
-            if (k in required or k in rec) and not isinstance(rec.get(k), ty):
+            if (k in required or k in rec) and not ok(rec.get(k), ty):
                 return f"record {i} lacks a well-formed {k!r}"
-        if not all(isinstance(j, int) for j in rec.get("receivers", ())):
+        if not all(ok(j, int) for j in rec.get("receivers", ())):
             return f"record {i} lacks a well-formed 'receivers'"
     return None
 

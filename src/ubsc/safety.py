@@ -232,10 +232,7 @@ def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
         for r in eng.enabled_redexes(cur):
             if not allowed(r):
                 continue
-            try:
-                nxt = eng.apply_redex(cur, r)
-            except eng.EngineError:
-                continue
+            nxt = eng.apply_redex(cur, r)
             if nxt in seen:
                 continue
             seen.add(nxt)

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from conftest import generate_program
+from golden_cases import corpus_programs, run_case
 from ubsc import checker as ck
 from ubsc import corpus as cp
 from ubsc import engine as eng
@@ -33,14 +34,14 @@ def report(criterion, text):
 
 def test_criterion_1_worked_examples():
     t0 = time.time()
-    cases = cp.corpus_programs()
+    cases = corpus_programs()
     assert {c.name for c in cases} >= {
         "beacon_subset_deliver", "beacon_lagging_recovery",
         "gather_chain", "drop_connections",
     }
     checked = 0
     for case in cases:
-        digests, mismatches = cp.run_case(case)
+        digests, mismatches = run_case(case)
         assert mismatches == [], (case.name, mismatches)
         assert digests == case.digests, case.name
         checked += len(case.expected)
@@ -279,7 +280,7 @@ def test_criterion_5_progress_and_recovery():
             checked_r += 1
 
     # scripted gather chain: scan every intermediate state
-    case = [c for c in cp.corpus_programs() if c.name == "gather_chain"][0]
+    case = [c for c in corpus_programs() if c.name == "gather_chain"][0]
     prog = cp.load_program(case.program)
     state = eng.RunState.from_network(eng.encode_network(prog.network))
     scan(state)
@@ -417,8 +418,8 @@ def test_criterion_8_determinism_replay():
         eng.run_scheduler(paxos.network, cfg).to_jsonl()
 
     replayed = 0
-    for case in cp.corpus_programs():
-        digests, _ = cp.run_case(case)
+    for case in corpus_programs():
+        digests, _ = run_case(case)
         assert digests == case.digests, case.name
         replayed += 1
     report(8, f"byte-identical traces for identical configurations; "

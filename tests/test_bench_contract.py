@@ -7,6 +7,7 @@ import gc
 import importlib
 import os
 import pkgutil
+import subprocess
 import sys
 import weakref
 
@@ -17,7 +18,8 @@ from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import render, terms as t, values as v
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
 
 
 @pytest.fixture
@@ -91,3 +93,27 @@ def test_tracer_round_trip(tracing):
     assert metrics["engine.node_render.hit_ratio"][0] == 0
     assert metrics["engine.node_names.hit_ratio"][0] == 0
     assert {(id(o), a): o.__dict__[a] for o, a, _ in tracing.LAYERS} == before
+
+
+# Run in a fresh interpreter: the modules that importing conftest adds to
+# those the interpreter started with (site's .pth files load some).
+_CONFTEST_IMPORTS = """
+import sys
+before = set(sys.modules)
+sys.path[:0] = [{tests!r}, {src!r}]
+import conftest
+print(*sorted({{m.partition(".")[0] for m in set(sys.modules) - before}}))
+"""
+
+
+def test_conftest_imports_only_the_standard_library_and_ubsc():
+    """``bench/workloads.py`` imports conftest for its program generator, so
+    every module conftest pulls in is charged to the benchmark's set-up
+    time and memory: conftest imports pytest, hypothesis or a test helper
+    only while pytest runs."""
+    code = _CONFTEST_IMPORTS.format(tests=os.path.join(ROOT, "tests"),
+                                    src=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    added = set(out.stdout.split())
+    assert added - set(sys.stdlib_module_names) == {"conftest", "ubsc"}

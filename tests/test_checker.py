@@ -1,5 +1,6 @@
 import pytest
 
+from golden_cases import corpus_programs
 from ubsc import checker as ck
 from ubsc import sestypes as st
 from ubsc import engine as eng
@@ -388,8 +389,7 @@ def test_drop_connections_types():
 
 
 def test_typed_step_preservation_on_gather_chain():
-    from ubsc import corpus as cp
-    case = [c for c in cp.corpus_programs() if c.name == "gather_chain"][0]
+    case = [c for c in corpus_programs() if c.name == "gather_chain"][0]
     prog = load_program(case.program)
     g = ck.Gamma(shared=prog.shared_types())
     protocols = {"a": prog.shared_types()["a"]}

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ubsc
+from golden_cases import corpus_programs
 from ubsc import cli
 from ubsc import terms as t
 from ubsc import values as v
@@ -168,8 +169,7 @@ def test_encode_recovery_roundtrip(capsys):
 
 
 def test_replay_golden_script(capsys):
-    from ubsc import corpus as cp
-    case = [c for c in cp.corpus_programs() if c.name == "gather_chain"][0]
+    case = [c for c in corpus_programs() if c.name == "gather_chain"][0]
     rc = main(["replay", corpus(case.program), case.script_path()])
     out = capsys.readouterr().out
     assert rc == 0
@@ -234,6 +234,32 @@ def test_replay_checks_the_initial_digest(case, tmp_path, capsys, monkeypatch):
         assert rc == 1 and lines[0].startswith("replay failed: initial digest ")
 
 
+@pytest.mark.parametrize("field", ["sender", "index", "receivers",
+                                   "seed", "max_steps", "loss_rate", "recovery_bias"])
+def test_replay_rejects_booleans_as_numbers(field, tmp_path, capsys, monkeypatch):
+    """JSON ``true`` is not a number, though Python's ``bool`` is an ``int``: a
+    script step whose sender, index or receivers entry is ``true``, or a
+    trace header whose seed, step bound or rate is, is malformed."""
+    monkeypatch.delenv("UBSC_COLOR", raising=False)
+    path = tmp_path / "replay.json"
+    if field in ("sender", "index", "receivers"):
+        step = {"rule": "Bcast", "sender": 0, "receivers": [1]}
+        step[field] = [True] if field == "receivers" else True
+        path.write_text(json.dumps([step]))
+    else:
+        assert main(["run", corpus("heartbeat_simple.ubsc"), "--max-steps", "3",
+                     "--trace", str(path)]) == 0
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        records[0][field] = True
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    rc = main(["replay", corpus("heartbeat_simple.ubsc"), str(path)])
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert rc == 2 and len(lines) == 1
+    assert lines[0].endswith(f"record 0 lacks a well-formed {field!r}")
+
+
 def test_stepper_drives_and_records(tmp_path, capsys, monkeypatch):
     script = tmp_path / "script.json"
     # choose the broadcast, deliver to node 1 only, then receive, then quit
@@ -264,6 +290,17 @@ def test_stepper_undo(capsys, monkeypatch):
     assert out.count("nothing to undo") == 1
     applied = [line for line in out.splitlines() if line.startswith("applied")]
     assert len(applied) == 3 and applied[0] == applied[2]
+
+
+def test_stepper_says_when_no_redex_is_enabled(capsys, monkeypatch):
+    """The stepper lists no choice at a terminal state and says so, after
+    the last step and not before."""
+    inputs = iter(["0", "all", "0", "0", "q"])
+    monkeypatch.setattr("builtins.input", lambda *a: next(inputs))
+    assert main(["step", corpus("heartbeat_simple.ubsc")]) == 0
+    out = capsys.readouterr().out.split("\n\n")[-1].splitlines()
+    assert out == ["[ 0 | *s~1:[] ] || [ 0 | s~1:[] ] || [ 0 | s~1:[] ]",
+                   "no enabled redexes; terminal state"]
 
 
 def _run_module(module, args, stdin_text=None, stdout=subprocess.PIPE, timeout=None,

@@ -4,20 +4,21 @@ import shutil
 import pytest
 
 from conftest import has_recover
+from golden_cases import corpus_programs, run_case, write_golden
 from ubsc import checker as ck
 from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import values as v
 from ubsc.syntax import parse_declared
 
-CASES = {c.name: c for c in cp.corpus_programs()}
+CASES = {c.name: c for c in corpus_programs()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_replays_bit_identical(name):
     case = CASES[name]
-    assert case.digests, "golden file missing; run corpus.write_golden()"
-    digests, mismatches = cp.run_case(case)
+    assert case.digests, "golden file missing; run golden_cases.write_golden(corpus_dir())"
+    digests, mismatches = run_case(case)
     assert mismatches == []
     assert digests == case.digests
 
@@ -39,7 +40,7 @@ def test_program_types_under_its_declared_context(name):
 def test_schedules_reproduce_displayed_networks():
     # run_case checks digest equality against every pinned intermediate
     for case in CASES.values():
-        _, mismatches = cp.run_case(case)
+        _, mismatches = run_case(case)
         assert not mismatches, (case.name, mismatches)
 
 
@@ -51,7 +52,7 @@ def test_mismatches_follow_the_schedule():
     from ubsc.syntax import parse
     case = CASES["beacon_subset_deliver"]
     wrong = [(1, "[ 0 ]"), (0, "[ 0 | s~0:[] ]"), (5, "[ 0 ]"), (1, "[ 0 | *s~0:[] ]")]
-    digests, mismatches = cp.run_case(replace(case, expected=wrong))
+    digests, mismatches = run_case(replace(case, expected=wrong))
     assert digests == case.digests
     assert mismatches == [(0, eng.digest(parse("[ 0 | s~0:[] ]").network), digests[0]),
                           (1, eng.digest(parse("[ 0 | *s~0:[] ]").network), digests[1])]
@@ -121,16 +122,25 @@ def test_consensus_instrumentation_unit():
     assert rep.violations
 
 
+def test_consensus_on_a_value_never_proposed():
+    """A majority that accepts a value outside the participants' ids 1 to
+    ``m`` chose a value no one proposed."""
+    steps = [eng.TraceStep(i, "Rcv", "s#0", i, (), "(1, 9)", "") for i in range(3)]
+    rep = cp.check_consensus_trace(eng.Trace(eng.SchedulerConfig(), "", steps), 5)
+    assert rep.chosen_values == {v.IntV(9)}
+    assert rep.violations == [f"chosen value {v.IntV(9)!r} was never proposed"]
+
+
 def test_witness_seeds_recorded():
     seeds = cp.load_witness_seeds()
     assert len(seeds) >= 5
     assert len(set(seeds)) == len(seeds)
 
 
-def test_write_golden_rewrites_every_file_byte_for_byte(tmp_path, monkeypatch):
-    """``write_golden``, on a copy of the corpus that ``UBSC_CORPUS`` names,
-    writes every golden and script file as it is checked in.  The copies
-    are emptied first, so a file the function skips does not pass."""
+def test_write_golden_rewrites_every_file_byte_for_byte(tmp_path):
+    """``write_golden``, given a copy of the corpus, writes every golden and
+    script file as it is checked in.  The copies are emptied first, so a
+    file the function skips does not pass."""
     checked_in = cp.corpus_dir()
     copy = tmp_path / "corpus"
     shutil.copytree(checked_in, copy)
@@ -139,9 +149,7 @@ def test_write_golden_rewrites_every_file_byte_for_byte(tmp_path, monkeypatch):
     assert len(written) == 2 * len(CASES)
     for p in written:
         p.write_bytes(b"")
-    monkeypatch.setenv("UBSC_CORPUS", str(copy))
-    assert cp.corpus_dir() == str(copy)
-    cp.write_golden()
+    write_golden(str(copy))
     for p in written:
         with open(f"{checked_in}/{p.name}", "rb") as fh:
             assert p.read_bytes() == fh.read(), p.name

@@ -3,12 +3,13 @@ import os
 import pytest
 
 from conftest import generate_program
+from golden_cases import corpus_programs
 from ubsc import checker as ck
 from ubsc import engine as eng
 from ubsc import safety as sf
 from ubsc import terms as t
 from ubsc.corpus import corpus_dir, load_program
-from ubsc.syntax import parse, parse_network, parse_type
+from ubsc.syntax import parse, parse_declared, parse_network, parse_type
 from ubsc.terms import Endpoint
 
 
@@ -151,6 +152,16 @@ shared a : T
     assert not sf.is_simple(res)
 
 
+def test_is_simple_needs_a_typed_network():
+    prog = load_program("error_brc_bra.ubsc")
+    res = ck.type_network(ck.Gamma(shared=prog.shared_types()), prog.network,
+                          declared=parse_declared("*s:(0, !int.end), s:(0, ?int.end)",
+                                                  prog.type_decls))
+    assert not res.ok
+    with pytest.raises(ValueError, match="requires an Ok typing result"):
+        sf.is_simple(res)
+
+
 # ------------------------------------------------------------- progress search
 
 def beacon_state():
@@ -240,8 +251,7 @@ def test_recovery_shape_and_search():
 def test_progress_during_gather_chain():
     prog = load_program("heartbeat_gather.ubsc")
     state = eng.RunState.from_network(eng.encode_network(prog.network))
-    from ubsc import corpus as cp
-    case = [c for c in cp.corpus_programs() if c.name == "gather_chain"][0]
+    case = [c for c in corpus_programs() if c.name == "gather_chain"][0]
     for spec in case.schedule:
         for sess, c in sf.progress_shape_sessions(state):
             assert sf.session_progress_search(state, sess, c) is not None

@@ -137,6 +137,11 @@ def test_buffer_polarity_enforced():
         t.Buffer(t.Endpoint("s", True), 0, (t.ValMsg(v.IntV(1)),))
 
 
+def test_buffer_state_is_not_negative():
+    with pytest.raises(ValueError, match="negative session state"):
+        t.Buffer(t.Endpoint("s", False), -1, ())
+
+
 def test_free_names_substitution_law():
     # substituting a fresh endpoint removes the variable and adds the session
     cases = [
