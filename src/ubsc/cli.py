@@ -240,7 +240,7 @@ def cmd_replay(args, prog) -> int:
 
 def _ask_receivers(r: eng.Redex) -> tuple:
     """The receivers of ``r`` chosen at the prompt, asked again after a line
-    that is not all, none or ids of the eligible family."""
+    that is not all, none or distinct ids of the eligible family."""
     while True:
         try:
             sub = input(f"receivers {list(r.receivers)} (all/none/ids)> ").strip()
@@ -252,7 +252,8 @@ def _ask_receivers(r: eng.Redex) -> tuple:
             chosen = tuple(int(x) for x in sub.replace(",", " ").split())
         except ValueError:
             chosen = None
-        if chosen is not None and set(chosen) <= set(r.receivers):
+        if (chosen is not None and len(set(chosen)) == len(chosen)
+                and set(chosen) <= set(r.receivers)):
             return chosen
         print(f"not all, none or ids of receivers {list(r.receivers)}: {sub}")
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from . import engine as eng
 from . import values as v
+from .render import render_value
 from .syntax import parse, parse_value
 
 
@@ -59,10 +60,11 @@ def check_consensus_trace(trace: eng.Trace, m: int) -> ConsensusReport:
                 events.setdefault((val.first, val.second), set()).add(s.sender)
     chosen = {rv: nodes for rv, nodes in events.items() if len(nodes) > m // 2}
     values = {rv[1] for rv in chosen}
+    ordered = sorted(values, key=v.value_key)
     violations = []
     if len(values) > 1:
-        violations.append(f"multiple chosen values: {sorted(map(repr, values))}")
-    for val in values:
+        violations.append(f"multiple chosen values: {', '.join(map(render_value, ordered))}")
+    for val in ordered:
         if not (isinstance(val, v.IntV) and val.n in range(1, m + 1)):
-            violations.append(f"chosen value {val!r} was never proposed")
+            violations.append(f"chosen value {render_value(val)} was never proposed")
     return ConsensusReport(chosen, values, violations)

@@ -681,7 +681,11 @@ def resolve_script_step(state: RunState, spec: dict) -> tuple:
     apply it; returns (redex, chosen receivers, successor).  Fields: rule
     (required), sender, session, ``receivers`` (the chosen subset, by default
     the full family), ``digest`` (the successor's: the first match that has
-    it is taken) and ``index``, which picks among matches without a digest."""
+    it is taken) and ``index``, which picks among matches without a digest.
+    A receiver listed twice is refused."""
+    receivers = spec.get("receivers", ())
+    if len(set(receivers)) < len(receivers):
+        raise EngineError(f"receiver listed twice in {list(receivers)}")
     cands = []
     for r in enabled_redexes(state):
         if r.rule != spec["rule"]:

@@ -10,12 +10,14 @@ unfolding bound.  A node with more than one alternative (a sum on its
 unfolded path) matches no prefix shape.
 
 The progress and recovery searches share one breadth-first search, keyed on
-the run states themselves and capped on the states it reaches.
+the run states themselves and capped on the states it reaches.  The searches
+of one kind share a bounded memo of each state's allowed successors.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Optional
 
 from . import engine as eng
@@ -216,11 +218,29 @@ def recovery_shape_sessions(state: eng.RunState) -> list:
             if all(cp < c for _, cp in pl_nodes)]
 
 
+@lru_cache(maxsize=1024)
+def _expansions(state: eng.RunState, allowed) -> tuple:
+    """(redex, full-delivery successor) for each enabled redex of ``state``
+    that ``allowed`` accepts, in :func:`engine.enabled_redexes` order.
+
+    Consecutive searches of one kind from the states of one run expand the
+    same states again, so the expansions are kept.  Run-state equality
+    ignores node lines, so an entry may hold successors whose nodes sit at
+    another equal state's lines; schedules are lists of redexes, which carry
+    no line, so what a search returns does not change.  At 1024 entries the
+    searches of a scheduler run enumerate and apply as often as at 8192,
+    while 256 loses part of the saving."""
+    return tuple((r, eng.apply_redex(state, r)) for r in eng.enabled_redexes(state)
+                 if allowed(r))
+
+
 def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
     """Breadth-first search over full-delivery reductions restricted to
     ``allowed`` rules; returns the schedule reaching ``target`` or None.
     ``cap`` bounds the number of states reached.  A state is its own key:
-    equal run states hold the same interned processes, buffers and nodes."""
+    equal run states hold the same interned processes, buffers and nodes.
+    ``allowed`` keys the expansion memo, so searches share entries only
+    when they pass the same predicate object."""
     seen = {state}
     queue = deque([(state, [])])
     while queue:
@@ -229,10 +249,7 @@ def _bfs(state: eng.RunState, allowed, target, bound: int, cap: int = 20000):
         cur, path = queue.popleft()
         if len(path) >= bound:
             continue
-        for r in eng.enabled_redexes(cur):
-            if not allowed(r):
-                continue
-            nxt = eng.apply_redex(cur, r)
+        for r, nxt in _expansions(cur, allowed):
             if nxt in seen:
                 continue
             seen.add(nxt)
@@ -265,11 +282,15 @@ def _all_at(session: str, c: int):
     return target
 
 
+def _progress_move(r: eng.Redex) -> bool:
+    return r.rule not in eng.RECOVERY_RULES
+
+
 def session_progress_search(state: eng.RunState, session: str, c: int):
     """Find a recovery-free schedule advancing the session state by one:
     the aggregator buffer reaches c+1 and every surviving plain buffer
     reaches c+1."""
-    return _bfs(state, lambda r: r.rule not in eng.RECOVERY_RULES,
+    return _bfs(state, _progress_move,
                 _all_at(session, c + 1), 4 * len(state.nodes))
 
 
@@ -278,8 +299,12 @@ def session_progress_search(state: eng.RunState, session: str, c: int):
 _AUTONOMOUS_RULES = ("Rec", "BRec", "Loss", "True", "False", "Rcv", "Bra")
 
 
+def _recovery_move(r: eng.Redex) -> bool:
+    return r.rule in _AUTONOMOUS_RULES
+
+
 def session_recovery_search(state: eng.RunState, session: str, c: int):
     """Find a recovery-only schedule (plus conditional drops) after which
     every surviving plain buffer matches the aggregator state."""
-    return _bfs(state, lambda r: r.rule in _AUTONOMOUS_RULES,
+    return _bfs(state, _recovery_move,
                 _all_at(session, c), 4 * len(state.nodes))

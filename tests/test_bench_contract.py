@@ -14,6 +14,7 @@ import weakref
 import pytest
 
 import ubsc
+from conftest import in_fresh_process
 from ubsc import corpus as cp
 from ubsc import engine as eng
 from ubsc import render, terms as t, values as v
@@ -73,12 +74,12 @@ def test_term_memos_live_as_long_as_their_term():
     assert ref() is None
 
 
-def test_tracer_round_trip(tracing):
-    """Install the tracer, run a short traced scheduler run, uninstall: the
-    digest layer is seen, the hit ratio of a cache the run reads is
-    reported, and every wrapped function is restored.  The run's digests
-    read node records and look up no lru keyed on a node, so the
-    node-render and node-name ratios the tracer reports read 0 on it."""
+def _traced_run() -> tuple:
+    """Install the tracer, run a short traced scheduler run, uninstall:
+    the metrics the round trip reads, and whether every wrapped function
+    was restored."""
+    sys.path.insert(0, BENCH)
+    tracing = importlib.import_module("tracing")
     before = {(id(o), a): o.__dict__[a] for o, a, _ in tracing.LAYERS}
     tracer = tracing.Tracer()
     tracer.install()
@@ -88,11 +89,27 @@ def test_tracer_round_trip(tracing):
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    assert metrics["engine.digest.calls"][0] == 21
-    assert metrics["engine.alternatives.hit_ratio"][0] > 0
-    assert metrics["engine.node_render.hit_ratio"][0] == 0
-    assert metrics["engine.node_names.hit_ratio"][0] == 0
-    assert {(id(o), a): o.__dict__[a] for o, a, _ in tracing.LAYERS} == before
+    restored = {(id(o), a): o.__dict__[a] for o, a, _ in tracing.LAYERS} == before
+    return tuple(metrics[k][0] for k in (
+        "engine.digest.calls", "engine.alternatives.hit_ratio",
+        "engine.node_render.hit_ratio", "engine.node_names.hit_ratio")) + (restored,)
+
+
+def test_tracer_round_trip():
+    """Install the tracer, run a short traced scheduler run, uninstall: the
+    digest layer is seen, the hit ratio of a cache the run reads is
+    reported, and every wrapped function is restored.  The run's digests
+    read node records and look up no lru keyed on a node, so the
+    node-render and node-name ratios the tracer reports read 0 on it.  The
+    run is made in a process of its own: nodes that other tests' caches
+    keep alive carry their records, so the run would read no alternatives."""
+    digests, alternatives, node_render, node_names, restored = in_fresh_process(
+        "test_bench_contract", "_traced_run()")
+    assert digests == 21
+    assert alternatives > 0
+    assert node_render == 0
+    assert node_names == 0
+    assert restored
 
 
 # Run in a fresh interpreter: the modules that importing conftest adds to

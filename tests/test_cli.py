@@ -342,16 +342,17 @@ def test_run_output_does_not_follow_hash_order(tmp_path):
 
 
 def test_stepper_asks_again_on_bad_input():
-    """A negative choice, and a receivers line that is not all, none or ids
-    or names a node outside the eligible family, get one line and the
-    prompt again."""
+    """A negative choice, and a receivers line that is not all, none or ids,
+    names a node outside the eligible family or names one node twice, get
+    one line and the prompt again."""
     out = _run_module("ubsc", ["step", corpus("heartbeat_simple.ubsc")],
-                      "-1\n0\nabc\n7\n1\nq\n")
+                      "-1\n0\nabc\n7\n1 1\n1\nq\n")
     assert out.returncode == 0 and "Traceback" not in out.stderr
     assert "invalid index" in out.stdout and "applied Rec" not in out.stdout
     assert "not all, none or ids of receivers [1, 2]: abc" in out.stdout
     assert "not all, none or ids of receivers [1, 2]: 7" in out.stdout
-    assert out.stdout.count("(all/none/ids)>") == 3
+    assert "not all, none or ids of receivers [1, 2]: 1 1" in out.stdout
+    assert out.stdout.count("(all/none/ids)>") == 4
     assert "applied Bcast" in out.stdout and 's~1:["hbt"]' in out.stdout
 
 
@@ -365,6 +366,17 @@ def test_replay_script_index_out_of_range(index, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert rc == 1 and len(lines) == 1
     assert "replay failed" in lines[0] and f"index {index} outside [0, 1)" in lines[0]
+
+
+def test_replay_script_receiver_listed_twice(tmp_path, capsys):
+    """A script step that lists one receiver twice fails the replay with
+    one line, as a receiver outside the family does; it is not read as the
+    receiver listed once."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"rule": "Bcast", "sender": 0, "receivers": [1, 1]}]))
+    rc = main(["replay", corpus("heartbeat_simple.ubsc"), str(script)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert rc == 1 and lines == ["replay failed: step 0: receiver listed twice in [1, 1]"]
 
 
 REPLAY_INPUTS = {

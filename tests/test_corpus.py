@@ -128,7 +128,19 @@ def test_consensus_on_a_value_never_proposed():
     steps = [eng.TraceStep(i, "Rcv", "s#0", i, (), "(1, 9)", "") for i in range(3)]
     rep = cp.check_consensus_trace(eng.Trace(eng.SchedulerConfig(), "", steps), 5)
     assert rep.chosen_values == {v.IntV(9)}
-    assert rep.violations == [f"chosen value {v.IntV(9)!r} was never proposed"]
+    assert rep.violations == ["chosen value 9 was never proposed"]
+
+
+def test_consensus_on_two_values():
+    """Two values each accepted by a majority are both listed, in value
+    order and as the source writes them, and the one outside 1 to ``m``
+    is also named as never proposed."""
+    steps = [eng.TraceStep(i, "Rcv", "s#0", i, (), val, "")
+             for val in ("(2, 9)", "(1, 4)") for i in range(3)]
+    rep = cp.check_consensus_trace(eng.Trace(eng.SchedulerConfig(), "", steps), 5)
+    assert rep.chosen_values == {v.IntV(4), v.IntV(9)}
+    assert rep.violations == ["multiple chosen values: 4, 9",
+                              "chosen value 9 was never proposed"]
 
 
 def test_witness_seeds_recorded():

@@ -2,8 +2,10 @@ import os
 
 import pytest
 
+import safety_oracle
 from conftest import generate_program
 from golden_cases import corpus_programs
+from test_sleep_sets import _reached_states, _schedules, _searches
 from ubsc import checker as ck
 from ubsc import engine as eng
 from ubsc import safety as sf
@@ -258,6 +260,47 @@ def test_progress_during_gather_chain():
         for sess, c in sf.recovery_shape_sessions(state):
             assert sf.session_recovery_search(state, sess, c) is not None
         _, _, state = eng.resolve_script_step(state, spec)
+
+
+@pytest.mark.parametrize("name", ["paxos3.ubsc", "paxos_multi.ubsc", "paxos5.ubsc",
+                                  "heartbeat_gather.ubsc", "paxos_recover.ubsc",
+                                  "drop_connections.ubsc", "generated"])
+def test_searches_from_a_kept_expansion_match_oracle(name, monkeypatch):
+    """On the inputs of ``test_sleep_sets``, each search run twice in a row,
+    the second time from the expansions the first kept, with the progress
+    and recovery searches of each state interleaved, returns the oracle's
+    schedule both times."""
+    if name == "generated":
+        searches = []
+        for gseed in range(8):
+            network = parse(generate_program(gseed)).network
+            searches += _searches([eng.RunState.from_network(eng.encode_network(network))]
+                                  + _reached_states(network, 0, 25))
+    else:
+        network = load_program(name).network
+        searches = [s for seed in (0, 1) for s in _searches(_reached_states(network, seed, 60))]
+    assert searches
+    sf._expansions.cache_clear()
+    twice = [(fn(st, sess, c), fn(st, sess, c)) for fn, st, sess, c in searches]
+    assert sf._expansions.cache_info().hits > 0
+    assert twice == [(s, s) for s in _schedules(monkeypatch, safety_oracle._bfs, searches)]
+
+
+def test_progress_search_keeps_no_recovery_expansion(monkeypatch):
+    """A recovery search and then a progress search from a paxos3 state
+    where Rec is enabled (the one after the first step of seed 0): the
+    recovery search keeps the state's Rec successors, and the progress
+    search, which the two kinds do not share an entry with, still finds the
+    oracle's recovery-free schedule."""
+    state = _reached_states(load_program("paxos3.ubsc").network, 0, 1)[0]
+    [(sess, c)] = sf.progress_shape_sessions(state)
+    sf._expansions.cache_clear()
+    sf.session_recovery_search(state, sess, c)
+    assert any(r.rule == "Rec" for r, _ in sf._expansions(state, sf._recovery_move))
+    sched = sf.session_progress_search(state, sess, c)
+    assert sched and not any(r.rule in eng.RECOVERY_RULES for r in sched)
+    searches = [(sf.session_progress_search, state, sess, c)]
+    assert [sched] == _schedules(monkeypatch, safety_oracle._bfs, searches)
 
 
 # ------------------------------------------------------------- one head view
